@@ -227,11 +227,7 @@ impl Scenario {
                     let bs = net.base_stations().expect("with_bs").clone();
                     let centers = net.population().home_points().centers().to_vec();
                     let plan = SchemeBPlan::by_clusters(&homes, &traffic, &bs, &centers);
-                    // Table I: the weak-regime optimal range is Θ(r√(m/n)),
-                    // the inverse in-cluster density scale — c_T/√n would
-                    // leave the guard zones permanently crowded.
-                    let range = params.r * ((params.m as f64 / self.n as f64).sqrt());
-                    let engine = engine.with_range(range.max(1e-6));
+                    let engine = engine.with_range(self.weak_range(&params));
                     let rb =
                         engine.measure_scheme_b_observed(&mut net, &plan, slots, &mut rng, obs);
                     lambda_infra = Some(rb.lambda);
@@ -352,6 +348,7 @@ impl Scenario {
                     let bs = net.base_stations().expect("with_bs").clone();
                     let centers = net.population().home_points().centers().to_vec();
                     let plan = SchemeBPlan::by_clusters(&homes, &traffic, &bs, &centers);
+                    let engine = engine.with_range(self.weak_range(&params));
                     let (stats, trace) = engine.run_flows_scheme_b_traced_observed(
                         &mut net, &plan, workload, &mut rng, obs,
                     )?;
@@ -384,6 +381,16 @@ impl Scenario {
             pacing_infra,
             params,
         })
+    }
+
+    /// The transmission range every engine runs the weak regime at.
+    ///
+    /// Table I: the weak-regime optimal range is `Θ(r√(m/n))`, the inverse
+    /// in-cluster density scale — `c_T/√n` would leave the guard zones
+    /// permanently crowded, and no link would ever be scheduled.
+    fn weak_range(&self, params: &RealizedParams) -> f64 {
+        let range = params.r * ((params.m as f64 / self.n as f64).sqrt());
+        range.max(1e-6)
     }
 
     /// The slot pacing [`Scenario::measure_flows`] runs under: demand-paced
@@ -652,9 +659,7 @@ impl Scenario {
                     let bs = net.base_stations().expect("with_bs").clone();
                     let centers = net.population().home_points().centers().to_vec();
                     let plan = SchemeBPlan::by_clusters(&homes, &traffic, &bs, &centers);
-                    // Same weak-regime range override as the sequential path.
-                    let range = params.r * ((params.m as f64 / self.n as f64).sqrt());
-                    let engine = engine.with_range(range.max(1e-6));
+                    let engine = engine.with_range(self.weak_range(&params));
                     let rb = if observe {
                         let (rb, snap) = engine.measure_scheme_b_par_observed(
                             &net,
@@ -1088,6 +1093,26 @@ mod tests {
         let report = scenario.measure_flows(&workload).unwrap();
         assert!(report.flows_mobility.is_none());
         assert!(report.flows_infra.is_none());
+    }
+
+    #[test]
+    fn weak_row_flows_run_at_the_weak_range_and_deliver() {
+        // The weak-regime row of Table I (α=0.4, M=0.2, R=0.4, K=0.6,
+        // φ=0). At c_T/√n every S* guard zone inside a cluster is crowded
+        // and nothing is delivered; the r√(m/n) range that `measure` and
+        // `measure_par` use delivers packets.
+        let exps = ModelExponents::new(0.4, 0.2, 0.4, 0.6, 0.0).unwrap();
+        let scenario = Scenario::builder(exps, 2000).seed(11).build();
+        assert_eq!(scenario.regime().unwrap(), MobilityRegime::Weak);
+        let workload = FlowWorkload::poisson(1e-4, 2, 400).with_window(8);
+        let report = scenario.measure_flows(&workload).unwrap();
+        let infra = report.flows_infra.expect("scheme B by clusters ran");
+        assert!(infra.packets_injected > 0);
+        assert!(
+            infra.packets_delivered > 0,
+            "weak row delivered 0 of {} packets",
+            infra.packets_injected
+        );
     }
 
     #[test]

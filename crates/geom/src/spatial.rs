@@ -19,19 +19,22 @@
 //!    mobility model confines each node to a `Θ(1/f(n))` disk around its
 //!    home-point, so cell membership is overwhelmingly stable from one slot
 //!    to the next. `update` patches only the CSR suffix that actually
-//!    changed (a counting-sort repair) and falls back to a full
-//!    [`SpatialHash::rebuild`] when churn is high.
+//!    changed (a counting-sort repair) and falls back to a full counting
+//!    sort, from the cells it already computed, when churn is high.
 //! 2. **Cell-occupancy arithmetic** ([`SpatialHash::unique_neighbors_into`],
 //!    [`SpatialHash::block_population`]): most guard-zone questions are
 //!    decidable from per-cell population counts alone — an empty 3×3 block
 //!    means isolated, a crowded cell means "cannot be a singleton" — so the
 //!    exact `torus_dist_sq` checks run only for the ambiguous sliver.
-//! 3. **Locality-ordered SoA buffers**: positions are mirrored into
-//!    cell-sorted `xs`/`ys` arrays so kernel passes stream memory in cell
-//!    order instead of chasing ids through the original snapshot.
+//! 3. **Row runs over a locality-ordered position mirror**: positions are
+//!    copied into a cell-sorted array, and cells are stored row-major, so
+//!    each block row of a query is one contiguous run of slots (two where
+//!    it wraps a torus seam). Kernels stream those runs instead of walking
+//!    cell by cell or chasing ids through the original snapshot.
 
 use crate::{Point, SquareGrid};
 use hycap_errors::HycapError;
+use std::ops::Range;
 
 /// Lower bound applied to the cell-sizing radius of the slot-path spatial
 /// index (see [`clamp_index_radius`]).
@@ -53,7 +56,7 @@ pub const MIN_INDEX_RADIUS: f64 = 1e-4;
 /// the wrap-around block enumeration well-defined: with fewer cells the
 /// centered block of a radius-`0.25` query would wrap onto the same cell
 /// from both sides, and correctness would rest entirely on the whole-grid
-/// fallback path instead of the torus `rem_euclid` arithmetic.
+/// fallback path instead of the wrapped block-row runs.
 pub const MAX_INDEX_RADIUS: f64 = 0.25;
 
 /// Clamps a query radius into `[MIN_INDEX_RADIUS, MAX_INDEX_RADIUS]` for
@@ -86,7 +89,7 @@ pub enum RebuildKind {
     /// Suffix-only counting-sort repair: only cells at or after the first
     /// dirty cell were re-placed.
     Incremental,
-    /// No point changed cell; only positions and the SoA mirror were
+    /// No point changed cell; only positions and their mirror were
     /// refreshed.
     Unchanged,
 }
@@ -99,10 +102,13 @@ pub enum RebuildKind {
 /// workspaces hold one and reuse it across every slot.
 #[derive(Debug, Clone, Default)]
 pub struct OccupancyScratch {
-    /// Per-cell *alive* population counts (masked kernels only).
+    /// Exclusive prefix sum of the per-cell *alive* populations (masked
+    /// kernels only): cells `lo..hi` hold `counts[hi] - counts[lo]` alive
+    /// points.
     counts: Vec<u32>,
-    /// Flat indices of the current cell's block, deduplicated for wrap.
-    block: Vec<u32>,
+    /// The non-empty slot runs `(begin, end)` of the current cell's block,
+    /// in block visit order.
+    runs: Vec<(u32, u32)>,
 }
 
 /// The number of grid cells per side for a given cell-sizing radius: cell
@@ -117,36 +123,57 @@ fn cells_for_radius(max_radius: f64) -> usize {
 /// torus distance `radius` of a point in cell `c` lies within
 /// `⌈radius / cell_len⌉` cells of `c` along each axis.
 #[inline]
-fn block_reach(radius: f64, cell_len: f64) -> isize {
-    ((radius / cell_len).ceil() as isize).max(1)
+fn block_reach(radius: f64, cell_len: f64) -> usize {
+    ((radius / cell_len).ceil() as usize).max(1)
 }
 
-/// Visits the flat index of every *distinct* cell in the `(2bc+1)²` block
-/// centered on `(row, col)`, collapsing to one whole-grid sweep when the
-/// block wraps past the grid size (so no cell is visited twice).
-#[inline]
-fn for_each_block_cell<F: FnMut(usize)>(
-    grid: SquareGrid,
-    row: usize,
-    col: usize,
-    bc: isize,
-    mut f: F,
-) {
-    let s = grid.cells_per_side() as isize;
-    let whole = 2 * bc + 1 >= s;
-    let (lo, hi) = if whole { (0, s - 1) } else { (-bc, bc) };
-    for dr in lo..=hi {
-        for dc in lo..=hi {
-            let (r, c) = if whole {
-                (dr as usize, dc as usize)
-            } else {
-                (
-                    (row as isize + dr).rem_euclid(s) as usize,
-                    (col as isize + dc).rem_euclid(s) as usize,
-                )
-            };
-            f(grid.cell(r, c).index());
+/// Calls `f(cells)` for each run of contiguous flat cell indices that
+/// together make up the `(2b+1)²` block of cells centered on `(row, col)`.
+///
+/// Cells are stored row-major, so one block row is one run of flat
+/// indices, split in two only where it wraps past the grid edge. Runs come
+/// out in the block's row-then-column visit order (`dr`, then `dc`, from
+/// `-b` to `b`), and since CSR slots follow flat cell order, the slots of
+/// `cells` are `starts[cells.start]..starts[cells.end]` in that same
+/// order. When the block spans the grid (`2b+1 >= s`) it collapses to the
+/// single run of all cells, so no cell is visited twice. Wrapping is a
+/// compare-and-add: `b < s/2` on the block path, so one correction
+/// suffices.
+#[inline(always)]
+fn for_each_block_run(s: usize, row: usize, col: usize, b: usize, mut f: impl FnMut(Range<usize>)) {
+    let cell_count = s * s;
+    // `2b + 1 >= s`, written so a saturated reach cannot overflow.
+    if b >= s / 2 {
+        f(0..cell_count);
+        return;
+    }
+    let (head, tail) = if col < b {
+        (col + s - b..s, 0..col + b + 1)
+    } else if col + b >= s {
+        (col - b..s, 0..col + b + 1 - s)
+    } else {
+        (col - b..col + b + 1, 0..0)
+    };
+    let mut base = if row < b { row + s - b } else { row - b } * s;
+    for _ in 0..2 * b + 1 {
+        f(base + head.start..base + head.end);
+        if !tail.is_empty() {
+            f(base + tail.start..base + tail.end);
         }
+        base += s;
+        if base == cell_count {
+            base = 0;
+        }
+    }
+}
+
+/// The most runs [`for_each_block_run`] emits for reach `b`.
+#[inline]
+fn max_block_runs(s: usize, b: usize) -> usize {
+    if b >= s / 2 {
+        1
+    } else {
+        2 * (2 * b + 1)
     }
 }
 
@@ -157,7 +184,7 @@ fn for_each_block_cell<F: FnMut(usize)>(
 /// Within a cell, ids are in increasing order (the rebuild pass scans the
 /// input slice in order), which keeps query iteration order identical to
 /// the historical `Vec<Vec<u32>>` bucket implementation. Alongside `ids`,
-/// the positions are mirrored into cell-sorted SoA arrays `xs`/`ys` so the
+/// the positions are mirrored into the cell-sorted array `pos` so the
 /// hot kernels stream coordinates in cell order.
 ///
 /// # Example
@@ -192,17 +219,15 @@ pub struct SpatialHash {
     ids: Vec<u32>,
     /// Per-cell offsets into `ids`; length `cell_count + 1` (CSR offsets).
     starts: Vec<u32>,
-    /// Cell-sorted x coordinates: `xs[slot]` is the x of `ids[slot]`.
-    xs: Vec<f64>,
-    /// Cell-sorted y coordinates: `ys[slot]` is the y of `ids[slot]`.
-    ys: Vec<f64>,
+    /// Cell-sorted positions: `pos[slot]` is the position of `ids[slot]`.
+    pos: Vec<Point>,
     /// Id-ordered copy of the indexed snapshot. Empty after a streamed
     /// build ([`SpatialHash::try_rebuild_streamed`]), where positions live
-    /// only in the cell-sorted SoA mirror and [`SpatialHash::position`]
+    /// only in the cell-sorted mirror `pos` and [`SpatialHash::position`]
     /// goes through `slot_of`.
     points: Vec<Point>,
     /// Inverse CSR permutation, filled by streamed builds only:
-    /// `slot_of[id]` is the SoA slot holding point `id`.
+    /// `slot_of[id]` is the slot holding point `id`.
     slot_of: Vec<u32>,
     /// Rebuild scratch: the flat cell index of each point, cached between
     /// the counting and placement passes and across `update` calls.
@@ -263,61 +288,74 @@ impl SpatialHash {
             points.len() <= u32::MAX as usize,
             "too many points for the spatial hash"
         );
-        // Cell side >= max_radius so that a radius-r query only needs the
-        // 3x3 (or slightly larger) block of cells around the query point.
-        // Cap the cell count for tiny radii to bound memory.
+        let grid = self.grid_for(max_radius);
+        self.cell_scratch.clear();
+        self.cell_scratch
+            .extend(points.iter().map(|&p| grid.cell_of(p).index() as u32));
+        self.place(points, grid);
+    }
+
+    /// The grid for cell-sizing radius `max_radius`, reusing the current one
+    /// when the resolution matches. Cell side `>= max_radius`, so a
+    /// radius-`r` query only needs the 3x3 (or slightly larger) block of
+    /// cells around the query point.
+    fn grid_for(&self, max_radius: f64) -> SquareGrid {
         let cells = cells_for_radius(max_radius);
-        let grid = match self.grid {
+        match self.grid {
             Some(g) if g.cells_per_side() == cells => g,
             _ => SquareGrid::with_cells_per_side(cells),
-        };
+        }
+    }
+
+    /// Counting sort of `points` into the CSR layout and position mirror, from
+    /// the flat cell of each point already cached in `cell_scratch`.
+    fn place(&mut self, points: &[Point], grid: SquareGrid) {
         self.cell_len = grid.cell_len();
         self.points.clear();
         self.points.extend_from_slice(points);
-
-        // Counting pass: starts[c + 1] accumulates the population of cell c.
-        // The flat cell index of each point is cached so the placement pass
-        // need not recompute cell_of.
-        let cell_count = grid.cell_count();
-        self.starts.clear();
-        self.starts.resize(cell_count + 1, 0);
-        self.cell_scratch.clear();
-        for &p in points {
-            let c = grid.cell_of(p).index() as u32;
-            self.cell_scratch.push(c);
-            self.starts[c as usize + 1] += 1;
-        }
-        // Prefix sum: starts[c] = first slot of cell c.
-        for c in 0..cell_count {
-            self.starts[c + 1] += self.starts[c];
-        }
+        self.count_cells(grid.cell_count());
         // Placement pass: scan points in id order so each cell's ids come
         // out increasing (the order the historical per-cell Vecs received
-        // them), bumping starts[c] as a cursor. The SoA position mirror is
+        // them), bumping starts[c] as a cursor. The position mirror is
         // filled in the same sweep.
         self.ids.clear();
         self.ids.resize(points.len(), 0);
-        self.xs.clear();
-        self.xs.resize(points.len(), 0.0);
-        self.ys.clear();
-        self.ys.resize(points.len(), 0.0);
+        self.pos.clear();
+        self.pos.resize(points.len(), Point::ORIGIN);
         for (id, &cell) in self.cell_scratch.iter().enumerate() {
             let slot = self.starts[cell as usize] as usize;
             self.ids[slot] = id as u32;
-            let p = points[id];
-            self.xs[slot] = p.x;
-            self.ys[slot] = p.y;
+            self.pos[slot] = points[id];
             self.starts[cell as usize] = slot as u32 + 1;
         }
-        // After placement starts[c] holds the *end* of cell c; shift right
-        // to restore "starts[c] = begin of cell c".
-        for c in (1..=cell_count).rev() {
-            self.starts[c] = self.starts[c - 1];
-        }
-        self.starts[0] = 0;
+        self.restore_starts(0, 0);
         self.slot_of.clear();
         self.grid = Some(grid);
         self.last_rebuild = RebuildKind::Full;
+    }
+
+    /// Counting pass of the full counting sort: sets `starts[c]` to the
+    /// first slot of cell `c`, from the cells cached in `cell_scratch`.
+    fn count_cells(&mut self, cell_count: usize) {
+        // starts[c + 1] accumulates the population of cell c ...
+        self.starts.clear();
+        self.starts.resize(cell_count + 1, 0);
+        for &c in &self.cell_scratch {
+            self.starts[c as usize + 1] += 1;
+        }
+        // ... and the prefix sum turns populations into offsets.
+        for c in 0..cell_count {
+            self.starts[c + 1] += self.starts[c];
+        }
+    }
+
+    /// Ends a placement pass over cells `from..`: placement bumps each
+    /// `starts[c]` as a cursor, leaving it at the *end* of cell `c`, so
+    /// shift right and put back `starts[from] = base`.
+    fn restore_starts(&mut self, from: usize, base: u32) {
+        let cell_count = self.starts.len() - 1;
+        self.starts.copy_within(from..cell_count, from + 1);
+        self.starts[from] = base;
     }
 
     /// The constructor contract shared by every (re)build path: at most
@@ -386,7 +424,7 @@ impl SpatialHash {
     /// its argument both times — e.g. by re-running a counter-based slot
     /// RNG from the same `(seed, slot)`.
     ///
-    /// The CSR layout, the SoA coordinate mirror and every query kernel are
+    /// The CSR layout, the position mirror and every query kernel are
     /// byte-identical to [`SpatialHash::rebuild`] over the concatenation of
     /// the chunks; only the id-ordered `points` copy is omitted (so the
     /// resident footprint stays `O(len)` in compact arrays —
@@ -408,29 +446,17 @@ impl SpatialHash {
         F: FnMut(&mut dyn FnMut(&[Point])),
     {
         Self::check_build_inputs(len, max_radius)?;
-        let cells = cells_for_radius(max_radius);
-        let grid = match self.grid {
-            Some(g) if g.cells_per_side() == cells => g,
-            _ => SquareGrid::with_cells_per_side(cells),
-        };
+        let grid = self.grid_for(max_radius);
         self.cell_len = grid.cell_len();
         self.points.clear();
 
-        // Pass 1 (counting): cache each point's flat cell and accumulate
-        // per-cell populations, exactly as the materialized rebuild does.
-        let cell_count = grid.cell_count();
-        self.starts.clear();
-        self.starts.resize(cell_count + 1, 0);
+        // Pass 1 (counting): cache each point's flat cell, then count cells
+        // exactly as the materialized rebuild does.
         self.cell_scratch.clear();
         {
-            let starts = &mut self.starts;
             let cell_scratch = &mut self.cell_scratch;
             stream(&mut |chunk: &[Point]| {
-                for &p in chunk {
-                    let c = grid.cell_of(p).index() as u32;
-                    cell_scratch.push(c);
-                    starts[c as usize + 1] += 1;
-                }
+                cell_scratch.extend(chunk.iter().map(|&p| grid.cell_of(p).index() as u32));
             });
         }
         if self.cell_scratch.len() != len {
@@ -440,19 +466,15 @@ impl SpatialHash {
                 right: len,
             });
         }
-        for c in 0..cell_count {
-            self.starts[c + 1] += self.starts[c];
-        }
+        self.count_cells(grid.cell_count());
 
         // Pass 2 (placement): replay the stream, placing ids in id order so
         // per-cell ids come out increasing, and fill the inverse
         // permutation that backs `position` lookups.
         self.ids.clear();
         self.ids.resize(len, 0);
-        self.xs.clear();
-        self.xs.resize(len, 0.0);
-        self.ys.clear();
-        self.ys.resize(len, 0.0);
+        self.pos.clear();
+        self.pos.resize(len, Point::ORIGIN);
         self.slot_of.clear();
         self.slot_of.resize(len, 0);
         let mut id = 0usize;
@@ -460,8 +482,7 @@ impl SpatialHash {
             let starts = &mut self.starts;
             let cell_scratch = &self.cell_scratch;
             let ids = &mut self.ids;
-            let xs = &mut self.xs;
-            let ys = &mut self.ys;
+            let pos = &mut self.pos;
             let slot_of = &mut self.slot_of;
             stream(&mut |chunk: &[Point]| {
                 for &p in chunk {
@@ -473,8 +494,7 @@ impl SpatialHash {
                     let cell = cell_scratch[id] as usize;
                     let slot = starts[cell] as usize;
                     ids[slot] = id as u32;
-                    xs[slot] = p.x;
-                    ys[slot] = p.y;
+                    pos[slot] = p;
                     slot_of[id] = slot as u32;
                     starts[cell] = slot as u32 + 1;
                     id += 1;
@@ -488,10 +508,7 @@ impl SpatialHash {
                 right: len,
             });
         }
-        for c in (1..=cell_count).rev() {
-            self.starts[c] = self.starts[c - 1];
-        }
-        self.starts[0] = 0;
+        self.restore_starts(0, 0);
         self.grid = Some(grid);
         self.last_rebuild = RebuildKind::Full;
         Ok(())
@@ -504,15 +521,17 @@ impl SpatialHash {
     /// same input. Three paths, reported by the return value:
     ///
     /// - [`RebuildKind::Unchanged`]: no point changed cell; only the stored
-    ///   positions and the SoA mirror are refreshed (`O(n)`).
+    ///   positions and their cell-sorted mirror are refreshed (`O(n)`).
     /// - [`RebuildKind::Incremental`]: a bounded fraction of points changed
     ///   cell; the CSR suffix starting at the first dirty cell is repaired
     ///   with a counting sort over the affected cells only. Cells (and the
     ///   id prefix) before the first dirty cell are untouched because every
     ///   move's source and destination cell lie at or after it.
-    /// - [`RebuildKind::Full`]: the snapshot has a different length, maps to
-    ///   a different grid resolution, or more than `1/4` of the points
-    ///   changed cell — delegate to [`SpatialHash::rebuild`].
+    /// - [`RebuildKind::Full`]: the snapshot has a different length or maps
+    ///   to a different grid resolution — delegate to
+    ///   [`SpatialHash::rebuild`] — or more than `1/4` of the points changed
+    ///   cell, in which case the full counting sort runs straight from the
+    ///   new cells the churn pass already computed.
     ///
     /// # Panics
     ///
@@ -552,7 +571,10 @@ impl SpatialHash {
             }
         }
         if churn * CHURN_FALLBACK_DENOM > points.len() {
-            self.rebuild(points, max_radius);
+            // The diff pass already computed every new cell: run the full
+            // counting sort from them instead of recomputing cell_of.
+            std::mem::swap(&mut self.cell_scratch, &mut self.next_cells);
+            self.place(points, grid);
             return RebuildKind::Full;
         }
         let kind = if churn == 0 {
@@ -593,20 +615,15 @@ impl SpatialHash {
                 self.ids[slot as usize] = id as u32;
                 self.starts[c] = slot + 1;
             }
-            for c in ((first_dirty + 1)..=cell_count).rev() {
-                self.starts[c] = self.starts[c - 1];
-            }
-            self.starts[first_dirty] = base;
+            self.restore_starts(first_dirty, base);
         }
         std::mem::swap(&mut self.cell_scratch, &mut self.next_cells);
         self.points.clear();
         self.points.extend_from_slice(points);
         // Every position moves every slot even when no cell does: refresh
-        // the cell-ordered SoA mirror wholesale (sequential write, cheap).
+        // the cell-ordered mirror wholesale (sequential write, cheap).
         for (slot, &id) in self.ids.iter().enumerate() {
-            let p = points[id as usize];
-            self.xs[slot] = p.x;
-            self.ys[slot] = p.y;
+            self.pos[slot] = points[id as usize];
         }
         self.last_rebuild = kind;
         kind
@@ -646,10 +663,7 @@ impl SpatialHash {
     pub fn position(&self, id: usize) -> Point {
         if self.points.is_empty() && !self.ids.is_empty() {
             let slot = self.slot_of[id] as usize;
-            Point {
-                x: self.xs[slot],
-                y: self.ys[slot],
-            }
+            self.pos[slot]
         } else {
             self.points[id]
         }
@@ -700,47 +714,43 @@ impl SpatialHash {
         out
     }
 
+    /// Calls `f(slots)` for each slot run of the block of reach `b` around
+    /// `center`'s cell, in block visit order. No-op on a never-built index.
+    ///
+    /// The home cell is derived from the position rather than read from
+    /// `cell_scratch`, so arbitrary query points and streamed builds work.
+    #[inline]
+    fn for_each_slot_run_around(&self, center: Point, b: usize, mut f: impl FnMut(Range<usize>)) {
+        let Some(grid) = self.grid else { return };
+        let home = grid.cell_of(center);
+        for_each_block_run(grid.cells_per_side(), home.row(), home.col(), b, |cells| {
+            f(self.starts[cells.start] as usize..self.starts[cells.end] as usize);
+        });
+    }
+
+    /// The reach of the radius visitors, one cell wider than
+    /// [`block_reach`] to absorb the query point's offset within its cell.
+    #[inline]
+    fn visitor_reach(&self, radius: f64) -> usize {
+        ((radius / self.cell_len).ceil() as usize).saturating_add(1)
+    }
+
     /// Calls `f(id)` for every point strictly within `radius` of `center`.
     ///
     /// This is the allocation-free radius visitor; iteration order is the
     /// fixed cell-block order relied upon by the deterministic schedulers.
     pub fn for_each_within<F: FnMut(usize)>(&self, center: Point, radius: f64, mut f: F) {
-        let Some(grid) = self.grid else { return };
         let r2 = radius * radius;
-        let s = grid.cells_per_side() as isize;
-        let reach = (radius / self.cell_len).ceil() as isize + 1;
-        let home = grid.cell_of(center);
-        // When the reach covers the whole grid, visit each cell exactly once.
-        let (lo, hi) = if 2 * reach + 1 >= s {
-            (0, s - 1)
-        } else {
-            (-reach, reach)
-        };
-        let whole = 2 * reach + 1 >= s;
-        for dr in lo..=hi {
-            for dc in lo..=hi {
-                let (row, col) = if whole {
-                    (dr as usize, dc as usize)
-                } else {
-                    (
-                        (home.row() as isize + dr).rem_euclid(s) as usize,
-                        (home.col() as isize + dc).rem_euclid(s) as usize,
-                    )
-                };
-                let idx = grid.cell(row, col).index();
-                for t in self.starts[idx] as usize..self.starts[idx + 1] as usize {
-                    // Stream the cell-sorted SoA mirror; coordinates are
-                    // bit-identical to the stored points.
-                    let q = Point {
-                        x: self.xs[t],
-                        y: self.ys[t],
-                    };
-                    if q.torus_dist_sq(center) < r2 {
-                        f(self.ids[t] as usize);
-                    }
+        self.for_each_slot_run_around(center, self.visitor_reach(radius), |slots| {
+            for t in slots {
+                // Stream the cell-sorted mirror; coordinates are
+                // bit-identical to the stored points.
+                let q = self.pos[t];
+                if q.torus_dist_sq(center) < r2 {
+                    f(self.ids[t] as usize);
                 }
             }
-        }
+        });
     }
 
     /// Returns `true` when any indexed point other than those in `exclude`
@@ -749,41 +759,17 @@ impl SpatialHash {
     /// This is the primitive used for the guard-zone test of scheduler `S*`:
     /// "for every other node `l`, `min(d_lj, d_li) > (1+Δ)R_T`".
     pub fn any_within_excluding(&self, center: Point, radius: f64, exclude: &[usize]) -> bool {
-        let Some(grid) = self.grid else { return false };
         let r2 = radius * radius;
-        let s = grid.cells_per_side() as isize;
-        let reach = (radius / self.cell_len).ceil() as isize + 1;
-        let home = grid.cell_of(center);
-        let (lo, hi) = if 2 * reach + 1 >= s {
-            (0, s - 1)
-        } else {
-            (-reach, reach)
-        };
-        let whole = 2 * reach + 1 >= s;
-        for dr in lo..=hi {
-            for dc in lo..=hi {
-                let (row, col) = if whole {
-                    (dr as usize, dc as usize)
-                } else {
-                    (
-                        (home.row() as isize + dr).rem_euclid(s) as usize,
-                        (home.col() as isize + dc).rem_euclid(s) as usize,
-                    )
-                };
-                let idx = grid.cell(row, col).index();
-                for t in self.starts[idx] as usize..self.starts[idx + 1] as usize {
-                    let id = self.ids[t] as usize;
-                    let q = Point {
-                        x: self.xs[t],
-                        y: self.ys[t],
-                    };
-                    if !exclude.contains(&id) && q.torus_dist_sq(center) < r2 {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        let mut found = false;
+        self.for_each_slot_run_around(center, self.visitor_reach(radius), |mut slots| {
+            // Once found, the remaining (at most a few) runs are skipped.
+            found = found
+                || slots.any(|t| {
+                    let q = self.pos[t];
+                    !exclude.contains(&(self.ids[t] as usize)) && q.torus_dist_sq(center) < r2
+                });
+        });
+        found
     }
 
     /// Counts indexed points strictly within `radius` of `center`.
@@ -829,11 +815,16 @@ impl SpatialHash {
         let Some(grid) = self.grid else { return 0 };
         let c = self.cell_scratch[id] as usize;
         let s = grid.cells_per_side();
-        let bc = block_reach(radius, self.cell_len);
         let mut pop = 0usize;
-        for_each_block_cell(grid, c / s, c % s, bc, |idx| {
-            pop += (self.starts[idx + 1] - self.starts[idx]) as usize;
-        });
+        for_each_block_run(
+            s,
+            c / s,
+            c % s,
+            block_reach(radius, self.cell_len),
+            |cells| {
+                pop += (self.starts[cells.end] - self.starts[cells.start]) as usize;
+            },
+        );
         pop
     }
 
@@ -855,7 +846,7 @@ impl SpatialHash {
     ///   already disqualify a singleton regardless of the rest).
     ///
     /// Pass `alive: None` for the unmasked (fault-free) variant. The scan
-    /// streams the cell-sorted SoA mirror, so iteration is cache-local in
+    /// streams the cell-sorted position mirror, so iteration is cache-local in
     /// cell order; `out` is indexed by original point id.
     ///
     /// # Panics
@@ -881,103 +872,87 @@ impl SpatialHash {
         }
         let r2 = radius * radius;
         let s = grid.cells_per_side();
-        let bc = block_reach(radius, self.cell_len);
+        let b = block_reach(radius, self.cell_len);
         let cell_count = grid.cell_count();
         // With a mask, exact alive counts make both prunes exact; skip the
         // O(cell_count) pass only when the grid dwarfs the population
         // (tiny-radius regimes), where totals still give a sound bound.
-        let masked_counts = match alive {
-            Some(mask) if cell_count <= 4 * self.points.len().max(256) => {
+        // The counts are turned into an exclusive prefix sum, so the alive
+        // population of a run of cells `lo..hi` is `counts[hi] - counts[lo]`.
+        let alive_prefix = match alive {
+            Some(mask) if cell_count <= 4 * self.len().max(256) => {
                 self.fill_alive_cell_counts(mask, &mut scratch.counts);
-                true
+                let mut sum = 0;
+                for count in &mut scratch.counts {
+                    sum += std::mem::replace(count, sum);
+                }
+                scratch.counts.push(sum);
+                Some(&scratch.counts[..])
             }
-            _ => false,
+            _ => None,
         };
-        let counts_exact = masked_counts || alive.is_none();
+        let counts_exact = alive_prefix.is_some() || alive.is_none();
         // Any two points sharing a cell differ by < cell_len per axis, so
         // their distance is strictly below the cell diagonal.
         let same_cell_close = 2.0 * self.cell_len * self.cell_len <= r2;
+        scratch.runs.clear();
+        scratch.runs.resize(max_block_runs(s, b), (0, 0));
+        let run_buf = &mut scratch.runs[..];
+        // The (alive) population of the cells behind slot run `run`.
+        let population = |cells: Range<usize>, run: (u32, u32)| match alive_prefix {
+            Some(prefix) => prefix[cells.end] - prefix[cells.start],
+            None => run.1 - run.0,
+        };
 
-        for c in 0..cell_count {
-            let begin = self.starts[c] as usize;
-            let end = self.starts[c + 1] as usize;
-            if begin == end {
-                continue;
+        let is_alive = |t: usize| alive.is_none_or(|mask| mask[self.ids[t] as usize]);
+        self.for_each_occupied_cell(s, |row, col, home| {
+            // Prune 1: >= 3 alive members in this cell are pairwise within
+            // radius, so each has >= 2 neighbors — no singleton here.
+            let c = row * s + col;
+            let home_run = (home.start as u32, home.end as u32);
+            if counts_exact && same_cell_close && population(c..c + 1, home_run) >= 3 {
+                return;
             }
-            scratch.block.clear();
-            for_each_block_cell(grid, c / s, c % s, bc, |idx| scratch.block.push(idx as u32));
-            let mut block_pop: u64 = 0;
-            for &idx in &scratch.block {
-                let idx = idx as usize;
-                block_pop += if masked_counts {
-                    u64::from(scratch.counts[idx])
-                } else {
-                    u64::from(self.starts[idx + 1] - self.starts[idx])
-                };
-            }
-            // Prune 1: the block holds at most one point — each member sees
+            // The block's non-empty slot runs and its population. The run
+            // buffer is sized for the worst case up front, so an empty run
+            // is dropped by not advancing `runs`, not by a branch.
+            let mut runs = 0;
+            let mut block_pop = 0;
+            for_each_block_run(s, row, col, b, |cells| {
+                let run = (self.starts[cells.start], self.starts[cells.end]);
+                block_pop += population(cells, run);
+                run_buf[runs] = run;
+                runs += usize::from(run.0 < run.1);
+            });
+            // Prune 2: the block holds at most one point — each member sees
             // nobody but itself, so all stay MAX. (With a mask but without
             // alive counts the total still upper-bounds the alive count.)
             if block_pop <= 1 {
-                continue;
+                return;
             }
-            // Prune 2: >= 3 alive members in this cell are pairwise within
-            // radius, so each has >= 2 neighbors — no singleton here.
-            if counts_exact && same_cell_close {
-                let cell_pop = if masked_counts {
-                    scratch.counts[c] as usize
-                } else {
-                    end - begin
-                };
-                if cell_pop >= 3 {
-                    continue;
-                }
-            }
-            // Ambiguous sliver: exact scan per alive member, early-exiting
-            // at the second in-radius neighbor.
-            for slot in begin..end {
-                let i = self.ids[slot] as usize;
-                if let Some(mask) = alive {
-                    if !mask[i] {
-                        continue;
-                    }
-                }
-                let center = Point {
-                    x: self.xs[slot],
-                    y: self.ys[slot],
-                };
+            // Ambiguous sliver: exact scan per alive member, stopping at the
+            // second in-radius neighbor. A member skips itself by slot; ids
+            // are read only to test the mask and to report the answer.
+            for slot in home.filter(|&slot| is_alive(slot)) {
+                let center = self.pos[slot];
                 let mut count = 0u32;
-                let mut only = usize::MAX;
-                'scan: for &idx in &scratch.block {
-                    let idx = idx as usize;
-                    for t in self.starts[idx] as usize..self.starts[idx + 1] as usize {
-                        let j = self.ids[t] as usize;
-                        if j == i {
-                            continue;
-                        }
-                        if let Some(mask) = alive {
-                            if !mask[j] {
-                                continue;
-                            }
-                        }
-                        let q = Point {
-                            x: self.xs[t],
-                            y: self.ys[t],
-                        };
-                        if center.torus_dist_sq(q) < r2 {
-                            count += 1;
-                            if count >= 2 {
-                                break 'scan;
-                            }
-                            only = j;
+                let mut only = 0;
+                'scan: for &(lo, hi) in &run_buf[..runs] {
+                    let (lo, hi) = (lo as usize, hi as usize);
+                    for (t, &q) in (lo..hi).zip(&self.pos[lo..hi]) {
+                        let hit = (center.torus_dist_sq(q) < r2) & (t != slot) & is_alive(t);
+                        only = if hit { t } else { only };
+                        count += u32::from(hit);
+                        if count >= 2 {
+                            break 'scan;
                         }
                     }
                 }
                 if count == 1 {
-                    out[i] = only;
+                    out[self.ids[slot] as usize] = self.ids[only] as usize;
                 }
             }
-        }
+        });
     }
 
     /// The id of the *unique* indexed point strictly within `radius` of
@@ -998,59 +973,33 @@ impl SpatialHash {
     /// Panics if `radius` is not finite and positive, or `id` is out of
     /// range.
     pub fn unique_neighbor_within(&self, id: usize, radius: f64) -> usize {
-        let Some(grid) = self.grid else {
+        if self.grid.is_none() {
             return usize::MAX;
-        };
+        }
         assert!(
             radius.is_finite() && radius > 0.0,
             "radius must be positive, got {radius}"
         );
         assert!(id < self.ids.len(), "point id {id} out of range");
         let r2 = radius * radius;
-        let s = grid.cells_per_side();
-        let bc = block_reach(radius, self.cell_len);
         let center = self.position(id);
-        // Derive the home cell from the position (what `cell_scratch`
-        // caches on the slice paths) so streamed builds work too.
-        let c = grid.cell_of(center).index();
-        // Inlined `for_each_block_cell` block walk: the closure form cannot
-        // early-exit, and stopping at the second neighbor is the point.
-        let si = s as isize;
-        let whole = 2 * bc + 1 >= si;
-        let (lo, hi) = if whole { (0, si - 1) } else { (-bc, bc) };
-        let (row, col) = (c / s, c % s);
         let mut count = 0u32;
         let mut only = usize::MAX;
-        'scan: for dr in lo..=hi {
-            for dc in lo..=hi {
-                let (r, cc) = if whole {
-                    (dr as usize, dc as usize)
-                } else {
-                    (
-                        (row as isize + dr).rem_euclid(si) as usize,
-                        (col as isize + dc).rem_euclid(si) as usize,
-                    )
-                };
-                let idx = grid.cell(r, cc).index();
-                for t in self.starts[idx] as usize..self.starts[idx + 1] as usize {
-                    let j = self.ids[t] as usize;
-                    if j == id {
-                        continue;
-                    }
-                    let q = Point {
-                        x: self.xs[t],
-                        y: self.ys[t],
-                    };
-                    if center.torus_dist_sq(q) < r2 {
-                        count += 1;
-                        if count >= 2 {
-                            break 'scan;
-                        }
-                        only = j;
-                    }
+        self.for_each_slot_run_around(center, block_reach(radius, self.cell_len), |slots| {
+            for t in slots {
+                // Past the second neighbor the answer is decided; the
+                // remaining (at most a few) runs are skipped.
+                if count >= 2 {
+                    return;
+                }
+                let j = self.ids[t] as usize;
+                let q = self.pos[t];
+                if j != id && center.torus_dist_sq(q) < r2 {
+                    count += 1;
+                    only = j;
                 }
             }
-        }
+        });
         if count == 1 {
             only
         } else {
@@ -1062,7 +1011,7 @@ impl SpatialHash {
     /// indexed points strictly within `radius` of each other.
     ///
     /// Visits each cell once and scans only its covering block, streaming
-    /// the SoA mirror; emission order is unspecified. This is the
+    /// the position mirror; emission order is unspecified. This is the
     /// allocation-free kernel behind contact counting.
     ///
     /// # Panics
@@ -1076,38 +1025,38 @@ impl SpatialHash {
         );
         let r2 = radius * radius;
         let s = grid.cells_per_side();
-        let bc = block_reach(radius, self.cell_len);
-        let cell_count = grid.cell_count();
-        for c in 0..cell_count {
-            let begin = self.starts[c] as usize;
-            let end = self.starts[c + 1] as usize;
-            if begin == end {
-                continue;
-            }
+        let b = block_reach(radius, self.cell_len);
+        self.for_each_occupied_cell(s, |row, col, home| {
             // Each pair is emitted while processing the cell of its smaller
             // id: the `j > i` filter drops the mirror visit from the other
             // endpoint's cell (blocks are symmetric, so both visits occur).
-            for_each_block_cell(grid, c / s, c % s, bc, |idx| {
-                for t in self.starts[idx] as usize..self.starts[idx + 1] as usize {
+            for_each_block_run(s, row, col, b, |cells| {
+                for t in self.starts[cells.start] as usize..self.starts[cells.end] as usize {
                     let j = self.ids[t] as usize;
-                    let q = Point {
-                        x: self.xs[t],
-                        y: self.ys[t],
-                    };
-                    for slot in begin..end {
+                    let q = self.pos[t];
+                    for slot in home.clone() {
                         let i = self.ids[slot] as usize;
-                        if j > i {
-                            let p = Point {
-                                x: self.xs[slot],
-                                y: self.ys[slot],
-                            };
-                            if p.torus_dist_sq(q) < r2 {
-                                f(i, j);
-                            }
+                        if j > i && self.pos[slot].torus_dist_sq(q) < r2 {
+                            f(i, j);
                         }
                     }
                 }
             });
+        });
+    }
+
+    /// Calls `f(row, col, slots)` for every non-empty cell of an `s × s`
+    /// grid, in flat cell order, with the cell's slot range.
+    #[inline(always)]
+    fn for_each_occupied_cell(&self, s: usize, mut f: impl FnMut(usize, usize, Range<usize>)) {
+        for row in 0..s {
+            for col in 0..s {
+                let c = row * s + col;
+                let slots = self.starts[c] as usize..self.starts[c + 1] as usize;
+                if !slots.is_empty() {
+                    f(row, col, slots);
+                }
+            }
         }
     }
 }
@@ -1151,8 +1100,7 @@ mod tests {
 
     fn assert_same_layout(a: &SpatialHash, b: &SpatialHash) {
         assert_eq!(a.csr_layout(), b.csr_layout());
-        assert_eq!(a.xs, b.xs);
-        assert_eq!(a.ys, b.ys);
+        assert_eq!(a.pos, b.pos);
         assert_eq!(a.points, b.points);
         assert_eq!(a.cell_scratch, b.cell_scratch);
     }
@@ -1267,13 +1215,12 @@ mod tests {
     }
 
     #[test]
-    fn soa_mirror_matches_points() {
+    fn position_mirror_matches_points() {
         let pts = random_points(300, 21);
         let hash = SpatialHash::build(&pts, 0.06);
         for (slot, &id) in hash.ids.iter().enumerate() {
             let p = pts[id as usize];
-            assert_eq!(hash.xs[slot], p.x);
-            assert_eq!(hash.ys[slot], p.y);
+            assert_eq!(hash.pos[slot], p);
         }
     }
 
@@ -1536,6 +1483,154 @@ mod tests {
         }
     }
 
+    /// The retired cell-by-cell block walk, one `rem_euclid` per axis per
+    /// cell: every distinct cell of the `(2b+1)²` block around
+    /// `(row, col)`, in `(dr, dc)` order. Kept as the visit-order oracle of
+    /// the run walker.
+    fn oracle_block_cells(s: usize, row: usize, col: usize, b: usize) -> Vec<usize> {
+        let (s, b) = (s as isize, b as isize);
+        let whole = 2 * b + 1 >= s;
+        let (lo, hi) = if whole { (0, s - 1) } else { (-b, b) };
+        let mut cells = Vec::new();
+        for dr in lo..=hi {
+            for dc in lo..=hi {
+                let (r, c) = if whole {
+                    (dr, dc)
+                } else {
+                    (
+                        (row as isize + dr).rem_euclid(s),
+                        (col as isize + dc).rem_euclid(s),
+                    )
+                };
+                cells.push((r * s + c) as usize);
+            }
+        }
+        cells
+    }
+
+    /// `for_each_within` over the oracle walk.
+    fn oracle_within(hash: &SpatialHash, center: Point, radius: f64) -> Vec<usize> {
+        let grid = hash.grid.unwrap();
+        let home = grid.cell_of(center);
+        let reach = (radius / hash.cell_len).ceil() as usize + 1;
+        let mut out = Vec::new();
+        for c in oracle_block_cells(grid.cells_per_side(), home.row(), home.col(), reach) {
+            for t in hash.starts[c] as usize..hash.starts[c + 1] as usize {
+                if hash.pos[t].torus_dist_sq(center) < radius * radius {
+                    out.push(hash.ids[t] as usize);
+                }
+            }
+        }
+        out
+    }
+
+    /// `for_each_pair_within` over the oracle walk.
+    fn oracle_pairs(hash: &SpatialHash, radius: f64) -> Vec<(usize, usize)> {
+        let grid = hash.grid.unwrap();
+        let s = grid.cells_per_side();
+        let b = block_reach(radius, hash.cell_len);
+        let mut out = Vec::new();
+        for c in 0..grid.cell_count() {
+            let home = hash.starts[c] as usize..hash.starts[c + 1] as usize;
+            for idx in oracle_block_cells(s, c / s, c % s, b) {
+                for t in hash.starts[idx] as usize..hash.starts[idx + 1] as usize {
+                    let j = hash.ids[t] as usize;
+                    for slot in home.clone() {
+                        let i = hash.ids[slot] as usize;
+                        if j > i && hash.pos[slot].torus_dist_sq(hash.pos[t]) < radius * radius {
+                            out.push((i, j));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn block_runs_replay_the_cell_by_cell_walk() {
+        for s in 1..=12 {
+            for b in 1..=7 {
+                for row in 0..s {
+                    for col in 0..s {
+                        let mut cells = Vec::new();
+                        for_each_block_run(s, row, col, b, |run| cells.extend(run));
+                        assert_eq!(cells, oracle_block_cells(s, row, col, b), "s={s} b={b}");
+                        let mut runs = 0;
+                        for_each_block_run(s, row, col, b, |_| runs += 1);
+                        assert!(runs <= max_block_runs(s, b));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn visitors_emit_the_cell_by_cell_sequence() {
+        // Uniform points plus a band hugging the seams, so blocks wrap; the
+        // largest radii take the whole-grid path.
+        let mut pts = random_points(300, 113);
+        pts.extend(
+            random_points(100, 127)
+                .iter()
+                .map(|p| Point::new(p.x * 0.02, p.y)),
+        );
+        pts.extend(
+            random_points(100, 131)
+                .iter()
+                .map(|p| Point::new(p.x, 0.99 + p.y * 0.01)),
+        );
+        let mut rng = StdRng::seed_from_u64(137);
+        for (index_radius, radius) in [
+            (0.05, 0.05),
+            (0.02, 0.07),
+            (0.1, 0.03),
+            (0.25, 0.3),
+            (0.05, 0.6),
+        ] {
+            let hash = SpatialHash::build(&pts, index_radius);
+            for _ in 0..40 {
+                let center = Point::new(rng.gen::<f64>(), rng.gen::<f64>());
+                let mut got = Vec::new();
+                hash.for_each_within(center, radius, |id| got.push(id));
+                assert_eq!(got, oracle_within(&hash, center, radius), "radius={radius}");
+            }
+            let mut got = Vec::new();
+            hash.for_each_pair_within(radius, |i, j| got.push((i, j)));
+            assert_eq!(got, oracle_pairs(&hash, radius), "radius={radius}");
+        }
+    }
+
+    #[test]
+    fn streamed_masked_kernel_keeps_exact_alive_counts() {
+        // 2500 cells for 1000 points: the exact alive-count prune engages,
+        // and must engage for a streamed build too (which holds no
+        // id-ordered point copy).
+        let pts = random_points(1000, 139);
+        let alive: Vec<bool> = (0..pts.len()).map(|i| i % 3 != 0).collect();
+        let radius = 0.02;
+        let fresh = SpatialHash::build(&pts, radius);
+        let streamed = build_streamed(&pts, radius, 128);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let mut scratch = OccupancyScratch::default();
+        fresh.unique_neighbors_into(radius, Some(&alive), &mut scratch, &mut a);
+        let cells = fresh.grid.unwrap().cell_count();
+        assert_eq!(
+            scratch.counts.len(),
+            cells + 1,
+            "materialized build counts alive"
+        );
+        let mut scratch = OccupancyScratch::default();
+        streamed.unique_neighbors_into(radius, Some(&alive), &mut scratch, &mut b);
+        assert_eq!(
+            scratch.counts.len(),
+            cells + 1,
+            "streamed build counts alive"
+        );
+        assert_eq!(a, b);
+        assert_eq!(a, brute_unique_neighbors(&pts, radius, Some(&alive)));
+    }
+
     #[test]
     fn block_population_upper_bounds_disk_count() {
         let pts = random_points(300, 109);
@@ -1575,15 +1670,14 @@ mod tests {
             let fresh = SpatialHash::build(&pts, radius);
             let streamed = build_streamed(&pts, radius, chunk);
             assert_eq!(streamed.csr_layout(), fresh.csr_layout(), "n={n}");
-            assert_eq!(streamed.xs, fresh.xs);
-            assert_eq!(streamed.ys, fresh.ys);
+            assert_eq!(streamed.pos, fresh.pos);
             assert_eq!(streamed.cell_scratch, fresh.cell_scratch);
             assert_eq!(streamed.len(), n);
             assert_eq!(streamed.is_empty(), n == 0);
             for (id, &p) in pts.iter().enumerate() {
                 assert_eq!(streamed.position(id), p, "position {id}");
             }
-            // Kernels read only the CSR + SoA state, so equal layouts give
+            // Kernels read only the CSR + mirror state, so equal layouts give
             // equal answers; spot-check the occupancy kernel end to end.
             let mut scratch = OccupancyScratch::default();
             let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -1613,8 +1707,7 @@ mod tests {
 
     fn assert_same_layout_streamed(streamed: &SpatialHash, fresh: &SpatialHash) {
         assert_eq!(streamed.csr_layout(), fresh.csr_layout());
-        assert_eq!(streamed.xs, fresh.xs);
-        assert_eq!(streamed.ys, fresh.ys);
+        assert_eq!(streamed.pos, fresh.pos);
         assert_eq!(streamed.cell_scratch, fresh.cell_scratch);
     }
 

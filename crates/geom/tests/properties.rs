@@ -294,6 +294,56 @@ proptest! {
         }
     }
 
+    /// Near the torus seams and on the whole-grid path the block walk wraps
+    /// or collapses; the batch kernel, the per-node scan and brute force
+    /// must still agree on every node, with and without an alive mask.
+    #[test]
+    fn unique_neighbor_kernels_agree_at_seams_and_whole_grid(
+        raw in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0usize..4), 0..120),
+        index_radius in 0.01f64..0.25,
+        scale in 0.3f64..2.5,
+        whole in any::<bool>(),
+        mask_seed in any::<u64>(),
+    ) {
+        // Every point lies within one cell of a seam (x or y near 0 or 1),
+        // a quarter of them in a corner.
+        let cell = 1.0 / (1.0 / index_radius).floor();
+        let near = |u: f64, high: bool| if high { 1.0 - u * cell } else { u * cell };
+        let pts: Vec<Point> = raw
+            .iter()
+            .map(|&(u, v, side)| match side {
+                0 => Point::new(near(u, false), v),
+                1 => Point::new(near(u, true), v),
+                2 => Point::new(v, near(u, v < 0.5)),
+                _ => Point::new(near(u, v < 0.5), near(v, u < 0.5)),
+            })
+            .collect();
+        // A radius of at least half the torus needs a block spanning the
+        // whole grid; otherwise the block has a few cells of reach.
+        let radius = if whole { 0.5 + 0.2 * scale / 2.5 } else { index_radius * scale };
+        let alive: Vec<bool> = (0..pts.len())
+            .map(|i| (mask_seed >> (i % 64)) & 1 == 1 || i % 5 == 0)
+            .collect();
+        let hash = SpatialHash::build(&pts, clamp_index_radius(index_radius));
+        let mut scratch = OccupancyScratch::default();
+        let mut batch = Vec::new();
+        for mask in [None, Some(alive.as_slice())] {
+            hash.unique_neighbors_into(radius, mask, &mut scratch, &mut batch);
+            let ok = |i: usize| mask.is_none_or(|m| m[i]);
+            for (i, &p) in pts.iter().enumerate() {
+                let hits: Vec<usize> = (0..pts.len())
+                    .filter(|&j| j != i && ok(i) && ok(j))
+                    .filter(|&j| p.torus_dist_sq(pts[j]) < radius * radius)
+                    .collect();
+                let want = if hits.len() == 1 { hits[0] } else { usize::MAX };
+                prop_assert_eq!(batch[i], want, "node {} masked {}", i, mask.is_some());
+                if mask.is_none() {
+                    prop_assert_eq!(hash.unique_neighbor_within(i, radius), want, "node {}", i);
+                }
+            }
+        }
+    }
+
     /// The pair kernel emits exactly the brute-force set of unordered
     /// in-range pairs, each exactly once with `i < j`.
     #[test]

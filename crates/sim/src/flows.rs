@@ -34,8 +34,7 @@ use hycap_errors::HycapError;
 use hycap_obs::{MetricsSink, Observer, SpanTimer};
 use hycap_routing::SchemeBPlan;
 use hycap_wireless::{
-    critical_range, schedule_active_observed, schedule_observed, SStarScheduler, ScheduledPair,
-    SlotWorkspace,
+    schedule_active_observed, schedule_observed, SStarScheduler, ScheduledPair, SlotWorkspace,
 };
 use rand::Rng;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -642,7 +641,7 @@ impl PacketEngine {
         let horizon = workload.horizon;
         let window = workload.window;
         let n = net.n();
-        let range = critical_range(n, self.c_t);
+        let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
         // watchers[(u, v)] = pairs whose hop h goes u -> v.
         let mut watchers: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
@@ -1024,7 +1023,7 @@ impl PacketEngine {
         check_flow_count(&specs)?;
         let horizon = workload.horizon;
         let window = workload.window;
-        let range = critical_range(n, self.c_t);
+        let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
         let mut ms_group = vec![usize::MAX; n];
         let mut bs_group = vec![usize::MAX; k];
@@ -1427,7 +1426,7 @@ impl PacketEngine {
         check_flow_count(&specs)?;
         let horizon = workload.horizon;
         let window = workload.window;
-        let range = critical_range(n, self.c_t);
+        let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
         let gc = plan.group_count();
         let mut ms_group = vec![usize::MAX; n];

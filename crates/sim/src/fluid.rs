@@ -543,30 +543,6 @@ impl FluidEngine {
         Ok(budgeted_outcome(report, cut, slots))
     }
 
-    /// [`FluidEngine::measure_scheme_b_budgeted`] with a recording
-    /// observer; interrupted snapshots carry `fluid.scheme_b.interrupted`
-    /// and `fluid.scheme_b.completed_slots`.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_ctr`].
-    pub fn measure_scheme_b_budgeted_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        seed: u64,
-        pool: Option<&WorkerPool>,
-        budget: RunBudget,
-    ) -> Result<(Budgeted<FluidReport>, Snapshot), HycapError> {
-        let (report, snap, cut) =
-            self.scheme_b_par_impl(net, plan, slots, seed, pool, true, Some(budget.meter()))?;
-        Ok((
-            budgeted_outcome(report, cut, slots),
-            snap.expect("observed run yields a snapshot"),
-        ))
-    }
-
     /// Counter-based sequential reference for scheme A under fault
     /// injection. Each chunkless run builds its own [`FaultInjector`] from
     /// `schedule`, so repeated calls are independent and reproducible.
@@ -609,34 +585,13 @@ impl FluidEngine {
         Ok((report, snap.expect("observed run yields a snapshot")))
     }
 
-    /// Slot-sharded faulted scheme A measurement. Each chunk worker replays
-    /// the schedule with its own injector — [`FaultInjector::seek`] fast-
+    /// Slot-sharded faulted scheme A measurement, with per-chunk recording
+    /// observers merged in chunk order. Each chunk worker replays the
+    /// schedule with its own injector — [`FaultInjector::seek`] fast-
     /// forwards the durable state untallied, so summed per-chunk tallies
     /// reproduce the sequential tally exactly — and the merged report is
     /// bit-identical to [`FluidEngine::measure_scheme_a_with_faults_ctr`]
     /// for every pool size.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_with_faults_ctr`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_scheme_a_with_faults_par(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        pool: &WorkerPool,
-    ) -> Result<DegradedFluidReport, HycapError> {
-        Ok(self
-            .scheme_a_faulted_par_impl(net, plan, slots, schedule, policy, seed, Some(pool), false)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_a_with_faults_par`] with per-chunk
-    /// recording observers merged in chunk order.
     ///
     /// # Errors
     ///
@@ -666,33 +621,13 @@ impl FluidEngine {
     }
 
     /// Counter-based sequential reference for scheme B under fault
-    /// injection; the counterpart of
-    /// [`FluidEngine::measure_scheme_a_with_faults_ctr`].
+    /// injection, with a recording observer; the counterpart of
+    /// [`FluidEngine::measure_scheme_a_with_faults_ctr_observed`].
     ///
     /// # Errors
     ///
     /// As [`FluidEngine::measure_scheme_b_ctr`], plus schedule validation
     /// errors from [`FaultInjector::new`].
-    pub fn measure_scheme_b_with_faults_ctr(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-    ) -> Result<DegradedFluidReport, HycapError> {
-        Ok(self
-            .scheme_b_faulted_par_impl(net, plan, slots, schedule, policy, seed, None, false)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_b_with_faults_ctr`] with a recording
-    /// observer.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_with_faults_ctr`].
     pub fn measure_scheme_b_with_faults_ctr_observed(
         &self,
         net: &HybridNetwork,
@@ -707,13 +642,13 @@ impl FluidEngine {
         Ok((report, snap.expect("observed run yields a snapshot")))
     }
 
-    /// Slot-sharded faulted scheme B measurement; bit-identical to
-    /// [`FluidEngine::measure_scheme_b_with_faults_ctr`] for every pool
-    /// size.
+    /// Slot-sharded faulted scheme B measurement; for every pool size its
+    /// report is bit-identical to the one of
+    /// [`FluidEngine::measure_scheme_b_with_faults_ctr_observed`].
     ///
     /// # Errors
     ///
-    /// As [`FluidEngine::measure_scheme_b_with_faults_ctr`].
+    /// As [`FluidEngine::measure_scheme_b_with_faults_ctr_observed`].
     #[allow(clippy::too_many_arguments)]
     pub fn measure_scheme_b_with_faults_par(
         &self,
@@ -735,7 +670,7 @@ impl FluidEngine {
     ///
     /// # Errors
     ///
-    /// As [`FluidEngine::measure_scheme_b_with_faults_ctr`].
+    /// As [`FluidEngine::measure_scheme_b_with_faults_ctr_observed`].
     #[allow(clippy::too_many_arguments)]
     pub fn measure_scheme_b_with_faults_par_observed(
         &self,
@@ -1781,35 +1716,13 @@ impl FluidEngine {
         Ok((report, snap.expect("observed run yields a snapshot")))
     }
 
-    /// Streamed faulted scheme A measurement; bit-identical to
-    /// [`FluidEngine::measure_scheme_a_with_faults_ctr`].
+    /// Streamed faulted scheme A measurement, with a recording observer;
+    /// bit-identical to [`FluidEngine::measure_scheme_a_with_faults_ctr`].
     ///
     /// # Errors
     ///
     /// As [`FluidEngine::measure_scheme_a_with_faults_ctr`], plus
     /// [`HycapError::InvalidParameter`] when `chunk == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_scheme_a_with_faults_streamed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        chunk: usize,
-    ) -> Result<DegradedFluidReport, HycapError> {
-        Ok(self
-            .scheme_a_faulted_streamed_impl(net, plan, slots, schedule, policy, seed, chunk, false)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_a_with_faults_streamed`] with a
-    /// recording observer.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_with_faults_streamed`].
     #[allow(clippy::too_many_arguments)]
     pub fn measure_scheme_a_with_faults_streamed_observed(
         &self,
@@ -1827,12 +1740,13 @@ impl FluidEngine {
         Ok((report, snap.expect("observed run yields a snapshot")))
     }
 
-    /// Streamed faulted scheme B measurement; bit-identical to
-    /// [`FluidEngine::measure_scheme_b_with_faults_ctr`].
+    /// Streamed faulted scheme B measurement; its report is bit-identical
+    /// to the one of
+    /// [`FluidEngine::measure_scheme_b_with_faults_ctr_observed`].
     ///
     /// # Errors
     ///
-    /// As [`FluidEngine::measure_scheme_b_with_faults_ctr`], plus
+    /// As [`FluidEngine::measure_scheme_b_with_faults_ctr_observed`], plus
     /// [`HycapError::InvalidParameter`] when `chunk == 0`.
     #[allow(clippy::too_many_arguments)]
     pub fn measure_scheme_b_with_faults_streamed(

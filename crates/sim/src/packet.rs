@@ -164,6 +164,7 @@ pub struct PacketEngine {
     pub(crate) base_slot: u64,
     pub(crate) budget: Option<RunBudget>,
     pub(crate) pacing: Pacing,
+    pub(crate) range_override: Option<f64>,
 }
 
 impl PacketEngine {
@@ -210,7 +211,31 @@ impl PacketEngine {
             base_slot: 0,
             budget: None,
             pacing: Pacing::Legacy,
+            range_override: None,
         })
+    }
+
+    /// Returns a copy of this engine with an explicit transmission range
+    /// instead of the default `c_T/√n` — the packet-level counterpart of
+    /// [`FluidEngine::with_range`](crate::FluidEngine::with_range), which
+    /// documents why the weak regime needs it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is not positive.
+    pub fn with_range(mut self, range: f64) -> Self {
+        assert!(
+            range.is_finite() && range > 0.0,
+            "range override must be positive, got {range}"
+        );
+        self.range_override = Some(range);
+        self
+    }
+
+    /// The transmission range used for `n` mobile stations.
+    pub(crate) fn range_for(&self, n: usize) -> f64 {
+        self.range_override
+            .unwrap_or_else(|| critical_range(n, self.c_t))
     }
 
     /// Returns a copy of this engine with an explicit slot pacing.
@@ -409,7 +434,7 @@ impl PacketEngine {
         let demand = self.demand_params(net)?;
         let timer = SpanTimer::start();
         let n = net.n();
-        let range = critical_range(n, self.c_t);
+        let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
         // watchers[(u, v)] = flows whose hop h goes u -> v.
         let mut watchers: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
@@ -599,7 +624,7 @@ impl PacketEngine {
         };
         let timer = SpanTimer::start();
         let n = net.n();
-        let range = critical_range(n, self.c_t);
+        let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
         let grid = *plan.grid();
         let homes: Vec<hycap_geom::Point> = net.population().home_points().points().to_vec();
@@ -801,7 +826,7 @@ impl PacketEngine {
         let k = net.k();
         assert!(k > 0, "scheme B requires base stations");
         let c = net.base_stations().expect("bs").bandwidth();
-        let range = critical_range(n, self.c_t);
+        let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
         let mut ms_group = vec![usize::MAX; n];
         let mut bs_group = vec![usize::MAX; k];
@@ -1367,7 +1392,7 @@ impl PacketEngine {
             });
         }
         let demand = self.demand_params(net)?;
-        let range = critical_range(n, self.c_t);
+        let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
         let gc = plan.group_count();
         let mut ms_group = vec![usize::MAX; n];

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! The per-node term covers the streamed spatial index (ids, slot order,
-//! cell tags, SoA coordinate mirror ≈ 32 B/node), the occupancy kernel's
+//! cell tags, cell-sorted position mirror ≈ 32 B/node), the occupancy kernel's
 //! neighbor table (8 B/node) and amortized `Vec` growth headroom; the slack
 //! covers per-cell arrays, the chunk scratch and the schedule buffer. A
 //! materialized engine cannot meet this bound: cloning the network and
