@@ -258,12 +258,53 @@ impl SquareGrid {
         (self.col_delta(a, b).unsigned_abs()) + (self.row_delta(a, b).unsigned_abs())
     }
 
+    /// The two straight legs of the scheme-A route from `src` to `dst`:
+    /// `(horizontal, vertical)`. The horizontal leg runs along `src`'s row
+    /// from `src`'s column to `dst`'s; the vertical leg runs along `dst`'s
+    /// column from `src`'s row to `dst`'s. Each leg takes the shorter way
+    /// around the torus; at an exact half-way tie (`|Δ| = s/2`) it moves in
+    /// the direction of the raw index difference.
+    ///
+    /// This is the single definition of the route geometry:
+    /// [`SquareGrid::scheme_a_path`] walks these legs, and scheme-A plans
+    /// accumulate their edge loads from [`Leg::first_edge`] and
+    /// [`Leg::steps`] without walking.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hycap_geom::SquareGrid;
+    /// let g = SquareGrid::with_cells_per_side(8);
+    /// let (h, v) = g.scheme_a_legs(g.cell(0, 1), g.cell(2, 7));
+    /// // Columns 1 -> 0 -> 7 (wrapping left) cross edges 7 and 0.
+    /// assert_eq!((h.line(), h.steps(), h.first_edge()), (0, 2, 7));
+    /// // Rows 0 -> 1 -> 2 in column 7 cross edges 0 and 1.
+    /// assert_eq!((v.line(), v.steps(), v.first_edge()), (7, 2, 0));
+    /// ```
+    pub fn scheme_a_legs(&self, src: Cell, dst: Cell) -> (Leg, Leg) {
+        let s = self.cells_per_side;
+        (
+            Leg {
+                line: src.row,
+                start: src.col,
+                delta: self.col_delta(src, dst),
+                side: s,
+            },
+            Leg {
+                line: dst.col,
+                start: src.row,
+                delta: self.row_delta(src, dst),
+                side: s,
+            },
+        )
+    }
+
     /// The horizontal-then-vertical route of optimal routing scheme A
     /// (Definition 11): from `src`, move along contiguous squarelets
     /// horizontally to the destination column, then vertically to `dst`.
     ///
-    /// The returned path includes both endpoints and always takes the
-    /// shorter way around the torus on each axis.
+    /// The returned path includes both endpoints and walks the legs of
+    /// [`SquareGrid::scheme_a_legs`].
     ///
     /// # Example
     ///
@@ -277,24 +318,60 @@ impl SquareGrid {
     /// assert_eq!(path.cells().last(), Some(&g.cell(2, 7)));
     /// ```
     pub fn scheme_a_path(&self, src: Cell, dst: Cell) -> GridPath {
-        let s = self.cells_per_side as isize;
-        let mut cells = Vec::with_capacity(self.manhattan(src, dst) + 1);
+        let (h, v) = self.scheme_a_legs(src, dst);
+        let mut cells = Vec::with_capacity(h.steps() + v.steps() + 1);
         cells.push(src);
-        let dcol = self.col_delta(src, dst);
-        let step = if dcol >= 0 { 1 } else { -1 };
-        let mut col = src.col as isize;
-        for _ in 0..dcol.abs() {
-            col = (col + step).rem_euclid(s);
-            cells.push(self.cell(src.row, col as usize));
-        }
-        let drow = self.row_delta(src, dst);
-        let step = if drow >= 0 { 1 } else { -1 };
-        let mut row = src.row as isize;
-        for _ in 0..drow.abs() {
-            row = (row + step).rem_euclid(s);
-            cells.push(self.cell(row as usize, dst.col));
-        }
+        cells.extend(h.positions().map(|col| self.cell(src.row, col)));
+        cells.extend(v.positions().map(|row| self.cell(row, dst.col)));
         GridPath { cells }
+    }
+}
+
+/// One straight leg of a scheme-A route, as produced by
+/// [`SquareGrid::scheme_a_legs`]: unit steps along one row
+/// (horizontal leg) or column (vertical leg), wrapping around the torus.
+///
+/// Positions along the line are columns for a horizontal leg and rows for
+/// a vertical one. Edge `e` of a line joins positions `e` and
+/// `(e + 1) mod s`, so a leg crosses the cyclic edge run
+/// `first_edge(), …, first_edge() + steps() - 1` (mod `s`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Leg {
+    line: usize,
+    start: usize,
+    delta: isize,
+    side: usize,
+}
+
+impl Leg {
+    /// The row (horizontal leg) or column (vertical leg) the leg runs
+    /// along.
+    #[inline]
+    pub fn line(&self) -> usize {
+        self.line
+    }
+
+    /// Number of unit steps (hops) along the leg.
+    #[inline]
+    pub fn steps(&self) -> usize {
+        self.delta.unsigned_abs()
+    }
+
+    /// The lowest edge of the cyclic edge run the leg crosses: the start
+    /// position when moving forward, the end position when moving back.
+    #[inline]
+    pub fn first_edge(&self) -> usize {
+        if self.delta >= 0 {
+            self.start
+        } else {
+            (self.start + self.side - self.steps()) % self.side
+        }
+    }
+
+    /// The positions visited after the start, in walking order.
+    pub fn positions(&self) -> impl Iterator<Item = usize> {
+        let (start, side, step) = (self.start as isize, self.side as isize, self.delta.signum());
+        (1..=self.steps() as isize).map(move |i| (start + step * i).rem_euclid(side) as usize)
     }
 }
 
@@ -447,6 +524,20 @@ mod tests {
         let path = g.scheme_a_path(c, c);
         assert_eq!(path.hops(), 0);
         assert_eq!(path.cells(), &[c]);
+    }
+
+    #[test]
+    fn half_way_tie_follows_raw_difference() {
+        // Columns 0 and 2 of a 4-wide grid are joined through column 1 in
+        // both directions: edges 0 and 1.
+        let g = SquareGrid::with_cells_per_side(4);
+        let (h, _) = g.scheme_a_legs(g.cell(0, 0), g.cell(0, 2));
+        assert_eq!((h.steps(), h.first_edge()), (2, 0));
+        let (h, _) = g.scheme_a_legs(g.cell(0, 2), g.cell(0, 0));
+        assert_eq!((h.steps(), h.first_edge()), (2, 0));
+        // Rows 3 -> 1 step back through row 2: edges 1 and 2.
+        let (_, v) = g.scheme_a_legs(g.cell(3, 1), g.cell(1, 1));
+        assert_eq!((v.steps(), v.first_edge()), (2, 1));
     }
 
     #[test]

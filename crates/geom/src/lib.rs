@@ -48,7 +48,7 @@ mod spatial;
 mod torus;
 
 pub use cut::{Cut, DiskCut, HalfStripCut, RectCut};
-pub use grid::{Cell, GridPath, SquareGrid};
+pub use grid::{Cell, GridPath, Leg, SquareGrid};
 pub use hex::{HexCell, HexLattice};
 pub use point::{Point, Vec2};
 pub use spatial::{

@@ -1448,10 +1448,11 @@ mod tests {
             let pts = random_points(n, seed);
             let hash = SpatialHash::build(&pts, clamp_index_radius(radius));
             hash.unique_neighbors_into(radius, None, &mut scratch, &mut out);
-            for id in 0..n {
+            assert_eq!(out.len(), n);
+            for (id, &want) in out.iter().enumerate() {
                 assert_eq!(
                     hash.unique_neighbor_within(id, radius),
-                    out[id],
+                    want,
                     "n={n} id={id}"
                 );
             }

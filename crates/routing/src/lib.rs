@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
+mod groups;
 mod scheme_a;
 mod scheme_b;
 mod scheme_c;

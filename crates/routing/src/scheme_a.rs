@@ -10,11 +10,12 @@
 //! adjacent squarelets meet with probability `Θ(1/n)` per slot under `S*`
 //! (Corollary 1), giving per-node throughput `Θ(1/f(n))` (Lemma 5).
 
+use crate::groups::GroupTable;
 use crate::TrafficMatrix;
-use hycap_geom::{Cell, GridPath, Point, SquareGrid};
+use hycap_geom::{Cell, GridPath, Leg, Point, SquareGrid};
 use hycap_obs::{MetricsSink, Observer};
 use rand::Rng;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Canonical undirected squarelet-edge key: `(min cell index, max cell
 /// index)`. A self-edge `(c, c)` carries the intra-squarelet traffic of
@@ -31,8 +32,11 @@ pub fn edge_key(a: Cell, b: Cell) -> EdgeKey {
     }
 }
 
-/// A compiled scheme-A routing plan: per-flow squarelet paths and the load
-/// each squarelet edge carries.
+/// A compiled scheme-A routing plan: the home squarelet of every node, the
+/// endpoints of every flow, and the load each squarelet edge carries.
+///
+/// Per-flow squarelet paths are not stored; [`SchemeAPlan::path`] rebuilds
+/// one on demand from the flow's endpoint squarelets.
 ///
 /// # Example
 ///
@@ -47,15 +51,88 @@ pub fn edge_key(a: Cell, b: Cell) -> EdgeKey {
 ///     .collect();
 /// let traffic = TrafficMatrix::permutation(50, &mut rng);
 /// let plan = SchemeAPlan::build(&homes, &traffic, 4.0);
-/// assert_eq!(plan.paths().len(), 50);
+/// assert_eq!(plan.flow_count(), 50);
 /// assert!(plan.max_edge_load() >= 1.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SchemeAPlan {
     grid: SquareGrid,
-    paths: Vec<GridPath>,
-    edge_load: HashMap<EdgeKey, f64>,
-    members: Vec<Vec<usize>>,
+    /// Per node: flat index of its home-point squarelet.
+    home_cells: Arc<[u32]>,
+    /// Per flow: flat index of its destination's home squarelet (the
+    /// source's is `home_cells[flow]`).
+    dst_cells: Vec<u32>,
+    total_hops: usize,
+    /// Loaded edges, sorted by key.
+    edge_load: Vec<(EdgeKey, f64)>,
+    members: GroupTable,
+}
+
+/// The scheme-A squarelet grid for `f`: side `1/f`, area `Θ(1/f²)`.
+///
+/// # Panics
+///
+/// Panics if `f < 1` or the grid has more than `u16::MAX` cells per side
+/// (flat cell indices are stored as `u32`).
+pub(crate) fn scheme_a_grid(f: f64) -> SquareGrid {
+    assert!(f >= 1.0 && f.is_finite(), "f(n) must be >= 1, got {f}");
+    let grid = SquareGrid::with_squarelet_len(1.0 / f);
+    assert!(
+        grid.cells_per_side() <= usize::from(u16::MAX),
+        "f(n) = {f} gives more than {} squarelets per side",
+        u16::MAX
+    );
+    grid
+}
+
+/// Per-line difference arrays over the unit edges of a grid's rows (or
+/// columns). Line `l` owns `s + 1` counters; a leg's cyclic edge run adds
+/// `+1` at its first edge and `-1` one past its last, split in two where it
+/// wraps past edge `s - 1`. One prefix sum per line then yields every
+/// edge's load.
+struct EdgeRuns {
+    side: usize,
+    diff: Vec<i64>,
+}
+
+impl EdgeRuns {
+    fn new(side: usize) -> Self {
+        EdgeRuns {
+            side,
+            diff: vec![0; side * (side + 1)],
+        }
+    }
+
+    fn add(&mut self, leg: Leg) {
+        let len = leg.steps();
+        if len == 0 {
+            return;
+        }
+        let s = self.side;
+        let line = &mut self.diff[leg.line() * (s + 1)..][..s + 1];
+        let first = leg.first_edge();
+        let end = first + len;
+        line[first] += 1;
+        if end <= s {
+            line[end] -= 1;
+        } else {
+            line[0] += 1;
+            line[end - s] -= 1;
+        }
+    }
+
+    /// Calls `visit(line, edge, load)` for every edge with a positive load.
+    fn for_each_load(&self, mut visit: impl FnMut(usize, usize, i64)) {
+        for (l, line) in self.diff.chunks_exact(self.side + 1).enumerate() {
+            let mut load = 0;
+            for (e, &d) in line[..self.side].iter().enumerate() {
+                load += d;
+                if load > 0 {
+                    visit(l, e, load);
+                }
+            }
+        }
+    }
 }
 
 impl SchemeAPlan {
@@ -88,15 +165,12 @@ impl SchemeAPlan {
         if obs.sink.enabled() {
             obs.sink.counter("routing.scheme_a.plans", 1);
             obs.sink
-                .counter("routing.scheme_a.flows", plan.paths.len() as u64);
+                .counter("routing.scheme_a.flows", plan.flow_count() as u64);
             obs.sink
                 .observe("routing.scheme_a.mean_hops", plan.mean_hops());
             obs.sink
                 .observe("routing.scheme_a.max_edge_load", plan.max_edge_load());
-            // Histograms are insertion-order independent (count/sum/min/
-            // max/bucket tallies all commute), so iterating the HashMap
-            // directly keeps snapshots deterministic.
-            for &load in plan.edge_load.values() {
+            for &(_, load) in &plan.edge_load {
                 obs.sink.observe("routing.scheme_a.edge_load", load);
             }
         }
@@ -104,9 +178,13 @@ impl SchemeAPlan {
     }
 
     /// Like [`SchemeAPlan::build`], but only the listed flows contribute
-    /// load to the squarelet edges (paths are still compiled for every flow
-    /// so ids stay aligned). Used by the L-maximum-hop hybrid plan to keep
-    /// long flows off the ad hoc resources.
+    /// load to the squarelet edges (every flow keeps its endpoints, so ids
+    /// stay aligned). Used by the L-maximum-hop hybrid plan to keep long
+    /// flows off the ad hoc resources.
+    ///
+    /// Runs in `O(n + f²)`: each loaded flow adds its two legs to per-row
+    /// and per-column difference arrays, which one prefix sum per line
+    /// turns into edge loads.
     ///
     /// # Panics
     ///
@@ -122,37 +200,69 @@ impl SchemeAPlan {
             traffic.len(),
             "traffic matrix and home-point count must agree"
         );
-        assert!(f >= 1.0 && f.is_finite(), "f(n) must be >= 1, got {f}");
-        let active: std::collections::HashSet<usize> = flows.iter().copied().collect();
-        assert!(
-            active.iter().all(|&i| i < traffic.len()),
-            "flow id out of range"
-        );
-        let grid = SquareGrid::with_squarelet_len(1.0 / f);
-        let mut members = vec![Vec::new(); grid.cell_count()];
-        for (i, &h) in homes.iter().enumerate() {
-            members[grid.cell_of(h).index()].push(i);
+        let grid = scheme_a_grid(f);
+        let mut active = vec![false; traffic.len()];
+        for &flow in flows {
+            assert!(flow < traffic.len(), "flow id out of range");
+            active[flow] = true;
         }
-        let mut edge_load: HashMap<EdgeKey, f64> = HashMap::new();
-        let mut paths = Vec::with_capacity(traffic.len());
-        for (s, d) in traffic.pairs() {
-            let path = grid.scheme_a_path(grid.cell_of(homes[s]), grid.cell_of(homes[d]));
-            if active.contains(&s) {
-                if path.hops() == 0 {
-                    // Same-squarelet flow: loads the intra-squarelet resource.
-                    let c = path.cells()[0];
-                    *edge_load.entry(edge_key(c, c)).or_insert(0.0) += 1.0;
-                } else {
-                    for (a, b) in path.links() {
-                        *edge_load.entry(edge_key(a, b)).or_insert(0.0) += 1.0;
-                    }
-                }
+        // In range: `scheme_a_grid` caps the cell count below 2³².
+        let home_cells: Arc<[u32]> = homes
+            .iter()
+            .map(|&h| grid.cell_of(h).index() as u32)
+            .collect();
+        let members = GroupTable::new(grid.cell_count(), home_cells.iter().map(|&c| c as usize));
+        let dst_cells: Vec<u32> = traffic.pairs().map(|(_, d)| home_cells[d]).collect();
+        let s = grid.cells_per_side();
+        let mut rows = EdgeRuns::new(s);
+        let mut cols = EdgeRuns::new(s);
+        // Same-squarelet flows load the intra-squarelet resource.
+        let mut self_load = vec![0i64; grid.cell_count()];
+        let mut total_hops = 0;
+        for (flow, (&src, &dst)) in home_cells.iter().zip(&dst_cells).enumerate() {
+            let src = grid.cell_from_index(src as usize);
+            let dst = grid.cell_from_index(dst as usize);
+            let (h, v) = grid.scheme_a_legs(src, dst);
+            total_hops += h.steps() + v.steps();
+            if !active[flow] {
+                continue;
             }
-            paths.push(path);
+            if src == dst {
+                self_load[src.index()] += 1;
+            } else {
+                rows.add(h);
+                cols.add(v);
+            }
         }
+        let mut loads: Vec<(EdgeKey, i64)> = Vec::new();
+        rows.for_each_load(|row, e, load| {
+            loads.push((edge_key(grid.cell(row, e), grid.cell(row, e + 1)), load));
+        });
+        cols.for_each_load(|col, e, load| {
+            loads.push((edge_key(grid.cell(e, col), grid.cell(e + 1, col)), load));
+        });
+        loads.extend(
+            self_load
+                .iter()
+                .enumerate()
+                .filter(|&(_, &load)| load > 0)
+                .map(|(c, &load)| ((c, c), load)),
+        );
+        // Keys are distinct: row and column edges join different cell pairs,
+        // and on a 2-wide grid, where a line's two edges join the same two
+        // cells, legs in either direction cross edge 0 (the half-way tie
+        // steps back from position 1).
+        loads.sort_unstable_by_key(|&(key, _)| key);
+        debug_assert!(loads.windows(2).all(|w| w[0].0 < w[1].0));
+        let edge_load = loads
+            .into_iter()
+            .map(|(key, load)| (key, load as f64))
+            .collect();
         SchemeAPlan {
             grid,
-            paths,
+            home_cells,
+            dst_cells,
+            total_hops,
             edge_load,
             members,
         }
@@ -163,36 +273,78 @@ impl SchemeAPlan {
         &self.grid
     }
 
-    /// Per-flow squarelet paths (indexed by flow = source id).
-    pub fn paths(&self) -> &[GridPath] {
-        &self.paths
+    /// Per node: the flat index ([`Cell::index`]) of its home-point
+    /// squarelet. Shared, so handing it to worker threads is a reference
+    /// count bump.
+    pub fn home_cells(&self) -> &Arc<[u32]> {
+        &self.home_cells
     }
 
-    /// The load (number of flows) on each used squarelet edge.
-    pub fn edge_load(&self) -> &HashMap<EdgeKey, f64> {
+    /// Number of flows (= nodes; flow `i` is sourced at node `i`).
+    pub fn flow_count(&self) -> usize {
+        self.dst_cells.len()
+    }
+
+    /// Source and destination home squarelets of a flow.
+    fn endpoints(&self, flow: usize) -> (Cell, Cell) {
+        (
+            self.grid.cell_from_index(self.home_cells[flow] as usize),
+            self.grid.cell_from_index(self.dst_cells[flow] as usize),
+        )
+    }
+
+    /// The squarelet path of a flow, built on demand by
+    /// [`SquareGrid::scheme_a_path`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flow >= self.flow_count()`.
+    pub fn path(&self, flow: usize) -> GridPath {
+        let (src, dst) = self.endpoints(flow);
+        self.grid.scheme_a_path(src, dst)
+    }
+
+    /// Number of squarelet hops of a flow's path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flow >= self.flow_count()`.
+    pub fn hops(&self, flow: usize) -> usize {
+        let (src, dst) = self.endpoints(flow);
+        self.grid.manhattan(src, dst)
+    }
+
+    /// The load (number of flows) on each used squarelet edge, sorted by
+    /// edge key.
+    pub fn edge_load(&self) -> &[(EdgeKey, f64)] {
         &self.edge_load
     }
 
     /// Load on a specific edge (0 when unused).
     pub fn load_of(&self, a: Cell, b: Cell) -> f64 {
-        self.edge_load.get(&edge_key(a, b)).copied().unwrap_or(0.0)
+        let key = edge_key(a, b);
+        self.edge_load
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .map_or(0.0, |i| self.edge_load[i].1)
     }
 
     /// Maximum edge load — the denominator of the scheme's bottleneck.
     pub fn max_edge_load(&self) -> f64 {
-        self.edge_load.values().copied().fold(0.0, f64::max)
+        self.edge_load
+            .iter()
+            .map(|&(_, load)| load)
+            .fold(0.0, f64::max)
     }
 
     /// Node ids whose home-point lies in the given cell.
     pub fn members_of(&self, cell: Cell) -> &[usize] {
-        &self.members[cell.index()]
+        self.members.group(cell.index())
     }
 
     /// Mean hop count over all flows (the `Θ(f(n))` factor of Lemma 4's
     /// hop-count argument).
     pub fn mean_hops(&self) -> f64 {
-        let total: usize = self.paths.iter().map(GridPath::hops).sum();
-        total as f64 / self.paths.len() as f64
+        self.total_hops as f64 / self.flow_count() as f64
     }
 
     /// Materializes relay node sequences for the packet-level simulator:
@@ -206,9 +358,10 @@ impl SchemeAPlan {
         traffic: &TrafficMatrix,
         rng: &mut R,
     ) -> Vec<Vec<usize>> {
-        let mut chains = Vec::with_capacity(self.paths.len());
-        for ((s, d), path) in traffic.pairs().zip(&self.paths) {
+        let mut chains = Vec::with_capacity(self.flow_count());
+        for (s, d) in traffic.pairs().take(self.flow_count()) {
             let mut chain = vec![s];
+            let path = self.path(s);
             let cells = path.cells();
             let interior = if cells.len() > 2 {
                 &cells[1..cells.len() - 1]
@@ -253,7 +406,13 @@ mod tests {
         let homes = uniform_homes(100, 2);
         let traffic = TrafficMatrix::permutation(100, &mut rng);
         let plan = SchemeAPlan::build(&homes, &traffic, 5.0);
-        assert_eq!(plan.paths().len(), 100);
+        assert_eq!(plan.flow_count(), 100);
+        for (s, d) in traffic.pairs() {
+            let path = plan.path(s);
+            assert_eq!(path.cells()[0], plan.grid().cell_of(homes[s]));
+            assert_eq!(*path.cells().last().unwrap(), plan.grid().cell_of(homes[d]));
+            assert_eq!(path.hops(), plan.hops(s));
+        }
         assert_eq!(plan.grid().cells_per_side(), 5);
     }
 
@@ -263,9 +422,11 @@ mod tests {
         let homes = uniform_homes(80, 4);
         let traffic = TrafficMatrix::permutation(80, &mut rng);
         let plan = SchemeAPlan::build(&homes, &traffic, 4.0);
-        let total_load: f64 = plan.edge_load().values().sum();
-        let total_hops: usize = plan.paths().iter().map(GridPath::hops).sum();
-        let zero_hop_flows = plan.paths().iter().filter(|p| p.hops() == 0).count();
+        let total_load: f64 = plan.edge_load().iter().map(|&(_, load)| load).sum();
+        let total_hops: usize = (0..plan.flow_count()).map(|f| plan.hops(f)).sum();
+        let zero_hop_flows = (0..plan.flow_count())
+            .filter(|&f| plan.hops(f) == 0)
+            .count();
         assert!((total_load - (total_hops + zero_hop_flows) as f64).abs() < 1e-9);
     }
 
@@ -335,6 +496,22 @@ mod tests {
         let far_a = plan.grid().cell(3, 3);
         let far_b = plan.grid().cell(3, 2);
         assert_eq!(plan.load_of(far_a, far_b), 0.0);
+        // Both flows stay in squarelet (0, 0): its self-edge carries them.
+        let home = plan.grid().cell(0, 0);
+        assert_eq!(plan.load_of(home, home), 2.0);
+        assert_eq!(plan.edge_load(), &[((0, 0), 2.0)]);
+    }
+
+    #[test]
+    fn home_cells_index_member_squarelets() {
+        let homes = uniform_homes(90, 16);
+        let mut rng = StdRng::seed_from_u64(17);
+        let traffic = TrafficMatrix::permutation(90, &mut rng);
+        let plan = SchemeAPlan::build(&homes, &traffic, 3.0);
+        assert_eq!(plan.home_cells().len(), 90);
+        for (i, &c) in plan.home_cells().iter().enumerate() {
+            assert_eq!(c as usize, plan.grid().cell_of(homes[i]).index());
+        }
     }
 
     #[test]

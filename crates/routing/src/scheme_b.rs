@@ -11,6 +11,7 @@
 //! *clusters* in place of squarelets (Theorem 7); both groupings share this
 //! module's plan type via [`SchemeBPlan::by_clusters`].
 
+use crate::groups::GroupTable;
 use crate::TrafficMatrix;
 use hycap_errors::HycapError;
 use hycap_geom::{Point, SquareGrid};
@@ -42,9 +43,9 @@ pub struct SchemeBPlan {
     /// Per group: number of BSs.
     bs_count: Vec<usize>,
     /// Per group: ids of BSs (into the BS position array).
-    bs_members: Vec<Vec<usize>>,
+    bs_members: GroupTable,
     /// Per group: ids of MSs homed there.
-    ms_members: Vec<Vec<usize>>,
+    ms_members: GroupTable,
     backbone_load: BackboneLoad,
     grid: Option<SquareGrid>,
 }
@@ -218,37 +219,44 @@ impl SchemeBPlan {
         traffic: &TrafficMatrix,
         flows: &[usize],
     ) -> Self {
-        let active: std::collections::HashSet<usize> = flows.iter().copied().collect();
-        assert!(
-            active.iter().all(|&i| i < traffic.len()),
-            "flow id out of range"
-        );
-        let mut bs_count = vec![0usize; group_count];
-        let mut bs_members = vec![Vec::new(); group_count];
-        for (b, &g) in group_of_bs.iter().enumerate() {
-            bs_count[g] += 1;
-            bs_members[g].push(b);
+        let mut active = vec![false; traffic.len()];
+        for &flow in flows {
+            assert!(flow < traffic.len(), "flow id out of range");
+            active[flow] = true;
         }
-        let mut ms_members = vec![Vec::new(); group_count];
-        for (i, &g) in group_of_ms.iter().enumerate() {
-            ms_members[g].push(i);
-        }
+        let bs_members = GroupTable::new(group_count, group_of_bs.iter().copied());
+        let bs_count: Vec<usize> = (0..group_count)
+            .map(|g| bs_members.group(g).len())
+            .collect();
+        let ms_members = GroupTable::new(group_count, group_of_ms.iter().copied());
         let mut access_load = vec![0.0f64; group_count];
+        // Cross-group (source, destination) pairs, one entry per loaded
+        // flow; sorted, each distinct pair becomes one backbone update.
+        let mut crossing: Vec<(usize, usize)> = Vec::new();
+        let flows = traffic
+            .pairs()
+            .map(|(s, d)| {
+                let (gs, gd) = (group_of_ms[s], group_of_ms[d]);
+                if active[s] {
+                    access_load[gs] += 1.0; // uplink endpoint
+                    access_load[gd] += 1.0; // downlink endpoint
+                    if gs != gd {
+                        crossing.push((gs, gd));
+                    }
+                }
+                FlowB {
+                    src: s,
+                    dst: d,
+                    src_group: gs,
+                    dst_group: gd,
+                }
+            })
+            .collect();
+        crossing.sort_unstable();
         let mut backbone_load = BackboneLoad::new(bs_count.clone());
-        let mut flows = Vec::with_capacity(traffic.len());
-        for (s, d) in traffic.pairs() {
-            let (gs, gd) = (group_of_ms[s], group_of_ms[d]);
-            if active.contains(&s) {
-                access_load[gs] += 1.0; // uplink endpoint
-                access_load[gd] += 1.0; // downlink endpoint
-                backbone_load.add_flows(gs, gd, 1.0);
-            }
-            flows.push(FlowB {
-                src: s,
-                dst: d,
-                src_group: gs,
-                dst_group: gd,
-            });
+        for run in crossing.chunk_by(|a, b| a == b) {
+            let (gs, gd) = run[0];
+            backbone_load.add_flows(gs, gd, run.len() as f64);
         }
         SchemeBPlan {
             group_count,
@@ -289,12 +297,12 @@ impl SchemeBPlan {
 
     /// BS ids in a group.
     pub fn bs_members(&self, group: usize) -> &[usize] {
-        &self.bs_members[group]
+        self.bs_members.group(group)
     }
 
     /// MS ids homed in a group.
     pub fn ms_members(&self, group: usize) -> &[usize] {
-        &self.ms_members[group]
+        self.ms_members.group(group)
     }
 
     /// The phase-II backbone load matrix.
@@ -359,7 +367,7 @@ impl SchemeBPlan {
         let mut alive_bs_count = vec![0usize; self.group_count];
         let mut alive_bs_members = vec![Vec::new(); self.group_count];
         for g in 0..self.group_count {
-            for &b in &self.bs_members[g] {
+            for &b in self.bs_members.group(g) {
                 if alive_bs[b] {
                     alive_bs_count[g] += 1;
                     alive_bs_members[g].push(b);

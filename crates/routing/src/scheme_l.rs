@@ -11,6 +11,7 @@
 //! infrastructure share; here it lets the two capacity terms of Theorem 5's
 //! sum be *harvested by one scheme* instead of duplicating traffic.
 
+use crate::scheme_a::scheme_a_grid;
 use crate::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
 use hycap_geom::Point;
 use hycap_infra::BaseStations;
@@ -32,13 +33,12 @@ impl SchemeLPlan {
     /// scheme B. Either subplan may be absent when its flow set is empty.
     ///
     /// The split is computed on the *full* traffic matrix, then each
-    /// subplan is rebuilt with only its own flows carrying load (the other
+    /// subplan is compiled with only its own flows carrying load (the other
     /// flows contribute zero load to that subplan's resources).
     ///
     /// # Panics
     ///
-    /// Panics if the inputs disagree in size (propagated from the
-    /// subplans) or `f < 1`.
+    /// Panics if the inputs disagree in size or `f < 1`.
     pub fn build(
         ms_homes: &[Point],
         traffic: &TrafficMatrix,
@@ -47,24 +47,26 @@ impl SchemeLPlan {
         scheme_b_cells: usize,
         max_hops: usize,
     ) -> Self {
-        // A probe plan to classify flows by hop count.
-        let probe = SchemeAPlan::build(ms_homes, traffic, f);
+        assert_eq!(
+            ms_homes.len(),
+            traffic.len(),
+            "traffic matrix and home-point count must agree"
+        );
+        // Classify each flow by the hop count of its scheme-A path: the
+        // torus Manhattan distance between its endpoints' home squarelets.
+        let grid = scheme_a_grid(f);
         let mut ad_hoc_flows = Vec::new();
         let mut infra_flows = Vec::new();
-        for (flow, path) in probe.paths().iter().enumerate() {
-            if path.hops() <= max_hops {
+        for (flow, d) in traffic.pairs() {
+            let hops = grid.manhattan(grid.cell_of(ms_homes[flow]), grid.cell_of(ms_homes[d]));
+            if hops <= max_hops {
                 ad_hoc_flows.push(flow);
             } else {
                 infra_flows.push(flow);
             }
         }
-        // Rebuild subplans restricted to their own flows. A flow is
-        // "removed" from a subplan by routing it onto itself (zero load):
-        // we rebuild with a filtered traffic matrix using self-loops is not
-        // allowed, so instead we construct sub-traffic by keeping the
-        // original permutation and masking loads: SchemeAPlan/SchemeBPlan
-        // take full matrices, so we build them from scratch with the
-        // filtered pair lists via TrafficMatrix sub-views.
+        // Each subplan keeps every flow's endpoints (ids stay aligned) but
+        // only its own flows carry load on its resources.
         let plan_a = (!ad_hoc_flows.is_empty())
             .then(|| SchemeAPlan::build_for_flows(ms_homes, traffic, f, &ad_hoc_flows));
         let plan_b = (!infra_flows.is_empty()).then(|| {
@@ -144,10 +146,10 @@ mod tests {
         // A probe plan reproduces the same classification.
         let probe = SchemeAPlan::build(&homes, &traffic, 6.0);
         for &f in plan.ad_hoc_flows() {
-            assert!(probe.paths()[f].hops() <= 3);
+            assert!(probe.hops(f) <= 3);
         }
         for &f in plan.infra_flows() {
-            assert!(probe.paths()[f].hops() > 3);
+            assert!(probe.hops(f) > 3);
         }
     }
 
@@ -179,9 +181,9 @@ mod tests {
             let expect: f64 = plan
                 .ad_hoc_flows()
                 .iter()
-                .map(|&f| probe.paths()[f].hops().max(1) as f64)
+                .map(|&f| probe.hops(f).max(1) as f64)
                 .sum();
-            let total: f64 = a.edge_load().values().sum();
+            let total: f64 = a.edge_load().iter().map(|&(_, load)| load).sum();
             assert!((total - expect).abs() < 1e-9, "load {total} vs {expect}");
         }
         if let Some(b) = plan.plan_b() {

@@ -34,7 +34,7 @@ use crate::faults::{FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
 use crate::pool::{chunk_ranges, WorkerPool};
 use crate::HybridNetwork;
 use hycap_errors::HycapError;
-use hycap_geom::{clamp_index_radius, Point};
+use hycap_geom::{clamp_index_radius, Cell, Point, SquareGrid};
 use hycap_infra::Backbone;
 use hycap_obs::{MetricsSink, Observer, Snapshot, SpanTimer};
 use hycap_routing::{edge_key, EdgeKey, SchemeAPlan, SchemeBPlan, TrafficMatrix, TwoHopPlan};
@@ -256,7 +256,7 @@ impl FluidEngine {
         let timer = SpanTimer::start();
         let acc = self.scheme_a_chunk(
             net,
-            plan,
+            &HomeCells::of(plan),
             0..slots,
             |net, _slot, buf| net.advance_into(rng, buf),
             None,
@@ -308,7 +308,7 @@ impl FluidEngine {
             .bandwidth();
         let acc = self.scheme_b_chunk(
             net,
-            plan,
+            &GroupMap::of(plan, net.n(), k),
             0..slots,
             |net, _slot, buf| net.advance_into(rng, buf),
             None,
@@ -754,7 +754,7 @@ impl FluidEngine {
                 right: k,
             });
         }
-        let flows = plan.paths().len();
+        let flows = plan.flow_count();
         if injector.schedule_is_empty() {
             return Ok(DegradedFluidReport {
                 base: self.measure_scheme_a_observed(net, plan, slots, rng, obs),
@@ -768,7 +768,7 @@ impl FluidEngine {
         }
         let acc = self.scheme_a_chunk_impl(
             net,
-            plan,
+            &HomeCells::of(plan),
             0..slots,
             |net, _slot, buf| net.advance_into(rng, buf),
             Some((&mut *injector, policy)),
@@ -861,7 +861,7 @@ impl FluidEngine {
         }
         let acc = self.scheme_b_chunk_impl(
             net,
-            plan,
+            &GroupMap::of(plan, net.n(), k),
             0..slots,
             |net, _slot, buf| net.advance_into(rng, buf),
             Some((&mut *injector, policy)),
@@ -942,7 +942,7 @@ impl FluidEngine {
     fn scheme_a_chunk<S, F>(
         &self,
         net: &mut HybridNetwork,
-        plan: &SchemeAPlan,
+        cells: &HomeCells,
         slots: Range<usize>,
         advance: F,
         budget: Option<&BudgetMeter>,
@@ -952,14 +952,14 @@ impl FluidEngine {
         S: MetricsSink,
         F: FnMut(&mut HybridNetwork, usize, &mut Vec<Point>),
     {
-        self.scheme_a_chunk_impl(net, plan, slots, advance, None, budget, obs)
+        self.scheme_a_chunk_impl(net, cells, slots, advance, None, budget, obs)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn scheme_a_chunk_impl<S, F>(
         &self,
         net: &mut HybridNetwork,
-        plan: &SchemeAPlan,
+        cells: &HomeCells,
         slots: Range<usize>,
         mut advance: F,
         mut faults: Option<(&mut FaultInjector, OutagePolicy)>,
@@ -974,8 +974,7 @@ impl FluidEngine {
         let k = net.k();
         let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
-        let grid = *plan.grid();
-        let homes: Vec<Point> = net.population().home_points().points().to_vec();
+        cells.check_nodes(n);
         let mut acc = SchemeAAcc::default();
         let mut buf = Vec::new();
         let mut alive = Vec::new();
@@ -1031,9 +1030,8 @@ impl FluidEngine {
                 if pair.a >= n || pair.b >= n {
                     continue; // MS–BS contacts do not serve scheme A
                 }
-                let ca = grid.cell_of(homes[pair.a]);
-                let cb = grid.cell_of(homes[pair.b]);
-                if ca == cb || grid.manhattan(ca, cb) == 1 {
+                let (ca, cb) = (cells.of_node(pair.a), cells.of_node(pair.b));
+                if ca == cb || cells.grid.manhattan(ca, cb) == 1 {
                     *acc.service.entry(edge_key(ca, cb)).or_insert(0.0) += 1.0;
                     acc.credited += 1;
                 }
@@ -1047,7 +1045,7 @@ impl FluidEngine {
     fn scheme_b_chunk<S, F>(
         &self,
         net: &mut HybridNetwork,
-        plan: &SchemeBPlan,
+        groups: &GroupMap,
         slots: Range<usize>,
         advance: F,
         budget: Option<&BudgetMeter>,
@@ -1057,14 +1055,14 @@ impl FluidEngine {
         S: MetricsSink,
         F: FnMut(&mut HybridNetwork, usize, &mut Vec<Point>),
     {
-        self.scheme_b_chunk_impl(net, plan, slots, advance, None, budget, obs)
+        self.scheme_b_chunk_impl(net, groups, slots, advance, None, budget, obs)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn scheme_b_chunk_impl<S, F>(
         &self,
         net: &mut HybridNetwork,
-        plan: &SchemeBPlan,
+        groups: &GroupMap,
         slots: Range<usize>,
         mut advance: F,
         mut faults: Option<(&mut FaultInjector, OutagePolicy)>,
@@ -1079,18 +1077,7 @@ impl FluidEngine {
         let k = net.k();
         let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
-        // Reverse group maps from the plan.
-        let mut ms_group = vec![usize::MAX; n];
-        let mut bs_group = vec![usize::MAX; k];
-        for g in 0..plan.group_count() {
-            for &i in plan.ms_members(g) {
-                ms_group[i] = g;
-            }
-            for &b in plan.bs_members(g) {
-                bs_group[b] = g;
-            }
-        }
-        let mut acc = SchemeBAcc::new(plan.group_count());
+        let mut acc = SchemeBAcc::new(groups.count);
         let mut buf = Vec::new();
         let mut alive = Vec::new();
         let mut ws = SlotWorkspace::new();
@@ -1157,8 +1144,8 @@ impl FluidEngine {
                         continue;
                     }
                 }
-                let g = bs_group[bs_id];
-                if g != usize::MAX && ms_group[ms] == g {
+                let g = groups.bs[bs_id];
+                if g != usize::MAX && groups.ms[ms] == g {
                     acc.service[g] += 1.0;
                     acc.access_contacts += 1;
                 }
@@ -1187,12 +1174,12 @@ impl FluidEngine {
         check_counter_run(net, slots)?;
         let timer = SpanTimer::start();
         let engine = *self;
-        let plan_arc = Arc::new(plan.clone());
+        let cells = HomeCells::of(plan);
         let jobs: Vec<_> = chunk_ranges(slots, pool.map_or(1, WorkerPool::threads))
             .into_iter()
             .map(|range| {
                 let mut net = net.clone();
-                let plan = Arc::clone(&plan_arc);
+                let cells = cells.clone();
                 let meter = meter.clone();
                 move || {
                     let advance = |net: &mut HybridNetwork, slot: usize, buf: &mut Vec<Point>| {
@@ -1202,7 +1189,7 @@ impl FluidEngine {
                         let mut obs = Observer::recording().with_probes();
                         let acc = engine.scheme_a_chunk(
                             &mut net,
-                            &plan,
+                            &cells,
                             range,
                             advance,
                             meter.as_ref(),
@@ -1212,7 +1199,7 @@ impl FluidEngine {
                     } else {
                         let acc = engine.scheme_a_chunk(
                             &mut net,
-                            &plan,
+                            &cells,
                             range,
                             advance,
                             meter.as_ref(),
@@ -1286,12 +1273,12 @@ impl FluidEngine {
         let bandwidth = bs.bandwidth();
         let timer = SpanTimer::start();
         let engine = *self;
-        let plan_arc = Arc::new(plan.clone());
+        let groups = Arc::new(GroupMap::of(plan, net.n(), k));
         let jobs: Vec<_> = chunk_ranges(slots, pool.map_or(1, WorkerPool::threads))
             .into_iter()
             .map(|range| {
                 let mut net = net.clone();
-                let plan = Arc::clone(&plan_arc);
+                let groups = Arc::clone(&groups);
                 let meter = meter.clone();
                 move || {
                     let advance = |net: &mut HybridNetwork, slot: usize, buf: &mut Vec<Point>| {
@@ -1301,7 +1288,7 @@ impl FluidEngine {
                         let mut obs = Observer::recording().with_probes();
                         let acc = engine.scheme_b_chunk(
                             &mut net,
-                            &plan,
+                            &groups,
                             range,
                             advance,
                             meter.as_ref(),
@@ -1311,7 +1298,7 @@ impl FluidEngine {
                     } else {
                         let acc = engine.scheme_b_chunk(
                             &mut net,
-                            &plan,
+                            &groups,
                             range,
                             advance,
                             meter.as_ref(),
@@ -1400,7 +1387,7 @@ impl FluidEngine {
                     base,
                     k_alive_mean: k as f64,
                     outage_slots: 0,
-                    infra_flows: plan.paths().len(),
+                    infra_flows: plan.flow_count(),
                     fallback_flows: 0,
                     dead_groups: 0,
                     tally: FaultTally::default(),
@@ -1409,13 +1396,13 @@ impl FluidEngine {
             ));
         }
         let engine = *self;
-        let plan_arc = Arc::new(plan.clone());
+        let cells = HomeCells::of(plan);
         let schedule_arc = Arc::new(schedule.clone());
         let jobs: Vec<_> = chunk_ranges(slots, pool.map_or(1, WorkerPool::threads))
             .into_iter()
             .map(|range| {
                 let mut net = net.clone();
-                let plan = Arc::clone(&plan_arc);
+                let cells = cells.clone();
                 let schedule = Arc::clone(&schedule_arc);
                 move || {
                     let mut injector = FaultInjector::new(k, &schedule)
@@ -1428,7 +1415,7 @@ impl FluidEngine {
                         let mut obs = Observer::recording().with_probes();
                         let acc = engine.scheme_a_chunk_impl(
                             &mut net,
-                            &plan,
+                            &cells,
                             range,
                             advance,
                             Some((&mut injector, policy)),
@@ -1439,7 +1426,7 @@ impl FluidEngine {
                     } else {
                         let acc = engine.scheme_a_chunk_impl(
                             &mut net,
-                            &plan,
+                            &cells,
                             range,
                             advance,
                             Some((&mut injector, policy)),
@@ -1468,7 +1455,7 @@ impl FluidEngine {
             end_injector = Some(injector);
         }
         let end_injector = end_injector.expect("slots >= 1 yields at least one chunk");
-        let flows = plan.paths().len();
+        let flows = plan.flow_count();
         if observe {
             let mut obs = Observer::recording().with_probes();
             let report = finalize_scheme_a_faulted(
@@ -1539,13 +1526,13 @@ impl FluidEngine {
             ));
         }
         let engine = *self;
-        let plan_arc = Arc::new(plan.clone());
+        let groups = Arc::new(GroupMap::of(plan, net.n(), k));
         let schedule_arc = Arc::new(schedule.clone());
         let jobs: Vec<_> = chunk_ranges(slots, pool.map_or(1, WorkerPool::threads))
             .into_iter()
             .map(|range| {
                 let mut net = net.clone();
-                let plan = Arc::clone(&plan_arc);
+                let groups = Arc::clone(&groups);
                 let schedule = Arc::clone(&schedule_arc);
                 move || {
                     let mut injector = FaultInjector::new(k, &schedule)
@@ -1558,7 +1545,7 @@ impl FluidEngine {
                         let mut obs = Observer::recording().with_probes();
                         let acc = engine.scheme_b_chunk_impl(
                             &mut net,
-                            &plan,
+                            &groups,
                             range,
                             advance,
                             Some((&mut injector, policy)),
@@ -1569,7 +1556,7 @@ impl FluidEngine {
                     } else {
                         let acc = engine.scheme_b_chunk_impl(
                             &mut net,
-                            &plan,
+                            &groups,
                             range,
                             advance,
                             Some((&mut injector, policy)),
@@ -1798,7 +1785,7 @@ impl FluidEngine {
     fn scheme_a_streamed_chunk<S: MetricsSink>(
         &self,
         net: &HybridNetwork,
-        plan: &SchemeAPlan,
+        cells: &HomeCells,
         slots: Range<usize>,
         seed: u64,
         chunk: usize,
@@ -1811,8 +1798,7 @@ impl FluidEngine {
         let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
         let index_radius = clamp_index_radius(scheduler.protocol().guard_radius(range));
-        let grid = *plan.grid();
-        let homes = net.population().home_points().points();
+        cells.check_nodes(n);
         let mut acc = SchemeAAcc::default();
         let mut chunk_buf: Vec<Point> = Vec::new();
         let mut alive = Vec::new();
@@ -1849,9 +1835,8 @@ impl FluidEngine {
                 if pair.a >= n || pair.b >= n {
                     continue; // MS–BS contacts do not serve scheme A
                 }
-                let ca = grid.cell_of(homes[pair.a]);
-                let cb = grid.cell_of(homes[pair.b]);
-                if ca == cb || grid.manhattan(ca, cb) == 1 {
+                let (ca, cb) = (cells.of_node(pair.a), cells.of_node(pair.b));
+                if ca == cb || cells.grid.manhattan(ca, cb) == 1 {
                     *acc.service.entry(edge_key(ca, cb)).or_insert(0.0) += 1.0;
                     acc.credited += 1;
                 }
@@ -1867,7 +1852,7 @@ impl FluidEngine {
     fn scheme_b_streamed_chunk<S: MetricsSink>(
         &self,
         net: &HybridNetwork,
-        plan: &SchemeBPlan,
+        groups: &GroupMap,
         slots: Range<usize>,
         seed: u64,
         chunk: usize,
@@ -1880,17 +1865,7 @@ impl FluidEngine {
         let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
         let index_radius = clamp_index_radius(scheduler.protocol().guard_radius(range));
-        let mut ms_group = vec![usize::MAX; n];
-        let mut bs_group = vec![usize::MAX; k];
-        for g in 0..plan.group_count() {
-            for &i in plan.ms_members(g) {
-                ms_group[i] = g;
-            }
-            for &b in plan.bs_members(g) {
-                bs_group[b] = g;
-            }
-        }
-        let mut acc = SchemeBAcc::new(plan.group_count());
+        let mut acc = SchemeBAcc::new(groups.count);
         let mut chunk_buf: Vec<Point> = Vec::new();
         let mut alive = Vec::new();
         let mut ws = SlotWorkspace::new();
@@ -1935,8 +1910,8 @@ impl FluidEngine {
                         continue;
                     }
                 }
-                let g = bs_group[bs_id];
-                if g != usize::MAX && ms_group[ms] == g {
+                let g = groups.bs[bs_id];
+                if g != usize::MAX && groups.ms[ms] == g {
                     acc.service[g] += 1.0;
                     acc.access_contacts += 1;
                 }
@@ -1961,15 +1936,16 @@ impl FluidEngine {
     ) -> Result<(FluidReport, Option<Snapshot>), HycapError> {
         check_streamed_run(net, slots, chunk)?;
         let timer = SpanTimer::start();
+        let cells = HomeCells::of(plan);
         let (acc, chunk_snap) = if observe {
             let mut obs = Observer::recording().with_probes();
             let acc =
-                self.scheme_a_streamed_chunk(net, plan, 0..slots, seed, chunk, None, &mut obs)?;
+                self.scheme_a_streamed_chunk(net, &cells, 0..slots, seed, chunk, None, &mut obs)?;
             (acc, Some(obs.snapshot()))
         } else {
             let acc = self.scheme_a_streamed_chunk(
                 net,
-                plan,
+                &cells,
                 0..slots,
                 seed,
                 chunk,
@@ -2010,15 +1986,16 @@ impl FluidEngine {
         let k = net.k();
         let bandwidth = bs.bandwidth();
         let timer = SpanTimer::start();
+        let groups = GroupMap::of(plan, net.n(), k);
         let (acc, chunk_snap) = if observe {
             let mut obs = Observer::recording().with_probes();
             let acc =
-                self.scheme_b_streamed_chunk(net, plan, 0..slots, seed, chunk, None, &mut obs)?;
+                self.scheme_b_streamed_chunk(net, &groups, 0..slots, seed, chunk, None, &mut obs)?;
             (acc, Some(obs.snapshot()))
         } else {
             let acc = self.scheme_b_streamed_chunk(
                 net,
-                plan,
+                &groups,
                 0..slots,
                 seed,
                 chunk,
@@ -2075,7 +2052,7 @@ impl FluidEngine {
                     base,
                     k_alive_mean: k as f64,
                     outage_slots: 0,
-                    infra_flows: plan.paths().len(),
+                    infra_flows: plan.flow_count(),
                     fallback_flows: 0,
                     dead_groups: 0,
                     tally: FaultTally::default(),
@@ -2084,11 +2061,12 @@ impl FluidEngine {
             ));
         }
         injector.seek(0);
+        let cells = HomeCells::of(plan);
         let (acc, chunk_snap) = if observe {
             let mut obs = Observer::recording().with_probes();
             let acc = self.scheme_a_streamed_chunk(
                 net,
-                plan,
+                &cells,
                 0..slots,
                 seed,
                 chunk,
@@ -2099,7 +2077,7 @@ impl FluidEngine {
         } else {
             let acc = self.scheme_a_streamed_chunk(
                 net,
-                plan,
+                &cells,
                 0..slots,
                 seed,
                 chunk,
@@ -2109,7 +2087,7 @@ impl FluidEngine {
             (acc, None)
         };
         let tally = injector.tally();
-        let flows = plan.paths().len();
+        let flows = plan.flow_count();
         if observe {
             let mut merged = Snapshot::default();
             merged.merge(&chunk_snap.expect("observed run collects snapshots"));
@@ -2172,11 +2150,12 @@ impl FluidEngine {
             ));
         }
         injector.seek(0);
+        let groups = GroupMap::of(plan, net.n(), k);
         let (acc, chunk_snap) = if observe {
             let mut obs = Observer::recording().with_probes();
             let acc = self.scheme_b_streamed_chunk(
                 net,
-                plan,
+                &groups,
                 0..slots,
                 seed,
                 chunk,
@@ -2187,7 +2166,7 @@ impl FluidEngine {
         } else {
             let acc = self.scheme_b_streamed_chunk(
                 net,
-                plan,
+                &groups,
                 0..slots,
                 seed,
                 chunk,
@@ -2237,6 +2216,68 @@ fn median(values: &mut [f64]) -> f64 {
     }
     values.sort_by(f64::total_cmp);
     values[values.len() / 2]
+}
+
+/// What a scheme A slot loop reads of its plan: the grid and the node →
+/// home-squarelet table. Cloning shares the table, so chunk jobs never copy
+/// the plan.
+#[derive(Debug, Clone)]
+struct HomeCells {
+    grid: SquareGrid,
+    cells: Arc<[u32]>,
+}
+
+impl HomeCells {
+    fn of(plan: &SchemeAPlan) -> Self {
+        HomeCells {
+            grid: *plan.grid(),
+            cells: Arc::clone(plan.home_cells()),
+        }
+    }
+
+    /// The home squarelet of node `i`.
+    #[inline]
+    fn of_node(&self, i: usize) -> Cell {
+        self.grid.cell_from_index(self.cells[i] as usize)
+    }
+
+    /// Panics unless the plan covers exactly the network's `n` MSs.
+    fn check_nodes(&self, n: usize) {
+        assert_eq!(
+            self.cells.len(),
+            n,
+            "scheme-A plan and network disagree on the MS count"
+        );
+    }
+}
+
+/// Node → group tables of a scheme B plan (`usize::MAX` for ungrouped
+/// ids), built once per measurement and shared by every chunk.
+#[derive(Debug)]
+struct GroupMap {
+    count: usize,
+    ms: Vec<usize>,
+    bs: Vec<usize>,
+}
+
+impl GroupMap {
+    fn of(plan: &SchemeBPlan, n: usize, k: usize) -> Self {
+        let mut ms = vec![usize::MAX; n];
+        let mut bs = vec![usize::MAX; k];
+        for g in 0..plan.group_count() {
+            for &i in plan.ms_members(g) {
+                ms[i] = g;
+            }
+            for &b in plan.bs_members(g) {
+                bs[b] = g;
+            }
+        }
+        GroupMap {
+            count: plan.group_count(),
+            ms,
+            bs,
+        }
+    }
 }
 
 /// Per-chunk scheme A tallies. Every field is a sum of per-slot
@@ -2361,7 +2402,9 @@ fn scheme_a_bottleneck(
     let mut lambda = f64::INFINITY;
     let mut bottleneck = Bottleneck::Unconstrained;
     let mut ratios = Vec::with_capacity(plan.edge_load().len());
-    for (&edge, &load) in plan.edge_load() {
+    // `edge_load` is sorted by key, so a strict `<` keeps the smallest
+    // key among tied minima: the reported bottleneck is deterministic.
+    for &(edge, load) in plan.edge_load() {
         let rate = service.get(&edge).copied().unwrap_or(0.0) / slots as f64;
         let this = rate / load;
         ratios.push(this);
@@ -2373,15 +2416,6 @@ fn scheme_a_bottleneck(
         if this < lambda {
             lambda = this;
             bottleneck = Bottleneck::WirelessEdge(edge);
-        } else if this == lambda {
-            // `edge_load` is a HashMap, so tied minima arrive in an
-            // order that varies per map instance; break ties on the
-            // edge key to keep the reported bottleneck deterministic.
-            if let Bottleneck::WirelessEdge(cur) = bottleneck {
-                if edge < cur {
-                    bottleneck = Bottleneck::WirelessEdge(edge);
-                }
-            }
         }
     }
     if lambda.is_infinite() {

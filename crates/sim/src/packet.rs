@@ -631,10 +631,8 @@ impl PacketEngine {
         let home_cell: Vec<usize> = homes.iter().map(|&h| grid.cell_of(h).index()).collect();
         let dst_of: Vec<usize> = traffic.pairs().map(|(_, d)| d).collect();
         // Flow paths as flat cell indices.
-        let paths: Vec<Vec<usize>> = plan
-            .paths()
-            .iter()
-            .map(|p| p.cells().iter().map(|c| c.index()).collect())
+        let paths: Vec<Vec<usize>> = (0..plan.flow_count())
+            .map(|flow| plan.path(flow).cells().iter().map(|c| c.index()).collect())
             .collect();
         // holdings[node] -> (flow, hop) -> timestamps (absolute 64-bit
         // slots). A packet "at hop h" is held by a node homed in

@@ -1,11 +1,13 @@
-//! Live-memory ceiling of the streamed measurement loop (PR 8 satellite).
+//! Live-memory ceilings of the streamed measurement loop and of plan
+//! compilation.
 //!
 //! A byte-counting shim around the system allocator tracks live and peak
-//! heap bytes. The test realizes an `n = 10⁵` hybrid network, takes the
-//! post-setup live baseline (network + plans are O(n) state the engine
-//! cannot avoid), then runs a streamed scheme A measurement and asserts the
-//! *additional* peak during the slot loop stays under the documented O(n)
-//! budget from DESIGN.md §14:
+//! heap bytes. Both tests realize an `n = 10⁵` hybrid network.
+//!
+//! The streamed test takes the post-setup live baseline (network + plans
+//! are O(n) state the engine cannot avoid), then runs a streamed scheme A
+//! measurement and asserts the *additional* peak during the slot loop stays
+//! under the documented O(n) budget from DESIGN.md §14:
 //!
 //! ```text
 //! peak_loop_bytes ≤ 96 B/node + 4 MiB slack
@@ -18,17 +20,32 @@
 //! materialized engine cannot meet this bound: cloning the network and
 //! buffering the full snapshot alone add ~10× more per-node state.
 //!
-//! `#[ignore]` by default — the debug-profile allocator makes it slow — and
-//! run in CI's release job via `cargo test -p hycap-sim --release
-//! --test memory_ceiling -- --ignored`. Keep this the only test in the
-//! binary: a concurrent test would pollute the global counters.
+//! The plan test compiles a scheme-A and a scheme-B plan and asserts the
+//! bytes they keep live stay under the compact-layout budget of DESIGN.md
+//! §14:
+//!
+//! ```text
+//! plan_bytes ≤ 64 B/node + 1 MiB slack
+//! ```
+//!
+//! Scheme A keeps 16 B/node (a `u32` home squarelet per node, a `u32`
+//! destination squarelet per flow, a `usize` per node in the member
+//! table); scheme B keeps 40 B/node (its 32-byte per-flow group routing
+//! and its member table). Storing a squarelet path per flow, as plans once
+//! did, costs several hundred bytes per node.
+//!
+//! `#[ignore]` by default — the debug-profile allocator makes them slow —
+//! and run in CI's release job via `cargo test -p hycap-sim --release
+//! --test memory_ceiling -- --ignored`. The counters are process-global, so
+//! every test in this binary holds [`SERIAL`] for its whole run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
-use hycap_routing::{SchemeAPlan, TrafficMatrix};
+use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
 use hycap_sim::{FluidEngine, HybridNetwork};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,6 +90,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests: a concurrent test would pollute the counters.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the counters stay meaningful.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 const N: usize = 100_000;
 const K: usize = 100;
 const SLOTS: usize = 3;
@@ -81,16 +106,27 @@ const CHUNK: usize = 8_192;
 /// Documented budget: 96 bytes per node (MS + BS) plus 4 MiB slack.
 const BUDGET_BYTES: usize = 96 * (N + K) + 4 * 1024 * 1024;
 
-#[test]
-#[ignore = "slow under the debug profile; CI runs it in the release job"]
-fn streamed_measurement_stays_under_live_byte_budget() {
-    let mut rng = StdRng::seed_from_u64(0x3E3);
+/// Documented plan budget: 64 bytes per MS plus 1 MiB slack.
+const PLAN_BUDGET_BYTES: usize = 64 * N + 1024 * 1024;
+
+/// Squarelets per side of the scheme-B plan.
+const SCHEME_B_CELLS: usize = 4;
+
+fn population(rng: &mut StdRng) -> Population {
     let config = PopulationConfig::builder(N)
         .alpha(0.25)
         .kernel(Kernel::uniform_disk(1.0))
         .mobility(MobilityKind::IidStationary)
         .build();
-    let pop = Population::generate(&config, &mut rng);
+    Population::generate(&config, rng)
+}
+
+#[test]
+#[ignore = "slow under the debug profile; CI runs it in the release job"]
+fn streamed_measurement_stays_under_live_byte_budget() {
+    let _serial = serial();
+    let mut rng = StdRng::seed_from_u64(0x3E3);
+    let pop = population(&mut rng);
     let bs = BaseStations::generate_regular(K, 1.0);
     let traffic = TrafficMatrix::permutation(N, &mut rng);
     let plan = SchemeAPlan::build(pop.home_points().points(), &traffic, (N as f64).powf(0.25));
@@ -114,5 +150,30 @@ fn streamed_measurement_stays_under_live_byte_budget() {
         "streamed slot loop peaked at {loop_bytes} live bytes over the \
          baseline ({baseline}), exceeding the documented budget of \
          {BUDGET_BYTES} bytes (96 B/node + 4 MiB)"
+    );
+}
+
+#[test]
+#[ignore = "slow under the debug profile; CI runs it in the release job"]
+fn compiled_plans_stay_under_per_node_budget() {
+    let _serial = serial();
+    let mut rng = StdRng::seed_from_u64(0x91A4);
+    let pop = population(&mut rng);
+    let bs = BaseStations::generate_regular(K, 1.0);
+    let traffic = TrafficMatrix::permutation(N, &mut rng);
+    let homes = pop.home_points().points();
+
+    let baseline = LIVE.load(Ordering::Relaxed);
+    let plan_a = SchemeAPlan::build(homes, &traffic, (N as f64).powf(0.25));
+    let plan_b = SchemeBPlan::build(homes, &traffic, &bs, SCHEME_B_CELLS);
+    let plan_bytes = LIVE.load(Ordering::Relaxed).saturating_sub(baseline);
+    assert_eq!(plan_a.flow_count(), N);
+    assert_eq!(plan_b.flows().len(), N);
+    assert!(
+        plan_bytes <= PLAN_BUDGET_BYTES,
+        "scheme-A + scheme-B plans keep {plan_bytes} live bytes ({} B/node), \
+         exceeding the documented budget of {PLAN_BUDGET_BYTES} bytes \
+         (64 B/node + 1 MiB)",
+        plan_bytes / N
     );
 }

@@ -119,7 +119,7 @@ proptest! {
         seed in 0u64..1 << 16,
         rate in 1e-3f64..8e-3,
         static_mob in any::<bool>(),
-        base_slot in prop_oneof![Just(0u64), ((1u64 << 32) + 1..1 << 40)],
+        base_slot in prop_oneof![Just(0u64), (1u64 << 32) + 1..1 << 40],
     ) {
         let run = |skip: bool, active_set: bool| {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -157,7 +157,7 @@ proptest! {
         rate in 1e-3f64..8e-3,
         static_mob in any::<bool>(),
         faulted in any::<bool>(),
-        base_slot in prop_oneof![Just(0u64), ((1u64 << 32) + 1..1 << 40)],
+        base_slot in prop_oneof![Just(0u64), (1u64 << 32) + 1..1 << 40],
     ) {
         let k = 16;
         let run = |skip: bool, active_set: bool| {
@@ -214,7 +214,7 @@ proptest! {
         seed in 0u64..1 << 16,
         lambda in 0.0f64..0.05,
         static_mob in any::<bool>(),
-        base_slot in prop_oneof![Just(0u64), ((1u64 << 32) + 1..1 << 40)],
+        base_slot in prop_oneof![Just(0u64), (1u64 << 32) + 1..1 << 40],
     ) {
         let run = |skip: bool, active_set: bool| {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -247,7 +247,7 @@ proptest! {
     fn scheme_c_stats_and_snapshots_are_pacing_invariant(
         seed in 0u64..1 << 16,
         rate in 1e-3f64..8e-3,
-        base_slot in prop_oneof![Just(0u64), ((1u64 << 32) + 1..1 << 40)],
+        base_slot in prop_oneof![Just(0u64), (1u64 << 32) + 1..1 << 40],
     ) {
         let run = |skip: bool, active_set: bool| {
             let mut rng = StdRng::seed_from_u64(seed);

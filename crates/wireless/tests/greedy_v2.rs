@@ -55,7 +55,7 @@ fn arb_regime_range() -> impl Strategy<Value = f64> {
 /// Deterministic alive mask: `None` for a quarter of seeds, otherwise
 /// roughly a quarter of the nodes dead.
 fn mask_from_seed(n: usize, seed: u64) -> Option<Vec<bool>> {
-    if seed % 4 == 0 {
+    if seed.is_multiple_of(4) {
         return None;
     }
     Some(
@@ -65,7 +65,7 @@ fn mask_from_seed(n: usize, seed: u64) -> Option<Vec<bool>> {
                 h ^= h >> 33;
                 h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
                 h ^= h >> 33;
-                h % 4 != 0
+                !h.is_multiple_of(4)
             })
             .collect(),
     )
@@ -118,7 +118,7 @@ fn naive_v2(
     let guard = (1.0 + delta) * range;
     let mut ws = SlotWorkspace::new();
     ws.hash_mut().rebuild(positions, clamp_index_radius(guard));
-    let is_alive = |i: usize| alive.map_or(true, |m| m[i]);
+    let is_alive = |i: usize| alive.is_none_or(|m| m[i]);
     let keys: Vec<(u64, u64, u64)> = (0..n)
         .map(|i| {
             (
@@ -230,7 +230,7 @@ proptest! {
 /// invariance and probe cleanliness at a scale proptest cases do not reach.
 #[test]
 fn large_n_permutation_invariant_and_feasible() {
-    let mut rng = StdRng::seed_from_u64(0x6E0D_E5_2000);
+    let mut rng = StdRng::seed_from_u64(0x6E_0DE5_2000);
     let n = 2000;
     let positions: Vec<Point> = (0..n)
         .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
