@@ -21,6 +21,7 @@ fn bench_anchor(c: &mut Criterion) {
                 .seed(2)
                 .build()
                 .measure(60)
+                .unwrap()
         })
     });
     group.finish();

@@ -22,8 +22,9 @@ use hycap::{ModelExponents, Scenario};
 use hycap_bench::report;
 use hycap_infra::BsPlacement;
 use hycap_mobility::{Kernel, Population, PopulationConfig};
+use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
-use hycap_sim::{FluidEngine, HybridNetwork};
+use hycap_sim::{FluidEngine, FluidPlan, FluidRun, HybridNetwork};
 use hycap_wireless::{
     GreedyMatchingScheduler, SStarScheduler, ScheduledPair, Scheduler, SlotWorkspace,
 };
@@ -69,13 +70,23 @@ fn l_hop_sweep(seed: u64) {
         let mut detail = Vec::new();
         if let Some(pa) = plan.plan_a() {
             let mut net = HybridNetwork::with_infrastructure(pop.clone(), bs.clone());
-            let ra = engine.measure_scheme_a(&mut net, pa, 400, &mut rng);
+            let spec = FluidRun::in_order(400, &mut rng);
+            let ra = engine
+                .run(&mut net, FluidPlan::A(pa), spec, &mut Observer::noop())
+                .and_then(|outcome| outcome.into_complete("scheme A"))
+                .expect("scheme A")
+                .base;
             lambda = lambda.min(ra.lambda_typical);
             detail.push(format!("A: {}", report::fmt_val(ra.lambda_typical)));
         }
         if let Some(pb) = plan.plan_b() {
             let mut net = HybridNetwork::with_infrastructure(pop.clone(), bs.clone());
-            let rb = engine.measure_scheme_b(&mut net, pb, 400, &mut rng);
+            let spec = FluidRun::in_order(400, &mut rng);
+            let rb = engine
+                .run(&mut net, FluidPlan::B(pb), spec, &mut Observer::noop())
+                .and_then(|outcome| outcome.into_complete("scheme B"))
+                .expect("scheme B")
+                .base;
             lambda = lambda.min(rb.lambda_typical);
             detail.push(format!("B: {}", report::fmt_val(rb.lambda_typical)));
         }
@@ -122,7 +133,12 @@ fn range_sweep(seed: u64) {
     for &c_t in &[0.1, 0.2, 0.4, 0.8, 1.6] {
         let mut net = HybridNetwork::ad_hoc(pop.clone());
         let engine = FluidEngine::new(0.5, c_t);
-        let r = engine.measure_scheme_a(&mut net, &plan, 400, &mut rng);
+        let spec = FluidRun::in_order(400, &mut rng);
+        let r = engine
+            .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+            .and_then(|outcome| outcome.into_complete("scheme A"))
+            .expect("scheme A")
+            .base;
         if r.lambda_typical > best.1 {
             best = (c_t, r.lambda_typical);
         }
@@ -151,7 +167,7 @@ fn weak_range_ablation(seed: u64) {
     // Scenario::measure already applies the optimal range; rebuild the
     // same plan with the uniformly-dense range to show the contrast.
     let scenario = Scenario::builder(exps, n).seed(seed).build();
-    let good = scenario.measure(400);
+    let good = scenario.measure(400).expect("weak-regime measurement");
     // Mis-ranged variant: measure scheme B by clusters at c_T/√n.
     let hycap::Realization {
         mut net,
@@ -164,7 +180,12 @@ fn weak_range_ablation(seed: u64) {
     let bs = net.base_stations().expect("bs").clone();
     let plan = hycap_routing::SchemeBPlan::by_clusters(&homes, &traffic, &bs, &centers);
     let engine = FluidEngine::new(0.5, 0.4); // default c_T/√n range
-    let bad = engine.measure_scheme_b(&mut net, &plan, 400, &mut rng);
+    let spec = FluidRun::in_order(400, &mut rng);
+    let bad = engine
+        .run(&mut net, FluidPlan::B(&plan), spec, &mut Observer::noop())
+        .and_then(|outcome| outcome.into_complete("scheme B"))
+        .expect("scheme B")
+        .base;
     println!(
         "{}",
         report::ascii_table(
@@ -207,7 +228,8 @@ fn placement_invariance(seed: u64) {
                 .scheme_b_cells(2)
                 .seed(seed + rep)
                 .build()
-                .measure(400);
+                .measure(400)
+                .expect("placement measurement");
             acc += report.lambda_infra_typical.unwrap_or(0.0);
         }
         let lambda = acc / reps as f64;
@@ -233,7 +255,8 @@ fn bandwidth_sweep(seed: u64) {
             .scheme_b_cells(2)
             .seed(seed)
             .build()
-            .measure(400);
+            .measure(400)
+            .expect("bandwidth measurement");
         let lambda = report.lambda_infra_typical.unwrap_or(0.0);
         let theory = hycap::infrastructure_order(0.5, phi);
         rows.push(vec![

@@ -31,8 +31,8 @@ use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
 use hycap_sim::{
-    scenario_digest, CacheEntry, FaultSchedule, FluidEngine, HybridNetwork, OutagePolicy,
-    ResultCache,
+    scenario_digest, CacheEntry, FaultSchedule, FluidEngine, FluidPlan, FluidRun, HybridNetwork,
+    OutagePolicy, ResultCache,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,7 +118,7 @@ fn warm_sweep(cache: &ResultCache, ns: &[usize], slots: usize) -> WarmSweep {
 /// the key, so editing the schedule invalidates exactly this point.
 fn degraded_lambda_cached(
     cache: &ResultCache,
-    net: &HybridNetwork,
+    net: &mut HybridNetwork,
     plan: &SchemeAPlan,
     slots: usize,
     schedule: &FaultSchedule,
@@ -135,8 +135,11 @@ fn degraded_lambda_cached(
     if let Some(lambda) = cache.get(&key, |e| e.f64("lambda")) {
         return (lambda, true);
     }
-    let degraded = FluidEngine::default()
-        .measure_scheme_a_with_faults_ctr(net, plan, slots, schedule, OutagePolicy::RadioOff, SEED)
+    let spec = FluidRun::counter(slots, SEED, None).faults(schedule, OutagePolicy::RadioOff);
+    let engine = FluidEngine::default();
+    let degraded = engine
+        .run(net, FluidPlan::A(plan), spec, &mut Observer::noop())
+        .and_then(|outcome| outcome.into_complete("degraded measure"))
         .expect("degraded measure");
     let mut entry = CacheEntry::new();
     entry.push_f64("lambda", degraded.base.lambda);
@@ -164,15 +167,15 @@ fn incremental_fault_edit(cache: &ResultCache, n: usize, slots: usize, points: u
     let homes = pop.home_points().points().to_vec();
     let traffic = TrafficMatrix::permutation(n, &mut rng);
     let plan = SchemeAPlan::build(&homes, &traffic, (n as f64).powf(0.25));
-    let net = HybridNetwork::with_infrastructure(pop, bs);
+    let mut net = HybridNetwork::with_infrastructure(pop, bs);
 
     let schedules: Vec<FaultSchedule> = (0..points)
         .map(|i| FaultSchedule::empty().crash_bs(4 + i, i % K))
         .collect();
-    let run = |schedules: &[FaultSchedule]| -> Vec<(f64, bool)> {
+    let mut run = |schedules: &[FaultSchedule]| -> Vec<(f64, bool)> {
         schedules
             .iter()
-            .map(|s| degraded_lambda_cached(cache, &net, &plan, slots, s))
+            .map(|s| degraded_lambda_cached(cache, &mut net, &plan, slots, s))
             .collect()
     };
 
@@ -231,23 +234,27 @@ fn schedule_memo_speedup(n: usize, slots: usize) -> MemoRow {
     let homes = pop.home_points().points().to_vec();
     let traffic = TrafficMatrix::permutation(n, &mut rng);
     let plan = SchemeAPlan::build(&homes, &traffic, (n as f64).powf(0.25));
-    let net = HybridNetwork::with_infrastructure(pop, bs);
+    let mut net = HybridNetwork::with_infrastructure(pop, bs);
     assert!(net.positions_static(), "memo row needs static positions");
 
     let memo_on = FluidEngine::default();
     let memo_off = memo_on.without_schedule_memo();
+    let mut measure = |engine: &FluidEngine, slots: usize| {
+        let spec = FluidRun::counter(slots, SEED, None);
+        engine
+            .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+            .and_then(|outcome| outcome.into_complete("memo row"))
+            .expect("memo row")
+            .base
+    };
     // Warm-up outside the timed region.
-    let _ = memo_on.measure_scheme_a_ctr(&net, &plan, 4, SEED).unwrap();
+    let _ = measure(&memo_on, 4);
 
     let start = Instant::now();
-    let on = memo_on
-        .measure_scheme_a_ctr(&net, &plan, slots, SEED)
-        .unwrap();
+    let on = measure(&memo_on, slots);
     let on_seconds = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let off = memo_off
-        .measure_scheme_a_ctr(&net, &plan, slots, SEED)
-        .unwrap();
+    let off = measure(&memo_off, slots);
     let off_seconds = start.elapsed().as_secs_f64();
 
     assert_eq!(

@@ -16,8 +16,9 @@
 use hycap_bench::report;
 use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
+use hycap_obs::Observer;
 use hycap_routing::{SchemeBPlan, TrafficMatrix};
-use hycap_sim::{FaultInjector, FaultSchedule, FluidEngine, HybridNetwork, OutagePolicy};
+use hycap_sim::{FaultSchedule, FluidEngine, FluidPlan, FluidRun, HybridNetwork, OutagePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -61,16 +62,10 @@ fn measure(c: f64, dead: usize, slots: usize, seed: u64) -> (usize, f64, f64) {
     let plan = SchemeBPlan::build(&homes, &traffic, &bs, CELLS);
     let mut net = HybridNetwork::with_infrastructure(pop, bs);
     let schedule = kill_schedule(&plan, dead);
-    let mut injector = FaultInjector::new(K, &schedule).expect("valid schedule");
+    let spec = FluidRun::in_order(slots, &mut rng).faults(&schedule, OutagePolicy::OccupySpectrum);
     let report = FluidEngine::default()
-        .measure_scheme_b_with_faults(
-            &mut net,
-            &plan,
-            slots,
-            &mut injector,
-            OutagePolicy::OccupySpectrum,
-            &mut rng,
-        )
+        .run(&mut net, FluidPlan::B(&plan), spec, &mut Observer::noop())
+        .and_then(|outcome| outcome.into_complete("measurement"))
         .expect("measurement");
     (
         K - dead,

@@ -85,7 +85,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for &phi in &[0.0, -1.0] {
-        for anchor in run_fig3_anchors(phi, scale, seed) {
+        for anchor in run_fig3_anchors(phi, scale, seed).expect("fig3 anchors") {
             let dom = match dominance(anchor.alpha, anchor.k_exp, anchor.phi) {
                 Dominance::Mobility => "mobility",
                 Dominance::Infrastructure => "infrastructure",

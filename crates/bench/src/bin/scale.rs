@@ -4,10 +4,9 @@
 //! Drives `n = m⁴` for m ∈ {10, 14, 18, 24, 28, 32} — the full ladder tops
 //! out at `n = 32⁴ = 1 048 576` — with `k = m² = √n` base stations, scheme A
 //! at `f = n^¼ = m` (the strong-regime optimum) and scheme B at the two-cell
-//! split. Every measurement runs through
-//! [`FluidEngine::measure_scheme_a_streamed_observed`] /
-//! `..._b_streamed_observed`, so no engine ever materializes all `n` slot
-//! positions: positions stream from the per-slot counter RNG in chunks and
+//! split. Every measurement is a streamed [`FluidEngine::run`]
+//! ([`hycap_sim::Sampling::Streamed`]), so no engine ever materializes all
+//! `n` slot positions: positions stream from the per-slot counter RNG in chunks and
 //! the spatial index is built by the two-pass streamed builder. The bench
 //! records, per ladder point and scheme, `λ_typical`, wall-clock and
 //! slots/second, plus the process peak RSS (`VmHWM`, via
@@ -36,9 +35,11 @@
 use hycap_bench::report;
 use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
-use hycap_obs::{read_peak_rss_kb, Snapshot};
+use hycap_obs::{read_peak_rss_kb, Observer, Snapshot};
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
-use hycap_sim::{fit_loglog, FitResult, FluidEngine, FluidReport, HybridNetwork};
+use hycap_sim::{
+    fit_loglog, FitResult, FluidEngine, FluidPlan, FluidReport, FluidRun, HybridNetwork,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -116,20 +117,23 @@ fn run_point(m: usize, slots: usize, merged: &mut Snapshot) -> Row {
     let plan_a = SchemeAPlan::build(pop.home_points().points(), &traffic, m as f64);
     let plan_b = SchemeBPlan::build(pop.home_points().points(), &traffic, &bs, 2);
     drop(traffic);
-    let net = HybridNetwork::with_infrastructure(pop, bs);
+    let mut net = HybridNetwork::with_infrastructure(pop, bs);
     let setup_seconds = setup_start.elapsed().as_secs_f64();
 
     let engine = FluidEngine::default();
-    let (scheme_a, snap_a) = time_scheme(slots, || {
-        engine
-            .measure_scheme_a_streamed_observed(&net, &plan_a, slots, seed, CHUNK)
-            .expect("scheme A streamed measurement")
-    });
-    let (scheme_b, snap_b) = time_scheme(slots, || {
-        engine
-            .measure_scheme_b_streamed_observed(&net, &plan_b, slots, seed, CHUNK)
-            .expect("scheme B streamed measurement")
-    });
+    let mut measure = |plan: FluidPlan<'_>, what: &'static str| {
+        time_scheme(slots, || {
+            let mut obs = Observer::recording().with_probes();
+            let spec = FluidRun::streamed(slots, seed, CHUNK);
+            let report = engine
+                .run(&mut net, plan, spec, &mut obs)
+                .and_then(|outcome| outcome.into_complete(what))
+                .expect(what);
+            (report.base, obs.snapshot())
+        })
+    };
+    let (scheme_a, snap_a) = measure(FluidPlan::A(&plan_a), "scheme A streamed measurement");
+    let (scheme_b, snap_b) = measure(FluidPlan::B(&plan_b), "scheme B streamed measurement");
 
     merged.merge(&snap_a);
     merged.merge(&snap_b);

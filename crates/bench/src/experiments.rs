@@ -309,14 +309,20 @@ fn run_table1_row_impl(
                     .scheme_b_cells(2)
                     .seed(seed)
                     .build_with_bs(with_bs);
-                let report = match &cache {
+                let measured = match &cache {
                     None => sc.measure(slots),
-                    Some(c) => sc.measure_cached(slots, c).unwrap_or_else(|e| {
+                    Some(c) => sc.measure_cached(slots, c).or_else(|e| {
                         stash(e);
                         sc.measure(slots)
                     }),
                 };
-                (report.lambda_mobility_typical, report.lambda_infra_typical)
+                match measured {
+                    Ok(report) => (report.lambda_mobility_typical, report.lambda_infra_typical),
+                    Err(e) => {
+                        stash(e);
+                        (None, None)
+                    }
+                }
             };
             if let Some(l) = lm.filter(|&l| l > 0.0) {
                 acc_m += l;
@@ -530,7 +536,11 @@ pub struct Fig3Anchor {
 
 /// Measures the empirical capacity exponent at `(α, K, ϕ)` anchors of the
 /// strong-mobility surface by a two-point slope.
-pub fn run_fig3_anchors(phi: f64, scale: Scale, seed: u64) -> Vec<Fig3Anchor> {
+///
+/// # Errors
+///
+/// Propagates [`Scenario::measure`] failures.
+pub fn run_fig3_anchors(phi: f64, scale: Scale, seed: u64) -> Result<Vec<Fig3Anchor>, HycapError> {
     // Fourth-power n so the scheme-A grid resolution f = n^alpha is free of
     // ceil() discretization wobble at the alpha = 1/4 anchors.
     let (n1, n2, slots) = match scale {
@@ -555,8 +565,8 @@ pub fn run_fig3_anchors(phi: f64, scale: Scale, seed: u64) -> Vec<Fig3Anchor> {
                     .build()
                     .measure(slots)
             };
-            let r1 = measure(n1, seed.wrapping_add(1));
-            let r2 = measure(n2, seed.wrapping_add(2));
+            let r1 = measure(n1, seed.wrapping_add(1))?;
+            let r2 = measure(n2, seed.wrapping_add(2))?;
             // The capacity is the *sum* of the mobility and infrastructure
             // terms, so its asymptotic exponent is the max of the two term
             // exponents; measuring each term separately avoids the
@@ -583,7 +593,7 @@ pub fn run_fig3_anchors(phi: f64, scale: Scale, seed: u64) -> Vec<Fig3Anchor> {
             });
         }
     }
-    anchors
+    Ok(anchors)
 }
 
 /// Extension trait used by the drivers to toggle infrastructure on the
@@ -768,7 +778,7 @@ mod tests {
 
     #[test]
     fn fig3_anchor_theory_matches_formula() {
-        let anchors = run_fig3_anchors(0.0, Scale::Smoke, 3);
+        let anchors = run_fig3_anchors(0.0, Scale::Smoke, 3).unwrap();
         assert_eq!(anchors.len(), 9);
         for a in &anchors {
             assert!((a.theory_exponent - capacity_exponent(a.alpha, a.k_exp, a.phi)).abs() < 1e-12);

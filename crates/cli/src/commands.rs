@@ -2,15 +2,15 @@
 //! is unit-testable without capturing stdout.
 
 use crate::args::{ArgError, Args};
-use hycap::obs::Snapshot;
+use hycap::obs::{MetricsSink, Observer, Snapshot};
 use hycap::{theory as laws, MobilityRegime, ModelExponents, Realization, Scenario};
 use hycap_errors::HycapError;
 use hycap_mobility::MobilityKind;
 use hycap_routing::SchemeBPlan;
 use hycap_sim::{
-    fit_loglog, geometric_ns, load_ladder, scenario_digest, Checkpoint, FaultSchedule,
-    FlowRunStats, FlowSizes, FlowWorkload, FluidEngine, OutagePolicy, PacingTrace, PacketEngine,
-    ResultCache, WorkerPool,
+    fit_loglog, geometric_ns, load_ladder, scenario_digest, Checkpoint, DegradedFluidReport,
+    FaultSchedule, FlowRunStats, FlowSizes, FlowWorkload, FluidEngine, FluidPlan, FluidReport,
+    FluidRun, HybridNetwork, OutagePolicy, PacingTrace, PacketEngine, ResultCache, WorkerPool,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -638,7 +638,7 @@ pub fn degrade(args: &Args) -> CmdResult {
     };
     let sc = scenario(args, exps, n)?;
     let Realization {
-        net,
+        mut net,
         traffic,
         params,
         ..
@@ -662,30 +662,19 @@ pub fn degrade(args: &Args) -> CmdResult {
     if outage_p > 0.0 {
         schedule = schedule.with_bernoulli_bs_outage(outage_p, outage_seed);
     }
-    let engine = FluidEngine::default();
     let metrics = metrics_path(args)?;
     let pool = worker_pool(args)?;
     let seed: u64 = args.get_or("seed", 0)?;
-    let mut merged = Snapshot::default();
-    // Fault-free baseline from the same counter streams: the par engines
-    // never mutate the network, so one realization serves both runs.
-    let baseline = if metrics.is_some() {
-        let (baseline, snapshot) =
-            engine.measure_scheme_b_par_observed(&net, &plan, slots, seed, &pool)?;
-        merged.merge(&snapshot);
-        baseline
-    } else {
-        engine.measure_scheme_b_par(&net, &plan, slots, seed, &pool)?
-    };
-    let report = if metrics.is_some() {
-        let (report, snapshot) = engine.measure_scheme_b_with_faults_par_observed(
-            &net, &plan, slots, &schedule, policy, seed, &pool,
-        )?;
-        merged.merge(&snapshot);
-        report
-    } else {
-        engine
-            .measure_scheme_b_with_faults_par(&net, &plan, slots, &schedule, policy, seed, &pool)?
+    // Fault-free baseline from the same counter streams as the faulted run.
+    let specs = [
+        FluidRun::counter(slots, seed, Some(&pool)),
+        FluidRun::counter(slots, seed, Some(&pool)).faults(&schedule, policy),
+    ];
+    let plan = FluidPlan::B(&plan);
+    let mut obs = Observer::recording().with_probes();
+    let (baseline, report) = match metrics {
+        Some(_) => degrade_runs(&mut net, plan, specs, &mut obs)?,
+        None => degrade_runs(&mut net, plan, specs, &mut Observer::noop())?,
     };
     let mut out = String::new();
     writeln!(
@@ -736,9 +725,26 @@ pub fn degrade(args: &Args) -> CmdResult {
         report.tally.bernoulli_bs_outages
     )?;
     if let Some(path) = metrics {
-        report_snapshot(&mut out, &path, &merged)?;
+        report_snapshot(&mut out, &path, &obs.snapshot())?;
     }
     done(out)
+}
+
+/// The two `degrade` runs of `plan` — fault-free baseline, then faulted —
+/// observed into `obs` in that order.
+fn degrade_runs<S: MetricsSink>(
+    net: &mut HybridNetwork,
+    plan: FluidPlan<'_>,
+    [baseline, faulted]: [FluidRun<'_>; 2],
+    obs: &mut Observer<S>,
+) -> Result<(FluidReport, DegradedFluidReport), HycapError> {
+    let engine = FluidEngine::default();
+    let baseline = engine.run(net, plan, baseline, obs)?;
+    let faulted = engine.run(net, plan, faulted, obs)?;
+    Ok((
+        baseline.into_complete("fault-free baseline")?.base,
+        faulted.into_complete("degraded run")?,
+    ))
 }
 
 /// One-line flow-run summary shared by the single-run and sweep outputs.

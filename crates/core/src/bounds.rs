@@ -209,8 +209,9 @@ mod tests {
     fn cut_bound_dominates_fluid_capacity() {
         // The Lemma 6 bound must sit above any achievable rate; compare to
         // the scheme-A fluid measurement on the same network family.
+        use hycap_obs::Observer;
         use hycap_routing::SchemeAPlan;
-        use hycap_sim::FluidEngine;
+        use hycap_sim::{FluidEngine, FluidPlan, FluidRun};
         let mut rng = StdRng::seed_from_u64(3);
         let config = PopulationConfig::builder(400)
             .alpha(0.25)
@@ -221,7 +222,13 @@ mod tests {
         let traffic = TrafficMatrix::permutation(400, &mut rng);
         let plan = SchemeAPlan::build(&homes, &traffic, 400f64.powf(0.25));
         let mut net = HybridNetwork::ad_hoc(pop);
-        let fluid = FluidEngine::default().measure_scheme_a(&mut net, &plan, 300, &mut rng);
+        let spec = FluidRun::in_order(300, &mut rng);
+        let fluid = FluidEngine::default()
+            .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+            .unwrap()
+            .into_complete("scheme A")
+            .unwrap()
+            .base;
         let cut = HalfStripCut::bisection();
         let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 300, &mut rng);
         assert!(

@@ -32,7 +32,7 @@
 //! println!("theory: {}", hycap::theory::capacity_with_bs(
 //!     exps.classify().unwrap(), &exps));
 //!
-//! let report = Scenario::builder(exps, 200).seed(42).build().measure(100);
+//! let report = Scenario::builder(exps, 200).seed(42).build().measure(100).unwrap();
 //! assert!(report.lambda >= 0.0);
 //! ```
 
@@ -55,5 +55,5 @@ pub use theory::{
 };
 
 /// Re-export of the observability crate: metric sinks, invariant probes
-/// and snapshots for the `*_observed` measurement entry points.
+/// and snapshots for the observed measurement entry points.
 pub use hycap_obs as obs;

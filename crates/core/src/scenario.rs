@@ -16,8 +16,8 @@ use hycap_mobility::{ClusteredModel, Kernel, MobilityKind, Population, Populatio
 use hycap_obs::{MetricsSink, Observer, Snapshot};
 use hycap_routing::{SchemeAPlan, SchemeBPlan, SchemeCPlan, TrafficMatrix};
 use hycap_sim::{
-    scenario_digest, CacheEntry, FlowRunStats, FlowWorkload, FluidEngine, HybridNetwork, Pacing,
-    PacingTrace, PacketEngine, ResultCache, WorkerPool,
+    scenario_digest, CacheEntry, FlowRunStats, FlowWorkload, FluidEngine, FluidPlan, FluidRun,
+    HybridNetwork, Pacing, PacingTrace, PacketEngine, ResultCache, WorkerPool,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +30,7 @@ use rand::SeedableRng;
 /// use hycap::{ModelExponents, Scenario};
 /// let exps = ModelExponents::new(0.25, 1.0, 0.0, 0.75, 0.0).unwrap();
 /// let scenario = Scenario::builder(exps, 300).seed(7).build();
-/// let report = scenario.measure(150);
+/// let report = scenario.measure(150).unwrap();
 /// assert!(report.lambda >= 0.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -170,7 +170,14 @@ impl Scenario {
     ///   given the layout, no slot sampling needed);
     /// * boundary parameters — measured with scheme A only, reported with
     ///   `regime = None`.
-    pub fn measure(&self, slots: usize) -> ScenarioReport {
+    ///
+    /// Slots are drawn in order from the realization RNG, so every
+    /// trajectory model works.
+    ///
+    /// # Errors
+    ///
+    /// [`HycapError::InvalidParameter`] when `slots == 0`.
+    pub fn measure(&self, slots: usize) -> Result<ScenarioReport, HycapError> {
         self.measure_observed(slots, &mut Observer::noop())
     }
 
@@ -182,86 +189,16 @@ impl Scenario {
     /// elsewhere) tally consistency. A no-op observer makes this
     /// bit-identical to [`Scenario::measure`] — observation never touches
     /// the scenario RNG.
+    ///
+    /// # Errors
+    ///
+    /// As [`Scenario::measure`].
     pub fn measure_observed<S: MetricsSink>(
         &self,
         slots: usize,
         obs: &mut Observer<S>,
-    ) -> ScenarioReport {
-        let Realization {
-            mut net,
-            traffic,
-            params,
-            mut rng,
-        } = self.realize();
-        let engine = FluidEngine::new(self.delta, self.c_t);
-        let regime = self.regime().ok();
-        let homes = net.population().home_points().points().to_vec();
-        let mut lambda_mobility = None;
-        let mut lambda_infra = None;
-        let mut lambda_mobility_typical = None;
-        let mut lambda_infra_typical = None;
-        match regime {
-            Some(MobilityRegime::Strong) | None => {
-                let plan = SchemeAPlan::build_observed(&homes, &traffic, params.f.max(1.0), obs);
-                let report =
-                    engine.measure_scheme_a_observed(&mut net, &plan, slots, &mut rng, obs);
-                lambda_mobility = Some(report.lambda);
-                lambda_mobility_typical = Some(report.lambda_typical);
-                if self.with_bs && regime.is_some() {
-                    let bs = net.base_stations().expect("with_bs").clone();
-                    let plan_b = SchemeBPlan::build_observed(
-                        &homes,
-                        &traffic,
-                        &bs,
-                        self.scheme_b_cells,
-                        obs,
-                    );
-                    let rb =
-                        engine.measure_scheme_b_observed(&mut net, &plan_b, slots, &mut rng, obs);
-                    lambda_infra = Some(rb.lambda);
-                    lambda_infra_typical = Some(rb.lambda_typical);
-                }
-            }
-            Some(MobilityRegime::Weak) => {
-                if self.with_bs {
-                    let bs = net.base_stations().expect("with_bs").clone();
-                    let centers = net.population().home_points().centers().to_vec();
-                    let plan = SchemeBPlan::by_clusters(&homes, &traffic, &bs, &centers);
-                    let engine = engine.with_range(self.weak_range(&params));
-                    let rb =
-                        engine.measure_scheme_b_observed(&mut net, &plan, slots, &mut rng, obs);
-                    lambda_infra = Some(rb.lambda);
-                    lambda_infra_typical = Some(rb.lambda_typical);
-                }
-            }
-            Some(MobilityRegime::Trivial) => {
-                if self.with_bs {
-                    let hp = net.population().home_points();
-                    let centers = hp.centers().to_vec();
-                    let cluster_of = hp.cluster_of().to_vec();
-                    let radius = hp.radius().max(1e-3);
-                    let layout =
-                        CellularLayout::build(&centers, radius, params.k.max(centers.len()));
-                    let plan = SchemeCPlan::build(&homes, &cluster_of, &layout, &traffic);
-                    let backbone = Backbone::new(layout.total_cells().max(1), params.c);
-                    lambda_infra = Some(plan.analytic_rate_with_traffic(&backbone, &traffic));
-                    lambda_infra_typical =
-                        Some(plan.typical_rate_with_traffic(&backbone, &traffic));
-                }
-            }
-        }
-        let lambda = lambda_mobility.unwrap_or(0.0) + lambda_infra.unwrap_or(0.0);
-        ScenarioReport {
-            regime,
-            lambda_mobility,
-            lambda_infra,
-            lambda_mobility_typical,
-            lambda_infra_typical,
-            lambda,
-            theory: self.theory_capacity().ok(),
-            params,
-            slots,
-        }
+    ) -> Result<ScenarioReport, HycapError> {
+        self.measure_fluid(slots, None, obs)
     }
 
     /// Runs a finite-flow packet workload through the regime-optimal
@@ -327,15 +264,9 @@ impl Scenario {
                 )?;
                 flows_mobility = Some(stats);
                 pacing_mobility = Some(trace);
-                if self.with_bs && regime.is_some() {
-                    let bs = net.base_stations().expect("with_bs").clone();
-                    let plan_b = SchemeBPlan::build_observed(
-                        &homes,
-                        &traffic,
-                        &bs,
-                        self.scheme_b_cells,
-                        obs,
-                    );
+                if let (Some(bs), Some(_)) = (net.base_stations(), regime) {
+                    let plan_b =
+                        SchemeBPlan::build_observed(&homes, &traffic, bs, self.scheme_b_cells, obs);
                     let (stats, trace) = engine.run_flows_scheme_b_traced_observed(
                         &mut net, &plan_b, workload, &mut rng, obs,
                     )?;
@@ -344,10 +275,9 @@ impl Scenario {
                 }
             }
             Some(MobilityRegime::Weak) => {
-                if self.with_bs {
-                    let bs = net.base_stations().expect("with_bs").clone();
+                if let Some(bs) = net.base_stations() {
                     let centers = net.population().home_points().centers().to_vec();
-                    let plan = SchemeBPlan::by_clusters(&homes, &traffic, &bs, &centers);
+                    let plan = SchemeBPlan::by_clusters(&homes, &traffic, bs, &centers);
                     let engine = engine.with_range(self.weak_range(&params));
                     let (stats, trace) = engine.run_flows_scheme_b_traced_observed(
                         &mut net, &plan, workload, &mut rng, obs,
@@ -431,7 +361,7 @@ impl Scenario {
         slots: usize,
         pool: &WorkerPool,
     ) -> Result<ScenarioReport, HycapError> {
-        Ok(self.measure_par_impl(slots, pool, false)?.0)
+        self.measure_fluid(slots, Some(pool), &mut Observer::noop())
     }
 
     /// [`Scenario::measure_par`] with recording observation: returns the
@@ -448,8 +378,9 @@ impl Scenario {
         slots: usize,
         pool: &WorkerPool,
     ) -> Result<(ScenarioReport, Snapshot), HycapError> {
-        let (report, snap) = self.measure_par_impl(slots, pool, true)?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
+        let mut obs = Observer::recording().with_probes();
+        let report = self.measure_fluid(slots, Some(pool), &mut obs)?;
+        Ok((report, obs.snapshot()))
     }
 
     /// Canonical digest parts naming this scenario for the result cache:
@@ -506,7 +437,8 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Only cache-store I/O failures; lookups never error.
+    /// As [`Scenario::measure`], plus cache-store I/O failures; lookups
+    /// never error.
     pub fn measure_cached(
         &self,
         slots: usize,
@@ -516,7 +448,7 @@ impl Scenario {
         if let Some(report) = cache.get(&key, ScenarioReport::from_cache_entry) {
             return Ok(report);
         }
-        let report = self.measure(slots);
+        let report = self.measure(slots)?;
         cache.put(&key, &report.to_cache_entry())?;
         Ok(report)
     }
@@ -579,17 +511,26 @@ impl Scenario {
         Ok((report, snap))
     }
 
-    fn measure_par_impl(
+    /// The fluid measurement behind every `measure*` entry point: realizes
+    /// the scenario, dispatches on its regime once, and runs each
+    /// applicable scheme in order from the realization RNG (`pool = None`)
+    /// or from per-phase counter streams on `pool`.
+    ///
+    /// In-order runs record into `obs` as they go; pooled runs fold each
+    /// scheme's merged snapshot into it ([`FluidEngine::run`]). Plan
+    /// compilation records under `routing.*`, names no engine metric
+    /// touches, so where it lands in that order changes no byte.
+    fn measure_fluid<S: MetricsSink>(
         &self,
         slots: usize,
-        pool: &WorkerPool,
-        observe: bool,
-    ) -> Result<(ScenarioReport, Option<Snapshot>), HycapError> {
+        pool: Option<&WorkerPool>,
+        obs: &mut Observer<S>,
+    ) -> Result<ScenarioReport, HycapError> {
         let Realization {
-            net,
+            mut net,
             traffic,
             params,
-            ..
+            mut rng,
         } = self.realize();
         let engine = FluidEngine::new(self.delta, self.c_t);
         let regime = self.regime().ok();
@@ -601,85 +542,41 @@ impl Scenario {
                 .wrapping_add(phase)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         };
-        let mut merged = observe.then(Snapshot::default);
-        let mut lambda_mobility = None;
-        let mut lambda_infra = None;
-        let mut lambda_mobility_typical = None;
-        let mut lambda_infra_typical = None;
-        // Plans are compiled under a recording observer either way (the
-        // cost is negligible); the snapshot is kept only when observing.
-        let mut plan_obs = Observer::recording().with_probes();
+        let mut run = |engine: FluidEngine,
+                       net: &mut HybridNetwork,
+                       plan: FluidPlan<'_>,
+                       phase: u64,
+                       obs: &mut Observer<S>| {
+            let spec = match pool {
+                Some(pool) => FluidRun::counter(slots, phase_seed(phase), Some(pool)),
+                None => FluidRun::in_order(slots, &mut rng),
+            };
+            let report = engine.run(net, plan, spec, obs)?.into_complete("fluid")?;
+            Ok::<_, HycapError>(Some((report.base.lambda, report.base.lambda_typical)))
+        };
+        let mut mobility = None;
+        let mut infra = None;
         match regime {
             Some(MobilityRegime::Strong) | None => {
-                let plan =
-                    SchemeAPlan::build_observed(&homes, &traffic, params.f.max(1.0), &mut plan_obs);
-                let report = if observe {
-                    let (report, snap) = engine.measure_scheme_a_par_observed(
-                        &net,
-                        &plan,
-                        slots,
-                        phase_seed(1),
-                        pool,
-                    )?;
-                    merged.as_mut().expect("observing").merge(&snap);
-                    report
-                } else {
-                    engine.measure_scheme_a_par(&net, &plan, slots, phase_seed(1), pool)?
-                };
-                lambda_mobility = Some(report.lambda);
-                lambda_mobility_typical = Some(report.lambda_typical);
-                if self.with_bs && regime.is_some() {
-                    let bs = net.base_stations().expect("with_bs").clone();
-                    let plan_b = SchemeBPlan::build_observed(
-                        &homes,
-                        &traffic,
-                        &bs,
-                        self.scheme_b_cells,
-                        &mut plan_obs,
-                    );
-                    let rb = if observe {
-                        let (rb, snap) = engine.measure_scheme_b_par_observed(
-                            &net,
-                            &plan_b,
-                            slots,
-                            phase_seed(2),
-                            pool,
-                        )?;
-                        merged.as_mut().expect("observing").merge(&snap);
-                        rb
-                    } else {
-                        engine.measure_scheme_b_par(&net, &plan_b, slots, phase_seed(2), pool)?
-                    };
-                    lambda_infra = Some(rb.lambda);
-                    lambda_infra_typical = Some(rb.lambda_typical);
+                let plan = SchemeAPlan::build_observed(&homes, &traffic, params.f.max(1.0), obs);
+                mobility = run(engine, &mut net, FluidPlan::A(&plan), 1, obs)?;
+                if let (Some(bs), Some(_)) = (net.base_stations(), regime) {
+                    let plan =
+                        SchemeBPlan::build_observed(&homes, &traffic, bs, self.scheme_b_cells, obs);
+                    infra = run(engine, &mut net, FluidPlan::B(&plan), 2, obs)?;
                 }
             }
             Some(MobilityRegime::Weak) => {
-                if self.with_bs {
-                    let bs = net.base_stations().expect("with_bs").clone();
+                if let Some(bs) = net.base_stations() {
                     let centers = net.population().home_points().centers().to_vec();
-                    let plan = SchemeBPlan::by_clusters(&homes, &traffic, &bs, &centers);
+                    let plan = SchemeBPlan::by_clusters(&homes, &traffic, bs, &centers);
                     let engine = engine.with_range(self.weak_range(&params));
-                    let rb = if observe {
-                        let (rb, snap) = engine.measure_scheme_b_par_observed(
-                            &net,
-                            &plan,
-                            slots,
-                            phase_seed(2),
-                            pool,
-                        )?;
-                        merged.as_mut().expect("observing").merge(&snap);
-                        rb
-                    } else {
-                        engine.measure_scheme_b_par(&net, &plan, slots, phase_seed(2), pool)?
-                    };
-                    lambda_infra = Some(rb.lambda);
-                    lambda_infra_typical = Some(rb.lambda_typical);
+                    infra = run(engine, &mut net, FluidPlan::B(&plan), 2, obs)?;
                 }
             }
             Some(MobilityRegime::Trivial) => {
                 if self.with_bs {
-                    // Scheme C is analytic — no slot sampling to shard.
+                    // Scheme C is analytic — no slot sampling.
                     let hp = net.population().home_points();
                     let centers = hp.centers().to_vec();
                     let cluster_of = hp.cluster_of().to_vec();
@@ -688,30 +585,25 @@ impl Scenario {
                         CellularLayout::build(&centers, radius, params.k.max(centers.len()));
                     let plan = SchemeCPlan::build(&homes, &cluster_of, &layout, &traffic);
                     let backbone = Backbone::new(layout.total_cells().max(1), params.c);
-                    lambda_infra = Some(plan.analytic_rate_with_traffic(&backbone, &traffic));
-                    lambda_infra_typical =
-                        Some(plan.typical_rate_with_traffic(&backbone, &traffic));
+                    infra = Some((
+                        plan.analytic_rate_with_traffic(&backbone, &traffic),
+                        plan.typical_rate_with_traffic(&backbone, &traffic),
+                    ));
                 }
             }
         }
-        if let Some(m) = merged.as_mut() {
-            m.merge(&plan_obs.snapshot());
-        }
-        let lambda = lambda_mobility.unwrap_or(0.0) + lambda_infra.unwrap_or(0.0);
-        Ok((
-            ScenarioReport {
-                regime,
-                lambda_mobility,
-                lambda_infra,
-                lambda_mobility_typical,
-                lambda_infra_typical,
-                lambda,
-                theory: self.theory_capacity().ok(),
-                params,
-                slots,
-            },
-            merged,
-        ))
+        let lambda = mobility.map_or(0.0, |m| m.0) + infra.map_or(0.0, |i| i.0);
+        Ok(ScenarioReport {
+            regime,
+            lambda_mobility: mobility.map(|m| m.0),
+            lambda_infra: infra.map(|i| i.0),
+            lambda_mobility_typical: mobility.map(|m| m.1),
+            lambda_infra_typical: infra.map(|i| i.1),
+            lambda,
+            theory: self.theory_capacity().ok(),
+            params,
+            slots,
+        })
     }
 }
 
@@ -940,7 +832,7 @@ mod tests {
     fn strong_scenario_measures_both_terms() {
         let scenario = Scenario::builder(strong_exps(), 400).seed(1).build();
         assert_eq!(scenario.regime().unwrap(), MobilityRegime::Strong);
-        let report = scenario.measure(250);
+        let report = scenario.measure(250).unwrap();
         assert_eq!(report.regime, Some(MobilityRegime::Strong));
         assert!(report.lambda_mobility.is_some());
         assert!(report.lambda_infra.is_some());
@@ -954,7 +846,7 @@ mod tests {
             .without_bs()
             .seed(2)
             .build();
-        let report = scenario.measure(200);
+        let report = scenario.measure(200).unwrap();
         assert!(report.lambda_infra.is_none());
         assert!(report.lambda_mobility.is_some());
     }
@@ -965,7 +857,7 @@ mod tests {
         let exps = ModelExponents::new(0.4, 0.2, 0.4, 0.6, 0.0).unwrap();
         let scenario = Scenario::builder(exps, 400).seed(3).build();
         assert_eq!(scenario.regime().unwrap(), MobilityRegime::Weak);
-        let report = scenario.measure(250);
+        let report = scenario.measure(250).unwrap();
         assert!(report.lambda_mobility.is_none());
         assert!(report.lambda_infra.is_some());
     }
@@ -978,7 +870,7 @@ mod tests {
             .seed(4)
             .build();
         assert_eq!(scenario.regime().unwrap(), MobilityRegime::Trivial);
-        let report = scenario.measure(10);
+        let report = scenario.measure(10).unwrap();
         assert!(report.lambda_infra.is_some());
         assert!(report.lambda >= 0.0);
     }
@@ -1204,7 +1096,7 @@ mod tests {
     fn cached_measure_is_bit_identical_to_computed() {
         let cache = temp_cache("measure");
         let scenario = Scenario::builder(strong_exps(), 200).seed(21).build();
-        let computed = scenario.measure(80);
+        let computed = scenario.measure(80).unwrap();
         let cold = scenario.measure_cached(80, &cache).unwrap();
         let warm = scenario.measure_cached(80, &cache).unwrap();
         assert_eq!(report_bits(&cold), report_bits(&computed));

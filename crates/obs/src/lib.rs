@@ -109,6 +109,18 @@ impl<S: MetricsSink> Observer<S> {
         self.probes.as_mut()
     }
 
+    /// Folds a snapshot recorded elsewhere into this observer: metrics into
+    /// the sink ([`MetricsSink::absorb`], a no-op for [`NoopSink`]), probe
+    /// checks and violations into the probe set when probes are on. A
+    /// recording observer that absorbed `a` then `b` snapshots to the same
+    /// bytes as `a.merge(b)`.
+    pub fn absorb(&mut self, snapshot: &Snapshot) {
+        self.sink.absorb(snapshot);
+        if let Some(probes) = self.probes.as_mut() {
+            probes.absorb(snapshot);
+        }
+    }
+
     /// `true` when either metrics or probes would record anything —
     /// engines gate metric-only bookkeeping behind this.
     pub fn active(&self) -> bool {
@@ -146,6 +158,33 @@ mod tests {
         obs.probes_mut().unwrap().queue_stability("t", None, -4);
         assert!(!obs.is_clean());
         assert_eq!(obs.violations().len(), 1);
+    }
+
+    #[test]
+    fn absorb_matches_snapshot_merge() {
+        let mut a = Observer::recording().with_probes();
+        a.sink.counter("c", 2);
+        a.sink.observe("h", 0.1);
+        a.sink.span("s", 5);
+        a.probes_mut().unwrap().rate_budget("t", 2.0, 1.0);
+        let mut b = Observer::recording().with_probes();
+        b.sink.counter("c", 3);
+        b.sink.observe("h", 0.2);
+        b.probes_mut().unwrap().queue_stability("q", Some(4), 1);
+        let (sa, sb) = (a.snapshot(), b.snapshot());
+        let mut merged = sa.clone();
+        merged.merge(&sb);
+        let mut obs = Observer::recording().with_probes();
+        obs.absorb(&sa);
+        obs.absorb(&sb);
+        assert_eq!(obs.snapshot().to_state_string(), merged.to_state_string());
+        assert_eq!(obs.snapshot().violation_count(), 1);
+        // Probe verdicts carry into a metrics-free observer.
+        let mut oracle = Observer::noop().with_probes();
+        oracle.absorb(&merged);
+        assert!(!oracle.is_clean());
+        assert_eq!(oracle.violations(), merged.violations());
+        assert_eq!(oracle.probes().unwrap().checks_run(PROBE_RATE_BUDGET), 1);
     }
 
     #[test]

@@ -121,6 +121,31 @@ impl Probes {
         }
     }
 
+    /// Folds the probe verdicts of `snapshot` in, exactly as
+    /// [`crate::Snapshot::merge`] would. A snapshot keeps only the total
+    /// violation count, so the absorbed violations count under the probe
+    /// of their retained details, any remainder under the first one.
+    pub(crate) fn absorb(&mut self, snapshot: &crate::Snapshot) {
+        for (&k, &v) in &snapshot.probe_checks {
+            *self.checks.entry(k).or_insert(0) += v;
+        }
+        let mut uncounted = snapshot.violation_count;
+        for d in &snapshot.violations {
+            *self.violation_counts.entry(d.probe).or_insert(0) += 1;
+            uncounted = uncounted.saturating_sub(1);
+        }
+        if uncounted > 0 {
+            let probe = snapshot.violations.first().map_or("absorbed", |d| d.probe);
+            *self.violation_counts.entry(probe).or_insert(0) += uncounted;
+        }
+        for d in &snapshot.violations {
+            if self.details.len() >= MAX_VIOLATION_DETAILS {
+                break;
+            }
+            self.details.push(d.clone());
+        }
+    }
+
     /// Flow conservation: `produced == consumed + stored`.
     pub fn flow_conservation(
         &mut self,

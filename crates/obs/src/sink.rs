@@ -10,6 +10,7 @@
 //! [`MemorySink::with_timings`], so default snapshots contain no
 //! machine-dependent bytes.
 
+use crate::Snapshot;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -42,6 +43,12 @@ pub trait MetricsSink {
     fn enabled(&self) -> bool {
         true
     }
+
+    /// Folds the metrics of `snapshot` in, exactly as [`Snapshot::merge`]
+    /// would: a sink that absorbed snapshots `a` then `b` exports the same
+    /// bytes as `a.merge(b)`. Engines that record work on private sinks
+    /// (pooled chunk workers) hand their merged result back this way.
+    fn absorb(&mut self, snapshot: &Snapshot);
 }
 
 /// The default sink: every method is an empty `#[inline(always)]` body, so
@@ -64,6 +71,9 @@ impl MetricsSink for NoopSink {
     fn enabled(&self) -> bool {
         false
     }
+
+    #[inline(always)]
+    fn absorb(&mut self, _snapshot: &Snapshot) {}
 }
 
 /// A log₂-bucketed distribution summary: exact count/sum/min/max plus
@@ -301,6 +311,20 @@ impl MetricsSink for MemorySink {
         s.count += 1;
         if self.record_timings {
             s.total_micros = s.total_micros.saturating_add(micros);
+        }
+    }
+
+    fn absorb(&mut self, snapshot: &Snapshot) {
+        for (&k, &v) in &snapshot.counters {
+            *self.counters.entry(k).or_insert(0) += v;
+        }
+        for (&k, h) in &snapshot.histograms {
+            self.histograms.entry(k).or_default().merge(h);
+        }
+        for (&k, s) in &snapshot.spans {
+            let e = self.spans.entry(k).or_default();
+            e.count += s.count;
+            e.total_micros = e.total_micros.saturating_add(s.total_micros);
         }
     }
 }

@@ -38,12 +38,12 @@ impl std::error::Error for StateParseError {}
 /// A self-contained, mergeable export of one observer's state.
 #[derive(Debug, Default, Clone)]
 pub struct Snapshot {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-    spans: BTreeMap<&'static str, SpanStats>,
-    probe_checks: BTreeMap<&'static str, u64>,
-    violation_count: u64,
-    violations: Vec<Violation>,
+    pub(crate) counters: BTreeMap<&'static str, u64>,
+    pub(crate) histograms: BTreeMap<&'static str, Histogram>,
+    pub(crate) spans: BTreeMap<&'static str, SpanStats>,
+    pub(crate) probe_checks: BTreeMap<&'static str, u64>,
+    pub(crate) violation_count: u64,
+    pub(crate) violations: Vec<Violation>,
     /// Peak resident-set size of the process in KiB (`VmHWM`), recorded by
     /// scale benches. `None` (the default) keeps the field out of the
     /// serialized output entirely, so snapshots that never sample RSS stay

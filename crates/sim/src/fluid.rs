@@ -16,33 +16,49 @@
 //! averages replaced by finite-sample estimates. The packet-level engine
 //! ([`crate::packet`]) validates these estimates with real queues.
 //!
-//! Slot sampling runs in one of two modes. The classic `measure_*` entry
-//! points draw mobility in slot order from a caller RNG and work for every
-//! trajectory model. When the mobility is *counter-samplable* (i.i.d. or
-//! static — see [`HybridNetwork::counter_samplable`]), any slot's snapshot
-//! is a pure function of `(seed, slot)`, so the `measure_*_ctr` references
-//! replay slots from per-slot counter streams and the `measure_*_par`
-//! variants shard the slot loop across a persistent [`WorkerPool`] in
-//! contiguous chunks. Every per-chunk accumulator holds integer-valued
-//! counts (exactly representable in `f64`), chunks reduce in slot order,
-//! and snapshots merge partition-independently — so reports and merged
-//! metrics are bit-identical at 1, 2 and N threads and to the sequential
-//! counter-based reference.
+//! Every measurement is one call, [`FluidEngine::run`]. A [`FluidPlan`]
+//! names the scheme and its plan; a [`FluidRun`] spec carries the slot
+//! count, the [`Sampling`] mode, an optional fault schedule and an optional
+//! [`RunBudget`]; an [`Observer`] receives metrics and probe verdicts. One
+//! slot loop serves every combination: budget charge, fault mask, slot
+//! positions, `S*` schedule, then credit each scheduled pair to the
+//! resource it serves.
+//!
+//! Sampling runs in one of three modes:
+//!
+//! * [`Sampling::InOrder`] draws mobility in slot order from a caller RNG
+//!   and works for every trajectory model.
+//! * [`Sampling::Counter`] needs *counter-samplable* mobility (i.i.d. or
+//!   static — see [`HybridNetwork::counter_samplable`]): any slot's
+//!   snapshot is then a pure function of `(seed, slot)`, so with a
+//!   [`WorkerPool`] the slot range splits into contiguous chunks, one per
+//!   pool thread, and without one it runs as a single inline chunk.
+//! * [`Sampling::Streamed`] replays the same counter streams in chunks of
+//!   at most `chunk` points straight into the spatial index, so no step
+//!   materializes the `n + k` position snapshot — what makes `n = 10⁶`
+//!   ladder points routine.
+//!
+//! Every per-chunk accumulator holds integer-valued counts (exactly
+//! representable in `f64`), chunks reduce in slot order, and snapshots
+//! merge partition-independently — so counter-based and streamed reports
+//! and snapshots are bit-identical to each other at any pool size and any
+//! stream chunk size. A fault-free run and an empty fault schedule take the
+//! same path and give the same bits.
 
-use crate::budget::{BudgetExceeded, BudgetMeter, Budgeted, RunBudget};
+use crate::budget::{BudgetMeter, Budgeted, RunBudget};
 use crate::faults::{FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
 use crate::pool::{chunk_ranges, WorkerPool};
 use crate::HybridNetwork;
 use hycap_errors::HycapError;
 use hycap_geom::{clamp_index_radius, Cell, Point, SquareGrid};
-use hycap_infra::Backbone;
+use hycap_infra::{Backbone, LinkMask};
 use hycap_obs::{MetricsSink, Observer, Snapshot, SpanTimer};
 use hycap_routing::{edge_key, EdgeKey, SchemeAPlan, SchemeBPlan, TrafficMatrix, TwoHopPlan};
 use hycap_wireless::{
     critical_range, schedule_memoized_observed, schedule_observed, schedule_prebuilt_observed,
     SStarScheduler, ScheduleMemo, ScheduledPair, Scheduler, SlotWorkspace,
 };
-use rand::Rng;
+use rand::{Rng, RngCore};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -85,12 +101,13 @@ pub struct FluidReport {
     pub scheduled_pairs_per_slot: f64,
 }
 
-/// A fluid measurement taken under fault injection: the degraded capacity
-/// plus per-cause accounting of what the faults did to the run.
+/// A fluid measurement with per-cause accounting of what faults did to the
+/// run. A fault-free run reports `k_alive_mean = k`, no outage slots, every
+/// flow on the infrastructure and an empty tally.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradedFluidReport {
-    /// The degraded measurement itself. With an empty fault schedule this is
-    /// bit-identical to the corresponding fault-free report.
+    /// The measurement itself. With no faults or an empty fault schedule
+    /// this is the fault-free report.
     pub base: FluidReport,
     /// Mean alive-BS count over the sampled slots (`k` when nothing failed).
     pub k_alive_mean: f64,
@@ -98,7 +115,7 @@ pub struct DegradedFluidReport {
     pub outage_slots: usize,
     /// Scheme-B flows still riding the infrastructure at end of run
     /// (classified against the durable, scripted fault state). Equals the
-    /// plan's flow count for scheme A or an empty schedule.
+    /// plan's flow count for scheme A or a fault-free run.
     pub infra_flows: usize,
     /// Scheme-B flows re-routed to the ad-hoc fallback because their source
     /// or destination BS group was fully dead. Always 0 for scheme A.
@@ -135,10 +152,105 @@ pub struct TwoHopReport {
     pub slots: usize,
 }
 
-/// Internal result of the fluid fan-out cores: the report, the merged
-/// snapshot when observing, and — when a run budget tripped — the
-/// completed-slot count and the axis that tripped.
-type FluidOutcome = (FluidReport, Option<Snapshot>, Option<(u64, BudgetExceeded)>);
+/// The scheme a fluid run measures, with its compiled plan.
+#[derive(Debug, Clone, Copy)]
+pub enum FluidPlan<'a> {
+    /// Scheme A: each scheduled MS–MS pair is credited to the squarelet
+    /// edge joining the pair's *home* squarelets (same or edge-adjacent),
+    /// and λ bottlenecks against the plan's edge loads (Lemma 5).
+    A(&'a SchemeAPlan),
+    /// Scheme B: each scheduled MS–BS pair is credited to the BS's group
+    /// when the MS is homed in that group (phases I/III), and λ
+    /// bottlenecks the access phases against the plan's access loads and
+    /// phase II against the Theorem 5 wire feasibility.
+    B(&'a SchemeBPlan),
+}
+
+/// How a fluid run draws each slot's positions.
+pub enum Sampling<'a> {
+    /// In slot order from a caller RNG; the only mode for history-dependent
+    /// mobility (random walks must advance slot by slot).
+    InOrder(&'a mut dyn RngCore),
+    /// From the per-slot counter streams `SlotRng::new(seed, slot)`, sharded
+    /// over `pool` in contiguous chunks when one is given and run inline
+    /// otherwise. Reports and snapshots do not depend on the pool size.
+    Counter {
+        /// Seed of the per-slot streams.
+        seed: u64,
+        /// Pool the slot chunks fan out over; `None` runs one inline chunk.
+        pool: Option<&'a WorkerPool>,
+    },
+    /// The counter streams of [`Sampling::Counter`], replayed `chunk`
+    /// points at a time straight into the spatial index: peak live memory
+    /// is the index plus `O(chunk)` scratch, never a position array.
+    /// Bit-identical to [`Sampling::Counter`] for every `chunk`.
+    Streamed {
+        /// Seed of the per-slot streams.
+        seed: u64,
+        /// Positions per streamed batch (positive).
+        chunk: usize,
+    },
+}
+
+/// What one [`FluidEngine::run`] measures: slots, sampling mode, faults and
+/// budget. Build it with [`FluidRun::in_order`], [`FluidRun::counter`] or
+/// [`FluidRun::streamed`], then add [`FluidRun::faults`] and
+/// [`FluidRun::budget`] as needed.
+pub struct FluidRun<'a> {
+    /// Slots to sample (at least one).
+    pub slots: usize,
+    /// Where slot positions come from.
+    pub sampling: Sampling<'a>,
+    /// Fault schedule and the spectrum policy for dead base stations. Each
+    /// run replays the schedule with fresh injectors, so repeated runs are
+    /// independent and reproducible; an empty schedule is the fault-free
+    /// run.
+    pub faults: Option<(&'a FaultSchedule, OutagePolicy)>,
+    /// Cap on slots, events or wall time. An exhausted budget yields
+    /// [`Budgeted::Interrupted`] with every per-slot figure normalized over
+    /// the slots that completed.
+    pub budget: Option<RunBudget>,
+}
+
+impl<'a> FluidRun<'a> {
+    /// `slots` slots drawn in order from `rng`.
+    pub fn in_order(slots: usize, rng: &'a mut dyn RngCore) -> Self {
+        FluidRun::with_sampling(slots, Sampling::InOrder(rng))
+    }
+
+    /// `slots` slots from the counter streams of `seed`, sharded over
+    /// `pool` when given.
+    pub fn counter(slots: usize, seed: u64, pool: Option<&'a WorkerPool>) -> Self {
+        FluidRun::with_sampling(slots, Sampling::Counter { seed, pool })
+    }
+
+    /// `slots` slots from the counter streams of `seed`, streamed `chunk`
+    /// positions at a time.
+    pub fn streamed(slots: usize, seed: u64, chunk: usize) -> Self {
+        FluidRun::with_sampling(slots, Sampling::Streamed { seed, chunk })
+    }
+
+    fn with_sampling(slots: usize, sampling: Sampling<'a>) -> Self {
+        FluidRun {
+            slots,
+            sampling,
+            faults: None,
+            budget: None,
+        }
+    }
+
+    /// Injects `schedule` under `policy`.
+    pub fn faults(mut self, schedule: &'a FaultSchedule, policy: OutagePolicy) -> Self {
+        self.faults = Some((schedule, policy));
+        self
+    }
+
+    /// Runs under `budget`.
+    pub fn budget(mut self, budget: RunBudget) -> Self {
+        self.budget = Some(budget);
+        self
+    }
+}
 
 /// The fluid capacity engine: `S*` scheduling with guard factor `Δ` and
 /// range constant `c_T` (`R_T = c_T/√n`).
@@ -222,654 +334,158 @@ impl FluidEngine {
         self.c_t
     }
 
-    /// Measures scheme A: credits each scheduled MS–MS pair to the squarelet
-    /// edge joining the pair's *home* squarelets (same or edge-adjacent),
-    /// then bottlenecks against the plan's edge loads.
+    /// Measures `plan` on `net` as `spec` says.
     ///
-    /// # Panics
+    /// `obs` receives per-slot schedule metrics and the feasibility probe,
+    /// then the run-level metrics and probes: the Theorem 5 backbone budget
+    /// for scheme B (masked over surviving wires under faults) and the
+    /// fault-tally consistency probe for faulted runs. In-order runs record
+    /// straight into `obs`. Counter-based and streamed runs record each
+    /// chunk into its own recording observer when `obs` is active, merge
+    /// the chunk snapshots in slot order, and fold the merged snapshot into
+    /// `obs` with [`Observer::absorb`]. Observation never draws from an RNG,
+    /// so the report is bit-identical for any observer.
     ///
-    /// Panics if `slots == 0`.
-    pub fn measure_scheme_a<R: Rng + ?Sized>(
+    /// The result is [`Budgeted::Complete`] unless `spec.budget` tripped. A
+    /// budgeted faulted run classifies flows against the fault state its
+    /// last chunk reached.
+    ///
+    /// # Errors
+    ///
+    /// * [`HycapError::InvalidParameter`] when `slots == 0`, a counter-based
+    ///   or streamed run meets history-dependent mobility, or a streamed
+    ///   run has `chunk == 0`;
+    /// * [`HycapError::MissingInfrastructure`] for scheme B on a network
+    ///   without base stations;
+    /// * [`HycapError::Mismatch`] when the plan was compiled for a
+    ///   different node population than `net`;
+    /// * schedule validation errors from [`FaultInjector::new`], and
+    ///   re-classification errors from [`SchemeBPlan::degrade`].
+    pub fn run<S: MetricsSink>(
         &self,
         net: &mut HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        rng: &mut R,
-    ) -> FluidReport {
-        self.measure_scheme_a_observed(net, plan, slots, rng, &mut Observer::noop())
-    }
-
-    /// [`FluidEngine::measure_scheme_a`] with an observer threaded through:
-    /// per-slot schedule metrics and the feasibility probe via
-    /// [`schedule_observed`], run-level metrics at the end. Observation
-    /// never draws from `rng`, so the returned report is bit-identical for
-    /// any observer (the conformance suite asserts this).
-    pub fn measure_scheme_a_observed<R: Rng + ?Sized, S: MetricsSink>(
-        &self,
-        net: &mut HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        rng: &mut R,
+        plan: FluidPlan<'_>,
+        spec: FluidRun<'_>,
         obs: &mut Observer<S>,
-    ) -> FluidReport {
-        assert!(slots > 0, "need at least one slot");
-        let timer = SpanTimer::start();
-        let acc = self.scheme_a_chunk(
-            net,
-            &HomeCells::of(plan),
-            0..slots,
-            |net, _slot, buf| net.advance_into(rng, buf),
-            None,
-            obs,
-        );
-        finalize_scheme_a(plan, slots, &acc, timer, obs)
-    }
-
-    /// Measures scheme B: credits each scheduled MS–BS pair to the BS's
-    /// group when the MS is homed in that group (phases I/III happen inside
-    /// a squarelet/cluster), then bottlenecks the access phases against
-    /// `plan.access_load()` and phase II against the Theorem 5 wire
-    /// feasibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots == 0` or the network has no base stations.
-    pub fn measure_scheme_b<R: Rng + ?Sized>(
-        &self,
-        net: &mut HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        rng: &mut R,
-    ) -> FluidReport {
-        self.measure_scheme_b_observed(net, plan, slots, rng, &mut Observer::noop())
-    }
-
-    /// [`FluidEngine::measure_scheme_b`] with an observer threaded through:
-    /// schedule metrics and the feasibility probe per slot, plus the
-    /// backbone-budget probe (each group pair's granted rate must fit its
-    /// `N_b(S)·N_b(D)` wires of bandwidth `c` — the Theorem 5 constraint).
-    /// Observation never draws from `rng`, so reports are bit-identical for
-    /// any observer.
-    pub fn measure_scheme_b_observed<R: Rng + ?Sized, S: MetricsSink>(
-        &self,
-        net: &mut HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        rng: &mut R,
-        obs: &mut Observer<S>,
-    ) -> FluidReport {
-        assert!(slots > 0, "need at least one slot");
-        let timer = SpanTimer::start();
-        let k = net.k();
-        assert!(k > 0, "scheme B requires base stations");
-        let bandwidth = net
-            .base_stations()
-            .expect("scheme B requires base stations")
-            .bandwidth();
-        let acc = self.scheme_b_chunk(
-            net,
-            &GroupMap::of(plan, net.n(), k),
-            0..slots,
-            |net, _slot, buf| net.advance_into(rng, buf),
-            None,
-            obs,
-        );
-        finalize_scheme_b(plan, slots, &acc, k, bandwidth, timer, obs)
-    }
-
-    /// Single-threaded counter-based reference for scheme A: every slot's
-    /// positions come from the per-slot stream `SlotRng::new(seed, slot)`
-    /// instead of an in-order RNG, so the result depends only on
-    /// `(net, plan, slots, seed)`. [`FluidEngine::measure_scheme_a_par`]
-    /// produces bit-identical reports at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`HycapError::InvalidParameter`] when `slots == 0` or the network's
-    /// mobility model is not counter-samplable (random-walk-style models
-    /// must advance in slot order; use [`FluidEngine::measure_scheme_a`]).
-    pub fn measure_scheme_a_ctr(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        seed: u64,
-    ) -> Result<FluidReport, HycapError> {
-        Ok(self
-            .scheme_a_par_impl(net, plan, slots, seed, None, false, None)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_a_ctr`] with a recording observer:
-    /// returns the report plus the `hycap-metrics/1` snapshot, the baseline
-    /// the parallel variant's merged snapshot is compared against.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_ctr`].
-    pub fn measure_scheme_a_ctr_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        seed: u64,
-    ) -> Result<(FluidReport, Snapshot), HycapError> {
-        let (report, snap, _) = self.scheme_a_par_impl(net, plan, slots, seed, None, true, None)?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Slot-sharded scheme A measurement on a [`WorkerPool`]: the slot range
-    /// splits into contiguous chunks (one per pool thread), each worker
-    /// rederives its slots from the counter-based stream, and the per-chunk
-    /// accumulators reduce in slot order. The report is bit-identical to
-    /// [`FluidEngine::measure_scheme_a_ctr`] for every pool size.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_ctr`].
-    pub fn measure_scheme_a_par(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        seed: u64,
-        pool: &WorkerPool,
-    ) -> Result<FluidReport, HycapError> {
-        Ok(self
-            .scheme_a_par_impl(net, plan, slots, seed, Some(pool), false, None)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_a_par`] with per-chunk recording
-    /// observers whose snapshots merge in chunk (slot) order — byte-equal to
-    /// the sequential reference snapshot for every pool size.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_ctr`].
-    pub fn measure_scheme_a_par_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        seed: u64,
-        pool: &WorkerPool,
-    ) -> Result<(FluidReport, Snapshot), HycapError> {
-        let (report, snap, _) =
-            self.scheme_a_par_impl(net, plan, slots, seed, Some(pool), true, None)?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Single-threaded counter-based reference for scheme B; the
-    /// counterpart of [`FluidEngine::measure_scheme_a_ctr`].
-    ///
-    /// # Errors
-    ///
-    /// [`HycapError::InvalidParameter`] when `slots == 0` or the mobility is
-    /// not counter-samplable; [`HycapError::MissingInfrastructure`] when the
-    /// network has no base stations.
-    pub fn measure_scheme_b_ctr(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        seed: u64,
-    ) -> Result<FluidReport, HycapError> {
-        Ok(self
-            .scheme_b_par_impl(net, plan, slots, seed, None, false, None)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_b_ctr`] with a recording observer.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_ctr`].
-    pub fn measure_scheme_b_ctr_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        seed: u64,
-    ) -> Result<(FluidReport, Snapshot), HycapError> {
-        let (report, snap, _) = self.scheme_b_par_impl(net, plan, slots, seed, None, true, None)?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Slot-sharded scheme B measurement on a [`WorkerPool`]; bit-identical
-    /// to [`FluidEngine::measure_scheme_b_ctr`] for every pool size.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_ctr`].
-    pub fn measure_scheme_b_par(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        seed: u64,
-        pool: &WorkerPool,
-    ) -> Result<FluidReport, HycapError> {
-        Ok(self
-            .scheme_b_par_impl(net, plan, slots, seed, Some(pool), false, None)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_b_par`] with per-chunk recording
-    /// observers merged in chunk order.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_ctr`].
-    pub fn measure_scheme_b_par_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        seed: u64,
-        pool: &WorkerPool,
-    ) -> Result<(FluidReport, Snapshot), HycapError> {
-        let (report, snap, _) =
-            self.scheme_b_par_impl(net, plan, slots, seed, Some(pool), true, None)?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Counter-based scheme A measurement under a [`RunBudget`]: inline
-    /// when `pool` is `None`, slot-sharded otherwise. Within budget the
-    /// result is [`Budgeted::Complete`] and bit-identical to the
-    /// unbudgeted entry points; an exhausted budget yields
-    /// [`Budgeted::Interrupted`] carrying a best-effort partial report
-    /// normalized over the slots that completed.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_ctr`].
-    pub fn measure_scheme_a_budgeted(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        seed: u64,
-        pool: Option<&WorkerPool>,
-        budget: RunBudget,
-    ) -> Result<Budgeted<FluidReport>, HycapError> {
-        let (report, _, cut) =
-            self.scheme_a_par_impl(net, plan, slots, seed, pool, false, Some(budget.meter()))?;
-        Ok(budgeted_outcome(report, cut, slots))
-    }
-
-    /// [`FluidEngine::measure_scheme_a_budgeted`] with a recording
-    /// observer. An interrupted run's snapshot carries the
-    /// `fluid.scheme_a.interrupted` and `fluid.scheme_a.completed_slots`
-    /// counters so downstream consumers can tell a partial report apart.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_ctr`].
-    pub fn measure_scheme_a_budgeted_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        seed: u64,
-        pool: Option<&WorkerPool>,
-        budget: RunBudget,
-    ) -> Result<(Budgeted<FluidReport>, Snapshot), HycapError> {
-        let (report, snap, cut) =
-            self.scheme_a_par_impl(net, plan, slots, seed, pool, true, Some(budget.meter()))?;
-        Ok((
-            budgeted_outcome(report, cut, slots),
-            snap.expect("observed run yields a snapshot"),
-        ))
-    }
-
-    /// Counter-based scheme B measurement under a [`RunBudget`]; semantics
-    /// as [`FluidEngine::measure_scheme_a_budgeted`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_ctr`].
-    pub fn measure_scheme_b_budgeted(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        seed: u64,
-        pool: Option<&WorkerPool>,
-        budget: RunBudget,
-    ) -> Result<Budgeted<FluidReport>, HycapError> {
-        let (report, _, cut) =
-            self.scheme_b_par_impl(net, plan, slots, seed, pool, false, Some(budget.meter()))?;
-        Ok(budgeted_outcome(report, cut, slots))
-    }
-
-    /// Counter-based sequential reference for scheme A under fault
-    /// injection. Each chunkless run builds its own [`FaultInjector`] from
-    /// `schedule`, so repeated calls are independent and reproducible.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_ctr`], plus schedule validation
-    /// errors from [`FaultInjector::new`].
-    pub fn measure_scheme_a_with_faults_ctr(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-    ) -> Result<DegradedFluidReport, HycapError> {
-        Ok(self
-            .scheme_a_faulted_par_impl(net, plan, slots, schedule, policy, seed, None, false)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_a_with_faults_ctr`] with a recording
-    /// observer.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_with_faults_ctr`].
-    pub fn measure_scheme_a_with_faults_ctr_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-    ) -> Result<(DegradedFluidReport, Snapshot), HycapError> {
-        let (report, snap) =
-            self.scheme_a_faulted_par_impl(net, plan, slots, schedule, policy, seed, None, true)?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Slot-sharded faulted scheme A measurement, with per-chunk recording
-    /// observers merged in chunk order. Each chunk worker replays the
-    /// schedule with its own injector — [`FaultInjector::seek`] fast-
-    /// forwards the durable state untallied, so summed per-chunk tallies
-    /// reproduce the sequential tally exactly — and the merged report is
-    /// bit-identical to [`FluidEngine::measure_scheme_a_with_faults_ctr`]
-    /// for every pool size.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_with_faults_ctr`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_scheme_a_with_faults_par_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        pool: &WorkerPool,
-    ) -> Result<(DegradedFluidReport, Snapshot), HycapError> {
-        let (report, snap) = self.scheme_a_faulted_par_impl(
-            net,
-            plan,
+    ) -> Result<Budgeted<DegradedFluidReport>, HycapError> {
+        let FluidRun {
             slots,
-            schedule,
-            policy,
-            seed,
-            Some(pool),
-            true,
-        )?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Counter-based sequential reference for scheme B under fault
-    /// injection, with a recording observer; the counterpart of
-    /// [`FluidEngine::measure_scheme_a_with_faults_ctr_observed`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_ctr`], plus schedule validation
-    /// errors from [`FaultInjector::new`].
-    pub fn measure_scheme_b_with_faults_ctr_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-    ) -> Result<(DegradedFluidReport, Snapshot), HycapError> {
-        let (report, snap) =
-            self.scheme_b_faulted_par_impl(net, plan, slots, schedule, policy, seed, None, true)?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Slot-sharded faulted scheme B measurement; for every pool size its
-    /// report is bit-identical to the one of
-    /// [`FluidEngine::measure_scheme_b_with_faults_ctr_observed`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_with_faults_ctr_observed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_scheme_b_with_faults_par(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        pool: &WorkerPool,
-    ) -> Result<DegradedFluidReport, HycapError> {
-        Ok(self
-            .scheme_b_faulted_par_impl(net, plan, slots, schedule, policy, seed, Some(pool), false)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_b_with_faults_par`] with per-chunk
-    /// recording observers merged in chunk order.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_with_faults_ctr_observed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_scheme_b_with_faults_par_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        pool: &WorkerPool,
-    ) -> Result<(DegradedFluidReport, Snapshot), HycapError> {
-        let (report, snap) = self.scheme_b_faulted_par_impl(
-            net,
-            plan,
-            slots,
-            schedule,
-            policy,
-            seed,
-            Some(pool),
-            true,
-        )?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Measures scheme A under fault injection. Scheme A carries traffic on
-    /// MS–MS contacts only, so base-station faults matter solely through the
-    /// spectrum: under [`OutagePolicy::RadioOff`] a crashed BS's guard zone
-    /// disappears and nearby mobile pairs may schedule *more* often, while
-    /// under [`OutagePolicy::OccupySpectrum`] the schedule is unchanged.
-    ///
-    /// An empty schedule delegates to [`FluidEngine::measure_scheme_a`] and
-    /// the `base` report is bit-identical to the fault-free measurement.
-    ///
-    /// # Errors
-    ///
-    /// [`HycapError::InvalidParameter`] when `slots == 0`;
-    /// [`HycapError::Mismatch`] when the injector covers a different BS
-    /// population than the network.
-    pub fn measure_scheme_a_with_faults<R: Rng + ?Sized>(
-        &self,
-        net: &mut HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        injector: &mut FaultInjector,
-        policy: OutagePolicy,
-        rng: &mut R,
-    ) -> Result<DegradedFluidReport, HycapError> {
-        self.measure_scheme_a_with_faults_observed(
-            net,
-            plan,
-            slots,
-            injector,
-            policy,
-            rng,
-            &mut Observer::noop(),
-        )
-    }
-
-    /// [`FluidEngine::measure_scheme_a_with_faults`] with an observer
-    /// threaded through; additionally runs the fault-tally consistency
-    /// probe against the injector's end-of-run state.
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_scheme_a_with_faults_observed<R: Rng + ?Sized, S: MetricsSink>(
-        &self,
-        net: &mut HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        injector: &mut FaultInjector,
-        policy: OutagePolicy,
-        rng: &mut R,
-        obs: &mut Observer<S>,
-    ) -> Result<DegradedFluidReport, HycapError> {
+            sampling,
+            faults,
+            budget,
+        } = spec;
         if slots == 0 {
             return Err(HycapError::invalid("slots", "need at least one slot"));
         }
-        let k = net.k();
-        if injector.k() != k {
-            return Err(HycapError::Mismatch {
-                what: "fault injector and network base-station count",
-                left: injector.k(),
-                right: k,
-            });
+        let in_order = matches!(sampling, Sampling::InOrder(_));
+        if !in_order && !net.counter_samplable() {
+            return Err(HycapError::invalid(
+                "mobility",
+                "counter-based sampling requires an i.i.d.-per-slot or static \
+                 mobility model (slot positions must not depend on history)",
+            ));
         }
-        let flows = plan.flow_count();
-        if injector.schedule_is_empty() {
-            return Ok(DegradedFluidReport {
-                base: self.measure_scheme_a_observed(net, plan, slots, rng, obs),
-                k_alive_mean: k as f64,
-                outage_slots: 0,
-                infra_flows: flows,
-                fallback_flows: 0,
-                dead_groups: 0,
-                tally: injector.tally(),
-            });
-        }
-        let acc = self.scheme_a_chunk_impl(
-            net,
-            &HomeCells::of(plan),
-            0..slots,
-            |net, _slot, buf| net.advance_into(rng, buf),
-            Some((&mut *injector, policy)),
-            None,
-            obs,
-        );
-        let tally = injector.tally();
-        Ok(finalize_scheme_a_faulted(
-            plan, slots, &acc, flows, k, injector, tally, obs,
-        ))
-    }
-
-    /// Measures scheme B under fault injection with graceful degradation:
-    /// access service is credited only to contacts with BSs alive in that
-    /// slot, flows are re-classified against the durable (scripted) fault
-    /// state via [`SchemeBPlan::degrade`] — flows touching a fully-dead BS
-    /// group fall off the infrastructure — and phase II feasibility is the
-    /// masked Theorem 5 rate over surviving wires, i.e. `k → k_alive`.
-    ///
-    /// An empty schedule delegates to [`FluidEngine::measure_scheme_b`] and
-    /// the `base` report is bit-identical to the fault-free measurement.
-    ///
-    /// # Errors
-    ///
-    /// [`HycapError::InvalidParameter`] when `slots == 0`;
-    /// [`HycapError::MissingInfrastructure`] when the network has no base
-    /// stations; [`HycapError::Mismatch`] when the injector covers a
-    /// different BS population than the network.
-    pub fn measure_scheme_b_with_faults<R: Rng + ?Sized>(
-        &self,
-        net: &mut HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        injector: &mut FaultInjector,
-        policy: OutagePolicy,
-        rng: &mut R,
-    ) -> Result<DegradedFluidReport, HycapError> {
-        self.measure_scheme_b_with_faults_observed(
-            net,
-            plan,
-            slots,
-            injector,
-            policy,
-            rng,
-            &mut Observer::noop(),
-        )
-    }
-
-    /// [`FluidEngine::measure_scheme_b_with_faults`] with an observer
-    /// threaded through: schedule metrics and the feasibility probe per
-    /// slot (against the same alive mask the scheduler saw), the masked
-    /// backbone-budget probe over surviving wires, and the fault-tally
-    /// consistency probe.
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_scheme_b_with_faults_observed<R: Rng + ?Sized, S: MetricsSink>(
-        &self,
-        net: &mut HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        injector: &mut FaultInjector,
-        policy: OutagePolicy,
-        rng: &mut R,
-        obs: &mut Observer<S>,
-    ) -> Result<DegradedFluidReport, HycapError> {
-        if slots == 0 {
-            return Err(HycapError::invalid("slots", "need at least one slot"));
+        if let Sampling::Streamed { chunk: 0, .. } = sampling {
+            return Err(HycapError::invalid("chunk", "need a positive chunk size"));
         }
         let k = net.k();
-        let Some(bs) = net.base_stations() else {
-            return Err(HycapError::MissingInfrastructure("scheme B"));
+        let bandwidth = match (plan, net.base_stations()) {
+            (FluidPlan::B(_), None) => return Err(HycapError::MissingInfrastructure("scheme B")),
+            (_, bs) => bs.map_or(0.0, |bs| bs.bandwidth()),
         };
-        let bandwidth = bs.bandwidth();
-        if injector.k() != k {
-            return Err(HycapError::Mismatch {
-                what: "fault injector and network base-station count",
-                left: injector.k(),
-                right: k,
-            });
+        let mut injector = None;
+        let mut policy = OutagePolicy::RadioOff;
+        if let Some((schedule, outage)) = faults {
+            let fresh = FaultInjector::new(k, schedule)?;
+            // An empty schedule is the fault-free run, bit for bit.
+            injector = (!schedule.is_empty()).then_some(fresh);
+            policy = outage;
         }
-        if injector.schedule_is_empty() {
-            return Ok(DegradedFluidReport {
-                base: self.measure_scheme_b_observed(net, plan, slots, rng, obs),
-                k_alive_mean: k as f64,
-                outage_slots: 0,
-                infra_flows: plan.flows().len(),
-                fallback_flows: 0,
-                dead_groups: 0,
-                tally: injector.tally(),
-            });
+        let spec = ChunkSpec {
+            resources: Resources::of(plan, net.n(), k)?,
+            injector,
+            policy,
+            meter: budget.map(|b| b.meter()),
+        };
+        let timer = SpanTimer::start();
+        // In-order runs record straight into `obs`; the others record per
+        // chunk and fold the merged snapshot into `obs` at the end.
+        let record = !in_order && obs.active();
+        let chunks: Vec<ChunkOut> = match sampling {
+            Sampling::InOrder(rng) => {
+                vec![self.chunk(net, &spec, 0..slots, Draw::InOrder(rng), obs)?]
+            }
+            Sampling::Streamed { seed, chunk } => {
+                let draw = Draw::Streamed { seed, chunk };
+                vec![self.recorded_chunk(record, net, &spec, 0..slots, draw)?]
+            }
+            Sampling::Counter { seed, pool } => {
+                let engine = *self;
+                let jobs: Vec<_> = chunk_ranges(slots, pool.map_or(1, WorkerPool::threads))
+                    .into_iter()
+                    .map(|range| {
+                        let mut net = net.clone();
+                        let spec = spec.clone();
+                        move || {
+                            let draw = Draw::Counter(seed);
+                            engine.recorded_chunk(record, &mut net, &spec, range, draw)
+                        }
+                    })
+                    .collect();
+                let results = match pool {
+                    Some(pool) => pool.run(jobs),
+                    None => jobs.into_iter().map(|job| job()).collect(),
+                };
+                results.into_iter().collect::<Result<_, _>>()?
+            }
+        };
+        let mut acc = Acc::new(spec.resources.len());
+        let mut tally = FaultTally::default();
+        let mut merged = record.then(Snapshot::default);
+        let mut end_state = None;
+        for chunk in chunks {
+            acc.absorb(&chunk.acc);
+            if let (Some(m), Some(s)) = (merged.as_mut(), chunk.snap.as_ref()) {
+                m.merge(s);
+            }
+            if let Some(injector) = chunk.injector {
+                tally.absorb(&injector.tally());
+                end_state = Some(injector);
+            }
         }
-        let acc = self.scheme_b_chunk_impl(
-            net,
-            &GroupMap::of(plan, net.n(), k),
-            0..slots,
-            |net, _slot, buf| net.advance_into(rng, buf),
-            Some((&mut *injector, policy)),
-            None,
-            obs,
-        );
-        let tally = injector.tally();
-        finalize_scheme_b_faulted(plan, slots, &acc, k, bandwidth, injector, tally, obs)
+        let cut = spec.meter.as_ref().and_then(BudgetMeter::exceeded);
+        let totals = Totals {
+            // A partial report normalizes by the slots that actually ran,
+            // so its per-slot rates stay meaningful estimates.
+            slots: if cut.is_some() {
+                acc.slots_done.max(1) as usize
+            } else {
+                slots
+            },
+            completed: cut.map(|_| acc.slots_done),
+            acc,
+            k,
+            faults: end_state.map(|injector| (injector, tally)),
+        };
+        let report = match merged {
+            Some(mut merged) => {
+                let mut run_obs = Observer::recording().with_probes();
+                let report = finalize(plan, &totals, bandwidth, timer, &mut run_obs)?;
+                merged.merge(&run_obs.snapshot());
+                obs.absorb(&merged);
+                report
+            }
+            None => finalize(plan, &totals, bandwidth, timer, obs)?,
+        };
+        Ok(match cut {
+            None => Budgeted::Complete(report),
+            Some(exceeded) => Budgeted::Interrupted {
+                partial: report,
+                completed_slots: totals.acc.slots_done,
+                requested_slots: slots as u64,
+                exceeded,
+            },
+        })
     }
 
     /// Measures the two-hop relay baseline: per-flow rate is the minimum of
@@ -936,1270 +552,110 @@ impl FluidEngine {
         }
     }
 
-    /// Fault-free scheme A slot loop over one contiguous chunk. The
-    /// sequential entry points run it once over `0..slots`; the sharded
-    /// ones run it per chunk and reduce the accumulators in slot order.
-    fn scheme_a_chunk<S, F>(
+    /// [`FluidEngine::chunk`] into a fresh recording observer when `record`
+    /// holds (the chunk's snapshot comes back with it), into a no-op one
+    /// otherwise.
+    fn recorded_chunk(
+        &self,
+        record: bool,
+        net: &mut HybridNetwork,
+        spec: &ChunkSpec,
+        slots: Range<usize>,
+        draw: Draw<'_>,
+    ) -> Result<ChunkOut, HycapError> {
+        if !record {
+            return self.chunk(net, spec, slots, draw, &mut Observer::noop());
+        }
+        let mut obs = Observer::recording().with_probes();
+        let mut out = self.chunk(net, spec, slots, draw, &mut obs)?;
+        out.snap = Some(obs.snapshot());
+        Ok(out)
+    }
+
+    /// The slot loop, over one contiguous chunk of slots: budget charge,
+    /// fault mask, positions, `S*` schedule, credit. Every sampling mode and
+    /// both schemes run through it; a pooled run calls it once per chunk.
+    fn chunk<S: MetricsSink>(
         &self,
         net: &mut HybridNetwork,
-        cells: &HomeCells,
+        spec: &ChunkSpec,
         slots: Range<usize>,
-        advance: F,
-        budget: Option<&BudgetMeter>,
+        mut draw: Draw<'_>,
         obs: &mut Observer<S>,
-    ) -> SchemeAAcc
-    where
-        S: MetricsSink,
-        F: FnMut(&mut HybridNetwork, usize, &mut Vec<Point>),
-    {
-        self.scheme_a_chunk_impl(net, cells, slots, advance, None, budget, obs)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn scheme_a_chunk_impl<S, F>(
-        &self,
-        net: &mut HybridNetwork,
-        cells: &HomeCells,
-        slots: Range<usize>,
-        mut advance: F,
-        mut faults: Option<(&mut FaultInjector, OutagePolicy)>,
-        budget: Option<&BudgetMeter>,
-        obs: &mut Observer<S>,
-    ) -> SchemeAAcc
-    where
-        S: MetricsSink,
-        F: FnMut(&mut HybridNetwork, usize, &mut Vec<Point>),
-    {
-        let n = net.n();
-        let k = net.k();
-        let range = self.range_for(n);
-        let scheduler = SStarScheduler::new(self.delta);
-        cells.check_nodes(n);
-        let mut acc = SchemeAAcc::default();
-        let mut buf = Vec::new();
-        let mut alive = Vec::new();
-        let mut ws = SlotWorkspace::new();
-        let mut pairs: Vec<ScheduledPair> = Vec::new();
-        // Sound only over frozen positions; the memo re-checks the alive
-        // mask itself, so fault transitions invalidate it per slot.
-        let mut memo = (self.memoize && net.positions_static()).then(ScheduleMemo::new);
-        for slot in slots {
-            if let Some(meter) = budget {
-                if !meter.charge_slot() {
-                    break;
-                }
-            }
-            let masked = if let Some((injector, policy)) = faults.as_mut() {
-                injector.advance_to(slot);
-                injector.fill_alive(n, *policy, &mut alive);
-                let alive_now = injector.alive_count();
-                acc.alive_sum += alive_now;
-                if alive_now < k {
-                    acc.outage_slots += 1;
-                }
-                true
-            } else {
-                false
-            };
-            advance(net, slot, &mut buf);
-            match memo.as_mut() {
-                Some(memo) => schedule_memoized_observed(
-                    memo,
-                    &scheduler,
-                    &buf,
-                    range,
-                    masked.then_some(alive.as_slice()),
-                    slot as u64,
-                    &mut ws,
-                    &mut pairs,
-                    obs,
-                ),
-                None => schedule_observed(
-                    &scheduler,
-                    &buf,
-                    range,
-                    masked.then_some(alive.as_slice()),
-                    slot as u64,
-                    &mut ws,
-                    &mut pairs,
-                    obs,
-                ),
-            }
-            acc.total_pairs += pairs.len();
-            for &pair in &pairs {
-                if pair.a >= n || pair.b >= n {
-                    continue; // MS–BS contacts do not serve scheme A
-                }
-                let (ca, cb) = (cells.of_node(pair.a), cells.of_node(pair.b));
-                if ca == cb || cells.grid.manhattan(ca, cb) == 1 {
-                    *acc.service.entry(edge_key(ca, cb)).or_insert(0.0) += 1.0;
-                    acc.credited += 1;
-                }
-            }
-            acc.slots_done += 1;
-        }
-        acc
-    }
-
-    /// Fault-free scheme B slot loop over one contiguous chunk.
-    fn scheme_b_chunk<S, F>(
-        &self,
-        net: &mut HybridNetwork,
-        groups: &GroupMap,
-        slots: Range<usize>,
-        advance: F,
-        budget: Option<&BudgetMeter>,
-        obs: &mut Observer<S>,
-    ) -> SchemeBAcc
-    where
-        S: MetricsSink,
-        F: FnMut(&mut HybridNetwork, usize, &mut Vec<Point>),
-    {
-        self.scheme_b_chunk_impl(net, groups, slots, advance, None, budget, obs)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn scheme_b_chunk_impl<S, F>(
-        &self,
-        net: &mut HybridNetwork,
-        groups: &GroupMap,
-        slots: Range<usize>,
-        mut advance: F,
-        mut faults: Option<(&mut FaultInjector, OutagePolicy)>,
-        budget: Option<&BudgetMeter>,
-        obs: &mut Observer<S>,
-    ) -> SchemeBAcc
-    where
-        S: MetricsSink,
-        F: FnMut(&mut HybridNetwork, usize, &mut Vec<Point>),
-    {
-        let n = net.n();
-        let k = net.k();
-        let range = self.range_for(n);
-        let scheduler = SStarScheduler::new(self.delta);
-        let mut acc = SchemeBAcc::new(groups.count);
-        let mut buf = Vec::new();
-        let mut alive = Vec::new();
-        let mut ws = SlotWorkspace::new();
-        let mut pairs: Vec<ScheduledPair> = Vec::new();
-        // Sound only over frozen positions; the memo re-checks the alive
-        // mask itself, so fault transitions invalidate it per slot.
-        let mut memo = (self.memoize && net.positions_static()).then(ScheduleMemo::new);
-        for slot in slots {
-            if let Some(meter) = budget {
-                if !meter.charge_slot() {
-                    break;
-                }
-            }
-            let masked = if let Some((injector, policy)) = faults.as_mut() {
-                injector.advance_to(slot);
-                injector.fill_alive(n, *policy, &mut alive);
-                let alive_now = injector.alive_count();
-                acc.alive_sum += alive_now;
-                if alive_now < k {
-                    acc.outage_slots += 1;
-                }
-                true
-            } else {
-                false
-            };
-            advance(net, slot, &mut buf);
-            match memo.as_mut() {
-                Some(memo) => schedule_memoized_observed(
-                    memo,
-                    &scheduler,
-                    &buf,
-                    range,
-                    masked.then_some(alive.as_slice()),
-                    slot as u64,
-                    &mut ws,
-                    &mut pairs,
-                    obs,
-                ),
-                None => schedule_observed(
-                    &scheduler,
-                    &buf,
-                    range,
-                    masked.then_some(alive.as_slice()),
-                    slot as u64,
-                    &mut ws,
-                    &mut pairs,
-                    obs,
-                ),
-            }
-            acc.total_pairs += pairs.len();
-            for &pair in &pairs {
-                // Classify MS–BS contacts.
-                let (ms, bs_id) = if pair.a < n && pair.b >= n {
-                    (pair.a, pair.b - n)
-                } else if pair.b < n && pair.a >= n {
-                    (pair.b, pair.a - n)
-                } else {
-                    continue;
-                };
-                // Under OccupySpectrum a dead BS can still be scheduled; it
-                // serves nothing. Under RadioOff it is never scheduled.
-                if let Some((injector, _)) = faults.as_ref() {
-                    if !injector.mask().bs_alive(bs_id) {
-                        continue;
-                    }
-                }
-                let g = groups.bs[bs_id];
-                if g != usize::MAX && groups.ms[ms] == g {
-                    acc.service[g] += 1.0;
-                    acc.access_contacts += 1;
-                }
-            }
-            acc.slots_done += 1;
-        }
-        acc
-    }
-
-    /// Fan-out core shared by the `_ctr` (no pool: one inline chunk) and
-    /// `_par` (chunk per pool thread) scheme A entry points, plus the
-    /// budgeted variants (which arm `meter`). The third tuple element is
-    /// `Some((completed_slots, axis))` when the budget cut the run short;
-    /// the report is then a best-effort estimate over the completed slots.
-    #[allow(clippy::too_many_arguments)]
-    fn scheme_a_par_impl(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        seed: u64,
-        pool: Option<&WorkerPool>,
-        observe: bool,
-        meter: Option<BudgetMeter>,
-    ) -> Result<FluidOutcome, HycapError> {
-        check_counter_run(net, slots)?;
-        let timer = SpanTimer::start();
-        let engine = *self;
-        let cells = HomeCells::of(plan);
-        let jobs: Vec<_> = chunk_ranges(slots, pool.map_or(1, WorkerPool::threads))
-            .into_iter()
-            .map(|range| {
-                let mut net = net.clone();
-                let cells = cells.clone();
-                let meter = meter.clone();
-                move || {
-                    let advance = |net: &mut HybridNetwork, slot: usize, buf: &mut Vec<Point>| {
-                        net.advance_slot_into(seed, slot as u64, buf)
-                    };
-                    if observe {
-                        let mut obs = Observer::recording().with_probes();
-                        let acc = engine.scheme_a_chunk(
-                            &mut net,
-                            &cells,
-                            range,
-                            advance,
-                            meter.as_ref(),
-                            &mut obs,
-                        );
-                        (acc, Some(obs.snapshot()))
-                    } else {
-                        let acc = engine.scheme_a_chunk(
-                            &mut net,
-                            &cells,
-                            range,
-                            advance,
-                            meter.as_ref(),
-                            &mut Observer::noop(),
-                        );
-                        (acc, None)
-                    }
-                }
-            })
-            .collect();
-        let results = match pool {
-            Some(pool) => pool.run(jobs),
-            None => jobs.into_iter().map(|job| job()).collect(),
-        };
-        let mut acc = SchemeAAcc::default();
-        let mut merged = observe.then(Snapshot::default);
-        for (chunk_acc, snap) in results {
-            acc.absorb(chunk_acc);
-            if let (Some(m), Some(s)) = (merged.as_mut(), snap.as_ref()) {
-                m.merge(s);
-            }
-        }
-        let cut = meter
-            .as_ref()
-            .and_then(|m| m.exceeded().map(|e| (acc.slots_done, e)));
-        // A partial report normalizes by the slots that actually ran, so
-        // its per-slot rates stay meaningful estimates.
-        let effective = if cut.is_some() {
-            acc.slots_done.max(1) as usize
-        } else {
-            slots
-        };
-        if observe {
-            let mut obs = Observer::recording().with_probes();
-            let report = finalize_scheme_a(plan, effective, &acc, timer, &mut obs);
-            if let Some((completed, _)) = cut {
-                obs.sink.counter("fluid.scheme_a.interrupted", 1);
-                obs.sink
-                    .counter("fluid.scheme_a.completed_slots", completed);
-            }
-            let mut snap = merged.expect("observed run collects snapshots");
-            snap.merge(&obs.snapshot());
-            Ok((report, Some(snap), cut))
-        } else {
-            Ok((
-                finalize_scheme_a(plan, effective, &acc, timer, &mut Observer::noop()),
-                None,
-                cut,
-            ))
-        }
-    }
-
-    /// Fan-out core shared by the `_ctr`, `_par` and budgeted scheme B
-    /// entry points; interruption semantics as [`FluidEngine::scheme_a_par_impl`].
-    #[allow(clippy::too_many_arguments)]
-    fn scheme_b_par_impl(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        seed: u64,
-        pool: Option<&WorkerPool>,
-        observe: bool,
-        meter: Option<BudgetMeter>,
-    ) -> Result<FluidOutcome, HycapError> {
-        check_counter_run(net, slots)?;
-        let Some(bs) = net.base_stations() else {
-            return Err(HycapError::MissingInfrastructure("scheme B"));
-        };
-        let k = net.k();
-        let bandwidth = bs.bandwidth();
-        let timer = SpanTimer::start();
-        let engine = *self;
-        let groups = Arc::new(GroupMap::of(plan, net.n(), k));
-        let jobs: Vec<_> = chunk_ranges(slots, pool.map_or(1, WorkerPool::threads))
-            .into_iter()
-            .map(|range| {
-                let mut net = net.clone();
-                let groups = Arc::clone(&groups);
-                let meter = meter.clone();
-                move || {
-                    let advance = |net: &mut HybridNetwork, slot: usize, buf: &mut Vec<Point>| {
-                        net.advance_slot_into(seed, slot as u64, buf)
-                    };
-                    if observe {
-                        let mut obs = Observer::recording().with_probes();
-                        let acc = engine.scheme_b_chunk(
-                            &mut net,
-                            &groups,
-                            range,
-                            advance,
-                            meter.as_ref(),
-                            &mut obs,
-                        );
-                        (acc, Some(obs.snapshot()))
-                    } else {
-                        let acc = engine.scheme_b_chunk(
-                            &mut net,
-                            &groups,
-                            range,
-                            advance,
-                            meter.as_ref(),
-                            &mut Observer::noop(),
-                        );
-                        (acc, None)
-                    }
-                }
-            })
-            .collect();
-        let results = match pool {
-            Some(pool) => pool.run(jobs),
-            None => jobs.into_iter().map(|job| job()).collect(),
-        };
-        let mut acc = SchemeBAcc::new(plan.group_count());
-        let mut merged = observe.then(Snapshot::default);
-        for (chunk_acc, snap) in results {
-            acc.absorb(chunk_acc);
-            if let (Some(m), Some(s)) = (merged.as_mut(), snap.as_ref()) {
-                m.merge(s);
-            }
-        }
-        let cut = meter
-            .as_ref()
-            .and_then(|m| m.exceeded().map(|e| (acc.slots_done, e)));
-        let effective = if cut.is_some() {
-            acc.slots_done.max(1) as usize
-        } else {
-            slots
-        };
-        if observe {
-            let mut obs = Observer::recording().with_probes();
-            let report = finalize_scheme_b(plan, effective, &acc, k, bandwidth, timer, &mut obs);
-            if let Some((completed, _)) = cut {
-                obs.sink.counter("fluid.scheme_b.interrupted", 1);
-                obs.sink
-                    .counter("fluid.scheme_b.completed_slots", completed);
-            }
-            let mut snap = merged.expect("observed run collects snapshots");
-            snap.merge(&obs.snapshot());
-            Ok((report, Some(snap), cut))
-        } else {
-            Ok((
-                finalize_scheme_b(
-                    plan,
-                    effective,
-                    &acc,
-                    k,
-                    bandwidth,
-                    timer,
-                    &mut Observer::noop(),
-                ),
-                None,
-                cut,
-            ))
-        }
-    }
-
-    /// Fan-out core for faulted scheme A: each chunk replays the schedule
-    /// with its own injector ([`FaultInjector::seek`] to the chunk start,
-    /// then tallied `advance_to` per slot), tallies absorb in chunk order,
-    /// and the last chunk's injector carries the end-of-run fault state for
-    /// classification.
-    #[allow(clippy::too_many_arguments)]
-    fn scheme_a_faulted_par_impl(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        pool: Option<&WorkerPool>,
-        observe: bool,
-    ) -> Result<(DegradedFluidReport, Option<Snapshot>), HycapError> {
-        check_counter_run(net, slots)?;
-        let k = net.k();
-        FaultInjector::new(k, schedule)?;
-        if schedule.is_empty() {
-            // Mirror the sequential empty-schedule delegation: the base
-            // report is bit-identical to the fault-free measurement.
-            let (base, snap, _) =
-                self.scheme_a_par_impl(net, plan, slots, seed, pool, observe, None)?;
-            return Ok((
-                DegradedFluidReport {
-                    base,
-                    k_alive_mean: k as f64,
-                    outage_slots: 0,
-                    infra_flows: plan.flow_count(),
-                    fallback_flows: 0,
-                    dead_groups: 0,
-                    tally: FaultTally::default(),
-                },
-                snap,
-            ));
-        }
-        let engine = *self;
-        let cells = HomeCells::of(plan);
-        let schedule_arc = Arc::new(schedule.clone());
-        let jobs: Vec<_> = chunk_ranges(slots, pool.map_or(1, WorkerPool::threads))
-            .into_iter()
-            .map(|range| {
-                let mut net = net.clone();
-                let cells = cells.clone();
-                let schedule = Arc::clone(&schedule_arc);
-                move || {
-                    let mut injector = FaultInjector::new(k, &schedule)
-                        .expect("schedule validated before dispatch");
-                    injector.seek(range.start);
-                    let advance = |net: &mut HybridNetwork, slot: usize, buf: &mut Vec<Point>| {
-                        net.advance_slot_into(seed, slot as u64, buf)
-                    };
-                    if observe {
-                        let mut obs = Observer::recording().with_probes();
-                        let acc = engine.scheme_a_chunk_impl(
-                            &mut net,
-                            &cells,
-                            range,
-                            advance,
-                            Some((&mut injector, policy)),
-                            None,
-                            &mut obs,
-                        );
-                        (acc, injector, Some(obs.snapshot()))
-                    } else {
-                        let acc = engine.scheme_a_chunk_impl(
-                            &mut net,
-                            &cells,
-                            range,
-                            advance,
-                            Some((&mut injector, policy)),
-                            None,
-                            &mut Observer::noop(),
-                        );
-                        (acc, injector, None)
-                    }
-                }
-            })
-            .collect();
-        let results = match pool {
-            Some(pool) => pool.run(jobs),
-            None => jobs.into_iter().map(|job| job()).collect(),
-        };
-        let mut acc = SchemeAAcc::default();
-        let mut tally = FaultTally::default();
-        let mut merged = observe.then(Snapshot::default);
-        let mut end_injector = None;
-        for (chunk_acc, injector, snap) in results {
-            acc.absorb(chunk_acc);
-            tally.absorb(&injector.tally());
-            if let (Some(m), Some(s)) = (merged.as_mut(), snap.as_ref()) {
-                m.merge(s);
-            }
-            end_injector = Some(injector);
-        }
-        let end_injector = end_injector.expect("slots >= 1 yields at least one chunk");
-        let flows = plan.flow_count();
-        if observe {
-            let mut obs = Observer::recording().with_probes();
-            let report = finalize_scheme_a_faulted(
-                plan,
-                slots,
-                &acc,
-                flows,
-                k,
-                &end_injector,
-                tally,
-                &mut obs,
-            );
-            let mut snap = merged.expect("observed run collects snapshots");
-            snap.merge(&obs.snapshot());
-            Ok((report, Some(snap)))
-        } else {
-            Ok((
-                finalize_scheme_a_faulted(
-                    plan,
-                    slots,
-                    &acc,
-                    flows,
-                    k,
-                    &end_injector,
-                    tally,
-                    &mut Observer::noop(),
-                ),
-                None,
-            ))
-        }
-    }
-
-    /// Fan-out core for faulted scheme B; the scheme B counterpart of
-    /// [`FluidEngine::scheme_a_faulted_par_impl`].
-    #[allow(clippy::too_many_arguments)]
-    fn scheme_b_faulted_par_impl(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        pool: Option<&WorkerPool>,
-        observe: bool,
-    ) -> Result<(DegradedFluidReport, Option<Snapshot>), HycapError> {
-        check_counter_run(net, slots)?;
-        let Some(bs) = net.base_stations() else {
-            return Err(HycapError::MissingInfrastructure("scheme B"));
-        };
-        let k = net.k();
-        let bandwidth = bs.bandwidth();
-        FaultInjector::new(k, schedule)?;
-        if schedule.is_empty() {
-            let (base, snap, _) =
-                self.scheme_b_par_impl(net, plan, slots, seed, pool, observe, None)?;
-            return Ok((
-                DegradedFluidReport {
-                    base,
-                    k_alive_mean: k as f64,
-                    outage_slots: 0,
-                    infra_flows: plan.flows().len(),
-                    fallback_flows: 0,
-                    dead_groups: 0,
-                    tally: FaultTally::default(),
-                },
-                snap,
-            ));
-        }
-        let engine = *self;
-        let groups = Arc::new(GroupMap::of(plan, net.n(), k));
-        let schedule_arc = Arc::new(schedule.clone());
-        let jobs: Vec<_> = chunk_ranges(slots, pool.map_or(1, WorkerPool::threads))
-            .into_iter()
-            .map(|range| {
-                let mut net = net.clone();
-                let groups = Arc::clone(&groups);
-                let schedule = Arc::clone(&schedule_arc);
-                move || {
-                    let mut injector = FaultInjector::new(k, &schedule)
-                        .expect("schedule validated before dispatch");
-                    injector.seek(range.start);
-                    let advance = |net: &mut HybridNetwork, slot: usize, buf: &mut Vec<Point>| {
-                        net.advance_slot_into(seed, slot as u64, buf)
-                    };
-                    if observe {
-                        let mut obs = Observer::recording().with_probes();
-                        let acc = engine.scheme_b_chunk_impl(
-                            &mut net,
-                            &groups,
-                            range,
-                            advance,
-                            Some((&mut injector, policy)),
-                            None,
-                            &mut obs,
-                        );
-                        (acc, injector, Some(obs.snapshot()))
-                    } else {
-                        let acc = engine.scheme_b_chunk_impl(
-                            &mut net,
-                            &groups,
-                            range,
-                            advance,
-                            Some((&mut injector, policy)),
-                            None,
-                            &mut Observer::noop(),
-                        );
-                        (acc, injector, None)
-                    }
-                }
-            })
-            .collect();
-        let results = match pool {
-            Some(pool) => pool.run(jobs),
-            None => jobs.into_iter().map(|job| job()).collect(),
-        };
-        let mut acc = SchemeBAcc::new(plan.group_count());
-        let mut tally = FaultTally::default();
-        let mut merged = observe.then(Snapshot::default);
-        let mut end_injector = None;
-        for (chunk_acc, injector, snap) in results {
-            acc.absorb(chunk_acc);
-            tally.absorb(&injector.tally());
-            if let (Some(m), Some(s)) = (merged.as_mut(), snap.as_ref()) {
-                m.merge(s);
-            }
-            end_injector = Some(injector);
-        }
-        let end_injector = end_injector.expect("slots >= 1 yields at least one chunk");
-        if observe {
-            let mut obs = Observer::recording().with_probes();
-            let report = finalize_scheme_b_faulted(
-                plan,
-                slots,
-                &acc,
-                k,
-                bandwidth,
-                &end_injector,
-                tally,
-                &mut obs,
-            )?;
-            let mut snap = merged.expect("observed run collects snapshots");
-            snap.merge(&obs.snapshot());
-            Ok((report, Some(snap)))
-        } else {
-            Ok((
-                finalize_scheme_b_faulted(
-                    plan,
-                    slots,
-                    &acc,
-                    k,
-                    bandwidth,
-                    &end_injector,
-                    tally,
-                    &mut Observer::noop(),
-                )?,
-                None,
-            ))
-        }
-    }
-
-    /// Streamed scheme A measurement: bit-identical to
-    /// [`FluidEngine::measure_scheme_a_ctr`], but no step ever materializes
-    /// the full `n + k` position snapshot. Each slot's positions are
-    /// replayed from the counter stream in chunks of at most `chunk`
-    /// points, straight into the workspace's spatial index
-    /// (`SpatialHash::try_rebuild_streamed`), and the scheduler runs over
-    /// the prebuilt index. Peak live memory is `O(n)` ids/coordinates in
-    /// the index plus `O(chunk)` scratch — never a second position array —
-    /// which is what makes `n = 10⁶` ladder points routine.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_ctr`], plus
-    /// [`HycapError::InvalidParameter`] when `chunk == 0`.
-    pub fn measure_scheme_a_streamed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        seed: u64,
-        chunk: usize,
-    ) -> Result<FluidReport, HycapError> {
-        Ok(self
-            .scheme_a_streamed_impl(net, plan, slots, seed, chunk, false)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_a_streamed`] with a recording
-    /// observer; the snapshot is byte-equal to the one
-    /// [`FluidEngine::measure_scheme_a_ctr_observed`] produces.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_streamed`].
-    pub fn measure_scheme_a_streamed_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        seed: u64,
-        chunk: usize,
-    ) -> Result<(FluidReport, Snapshot), HycapError> {
-        let (report, snap) = self.scheme_a_streamed_impl(net, plan, slots, seed, chunk, true)?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Streamed scheme B measurement; the scheme B counterpart of
-    /// [`FluidEngine::measure_scheme_a_streamed`], bit-identical to
-    /// [`FluidEngine::measure_scheme_b_ctr`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_ctr`], plus
-    /// [`HycapError::InvalidParameter`] when `chunk == 0`.
-    pub fn measure_scheme_b_streamed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        seed: u64,
-        chunk: usize,
-    ) -> Result<FluidReport, HycapError> {
-        Ok(self
-            .scheme_b_streamed_impl(net, plan, slots, seed, chunk, false)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_b_streamed`] with a recording
-    /// observer; snapshot byte-equal to
-    /// [`FluidEngine::measure_scheme_b_ctr_observed`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_streamed`].
-    pub fn measure_scheme_b_streamed_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        seed: u64,
-        chunk: usize,
-    ) -> Result<(FluidReport, Snapshot), HycapError> {
-        let (report, snap) = self.scheme_b_streamed_impl(net, plan, slots, seed, chunk, true)?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Streamed faulted scheme A measurement, with a recording observer;
-    /// bit-identical to [`FluidEngine::measure_scheme_a_with_faults_ctr`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_a_with_faults_ctr`], plus
-    /// [`HycapError::InvalidParameter`] when `chunk == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_scheme_a_with_faults_streamed_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        chunk: usize,
-    ) -> Result<(DegradedFluidReport, Snapshot), HycapError> {
-        let (report, snap) = self.scheme_a_faulted_streamed_impl(
-            net, plan, slots, schedule, policy, seed, chunk, true,
-        )?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Streamed faulted scheme B measurement; its report is bit-identical
-    /// to the one of
-    /// [`FluidEngine::measure_scheme_b_with_faults_ctr_observed`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_with_faults_ctr_observed`], plus
-    /// [`HycapError::InvalidParameter`] when `chunk == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_scheme_b_with_faults_streamed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        chunk: usize,
-    ) -> Result<DegradedFluidReport, HycapError> {
-        Ok(self
-            .scheme_b_faulted_streamed_impl(net, plan, slots, schedule, policy, seed, chunk, false)?
-            .0)
-    }
-
-    /// [`FluidEngine::measure_scheme_b_with_faults_streamed`] with a
-    /// recording observer.
-    ///
-    /// # Errors
-    ///
-    /// As [`FluidEngine::measure_scheme_b_with_faults_streamed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_scheme_b_with_faults_streamed_observed(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        chunk: usize,
-    ) -> Result<(DegradedFluidReport, Snapshot), HycapError> {
-        let (report, snap) = self.scheme_b_faulted_streamed_impl(
-            net, plan, slots, schedule, policy, seed, chunk, true,
-        )?;
-        Ok((report, snap.expect("observed run yields a snapshot")))
-    }
-
-    /// Streamed scheme A slot loop: the streaming counterpart of
-    /// [`FluidEngine::scheme_a_chunk_impl`]. Instead of materializing the
-    /// slot snapshot and letting the scheduler index it, each slot streams
-    /// its positions chunk-by-chunk straight into the workspace's spatial
-    /// index and schedules over the prebuilt index — same accumulator
-    /// updates, same observer counters, same probe verdicts, so the result
-    /// absorbs into bit-identical reports.
-    #[allow(clippy::too_many_arguments)]
-    fn scheme_a_streamed_chunk<S: MetricsSink>(
-        &self,
-        net: &HybridNetwork,
-        cells: &HomeCells,
-        slots: Range<usize>,
-        seed: u64,
-        chunk: usize,
-        mut faults: Option<(&mut FaultInjector, OutagePolicy)>,
-        obs: &mut Observer<S>,
-    ) -> Result<SchemeAAcc, HycapError> {
+    ) -> Result<ChunkOut, HycapError> {
         let n = net.n();
         let k = net.k();
         let total = net.total_nodes();
         let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
         let index_radius = clamp_index_radius(scheduler.protocol().guard_radius(range));
-        cells.check_nodes(n);
-        let mut acc = SchemeAAcc::default();
-        let mut chunk_buf: Vec<Point> = Vec::new();
+        let streamed = matches!(draw, Draw::Streamed { .. });
+        // Each chunk replays the schedule with its own injector: `seek`
+        // fast-forwards the durable state untallied, so summed per-chunk
+        // tallies reproduce the single-chunk tally exactly.
+        let mut injector = spec.injector.clone().map(|mut injector| {
+            injector.seek(slots.start);
+            injector
+        });
+        let mut acc = Acc::new(spec.resources.len());
+        let mut buf: Vec<Point> = Vec::new();
         let mut alive = Vec::new();
         let mut ws = SlotWorkspace::new();
         let mut pairs: Vec<ScheduledPair> = Vec::new();
+        // Sound only over frozen, materialized positions; the memo re-checks
+        // the alive mask itself, so fault transitions invalidate it per slot.
+        let mut memo =
+            (self.memoize && !streamed && net.positions_static()).then(ScheduleMemo::new);
         for slot in slots {
-            let masked = if let Some((injector, policy)) = faults.as_mut() {
+            if spec
+                .meter
+                .as_ref()
+                .is_some_and(|meter| !meter.charge_slot())
+            {
+                break;
+            }
+            if let Some(injector) = injector.as_mut() {
                 injector.advance_to(slot);
-                injector.fill_alive(n, *policy, &mut alive);
+                injector.fill_alive(n, spec.policy, &mut alive);
                 let alive_now = injector.alive_count();
                 acc.alive_sum += alive_now;
                 if alive_now < k {
                     acc.outage_slots += 1;
                 }
-                true
+            }
+            let mask = injector.is_some().then_some(alive.as_slice());
+            let tag = slot as u64;
+            match &mut draw {
+                Draw::InOrder(rng) => net.advance_into(&mut **rng, &mut buf),
+                Draw::Counter(seed) => net.advance_slot_into(*seed, tag, &mut buf),
+                Draw::Streamed { seed, chunk } => {
+                    ws.hash_mut()
+                        .try_rebuild_streamed(total, index_radius, |emit| {
+                            net.stream_slot_positions(*seed, tag, *chunk, &mut buf, emit)
+                        })?
+                }
+            }
+            if streamed {
+                schedule_prebuilt_observed(&scheduler, range, mask, tag, &mut ws, &mut pairs, obs);
+            } else if let Some(memo) = memo.as_mut() {
+                schedule_memoized_observed(
+                    memo, &scheduler, &buf, range, mask, tag, &mut ws, &mut pairs, obs,
+                );
             } else {
-                false
-            };
-            ws.hash_mut()
-                .try_rebuild_streamed(total, index_radius, |emit| {
-                    net.stream_slot_positions(seed, slot as u64, chunk, &mut chunk_buf, emit)
-                })?;
-            schedule_prebuilt_observed(
-                &scheduler,
-                range,
-                masked.then_some(alive.as_slice()),
-                slot as u64,
-                &mut ws,
-                &mut pairs,
-                obs,
-            );
+                schedule_observed(&scheduler, &buf, range, mask, tag, &mut ws, &mut pairs, obs);
+            }
             acc.total_pairs += pairs.len();
+            let bs_mask = injector.as_ref().map(FaultInjector::mask);
             for &pair in &pairs {
-                if pair.a >= n || pair.b >= n {
-                    continue; // MS–BS contacts do not serve scheme A
-                }
-                let (ca, cb) = (cells.of_node(pair.a), cells.of_node(pair.b));
-                if ca == cb || cells.grid.manhattan(ca, cb) == 1 {
-                    *acc.service.entry(edge_key(ca, cb)).or_insert(0.0) += 1.0;
-                    acc.credited += 1;
-                }
+                spec.resources.credit(pair, n, bs_mask, &mut acc);
             }
             acc.slots_done += 1;
         }
-        Ok(acc)
-    }
-
-    /// Streamed scheme B slot loop; the scheme B counterpart of
-    /// [`FluidEngine::scheme_a_streamed_chunk`].
-    #[allow(clippy::too_many_arguments)]
-    fn scheme_b_streamed_chunk<S: MetricsSink>(
-        &self,
-        net: &HybridNetwork,
-        groups: &GroupMap,
-        slots: Range<usize>,
-        seed: u64,
-        chunk: usize,
-        mut faults: Option<(&mut FaultInjector, OutagePolicy)>,
-        obs: &mut Observer<S>,
-    ) -> Result<SchemeBAcc, HycapError> {
-        let n = net.n();
-        let k = net.k();
-        let total = net.total_nodes();
-        let range = self.range_for(n);
-        let scheduler = SStarScheduler::new(self.delta);
-        let index_radius = clamp_index_radius(scheduler.protocol().guard_radius(range));
-        let mut acc = SchemeBAcc::new(groups.count);
-        let mut chunk_buf: Vec<Point> = Vec::new();
-        let mut alive = Vec::new();
-        let mut ws = SlotWorkspace::new();
-        let mut pairs: Vec<ScheduledPair> = Vec::new();
-        for slot in slots {
-            let masked = if let Some((injector, policy)) = faults.as_mut() {
-                injector.advance_to(slot);
-                injector.fill_alive(n, *policy, &mut alive);
-                let alive_now = injector.alive_count();
-                acc.alive_sum += alive_now;
-                if alive_now < k {
-                    acc.outage_slots += 1;
-                }
-                true
-            } else {
-                false
-            };
-            ws.hash_mut()
-                .try_rebuild_streamed(total, index_radius, |emit| {
-                    net.stream_slot_positions(seed, slot as u64, chunk, &mut chunk_buf, emit)
-                })?;
-            schedule_prebuilt_observed(
-                &scheduler,
-                range,
-                masked.then_some(alive.as_slice()),
-                slot as u64,
-                &mut ws,
-                &mut pairs,
-                obs,
-            );
-            acc.total_pairs += pairs.len();
-            for &pair in &pairs {
-                let (ms, bs_id) = if pair.a < n && pair.b >= n {
-                    (pair.a, pair.b - n)
-                } else if pair.b < n && pair.a >= n {
-                    (pair.b, pair.a - n)
-                } else {
-                    continue;
-                };
-                if let Some((injector, _)) = faults.as_ref() {
-                    if !injector.mask().bs_alive(bs_id) {
-                        continue;
-                    }
-                }
-                let g = groups.bs[bs_id];
-                if g != usize::MAX && groups.ms[ms] == g {
-                    acc.service[g] += 1.0;
-                    acc.access_contacts += 1;
-                }
-            }
-            acc.slots_done += 1;
-        }
-        Ok(acc)
-    }
-
-    /// Single-pass core of the streamed scheme A entry points; reduces and
-    /// finalizes exactly as the sequential branch of
-    /// [`FluidEngine::scheme_a_par_impl`] so reports and snapshots stay
-    /// bit-identical.
-    fn scheme_a_streamed_impl(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        seed: u64,
-        chunk: usize,
-        observe: bool,
-    ) -> Result<(FluidReport, Option<Snapshot>), HycapError> {
-        check_streamed_run(net, slots, chunk)?;
-        let timer = SpanTimer::start();
-        let cells = HomeCells::of(plan);
-        let (acc, chunk_snap) = if observe {
-            let mut obs = Observer::recording().with_probes();
-            let acc =
-                self.scheme_a_streamed_chunk(net, &cells, 0..slots, seed, chunk, None, &mut obs)?;
-            (acc, Some(obs.snapshot()))
-        } else {
-            let acc = self.scheme_a_streamed_chunk(
-                net,
-                &cells,
-                0..slots,
-                seed,
-                chunk,
-                None,
-                &mut Observer::noop(),
-            )?;
-            (acc, None)
-        };
-        if observe {
-            let mut merged = Snapshot::default();
-            merged.merge(&chunk_snap.expect("observed run collects snapshots"));
-            let mut obs = Observer::recording().with_probes();
-            let report = finalize_scheme_a(plan, slots, &acc, timer, &mut obs);
-            merged.merge(&obs.snapshot());
-            Ok((report, Some(merged)))
-        } else {
-            Ok((
-                finalize_scheme_a(plan, slots, &acc, timer, &mut Observer::noop()),
-                None,
-            ))
-        }
-    }
-
-    /// Single-pass core of the streamed scheme B entry points.
-    fn scheme_b_streamed_impl(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        seed: u64,
-        chunk: usize,
-        observe: bool,
-    ) -> Result<(FluidReport, Option<Snapshot>), HycapError> {
-        check_streamed_run(net, slots, chunk)?;
-        let Some(bs) = net.base_stations() else {
-            return Err(HycapError::MissingInfrastructure("scheme B"));
-        };
-        let k = net.k();
-        let bandwidth = bs.bandwidth();
-        let timer = SpanTimer::start();
-        let groups = GroupMap::of(plan, net.n(), k);
-        let (acc, chunk_snap) = if observe {
-            let mut obs = Observer::recording().with_probes();
-            let acc =
-                self.scheme_b_streamed_chunk(net, &groups, 0..slots, seed, chunk, None, &mut obs)?;
-            (acc, Some(obs.snapshot()))
-        } else {
-            let acc = self.scheme_b_streamed_chunk(
-                net,
-                &groups,
-                0..slots,
-                seed,
-                chunk,
-                None,
-                &mut Observer::noop(),
-            )?;
-            (acc, None)
-        };
-        if observe {
-            let mut merged = Snapshot::default();
-            merged.merge(&chunk_snap.expect("observed run collects snapshots"));
-            let mut obs = Observer::recording().with_probes();
-            let report = finalize_scheme_b(plan, slots, &acc, k, bandwidth, timer, &mut obs);
-            merged.merge(&obs.snapshot());
-            Ok((report, Some(merged)))
-        } else {
-            Ok((
-                finalize_scheme_b(
-                    plan,
-                    slots,
-                    &acc,
-                    k,
-                    bandwidth,
-                    timer,
-                    &mut Observer::noop(),
-                ),
-                None,
-            ))
-        }
-    }
-
-    /// Single-pass core of the streamed faulted scheme A entry points.
-    #[allow(clippy::too_many_arguments)]
-    fn scheme_a_faulted_streamed_impl(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeAPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        chunk: usize,
-        observe: bool,
-    ) -> Result<(DegradedFluidReport, Option<Snapshot>), HycapError> {
-        check_streamed_run(net, slots, chunk)?;
-        let k = net.k();
-        let mut injector = FaultInjector::new(k, schedule)?;
-        if schedule.is_empty() {
-            // Mirror the sequential empty-schedule delegation.
-            let (base, snap) =
-                self.scheme_a_streamed_impl(net, plan, slots, seed, chunk, observe)?;
-            return Ok((
-                DegradedFluidReport {
-                    base,
-                    k_alive_mean: k as f64,
-                    outage_slots: 0,
-                    infra_flows: plan.flow_count(),
-                    fallback_flows: 0,
-                    dead_groups: 0,
-                    tally: FaultTally::default(),
-                },
-                snap,
-            ));
-        }
-        injector.seek(0);
-        let cells = HomeCells::of(plan);
-        let (acc, chunk_snap) = if observe {
-            let mut obs = Observer::recording().with_probes();
-            let acc = self.scheme_a_streamed_chunk(
-                net,
-                &cells,
-                0..slots,
-                seed,
-                chunk,
-                Some((&mut injector, policy)),
-                &mut obs,
-            )?;
-            (acc, Some(obs.snapshot()))
-        } else {
-            let acc = self.scheme_a_streamed_chunk(
-                net,
-                &cells,
-                0..slots,
-                seed,
-                chunk,
-                Some((&mut injector, policy)),
-                &mut Observer::noop(),
-            )?;
-            (acc, None)
-        };
-        let tally = injector.tally();
-        let flows = plan.flow_count();
-        if observe {
-            let mut merged = Snapshot::default();
-            merged.merge(&chunk_snap.expect("observed run collects snapshots"));
-            let mut obs = Observer::recording().with_probes();
-            let report =
-                finalize_scheme_a_faulted(plan, slots, &acc, flows, k, &injector, tally, &mut obs);
-            merged.merge(&obs.snapshot());
-            Ok((report, Some(merged)))
-        } else {
-            Ok((
-                finalize_scheme_a_faulted(
-                    plan,
-                    slots,
-                    &acc,
-                    flows,
-                    k,
-                    &injector,
-                    tally,
-                    &mut Observer::noop(),
-                ),
-                None,
-            ))
-        }
-    }
-
-    /// Single-pass core of the streamed faulted scheme B entry points.
-    #[allow(clippy::too_many_arguments)]
-    fn scheme_b_faulted_streamed_impl(
-        &self,
-        net: &HybridNetwork,
-        plan: &SchemeBPlan,
-        slots: usize,
-        schedule: &FaultSchedule,
-        policy: OutagePolicy,
-        seed: u64,
-        chunk: usize,
-        observe: bool,
-    ) -> Result<(DegradedFluidReport, Option<Snapshot>), HycapError> {
-        check_streamed_run(net, slots, chunk)?;
-        let Some(bs) = net.base_stations() else {
-            return Err(HycapError::MissingInfrastructure("scheme B"));
-        };
-        let k = net.k();
-        let bandwidth = bs.bandwidth();
-        let mut injector = FaultInjector::new(k, schedule)?;
-        if schedule.is_empty() {
-            let (base, snap) =
-                self.scheme_b_streamed_impl(net, plan, slots, seed, chunk, observe)?;
-            return Ok((
-                DegradedFluidReport {
-                    base,
-                    k_alive_mean: k as f64,
-                    outage_slots: 0,
-                    infra_flows: plan.flows().len(),
-                    fallback_flows: 0,
-                    dead_groups: 0,
-                    tally: FaultTally::default(),
-                },
-                snap,
-            ));
-        }
-        injector.seek(0);
-        let groups = GroupMap::of(plan, net.n(), k);
-        let (acc, chunk_snap) = if observe {
-            let mut obs = Observer::recording().with_probes();
-            let acc = self.scheme_b_streamed_chunk(
-                net,
-                &groups,
-                0..slots,
-                seed,
-                chunk,
-                Some((&mut injector, policy)),
-                &mut obs,
-            )?;
-            (acc, Some(obs.snapshot()))
-        } else {
-            let acc = self.scheme_b_streamed_chunk(
-                net,
-                &groups,
-                0..slots,
-                seed,
-                chunk,
-                Some((&mut injector, policy)),
-                &mut Observer::noop(),
-            )?;
-            (acc, None)
-        };
-        let tally = injector.tally();
-        if observe {
-            let mut merged = Snapshot::default();
-            merged.merge(&chunk_snap.expect("observed run collects snapshots"));
-            let mut obs = Observer::recording().with_probes();
-            let report = finalize_scheme_b_faulted(
-                plan, slots, &acc, k, bandwidth, &injector, tally, &mut obs,
-            )?;
-            merged.merge(&obs.snapshot());
-            Ok((report, Some(merged)))
-        } else {
-            Ok((
-                finalize_scheme_b_faulted(
-                    plan,
-                    slots,
-                    &acc,
-                    k,
-                    bandwidth,
-                    &injector,
-                    tally,
-                    &mut Observer::noop(),
-                )?,
-                None,
-            ))
-        }
+        Ok(ChunkOut {
+            acc,
+            injector,
+            snap: None,
+        })
     }
 }
 
@@ -2207,6 +663,226 @@ impl Default for FluidEngine {
     fn default() -> Self {
         FluidEngine::new(0.5, 0.4)
     }
+}
+
+/// Where one chunk's slot positions come from.
+enum Draw<'r> {
+    InOrder(&'r mut dyn RngCore),
+    Counter(u64),
+    Streamed { seed: u64, chunk: usize },
+}
+
+/// What every chunk of one run shares. Cloning shares the resource tables,
+/// so pooled chunk jobs never copy a plan.
+#[derive(Debug, Clone)]
+struct ChunkSpec {
+    resources: Resources,
+    /// A fresh injector for a faulted run; each chunk seeks its own clone.
+    injector: Option<FaultInjector>,
+    policy: OutagePolicy,
+    meter: Option<BudgetMeter>,
+}
+
+/// One chunk's result: its tallies, its injector's end state, and its
+/// snapshot when it recorded one.
+struct ChunkOut {
+    acc: Acc,
+    injector: Option<FaultInjector>,
+    snap: Option<Snapshot>,
+}
+
+/// The wireless resources a run credits service to, indexed like the
+/// plan's loads: scheme A's loaded squarelet edges in the key order of
+/// [`SchemeAPlan::edge_load`], or scheme B's access groups.
+#[derive(Debug, Clone)]
+enum Resources {
+    A {
+        grid: SquareGrid,
+        /// Home squarelet index of every MS.
+        cells: Arc<[u32]>,
+        /// Loaded edge keys, sorted.
+        edges: Arc<[EdgeKey]>,
+    },
+    B(Arc<GroupMap>),
+}
+
+impl Resources {
+    fn of(plan: FluidPlan<'_>, n: usize, k: usize) -> Result<Self, HycapError> {
+        match plan {
+            FluidPlan::A(plan) => {
+                let cells = Arc::clone(plan.home_cells());
+                if cells.len() != n {
+                    return Err(HycapError::Mismatch {
+                        what: "scheme-A plan and network MS count",
+                        left: cells.len(),
+                        right: n,
+                    });
+                }
+                Ok(Resources::A {
+                    grid: *plan.grid(),
+                    cells,
+                    edges: plan.edge_load().iter().map(|&(edge, _)| edge).collect(),
+                })
+            }
+            FluidPlan::B(plan) => Ok(Resources::B(Arc::new(GroupMap::of(plan, n, k)?))),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Resources::A { edges, .. } => edges.len(),
+            Resources::B(groups) => groups.count,
+        }
+    }
+
+    /// Credits one scheduled pair to the resource it serves, if any.
+    #[inline]
+    fn credit(&self, pair: ScheduledPair, n: usize, bs_mask: Option<&LinkMask>, acc: &mut Acc) {
+        match self {
+            Resources::A { grid, cells, edges } => {
+                if pair.a >= n || pair.b >= n {
+                    return; // MS–BS contacts do not serve scheme A
+                }
+                let cell = |i: usize| -> Cell { grid.cell_from_index(cells[i] as usize) };
+                let (ca, cb) = (cell(pair.a), cell(pair.b));
+                if ca == cb || grid.manhattan(ca, cb) == 1 {
+                    acc.credited += 1;
+                    // A contact on an edge no flow crosses serves nothing.
+                    if let Ok(e) = edges.binary_search(&edge_key(ca, cb)) {
+                        acc.service[e] += 1.0;
+                    }
+                }
+            }
+            Resources::B(groups) => {
+                let (ms, bs) = if pair.a < n && pair.b >= n {
+                    (pair.a, pair.b - n)
+                } else if pair.b < n && pair.a >= n {
+                    (pair.b, pair.a - n)
+                } else {
+                    return;
+                };
+                // Under OccupySpectrum a dead BS can still be scheduled; it
+                // serves nothing. Under RadioOff it is never scheduled.
+                if bs_mask.is_some_and(|mask| !mask.bs_alive(bs)) {
+                    return;
+                }
+                let g = groups.bs[bs];
+                if g != usize::MAX && groups.ms[ms] == g {
+                    acc.service[g] += 1.0;
+                    acc.credited += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Node → group tables of a scheme B plan (`usize::MAX` for ungrouped
+/// ids), built once per run and shared by every chunk.
+#[derive(Debug)]
+struct GroupMap {
+    count: usize,
+    ms: Vec<usize>,
+    bs: Vec<usize>,
+}
+
+impl GroupMap {
+    fn of(plan: &SchemeBPlan, n: usize, k: usize) -> Result<Self, HycapError> {
+        let groups = 0..plan.group_count();
+        let plan_n = groups
+            .clone()
+            .flat_map(|g| plan.ms_members(g))
+            .max()
+            .map_or(0, |&i| i + 1);
+        let plan_k = groups
+            .clone()
+            .flat_map(|g| plan.bs_members(g))
+            .max()
+            .map_or(0, |&b| b + 1);
+        for (what, needed, have) in [
+            ("scheme-B plan and network MS count", plan_n, n),
+            ("scheme-B plan and network BS count", plan_k, k),
+        ] {
+            if needed > have {
+                return Err(HycapError::Mismatch {
+                    what,
+                    left: needed,
+                    right: have,
+                });
+            }
+        }
+        let mut ms = vec![usize::MAX; n];
+        let mut bs = vec![usize::MAX; k];
+        for g in groups {
+            for &i in plan.ms_members(g) {
+                ms[i] = g;
+            }
+            for &b in plan.bs_members(g) {
+                bs[b] = g;
+            }
+        }
+        Ok(GroupMap {
+            count: plan.group_count(),
+            ms,
+            bs,
+        })
+    }
+}
+
+/// Per-chunk tallies. Every field is a sum of per-slot contributions
+/// (service counts are integer-valued f64s well below 2^53), so absorbing
+/// any contiguous partition reproduces the single-chunk totals exactly —
+/// what makes pooled runs bit-identical to inline ones.
+#[derive(Debug)]
+struct Acc {
+    /// Service per resource, indexed like [`Resources`].
+    service: Vec<f64>,
+    total_pairs: usize,
+    /// Pairs credited to a resource of the scheme: same-or-adjacent
+    /// squarelet contacts (A) or in-group access contacts (B).
+    credited: u64,
+    alive_sum: usize,
+    outage_slots: usize,
+    /// Slots this chunk actually processed: equals the chunk length unless
+    /// a run budget cut the loop short.
+    slots_done: u64,
+}
+
+impl Acc {
+    fn new(resources: usize) -> Self {
+        Acc {
+            service: vec![0.0; resources],
+            total_pairs: 0,
+            credited: 0,
+            alive_sum: 0,
+            outage_slots: 0,
+            slots_done: 0,
+        }
+    }
+
+    fn absorb(&mut self, other: &Acc) {
+        for (mine, theirs) in self.service.iter_mut().zip(&other.service) {
+            *mine += theirs;
+        }
+        self.total_pairs += other.total_pairs;
+        self.credited += other.credited;
+        self.alive_sum += other.alive_sum;
+        self.outage_slots += other.outage_slots;
+        self.slots_done += other.slots_done;
+    }
+}
+
+/// A run's merged chunk tallies, ready to finalize.
+struct Totals {
+    acc: Acc,
+    /// Slots the per-slot figures normalize by: the requested count, or
+    /// the completed count when a budget cut the run short.
+    slots: usize,
+    k: usize,
+    /// The end-of-run fault state (the last chunk's injector) and the
+    /// summed tally; `None` for a fault-free run.
+    faults: Option<(FaultInjector, FaultTally)>,
+    /// Completed slots when a budget cut the run short.
+    completed: Option<u64>,
 }
 
 /// Median of a mutable slice (0 for an empty slice).
@@ -2218,194 +894,20 @@ fn median(values: &mut [f64]) -> f64 {
     values[values.len() / 2]
 }
 
-/// What a scheme A slot loop reads of its plan: the grid and the node →
-/// home-squarelet table. Cloning shares the table, so chunk jobs never copy
-/// the plan.
-#[derive(Debug, Clone)]
-struct HomeCells {
-    grid: SquareGrid,
-    cells: Arc<[u32]>,
-}
-
-impl HomeCells {
-    fn of(plan: &SchemeAPlan) -> Self {
-        HomeCells {
-            grid: *plan.grid(),
-            cells: Arc::clone(plan.home_cells()),
-        }
-    }
-
-    /// The home squarelet of node `i`.
-    #[inline]
-    fn of_node(&self, i: usize) -> Cell {
-        self.grid.cell_from_index(self.cells[i] as usize)
-    }
-
-    /// Panics unless the plan covers exactly the network's `n` MSs.
-    fn check_nodes(&self, n: usize) {
-        assert_eq!(
-            self.cells.len(),
-            n,
-            "scheme-A plan and network disagree on the MS count"
-        );
-    }
-}
-
-/// Node → group tables of a scheme B plan (`usize::MAX` for ungrouped
-/// ids), built once per measurement and shared by every chunk.
-#[derive(Debug)]
-struct GroupMap {
-    count: usize,
-    ms: Vec<usize>,
-    bs: Vec<usize>,
-}
-
-impl GroupMap {
-    fn of(plan: &SchemeBPlan, n: usize, k: usize) -> Self {
-        let mut ms = vec![usize::MAX; n];
-        let mut bs = vec![usize::MAX; k];
-        for g in 0..plan.group_count() {
-            for &i in plan.ms_members(g) {
-                ms[i] = g;
-            }
-            for &b in plan.bs_members(g) {
-                bs[b] = g;
-            }
-        }
-        GroupMap {
-            count: plan.group_count(),
-            ms,
-            bs,
-        }
-    }
-}
-
-/// Per-chunk scheme A tallies. Every field is a sum of per-slot
-/// contributions (service counts are integer-valued f64s well below 2^53),
-/// so [`SchemeAAcc::absorb`] over any contiguous partition reproduces the
-/// sequential totals exactly — this is what makes the sharded runs
-/// bit-identical to the single-chunk reference.
-#[derive(Debug, Default)]
-struct SchemeAAcc {
-    service: HashMap<EdgeKey, f64>,
-    total_pairs: usize,
-    credited: u64,
-    alive_sum: usize,
-    outage_slots: usize,
-    /// Slots this chunk actually processed: equals the chunk length unless
-    /// a run budget cut the loop short.
-    slots_done: u64,
-}
-
-impl SchemeAAcc {
-    fn absorb(&mut self, other: SchemeAAcc) {
-        for (edge, count) in other.service {
-            *self.service.entry(edge).or_insert(0.0) += count;
-        }
-        self.total_pairs += other.total_pairs;
-        self.credited += other.credited;
-        self.alive_sum += other.alive_sum;
-        self.outage_slots += other.outage_slots;
-        self.slots_done += other.slots_done;
-    }
-}
-
-/// Per-chunk scheme B tallies; merges exactly for the same reason as
-/// [`SchemeAAcc`].
-#[derive(Debug)]
-struct SchemeBAcc {
-    service: Vec<f64>,
-    total_pairs: usize,
-    access_contacts: u64,
-    alive_sum: usize,
-    outage_slots: usize,
-    /// Slots this chunk actually processed; see [`SchemeAAcc::slots_done`].
-    slots_done: u64,
-}
-
-impl SchemeBAcc {
-    fn new(groups: usize) -> Self {
-        SchemeBAcc {
-            service: vec![0.0; groups],
-            total_pairs: 0,
-            access_contacts: 0,
-            alive_sum: 0,
-            outage_slots: 0,
-            slots_done: 0,
-        }
-    }
-
-    fn absorb(&mut self, other: SchemeBAcc) {
-        debug_assert_eq!(self.service.len(), other.service.len());
-        for (mine, theirs) in self.service.iter_mut().zip(&other.service) {
-            *mine += theirs;
-        }
-        self.total_pairs += other.total_pairs;
-        self.access_contacts += other.access_contacts;
-        self.alive_sum += other.alive_sum;
-        self.outage_slots += other.outage_slots;
-        self.slots_done += other.slots_done;
-    }
-}
-
-/// Wraps a fan-out core's report into the [`Budgeted`] outcome from its
-/// interruption info.
-fn budgeted_outcome(
-    report: FluidReport,
-    cut: Option<(u64, BudgetExceeded)>,
-    requested_slots: usize,
-) -> Budgeted<FluidReport> {
-    match cut {
-        None => Budgeted::Complete(report),
-        Some((completed, exceeded)) => Budgeted::Interrupted {
-            partial: report,
-            completed_slots: completed,
-            requested_slots: requested_slots as u64,
-            exceeded,
-        },
-    }
-}
-
-/// Validates a counter-based run: at least one slot and a mobility model
-/// whose slot positions are a pure function of `(seed, slot)`.
-fn check_counter_run(net: &HybridNetwork, slots: usize) -> Result<(), HycapError> {
-    if slots == 0 {
-        return Err(HycapError::invalid("slots", "need at least one slot"));
-    }
-    if !net.counter_samplable() {
-        return Err(HycapError::invalid(
-            "mobility",
-            "counter-based sampling requires an i.i.d.-per-slot or static \
-             mobility model (slot positions must not depend on history)",
-        ));
-    }
-    Ok(())
-}
-
-/// Validation shared by the streamed entry points: counter-samplability as
-/// [`check_counter_run`], plus a positive chunk size.
-fn check_streamed_run(net: &HybridNetwork, slots: usize, chunk: usize) -> Result<(), HycapError> {
-    check_counter_run(net, slots)?;
-    if chunk == 0 {
-        return Err(HycapError::invalid("chunk", "need a positive chunk size"));
-    }
-    Ok(())
-}
-
-/// Scheme A bottleneck scan over the plan's edge loads. Returns
-/// `(lambda, lambda_typical, bottleneck)`.
+/// Scheme A bottleneck scan over the plan's edge loads, with `service`
+/// indexed like them. Returns `(lambda, lambda_typical, bottleneck)`.
 fn scheme_a_bottleneck(
     plan: &SchemeAPlan,
     slots: usize,
-    service: &HashMap<EdgeKey, f64>,
+    service: &[f64],
 ) -> (f64, f64, Bottleneck) {
     let mut lambda = f64::INFINITY;
     let mut bottleneck = Bottleneck::Unconstrained;
     let mut ratios = Vec::with_capacity(plan.edge_load().len());
     // `edge_load` is sorted by key, so a strict `<` keeps the smallest
     // key among tied minima: the reported bottleneck is deterministic.
-    for &(edge, load) in plan.edge_load() {
-        let rate = service.get(&edge).copied().unwrap_or(0.0) / slots as f64;
+    for (&(edge, load), &served) in plan.edge_load().iter().zip(service) {
+        let rate = served / slots as f64;
         let this = rate / load;
         ratios.push(this);
         if rate == 0.0 {
@@ -2468,210 +970,125 @@ fn scheme_b_bottleneck(
     (lambda, lambda_typical, bottleneck)
 }
 
-/// Turns fault-free scheme A accumulators into a report plus run-level
-/// metrics. Shared by the sequential, counter-based and sharded paths.
-fn finalize_scheme_a<S: MetricsSink>(
-    plan: &SchemeAPlan,
-    slots: usize,
-    acc: &SchemeAAcc,
-    timer: SpanTimer,
-    obs: &mut Observer<S>,
-) -> FluidReport {
-    let (lambda, lambda_typical, bottleneck) = scheme_a_bottleneck(plan, slots, &acc.service);
-    let report = FluidReport {
-        lambda,
-        lambda_typical,
-        bottleneck,
-        slots,
-        scheduled_pairs_per_slot: acc.total_pairs as f64 / slots as f64,
-    };
-    if obs.sink.enabled() {
-        obs.sink.counter("fluid.scheme_a.runs", 1);
-        obs.sink.counter("fluid.scheme_a.slots", slots as u64);
-        obs.sink
-            .counter("fluid.scheme_a.credited_contacts", acc.credited);
-        obs.sink.observe("fluid.scheme_a.lambda", report.lambda);
-        obs.sink
-            .observe("fluid.scheme_a.lambda_typical", report.lambda_typical);
-        obs.sink
-            .span("fluid.measure_scheme_a", timer.elapsed_micros());
-    }
-    report
-}
-
-/// Turns fault-free scheme B accumulators into a report, the Theorem 5
-/// backbone probes and run-level metrics.
-fn finalize_scheme_b<S: MetricsSink>(
-    plan: &SchemeBPlan,
-    slots: usize,
-    acc: &SchemeBAcc,
-    k: usize,
+/// Turns a run's totals into its report, the run-level probes and the
+/// run-level metrics. A faulted scheme-B run re-classifies flows against
+/// the durable (scripted) fault state: transient Bernoulli outages eat into
+/// measured service, scripted deaths re-route the plan, and phase II
+/// feasibility is the masked Theorem 5 rate over surviving wires.
+fn finalize<S: MetricsSink>(
+    plan: FluidPlan<'_>,
+    t: &Totals,
     bandwidth: f64,
     timer: SpanTimer,
-    obs: &mut Observer<S>,
-) -> FluidReport {
-    let backbone = Backbone::new(k, bandwidth);
-    let backbone_rate = plan.backbone_load().max_uniform_rate(&backbone);
-    let (lambda, lambda_typical, bottleneck) =
-        scheme_b_bottleneck(plan.access_load(), &acc.service, slots, backbone_rate);
-    if let Some(probes) = obs.probes_mut() {
-        // Theorem 5 wire feasibility: at the granted rate, each group
-        // pair's backbone traffic fits its wires; λ never exceeds the
-        // backbone-feasible rate.
-        for ((s, d), count) in plan.backbone_load().flows() {
-            let wires =
-                (plan.backbone_load().group_size(s) * plan.backbone_load().group_size(d)) as f64;
-            probes.rate_budget(
-                "scheme B backbone pair",
-                lambda * count,
-                backbone.edge_bandwidth() * wires,
-            );
-        }
-        if backbone_rate.is_finite() {
-            probes.rate_budget("scheme B lambda vs backbone", lambda, backbone_rate);
-        }
-    }
-    let report = FluidReport {
-        lambda,
-        lambda_typical,
-        bottleneck,
-        slots,
-        scheduled_pairs_per_slot: acc.total_pairs as f64 / slots as f64,
-    };
-    if obs.sink.enabled() {
-        obs.sink.counter("fluid.scheme_b.runs", 1);
-        obs.sink.counter("fluid.scheme_b.slots", slots as u64);
-        obs.sink
-            .counter("fluid.scheme_b.access_contacts", acc.access_contacts);
-        obs.sink.observe("fluid.scheme_b.lambda", report.lambda);
-        obs.sink
-            .observe("fluid.scheme_b.lambda_typical", report.lambda_typical);
-        if backbone_rate.is_finite() {
-            obs.sink
-                .observe("fluid.scheme_b.backbone_rate", backbone_rate);
-        }
-        obs.sink
-            .span("fluid.measure_scheme_b", timer.elapsed_micros());
-    }
-    report
-}
-
-/// Turns faulted scheme A accumulators plus the end-of-run injector state
-/// into a degraded report, the fault-tally probe and run-level metrics.
-#[allow(clippy::too_many_arguments)]
-fn finalize_scheme_a_faulted<S: MetricsSink>(
-    plan: &SchemeAPlan,
-    slots: usize,
-    acc: &SchemeAAcc,
-    flows: usize,
-    k: usize,
-    injector: &FaultInjector,
-    tally: FaultTally,
-    obs: &mut Observer<S>,
-) -> DegradedFluidReport {
-    let (lambda, lambda_typical, bottleneck) = scheme_a_bottleneck(plan, slots, &acc.service);
-    if let Some(probes) = obs.probes_mut() {
-        probes.fault_tally(
-            "fluid scheme A injector",
-            k,
-            injector.scripted_mask().alive_count(),
-            injector.alive_count(),
-            tally.bs_crashes + tally.bs_repairs,
-            tally.bernoulli_bs_outages,
-        );
-    }
-    if obs.sink.enabled() {
-        obs.sink.counter("fluid.scheme_a.faulted_runs", 1);
-        obs.sink
-            .counter("fluid.scheme_a.outage_slots", acc.outage_slots as u64);
-    }
-    DegradedFluidReport {
-        base: FluidReport {
-            lambda,
-            lambda_typical,
-            bottleneck,
-            slots,
-            scheduled_pairs_per_slot: acc.total_pairs as f64 / slots as f64,
-        },
-        k_alive_mean: acc.alive_sum as f64 / slots as f64,
-        outage_slots: acc.outage_slots,
-        infra_flows: flows,
-        fallback_flows: 0,
-        dead_groups: 0,
-        tally,
-    }
-}
-
-/// Turns faulted scheme B accumulators plus the end-of-run injector state
-/// into a degraded report: flow re-classification against the durable
-/// (scripted) fault state, masked Theorem 5 probes, and run-level metrics.
-#[allow(clippy::too_many_arguments)]
-fn finalize_scheme_b_faulted<S: MetricsSink>(
-    plan: &SchemeBPlan,
-    slots: usize,
-    acc: &SchemeBAcc,
-    k: usize,
-    bandwidth: f64,
-    injector: &FaultInjector,
-    tally: FaultTally,
     obs: &mut Observer<S>,
 ) -> Result<DegradedFluidReport, HycapError> {
-    // Classify flows against the durable fault state: transient
-    // Bernoulli outages eat into measured service, scripted deaths
-    // re-route the plan.
-    let scripted = injector.scripted_mask();
-    let alive_bs: Vec<bool> = (0..k).map(|b| scripted.bs_alive(b)).collect();
-    let degraded = plan.degrade(&alive_bs)?;
-    let members: Vec<Vec<usize>> = (0..degraded.group_count())
-        .map(|g| degraded.alive_bs_members(g).to_vec())
-        .collect();
-    let backbone = Backbone::new(k, bandwidth);
-    let backbone_rate = degraded
-        .backbone_load()
-        .max_uniform_rate_masked(&backbone, scripted, &members)?;
-    let (lambda, lambda_typical, bottleneck) =
-        scheme_b_bottleneck(degraded.access_load(), &acc.service, slots, backbone_rate);
-    if let Some(probes) = obs.probes_mut() {
-        // Masked Theorem 5 feasibility: each surviving group pair's
-        // traffic at rate λ fits the *effective* wire bandwidth left by
-        // the durable fault state.
-        for ((s, d), count) in degraded.backbone_load().flows() {
-            let mut eff_wires = 0.0;
-            for &a in &members[s] {
-                for &b in &members[d] {
-                    eff_wires += scripted.wire_factor(a, b);
+    let (acc, slots, k) = (&t.acc, t.slots, t.k);
+    let (lambda, lambda_typical, bottleneck, infra_flows, fallback_flows, dead_groups) =
+        match (plan, &t.faults) {
+            (FluidPlan::A(plan), faults) => {
+                let (lambda, typical, bottleneck) = scheme_a_bottleneck(plan, slots, &acc.service);
+                if let Some((injector, tally)) = faults {
+                    fault_tally_probe("fluid scheme A injector", k, injector, tally, obs);
                 }
+                (lambda, typical, bottleneck, plan.flow_count(), 0, 0)
             }
-            probes.rate_budget(
-                "degraded scheme B backbone pair",
-                lambda * count,
-                bandwidth * eff_wires,
-            );
-        }
-        if backbone_rate.is_finite() {
-            probes.rate_budget(
-                "degraded scheme B lambda vs backbone",
-                lambda,
-                backbone_rate,
-            );
-        }
-        probes.fault_tally(
-            "fluid scheme B injector",
-            k,
-            injector.scripted_mask().alive_count(),
-            injector.alive_count(),
-            tally.bs_crashes + tally.bs_repairs,
-            tally.bernoulli_bs_outages,
-        );
-    }
+            (FluidPlan::B(plan), None) => {
+                let backbone = Backbone::new(k, bandwidth);
+                let backbone_rate = plan.backbone_load().max_uniform_rate(&backbone);
+                let (lambda, typical, bottleneck) =
+                    scheme_b_bottleneck(plan.access_load(), &acc.service, slots, backbone_rate);
+                if let Some(probes) = obs.probes_mut() {
+                    // Theorem 5 wire feasibility: at the granted rate, each
+                    // group pair's backbone traffic fits its wires; λ never
+                    // exceeds the backbone-feasible rate.
+                    let load = plan.backbone_load();
+                    for ((s, d), count) in load.flows() {
+                        let wires = (load.group_size(s) * load.group_size(d)) as f64;
+                        probes.rate_budget(
+                            "scheme B backbone pair",
+                            lambda * count,
+                            backbone.edge_bandwidth() * wires,
+                        );
+                    }
+                    if backbone_rate.is_finite() {
+                        probes.rate_budget("scheme B lambda vs backbone", lambda, backbone_rate);
+                    }
+                }
+                if backbone_rate.is_finite() && obs.sink.enabled() {
+                    obs.sink
+                        .observe("fluid.scheme_b.backbone_rate", backbone_rate);
+                }
+                (lambda, typical, bottleneck, plan.flows().len(), 0, 0)
+            }
+            (FluidPlan::B(plan), Some((injector, tally))) => {
+                let scripted = injector.scripted_mask();
+                let alive_bs: Vec<bool> = (0..k).map(|b| scripted.bs_alive(b)).collect();
+                let degraded = plan.degrade(&alive_bs)?;
+                let backbone = Backbone::new(k, bandwidth);
+                let members: Vec<Vec<usize>> = (0..degraded.group_count())
+                    .map(|g| degraded.alive_bs_members(g).to_vec())
+                    .collect();
+                let backbone_rate = degraded
+                    .backbone_load()
+                    .max_uniform_rate_masked(&backbone, scripted, &members)?;
+                let (lambda, typical, bottleneck) =
+                    scheme_b_bottleneck(degraded.access_load(), &acc.service, slots, backbone_rate);
+                if let Some(probes) = obs.probes_mut() {
+                    // Masked Theorem 5 feasibility: each surviving group
+                    // pair's traffic at rate λ fits the *effective* wire
+                    // bandwidth left by the durable fault state.
+                    for ((s, d), count) in degraded.backbone_load().flows() {
+                        let mut eff_wires = 0.0;
+                        for &a in &members[s] {
+                            for &b in &members[d] {
+                                eff_wires += scripted.wire_factor(a, b);
+                            }
+                        }
+                        probes.rate_budget(
+                            "degraded scheme B backbone pair",
+                            lambda * count,
+                            bandwidth * eff_wires,
+                        );
+                    }
+                    if backbone_rate.is_finite() {
+                        probes.rate_budget(
+                            "degraded scheme B lambda vs backbone",
+                            lambda,
+                            backbone_rate,
+                        );
+                    }
+                }
+                fault_tally_probe("fluid scheme B injector", k, injector, tally, obs);
+                let fallback = degraded.fallback_flows().len();
+                if obs.sink.enabled() {
+                    obs.sink
+                        .counter("fluid.scheme_b.fallback_flows", fallback as u64);
+                }
+                let (infra, dead) = (degraded.infra_flows().len(), degraded.dead_groups().len());
+                (lambda, typical, bottleneck, infra, fallback, dead)
+            }
+        };
+    let names = match plan {
+        FluidPlan::A(_) => &SCHEME_A_METRICS,
+        FluidPlan::B(_) => &SCHEME_B_METRICS,
+    };
     if obs.sink.enabled() {
-        obs.sink.counter("fluid.scheme_b.faulted_runs", 1);
-        obs.sink
-            .counter("fluid.scheme_b.outage_slots", acc.outage_slots as u64);
-        obs.sink.counter(
-            "fluid.scheme_b.fallback_flows",
-            degraded.fallback_flows().len() as u64,
-        );
+        if t.faults.is_some() {
+            obs.sink.counter(names.faulted_runs, 1);
+            obs.sink
+                .counter(names.outage_slots, acc.outage_slots as u64);
+        } else {
+            obs.sink.counter(names.runs, 1);
+            obs.sink.counter(names.slots, slots as u64);
+            obs.sink.counter(names.credited, acc.credited);
+            obs.sink.observe(names.lambda, lambda);
+            obs.sink.observe(names.lambda_typical, lambda_typical);
+            obs.sink.span(names.span, timer.elapsed_micros());
+        }
+    }
+    if let Some(completed) = t.completed {
+        obs.sink.counter(names.interrupted, 1);
+        obs.sink.counter(names.completed_slots, completed);
     }
     Ok(DegradedFluidReport {
         base: FluidReport {
@@ -2681,18 +1098,82 @@ fn finalize_scheme_b_faulted<S: MetricsSink>(
             slots,
             scheduled_pairs_per_slot: acc.total_pairs as f64 / slots as f64,
         },
-        k_alive_mean: acc.alive_sum as f64 / slots as f64,
+        k_alive_mean: match t.faults {
+            Some(_) => acc.alive_sum as f64 / slots as f64,
+            None => k as f64,
+        },
         outage_slots: acc.outage_slots,
-        infra_flows: degraded.infra_flows().len(),
-        fallback_flows: degraded.fallback_flows().len(),
-        dead_groups: degraded.dead_groups().len(),
-        tally,
+        infra_flows,
+        fallback_flows,
+        dead_groups,
+        tally: t.faults.as_ref().map_or_else(FaultTally::default, |f| f.1),
     })
 }
+
+/// Fault-tally consistency of a run's end-of-run injector state.
+fn fault_tally_probe<S: MetricsSink>(
+    context: &'static str,
+    k: usize,
+    injector: &FaultInjector,
+    tally: &FaultTally,
+    obs: &mut Observer<S>,
+) {
+    if let Some(probes) = obs.probes_mut() {
+        probes.fault_tally(
+            context,
+            k,
+            injector.scripted_mask().alive_count(),
+            injector.alive_count(),
+            tally.bs_crashes + tally.bs_repairs,
+            tally.bernoulli_bs_outages,
+        );
+    }
+}
+
+/// The run-level metric names of one scheme.
+struct SchemeMetrics {
+    runs: &'static str,
+    slots: &'static str,
+    credited: &'static str,
+    lambda: &'static str,
+    lambda_typical: &'static str,
+    span: &'static str,
+    faulted_runs: &'static str,
+    outage_slots: &'static str,
+    interrupted: &'static str,
+    completed_slots: &'static str,
+}
+
+const SCHEME_A_METRICS: SchemeMetrics = SchemeMetrics {
+    runs: "fluid.scheme_a.runs",
+    slots: "fluid.scheme_a.slots",
+    credited: "fluid.scheme_a.credited_contacts",
+    lambda: "fluid.scheme_a.lambda",
+    lambda_typical: "fluid.scheme_a.lambda_typical",
+    span: "fluid.measure_scheme_a",
+    faulted_runs: "fluid.scheme_a.faulted_runs",
+    outage_slots: "fluid.scheme_a.outage_slots",
+    interrupted: "fluid.scheme_a.interrupted",
+    completed_slots: "fluid.scheme_a.completed_slots",
+};
+
+const SCHEME_B_METRICS: SchemeMetrics = SchemeMetrics {
+    runs: "fluid.scheme_b.runs",
+    slots: "fluid.scheme_b.slots",
+    credited: "fluid.scheme_b.access_contacts",
+    lambda: "fluid.scheme_b.lambda",
+    lambda_typical: "fluid.scheme_b.lambda_typical",
+    span: "fluid.measure_scheme_b",
+    faulted_runs: "fluid.scheme_b.faulted_runs",
+    outage_slots: "fluid.scheme_b.outage_slots",
+    interrupted: "fluid.scheme_b.interrupted",
+    completed_slots: "fluid.scheme_b.completed_slots",
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::BudgetExceeded;
     use hycap_infra::BaseStations;
     use hycap_mobility::{ClusteredModel, Kernel, MobilityKind, Population, PopulationConfig};
     use rand::rngs::StdRng;
@@ -2710,6 +1191,32 @@ mod tests {
         (HybridNetwork::ad_hoc(pop), rng)
     }
 
+    /// A network of `n` MSs over a regular grid of 16 BSs, plus its scheme-B
+    /// plan with 2×2 squarelets.
+    fn hybrid_net(n: usize, seed: u64) -> (HybridNetwork, SchemeBPlan, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = PopulationConfig::builder(n)
+            .alpha(0.25)
+            .kernel(Kernel::uniform_disk(1.0))
+            .build();
+        let pop = Population::generate(&config, &mut rng);
+        let bs = BaseStations::generate_regular(16, 1.0);
+        let homes = pop.home_points().points().to_vec();
+        let traffic = TrafficMatrix::permutation(n, &mut rng);
+        let plan = SchemeBPlan::build(&homes, &traffic, &bs, 2);
+        (HybridNetwork::with_infrastructure(pop, bs), plan, rng)
+    }
+
+    /// Runs `spec` unobserved and unwraps the complete report.
+    fn measure(net: &mut HybridNetwork, plan: FluidPlan<'_>, spec: FluidRun<'_>) -> FluidReport {
+        FluidEngine::default()
+            .run(net, plan, spec, &mut Observer::noop())
+            .unwrap()
+            .into_complete("fluid test")
+            .unwrap()
+            .base
+    }
+
     #[test]
     fn scheme_a_yields_positive_capacity() {
         let (mut net, mut rng) = uniform_net(600, 1);
@@ -2717,8 +1224,11 @@ mod tests {
         let traffic = TrafficMatrix::permutation(600, &mut rng);
         let homes = net.population().home_points().points().to_vec();
         let plan = SchemeAPlan::build(&homes, &traffic, f);
-        let engine = FluidEngine::default();
-        let report = engine.measure_scheme_a(&mut net, &plan, 400, &mut rng);
+        let report = measure(
+            &mut net,
+            FluidPlan::A(&plan),
+            FluidRun::in_order(400, &mut rng),
+        );
         assert!(
             report.lambda > 0.0,
             "lambda 0, bottleneck {:?}, pairs/slot {}",
@@ -2741,8 +1251,11 @@ mod tests {
         let traffic = TrafficMatrix::permutation(400, &mut rng);
         let plan = SchemeBPlan::build(&homes, &traffic, &bs, 4);
         let mut net = HybridNetwork::with_infrastructure(pop, bs);
-        let engine = FluidEngine::default();
-        let report = engine.measure_scheme_b(&mut net, &plan, 400, &mut rng);
+        let report = measure(
+            &mut net,
+            FluidPlan::B(&plan),
+            FluidRun::in_order(400, &mut rng),
+        );
         assert!(
             report.lambda > 0.0,
             "lambda 0, bottleneck {:?}",
@@ -2763,7 +1276,11 @@ mod tests {
         let traffic = TrafficMatrix::permutation(300, &mut rng);
         let plan = SchemeBPlan::build(&homes, &traffic, &bs, 4);
         let mut net = HybridNetwork::with_infrastructure(pop, bs);
-        let report = FluidEngine::default().measure_scheme_b(&mut net, &plan, 200, &mut rng);
+        let report = measure(
+            &mut net,
+            FluidPlan::B(&plan),
+            FluidRun::in_order(200, &mut rng),
+        );
         assert_eq!(report.bottleneck, Bottleneck::Backbone);
         assert!(report.lambda > 0.0 && report.lambda < 1e-4);
     }
@@ -2788,18 +1305,26 @@ mod tests {
 
     #[test]
     fn budgeted_within_budget_is_bit_identical() {
-        let (net, mut rng) = uniform_net(200, 21);
+        let (mut net, mut rng) = uniform_net(200, 21);
         let f = (200f64).powf(0.25);
         let traffic = TrafficMatrix::permutation(200, &mut rng);
         let homes = net.population().home_points().points().to_vec();
         let plan = SchemeAPlan::build(&homes, &traffic, f);
-        let engine = FluidEngine::default();
-        let plain = engine.measure_scheme_a_ctr(&net, &plan, 60, 9).unwrap();
-        let budgeted = engine
-            .measure_scheme_a_budgeted(&net, &plan, 60, 9, None, RunBudget::unlimited())
+        let plain = measure(
+            &mut net,
+            FluidPlan::A(&plan),
+            FluidRun::counter(60, 9, None),
+        );
+        let budgeted = FluidEngine::default()
+            .run(
+                &mut net,
+                FluidPlan::A(&plan),
+                FluidRun::counter(60, 9, None).budget(RunBudget::unlimited()),
+                &mut Observer::noop(),
+            )
             .unwrap();
         assert!(budgeted.is_complete());
-        let report = budgeted.report();
+        let report = &budgeted.report().base;
         assert_eq!(report.lambda.to_bits(), plain.lambda.to_bits());
         assert_eq!(
             report.scheduled_pairs_per_slot.to_bits(),
@@ -2824,67 +1349,62 @@ mod tests {
         let traffic = TrafficMatrix::permutation(220, &mut rng);
         let plan_a = SchemeAPlan::build(&homes, &traffic, (220f64).powf(0.25));
         let plan_b = SchemeBPlan::build(&homes, &traffic, &bs, 4);
-        let net = HybridNetwork::with_infrastructure(pop, bs);
+        let mut net = HybridNetwork::with_infrastructure(pop, bs);
         assert!(net.positions_static());
         let on = FluidEngine::default();
         let off = on.without_schedule_memo();
-
-        let (ra, sa) = on
-            .measure_scheme_a_ctr_observed(&net, &plan_a, 80, 5)
-            .unwrap();
-        let (rb, sb) = off
-            .measure_scheme_a_ctr_observed(&net, &plan_a, 80, 5)
-            .unwrap();
-        assert_eq!(ra.lambda.to_bits(), rb.lambda.to_bits());
-        assert_eq!(
-            ra.scheduled_pairs_per_slot.to_bits(),
-            rb.scheduled_pairs_per_slot.to_bits()
-        );
-        assert_eq!(sa.to_json(), sb.to_json());
-
         // Fault churn: scripted crash/repair plus per-slot Bernoulli
         // outage masks — the memo must invalidate on every transition.
         let schedule = FaultSchedule::empty()
             .crash_bs(10, 0)
             .repair_bs(40, 0)
             .with_bernoulli_bs_outage(0.2, 9);
-        let (da, fsa) = on
-            .measure_scheme_b_with_faults_ctr_observed(
-                &net,
-                &plan_b,
-                60,
-                &schedule,
-                OutagePolicy::RadioOff,
-                5,
-            )
-            .unwrap();
-        let (db, fsb) = off
-            .measure_scheme_b_with_faults_ctr_observed(
-                &net,
-                &plan_b,
-                60,
-                &schedule,
-                OutagePolicy::RadioOff,
-                5,
-            )
-            .unwrap();
-        assert_eq!(da.base.lambda.to_bits(), db.base.lambda.to_bits());
-        assert_eq!(da.tally, db.tally);
-        assert_eq!(fsa.to_json(), fsb.to_json());
+        let mut observed = |engine: FluidEngine, plan, spec| {
+            let mut obs = Observer::recording().with_probes();
+            let report = engine.run(&mut net, plan, spec, &mut obs).unwrap();
+            (report.report().clone(), obs.snapshot().to_json())
+        };
+        for (plan, slots, faults) in [
+            (FluidPlan::A(&plan_a), 80, None),
+            (FluidPlan::B(&plan_b), 60, Some(&schedule)),
+        ] {
+            let spec = || {
+                let spec = FluidRun::counter(slots, 5, None);
+                match faults {
+                    Some(schedule) => spec.faults(schedule, OutagePolicy::RadioOff),
+                    None => spec,
+                }
+            };
+            let (ra, sa) = observed(on, plan, spec());
+            let (rb, sb) = observed(off, plan, spec());
+            assert_eq!(ra.base.lambda.to_bits(), rb.base.lambda.to_bits());
+            assert_eq!(
+                ra.base.scheduled_pairs_per_slot.to_bits(),
+                rb.base.scheduled_pairs_per_slot.to_bits()
+            );
+            assert_eq!(ra.tally, rb.tally);
+            assert_eq!(sa, sb);
+        }
     }
 
     #[test]
     fn budgeted_slot_cap_interrupts_with_partial_report() {
-        let (net, mut rng) = uniform_net(200, 22);
+        let (mut net, mut rng) = uniform_net(200, 22);
         let f = (200f64).powf(0.25);
         let traffic = TrafficMatrix::permutation(200, &mut rng);
         let homes = net.population().home_points().points().to_vec();
         let plan = SchemeAPlan::build(&homes, &traffic, f);
-        let engine = FluidEngine::default();
         let budget = RunBudget::unlimited().with_max_slots(10);
-        let (outcome, snap) = engine
-            .measure_scheme_a_budgeted_observed(&net, &plan, 100, 9, None, budget)
+        let mut obs = Observer::recording().with_probes();
+        let outcome = FluidEngine::default()
+            .run(
+                &mut net,
+                FluidPlan::A(&plan),
+                FluidRun::counter(100, 9, None).budget(budget),
+                &mut obs,
+            )
             .unwrap();
+        let snap = obs.snapshot();
         let Budgeted::Interrupted {
             partial,
             completed_slots,
@@ -2898,7 +1418,7 @@ mod tests {
         assert_eq!(requested_slots, 100);
         assert_eq!(exceeded, BudgetExceeded::Slots);
         // Partial report normalizes by the completed slots.
-        assert_eq!(partial.slots, 10);
+        assert_eq!(partial.base.slots, 10);
         assert_eq!(snap.counter("fluid.scheme_a.interrupted"), 1);
         assert_eq!(snap.counter("fluid.scheme_a.completed_slots"), 10);
         // The typed unwrap maps to exit code 4.
@@ -2914,33 +1434,67 @@ mod tests {
     }
 
     #[test]
+    fn budgeted_faulted_run_normalizes_by_completed_slots() {
+        let (mut net, plan, _) = hybrid_net(200, 24);
+        let schedule = FaultSchedule::empty()
+            .crash_bs(0, 0)
+            .crash_bs(0, 1)
+            .with_bernoulli_bs_outage(0.1, 3);
+        let spec = FluidRun::counter(50, 4, None)
+            .faults(&schedule, OutagePolicy::RadioOff)
+            .budget(RunBudget::unlimited().with_max_slots(20));
+        let outcome = FluidEngine::default()
+            .run(&mut net, FluidPlan::B(&plan), spec, &mut Observer::noop())
+            .unwrap();
+        let Budgeted::Interrupted {
+            partial,
+            completed_slots,
+            ..
+        } = outcome
+        else {
+            panic!("slot cap of 20 on a 50-slot run must interrupt");
+        };
+        assert_eq!(completed_slots, 20);
+        assert_eq!(partial.base.slots, 20);
+        assert_eq!(partial.outage_slots, 20);
+        // Two scripted deaths every slot plus transient outages: the mean
+        // over the 20 completed slots is at most k - 2.
+        assert!(partial.k_alive_mean > 0.0 && partial.k_alive_mean <= 14.0);
+        // The same 20 slots run unbudgeted give the same per-slot figures.
+        let full = FluidEngine::default()
+            .run(
+                &mut net,
+                FluidPlan::B(&plan),
+                FluidRun::counter(20, 4, None).faults(&schedule, OutagePolicy::RadioOff),
+                &mut Observer::noop(),
+            )
+            .unwrap()
+            .into_complete("fluid test")
+            .unwrap();
+        assert_eq!(partial, full);
+    }
+
+    #[test]
     fn scheme_b_budgeted_event_free_axes_complete() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let config = PopulationConfig::builder(200)
-            .alpha(0.25)
-            .kernel(Kernel::uniform_disk(1.0))
-            .mobility(MobilityKind::IidStationary)
-            .build();
-        let pop = Population::generate(&config, &mut rng);
-        let bs = BaseStations::generate_regular(16, 1.0);
-        let homes = pop.home_points().points().to_vec();
-        let traffic = TrafficMatrix::permutation(200, &mut rng);
-        let plan = SchemeBPlan::build(&homes, &traffic, &bs, 4);
-        let net = HybridNetwork::with_infrastructure(pop, bs);
-        let engine = FluidEngine::default();
-        let plain = engine.measure_scheme_b_ctr(&net, &plan, 40, 3).unwrap();
-        let budgeted = engine
-            .measure_scheme_b_budgeted(
-                &net,
-                &plan,
-                40,
-                3,
-                None,
-                RunBudget::unlimited().with_max_slots(40),
+        let (mut net, plan, _) = hybrid_net(200, 23);
+        let plain = measure(
+            &mut net,
+            FluidPlan::B(&plan),
+            FluidRun::counter(40, 3, None),
+        );
+        let budgeted = FluidEngine::default()
+            .run(
+                &mut net,
+                FluidPlan::B(&plan),
+                FluidRun::counter(40, 3, None).budget(RunBudget::unlimited().with_max_slots(40)),
+                &mut Observer::noop(),
             )
             .unwrap();
         assert!(budgeted.is_complete(), "cap equal to slots must complete");
-        assert_eq!(budgeted.report().lambda.to_bits(), plain.lambda.to_bits());
+        assert_eq!(
+            budgeted.report().base.lambda.to_bits(),
+            plain.lambda.to_bits()
+        );
     }
 
     #[test]
@@ -2951,24 +1505,88 @@ mod tests {
         assert!((e.range_for(900) - 0.01).abs() < 1e-12);
     }
 
+    /// Runs `spec` and returns its error.
+    fn run_err(net: &mut HybridNetwork, plan: FluidPlan<'_>, spec: FluidRun<'_>) -> HycapError {
+        FluidEngine::default()
+            .run(net, plan, spec, &mut Observer::noop())
+            .unwrap_err()
+    }
+
     #[test]
-    #[should_panic(expected = "requires base stations")]
     fn scheme_b_requires_bs() {
         let (mut net, mut rng) = uniform_net(50, 5);
         let traffic = TrafficMatrix::permutation(50, &mut rng);
         let bs = BaseStations::generate_regular(4, 1.0);
         let homes = net.population().home_points().points().to_vec();
         let plan = SchemeBPlan::build(&homes, &traffic, &bs, 2);
-        let _ = FluidEngine::default().measure_scheme_b(&mut net, &plan, 10, &mut rng);
+        let err = run_err(
+            &mut net,
+            FluidPlan::B(&plan),
+            FluidRun::in_order(10, &mut rng),
+        );
+        assert!(
+            matches!(err, HycapError::MissingInfrastructure("scheme B")),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "at least one slot")]
     fn zero_slots_rejected() {
         let (mut net, mut rng) = uniform_net(50, 6);
         let traffic = TrafficMatrix::permutation(50, &mut rng);
         let homes = net.population().home_points().points().to_vec();
         let plan = SchemeAPlan::build(&homes, &traffic, 2.0);
-        let _ = FluidEngine::default().measure_scheme_a(&mut net, &plan, 0, &mut rng);
+        let err = run_err(
+            &mut net,
+            FluidPlan::A(&plan),
+            FluidRun::in_order(0, &mut rng),
+        );
+        assert!(
+            matches!(err, HycapError::InvalidParameter { name: "slots", .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn scheme_a_plan_for_other_population_rejected() {
+        let (mut net, mut rng) = uniform_net(50, 7);
+        let (other, _) = uniform_net(60, 8);
+        let traffic = TrafficMatrix::permutation(60, &mut rng);
+        let homes = other.population().home_points().points().to_vec();
+        let plan = SchemeAPlan::build(&homes, &traffic, 2.0);
+        let err = run_err(
+            &mut net,
+            FluidPlan::A(&plan),
+            FluidRun::in_order(5, &mut rng),
+        );
+        assert!(
+            matches!(
+                err,
+                HycapError::Mismatch {
+                    left: 60,
+                    right: 50,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn scheme_b_plan_for_larger_population_rejected() {
+        let (mut net, _, mut rng) = hybrid_net(50, 9);
+        let (_, plan, _) = hybrid_net(60, 10);
+        let err = run_err(
+            &mut net,
+            FluidPlan::B(&plan),
+            FluidRun::in_order(5, &mut rng),
+        );
+        assert!(
+            matches!(err, HycapError::Mismatch { right: 50, .. }),
+            "{err}"
+        );
+        let err = run_err(&mut net, FluidPlan::B(&plan), FluidRun::counter(5, 1, None));
+        assert!(matches!(err, HycapError::Mismatch { .. }), "{err}");
     }
 }

@@ -7,15 +7,16 @@
 //!
 //! * [`FluidEngine`] — Monte-Carlo service-rate estimation per resource
 //!   (squarelet edge, access group, backbone wire) combined with a routing
-//!   plan's load map: `λ = min service/load`. Fast; used for `n`-sweeps.
+//!   plan's load map: `λ = min service/load`, through one entry point,
+//!   [`FluidEngine::run`]. Fast; used for `n`-sweeps.
 //! * [`PacketEngine`] — a slotted queueing simulator with real buffers and
 //!   a bisection search for the stability boundary. Slower; validates the
 //!   fluid numbers.
 //! * [`sweep`] — geometric `n` ladders, log–log exponent fits and an
 //!   order-preserving parallel driver, used by every Table-I / Figure-3
 //!   experiment.
-//! * [`WorkerPool`] — a persistent worker pool backing the slot-sharded
-//!   fluid entry points, [`PacketEngine::run_replications`] and the bench
+//! * [`WorkerPool`] — a persistent worker pool backing slot-sharded fluid
+//!   runs ([`Sampling::Counter`]), [`PacketEngine::run_replications`] and the bench
 //!   drivers; combined with counter-based mobility streams
 //!   (`hycap_mobility::SlotRng`), measurements are bit-identical at any
 //!   thread count.
@@ -33,7 +34,8 @@
 //! ```
 //! use hycap_mobility::{Kernel, Population, PopulationConfig};
 //! use hycap_routing::{SchemeAPlan, TrafficMatrix};
-//! use hycap_sim::{FluidEngine, HybridNetwork};
+//! use hycap_sim::{FluidEngine, FluidPlan, FluidRun, HybridNetwork};
+//! use hycap_sim::obs::Observer;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -43,8 +45,13 @@
 //! let traffic = TrafficMatrix::permutation(300, &mut rng);
 //! let plan = SchemeAPlan::build(&homes, &traffic, 300f64.powf(0.25));
 //! let mut net = HybridNetwork::ad_hoc(pop);
-//! let report = FluidEngine::default().measure_scheme_a(&mut net, &plan, 100, &mut rng);
-//! assert!(report.lambda >= 0.0);
+//! let spec = FluidRun::in_order(100, &mut rng);
+//! let report = FluidEngine::default()
+//!     .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+//!     .unwrap()
+//!     .into_complete("scheme A")
+//!     .unwrap();
+//! assert!(report.base.lambda >= 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -71,7 +78,10 @@ pub use faults::{FaultEvent, FaultInjector, FaultSchedule, FaultTally, OutagePol
 pub use flows::{
     ArrivalProcess, DegradedFlowStats, FlowRunStats, FlowSizes, FlowSpec, FlowWorkload,
 };
-pub use fluid::{Bottleneck, DegradedFluidReport, FluidEngine, FluidReport, TwoHopReport};
+pub use fluid::{
+    Bottleneck, DegradedFluidReport, FluidEngine, FluidPlan, FluidReport, FluidRun, Sampling,
+    TwoHopReport,
+};
 pub use packet::{DegradedPacketStats, Pacing, PacingTrace, PacketEngine, PacketStats};
 pub use pool::{JobPanic, WorkerPool};
 pub use sweep::{
@@ -80,6 +90,6 @@ pub use sweep::{
 };
 
 /// Re-export of the observability crate so downstream code can construct
-/// [`hycap_obs::Observer`]s for the `*_observed` engine entry points
-/// without naming `hycap-obs` directly.
+/// [`hycap_obs::Observer`]s for [`FluidEngine::run`] and the `*_observed`
+/// packet and flow entry points without naming `hycap-obs` directly.
 pub use hycap_obs as obs;

@@ -1,16 +1,21 @@
 //! Thread-count determinism of the slot-sharded fluid engines.
 //!
 //! The contract under test: for every scheme (A, B), fault-free and
-//! faulted, the `_par` entry points produce **bit-identical** reports and
-//! merged metrics snapshots at 1, 2, 4 and 7 worker threads, and all of
-//! them equal the single-threaded counter-based `_ctr` reference. This is
-//! what makes `--threads` a pure throughput knob: parallelism can never
-//! change a measured number.
+//! faulted, pooled counter-based runs (`Sampling::Counter` with a pool)
+//! produce **bit-identical** reports and merged metrics snapshots at 1, 2,
+//! 4 and 7 worker threads, and all of them equal the unpooled inline run;
+//! streamed runs equal it too at every chunk size. This is what makes
+//! `--threads` a pure throughput knob: parallelism can never change a
+//! measured number.
 
 use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
+use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
-use hycap_sim::{FaultSchedule, FluidEngine, HybridNetwork, OutagePolicy, WorkerPool};
+use hycap_sim::{
+    DegradedFluidReport, FaultSchedule, FluidEngine, FluidPlan, FluidRun, HybridNetwork,
+    OutagePolicy, WorkerPool,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,6 +44,38 @@ fn hybrid_setup(
     (HybridNetwork::with_infrastructure(pop, bs), plan_b, plan_a)
 }
 
+/// Runs `spec` with a recording observer: the complete report plus the
+/// snapshot JSON.
+fn observed(
+    net: &mut HybridNetwork,
+    plan: FluidPlan<'_>,
+    spec: FluidRun<'_>,
+) -> (DegradedFluidReport, String) {
+    let mut obs = Observer::recording().with_probes();
+    let report = FluidEngine::default()
+        .run(net, plan, spec, &mut obs)
+        .unwrap()
+        .into_complete("determinism")
+        .unwrap();
+    (report, obs.snapshot().to_json())
+}
+
+/// Asserts that two faulted runs agree on every field, bit for bit.
+fn assert_same_degraded(got: &DegradedFluidReport, want: &DegradedFluidReport, what: &str) {
+    assert_eq!(got.base, want.base, "base report drifted ({what})");
+    assert_eq!(got.base.lambda.to_bits(), want.base.lambda.to_bits());
+    assert_eq!(
+        got.base.lambda_typical.to_bits(),
+        want.base.lambda_typical.to_bits()
+    );
+    assert_eq!(got.k_alive_mean.to_bits(), want.k_alive_mean.to_bits());
+    assert_eq!(got.outage_slots, want.outage_slots);
+    assert_eq!(got.infra_flows, want.infra_flows);
+    assert_eq!(got.fallback_flows, want.fallback_flows);
+    assert_eq!(got.dead_groups, want.dead_groups);
+    assert_eq!(got.tally, want.tally);
+}
+
 /// A schedule exercising scripted crashes, a repair and transient outages.
 fn faulty_schedule() -> FaultSchedule {
     FaultSchedule::empty()
@@ -52,96 +89,53 @@ fn faulty_schedule() -> FaultSchedule {
 #[test]
 fn scheme_a_par_bit_identical_across_thread_counts() {
     let slots = 200;
-    let (net, _, plan) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
-    let (reference, ref_snap) = engine
-        .measure_scheme_a_ctr_observed(&net, &plan, slots, SLOT_SEED)
-        .unwrap();
-    let ref_json = ref_snap.to_json();
+    let (mut net, _, plan) = hybrid_setup(200, 16, 2);
+    let plan = FluidPlan::A(&plan);
+    let (reference, ref_json) = observed(&mut net, plan, FluidRun::counter(slots, SLOT_SEED, None));
     for threads in THREADS {
         let pool = WorkerPool::new(threads);
-        let (report, snap) = engine
-            .measure_scheme_a_par_observed(&net, &plan, slots, SLOT_SEED, &pool)
-            .unwrap();
-        assert_eq!(report, reference, "report drifted at {threads} threads");
-        assert_eq!(
-            report.lambda.to_bits(),
-            reference.lambda.to_bits(),
-            "lambda bits drifted at {threads} threads"
-        );
-        assert_eq!(
-            report.lambda_typical.to_bits(),
-            reference.lambda_typical.to_bits()
-        );
-        assert_eq!(
-            snap.to_json(),
-            ref_json,
-            "snapshot drifted at {threads} threads"
-        );
+        let spec = FluidRun::counter(slots, SLOT_SEED, Some(&pool));
+        let (report, json) = observed(&mut net, plan, spec);
+        assert_same_degraded(&report, &reference, &format!("{threads} threads"));
+        assert_eq!(json, ref_json, "snapshot drifted at {threads} threads");
     }
 }
 
 #[test]
 fn scheme_b_par_bit_identical_across_thread_counts() {
     let slots = 200;
-    let (net, plan, _) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
-    let (reference, ref_snap) = engine
-        .measure_scheme_b_ctr_observed(&net, &plan, slots, SLOT_SEED)
-        .unwrap();
-    let ref_json = ref_snap.to_json();
+    let (mut net, plan, _) = hybrid_setup(200, 16, 2);
+    let plan = FluidPlan::B(&plan);
+    let (reference, ref_json) = observed(&mut net, plan, FluidRun::counter(slots, SLOT_SEED, None));
     for threads in THREADS {
         let pool = WorkerPool::new(threads);
-        let (report, snap) = engine
-            .measure_scheme_b_par_observed(&net, &plan, slots, SLOT_SEED, &pool)
-            .unwrap();
-        assert_eq!(report, reference, "report drifted at {threads} threads");
-        assert_eq!(report.lambda.to_bits(), reference.lambda.to_bits());
-        assert_eq!(
-            snap.to_json(),
-            ref_json,
-            "snapshot drifted at {threads} threads"
-        );
+        let spec = FluidRun::counter(slots, SLOT_SEED, Some(&pool));
+        let (report, json) = observed(&mut net, plan, spec);
+        assert_same_degraded(&report, &reference, &format!("{threads} threads"));
+        assert_eq!(json, ref_json, "snapshot drifted at {threads} threads");
     }
 }
 
 #[test]
 fn faulted_scheme_a_par_bit_identical_across_thread_counts() {
     let slots = 200;
-    let (net, _, plan) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
+    let (mut net, _, plan) = hybrid_setup(200, 16, 2);
+    let plan = FluidPlan::A(&plan);
     let schedule = faulty_schedule();
     for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-        let (reference, ref_snap) = engine
-            .measure_scheme_a_with_faults_ctr_observed(
-                &net, &plan, slots, &schedule, policy, SLOT_SEED,
-            )
-            .unwrap();
-        let ref_json = ref_snap.to_json();
+        let spec = FluidRun::counter(slots, SLOT_SEED, None).faults(&schedule, policy);
+        let (reference, ref_json) = observed(&mut net, plan, spec);
         for threads in THREADS {
             let pool = WorkerPool::new(threads);
-            let (report, snap) = engine
-                .measure_scheme_a_with_faults_par_observed(
-                    &net, &plan, slots, &schedule, policy, SLOT_SEED, &pool,
-                )
-                .unwrap();
-            assert_eq!(
-                report.base, reference.base,
-                "base report drifted at {threads} threads ({policy:?})"
+            let spec = FluidRun::counter(slots, SLOT_SEED, Some(&pool)).faults(&schedule, policy);
+            let (report, json) = observed(&mut net, plan, spec);
+            assert_same_degraded(
+                &report,
+                &reference,
+                &format!("{threads} threads, {policy:?}"),
             );
             assert_eq!(
-                report.base.lambda.to_bits(),
-                reference.base.lambda.to_bits()
-            );
-            assert_eq!(
-                report.k_alive_mean.to_bits(),
-                reference.k_alive_mean.to_bits()
-            );
-            assert_eq!(report.outage_slots, reference.outage_slots);
-            assert_eq!(report.tally, reference.tally);
-            assert_eq!(
-                snap.to_json(),
-                ref_json,
+                json, ref_json,
                 "snapshot drifted at {threads} threads ({policy:?})"
             );
         }
@@ -151,43 +145,23 @@ fn faulted_scheme_a_par_bit_identical_across_thread_counts() {
 #[test]
 fn faulted_scheme_b_par_bit_identical_across_thread_counts() {
     let slots = 200;
-    let (net, plan, _) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
+    let (mut net, plan, _) = hybrid_setup(200, 16, 2);
+    let plan = FluidPlan::B(&plan);
     let schedule = faulty_schedule();
     for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-        let (reference, ref_snap) = engine
-            .measure_scheme_b_with_faults_ctr_observed(
-                &net, &plan, slots, &schedule, policy, SLOT_SEED,
-            )
-            .unwrap();
-        let ref_json = ref_snap.to_json();
+        let spec = FluidRun::counter(slots, SLOT_SEED, None).faults(&schedule, policy);
+        let (reference, ref_json) = observed(&mut net, plan, spec);
         for threads in THREADS {
             let pool = WorkerPool::new(threads);
-            let (report, snap) = engine
-                .measure_scheme_b_with_faults_par_observed(
-                    &net, &plan, slots, &schedule, policy, SLOT_SEED, &pool,
-                )
-                .unwrap();
-            assert_eq!(
-                report.base, reference.base,
-                "base report drifted at {threads} threads ({policy:?})"
+            let spec = FluidRun::counter(slots, SLOT_SEED, Some(&pool)).faults(&schedule, policy);
+            let (report, json) = observed(&mut net, plan, spec);
+            assert_same_degraded(
+                &report,
+                &reference,
+                &format!("{threads} threads, {policy:?}"),
             );
             assert_eq!(
-                report.base.lambda.to_bits(),
-                reference.base.lambda.to_bits()
-            );
-            assert_eq!(
-                report.k_alive_mean.to_bits(),
-                reference.k_alive_mean.to_bits()
-            );
-            assert_eq!(report.outage_slots, reference.outage_slots);
-            assert_eq!(report.infra_flows, reference.infra_flows);
-            assert_eq!(report.fallback_flows, reference.fallback_flows);
-            assert_eq!(report.dead_groups, reference.dead_groups);
-            assert_eq!(report.tally, reference.tally);
-            assert_eq!(
-                snap.to_json(),
-                ref_json,
+                json, ref_json,
                 "snapshot drifted at {threads} threads ({policy:?})"
             );
         }
@@ -197,141 +171,79 @@ fn faulted_scheme_b_par_bit_identical_across_thread_counts() {
 #[test]
 fn empty_schedule_faulted_par_matches_fault_free_par() {
     let slots = 150;
-    let (net, plan, _) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
+    let (mut net, plan, _) = hybrid_setup(200, 16, 2);
+    let plan = FluidPlan::B(&plan);
     let pool = WorkerPool::new(3);
-    let plain = engine
-        .measure_scheme_b_par(&net, &plan, slots, SLOT_SEED, &pool)
-        .unwrap();
-    let faulted = engine
-        .measure_scheme_b_with_faults_par(
-            &net,
-            &plan,
-            slots,
-            &FaultSchedule::empty(),
-            OutagePolicy::RadioOff,
-            SLOT_SEED,
-            &pool,
-        )
-        .unwrap();
-    assert_eq!(faulted.base, plain);
+    let (plain, plain_json) = observed(
+        &mut net,
+        plan,
+        FluidRun::counter(slots, SLOT_SEED, Some(&pool)),
+    );
+    let empty = FaultSchedule::empty();
+    let spec =
+        FluidRun::counter(slots, SLOT_SEED, Some(&pool)).faults(&empty, OutagePolicy::RadioOff);
+    let (faulted, faulted_json) = observed(&mut net, plan, spec);
+    assert_eq!(faulted, plain);
+    assert_eq!(faulted_json, plain_json);
     assert_eq!(faulted.k_alive_mean, 16.0);
     assert_eq!(faulted.outage_slots, 0);
     assert_eq!(faulted.tally.scripted_total(), 0);
 }
 
-/// The streamed engines (PR 8) never materialize the full snapshot, yet
-/// must reproduce the fully materialized `_ctr` reference bit for bit —
-/// reports *and* metrics snapshots — for both schemes, fault-free, at
-/// several chunk sizes (including chunks smaller, equal to and larger than
-/// the node count).
+/// Streamed runs never materialize the full snapshot, yet must reproduce
+/// the fully materialized counter-based run bit for bit — reports *and*
+/// metrics snapshots — for both schemes, fault-free, at several chunk
+/// sizes (including chunks smaller, equal to and larger than the node
+/// count).
 #[test]
 fn streamed_bit_identical_to_ctr_fault_free() {
     let slots = 150;
     let chunks = [1usize, 37, 216, 4096];
-    let (net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
-    let (ref_a, ref_a_snap) = engine
-        .measure_scheme_a_ctr_observed(&net, &plan_a, slots, SLOT_SEED)
-        .unwrap();
-    let (ref_b, ref_b_snap) = engine
-        .measure_scheme_b_ctr_observed(&net, &plan_b, slots, SLOT_SEED)
-        .unwrap();
-    for chunk in chunks {
-        let (a, a_snap) = engine
-            .measure_scheme_a_streamed_observed(&net, &plan_a, slots, SLOT_SEED, chunk)
-            .unwrap();
-        assert_eq!(a, ref_a, "scheme A report drifted at chunk {chunk}");
-        assert_eq!(a.lambda.to_bits(), ref_a.lambda.to_bits());
-        assert_eq!(a.lambda_typical.to_bits(), ref_a.lambda_typical.to_bits());
-        assert_eq!(
-            a_snap.to_json(),
-            ref_a_snap.to_json(),
-            "scheme A snapshot drifted at chunk {chunk}"
-        );
-        let (b, b_snap) = engine
-            .measure_scheme_b_streamed_observed(&net, &plan_b, slots, SLOT_SEED, chunk)
-            .unwrap();
-        assert_eq!(b, ref_b, "scheme B report drifted at chunk {chunk}");
-        assert_eq!(b.lambda.to_bits(), ref_b.lambda.to_bits());
-        assert_eq!(
-            b_snap.to_json(),
-            ref_b_snap.to_json(),
-            "scheme B snapshot drifted at chunk {chunk}"
-        );
+    let (mut net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
+    for plan in [FluidPlan::A(&plan_a), FluidPlan::B(&plan_b)] {
+        let (reference, ref_json) =
+            observed(&mut net, plan, FluidRun::counter(slots, SLOT_SEED, None));
+        for chunk in chunks {
+            let spec = FluidRun::streamed(slots, SLOT_SEED, chunk);
+            let (report, json) = observed(&mut net, plan, spec);
+            assert_same_degraded(&report, &reference, &format!("{plan:?} at chunk {chunk}"));
+            assert_eq!(json, ref_json, "{plan:?} snapshot drifted at chunk {chunk}");
+        }
     }
 }
 
-/// Streamed == ctr under faults too, for both outage policies: same base
-/// report, fault statistics, tallies and snapshots.
+/// Streamed == counter-based under faults too, for both outage policies:
+/// same base report, fault statistics, tallies and snapshots.
 #[test]
 fn streamed_bit_identical_to_ctr_faulted() {
     let slots = 150;
     let chunk = 64;
-    let (net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
+    let (mut net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
     let schedule = faulty_schedule();
     for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-        let (ref_a, ref_a_snap) = engine
-            .measure_scheme_a_with_faults_ctr_observed(
-                &net, &plan_a, slots, &schedule, policy, SLOT_SEED,
-            )
-            .unwrap();
-        let (a, a_snap) = engine
-            .measure_scheme_a_with_faults_streamed_observed(
-                &net, &plan_a, slots, &schedule, policy, SLOT_SEED, chunk,
-            )
-            .unwrap();
-        assert_eq!(a.base, ref_a.base, "scheme A base drifted ({policy:?})");
-        assert_eq!(a.base.lambda.to_bits(), ref_a.base.lambda.to_bits());
-        assert_eq!(a.k_alive_mean.to_bits(), ref_a.k_alive_mean.to_bits());
-        assert_eq!(a.outage_slots, ref_a.outage_slots);
-        assert_eq!(a.tally, ref_a.tally);
-        assert_eq!(a_snap.to_json(), ref_a_snap.to_json());
-        let (ref_b, ref_b_snap) = engine
-            .measure_scheme_b_with_faults_ctr_observed(
-                &net, &plan_b, slots, &schedule, policy, SLOT_SEED,
-            )
-            .unwrap();
-        let (b, b_snap) = engine
-            .measure_scheme_b_with_faults_streamed_observed(
-                &net, &plan_b, slots, &schedule, policy, SLOT_SEED, chunk,
-            )
-            .unwrap();
-        assert_eq!(b.base, ref_b.base, "scheme B base drifted ({policy:?})");
-        assert_eq!(b.base.lambda.to_bits(), ref_b.base.lambda.to_bits());
-        assert_eq!(b.k_alive_mean.to_bits(), ref_b.k_alive_mean.to_bits());
-        assert_eq!(b.outage_slots, ref_b.outage_slots);
-        assert_eq!(b.infra_flows, ref_b.infra_flows);
-        assert_eq!(b.fallback_flows, ref_b.fallback_flows);
-        assert_eq!(b.dead_groups, ref_b.dead_groups);
-        assert_eq!(b.tally, ref_b.tally);
-        assert_eq!(b_snap.to_json(), ref_b_snap.to_json());
+        for plan in [FluidPlan::A(&plan_a), FluidPlan::B(&plan_b)] {
+            let spec = FluidRun::counter(slots, SLOT_SEED, None).faults(&schedule, policy);
+            let (reference, ref_json) = observed(&mut net, plan, spec);
+            let spec = FluidRun::streamed(slots, SLOT_SEED, chunk).faults(&schedule, policy);
+            let (report, json) = observed(&mut net, plan, spec);
+            assert_same_degraded(&report, &reference, &format!("{plan:?}, {policy:?}"));
+            assert_eq!(json, ref_json, "{plan:?} snapshot drifted ({policy:?})");
+        }
     }
 }
 
-/// An empty fault schedule delegates the streamed faulted run to the
-/// fault-free streamed measurement, mirroring the `_par` behavior.
+/// An empty fault schedule is the fault-free streamed run, mirroring the
+/// pooled behavior.
 #[test]
 fn empty_schedule_faulted_streamed_matches_fault_free_streamed() {
     let slots = 100;
-    let (net, plan, _) = hybrid_setup(200, 16, 2);
-    let engine = FluidEngine::default();
-    let plain = engine
-        .measure_scheme_b_streamed(&net, &plan, slots, SLOT_SEED, 50)
-        .unwrap();
-    let faulted = engine
-        .measure_scheme_b_with_faults_streamed(
-            &net,
-            &plan,
-            slots,
-            &FaultSchedule::empty(),
-            OutagePolicy::RadioOff,
-            SLOT_SEED,
-            50,
-        )
-        .unwrap();
-    assert_eq!(faulted.base, plain);
+    let (mut net, plan, _) = hybrid_setup(200, 16, 2);
+    let plan = FluidPlan::B(&plan);
+    let (plain, _) = observed(&mut net, plan, FluidRun::streamed(slots, SLOT_SEED, 50));
+    let empty = FaultSchedule::empty();
+    let spec = FluidRun::streamed(slots, SLOT_SEED, 50).faults(&empty, OutagePolicy::RadioOff);
+    let (faulted, _) = observed(&mut net, plan, spec);
+    assert_eq!(faulted, plain);
     assert_eq!(faulted.k_alive_mean, 16.0);
     assert_eq!(faulted.outage_slots, 0);
 }
@@ -339,9 +251,14 @@ fn empty_schedule_faulted_streamed_matches_fault_free_streamed() {
 /// Chunk size zero is a parameter error, not a hang.
 #[test]
 fn streamed_rejects_zero_chunk() {
-    let (net, _, plan) = hybrid_setup(50, 4, 2);
+    let (mut net, _, plan) = hybrid_setup(50, 4, 2);
     let err = FluidEngine::default()
-        .measure_scheme_a_streamed(&net, &plan, 10, SLOT_SEED, 0)
+        .run(
+            &mut net,
+            FluidPlan::A(&plan),
+            FluidRun::streamed(10, SLOT_SEED, 0),
+            &mut Observer::noop(),
+        )
         .unwrap_err();
     assert!(err.to_string().contains("chunk"), "{err}");
 }
@@ -358,9 +275,14 @@ fn counter_run_rejects_history_dependent_mobility() {
     let homes = pop.home_points().points().to_vec();
     let traffic = TrafficMatrix::permutation(120, &mut rng);
     let plan = SchemeAPlan::build(&homes, &traffic, (120f64).powf(0.25));
-    let net = HybridNetwork::ad_hoc(pop);
-    let err = FluidEngine::default()
-        .measure_scheme_a_ctr(&net, &plan, 50, SLOT_SEED)
-        .unwrap_err();
-    assert!(err.to_string().contains("counter"), "{err}");
+    let mut net = HybridNetwork::ad_hoc(pop);
+    for spec in [
+        FluidRun::counter(50, SLOT_SEED, None),
+        FluidRun::streamed(50, SLOT_SEED, 64),
+    ] {
+        let err = FluidEngine::default()
+            .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+            .unwrap_err();
+        assert!(err.to_string().contains("counter"), "{err}");
+    }
 }

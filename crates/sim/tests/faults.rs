@@ -10,9 +10,11 @@
 
 use hycap_infra::{Backbone, BaseStations, LinkMask};
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
+use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
 use hycap_sim::{
-    FaultInjector, FaultSchedule, FluidEngine, HybridNetwork, OutagePolicy, PacketEngine,
+    DegradedFluidReport, FaultInjector, FaultSchedule, FluidEngine, FluidPlan, FluidRun,
+    HybridNetwork, OutagePolicy, PacketEngine,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,24 +48,33 @@ fn hybrid_setup(
     )
 }
 
+/// An in-order fluid run of `plan`, under `faults` when given.
+fn fluid_in_order(
+    net: &mut HybridNetwork,
+    plan: FluidPlan<'_>,
+    slots: usize,
+    faults: Option<(&FaultSchedule, OutagePolicy)>,
+    rng: &mut StdRng,
+) -> DegradedFluidReport {
+    let mut spec = FluidRun::in_order(slots, rng);
+    spec.faults = faults;
+    FluidEngine::default()
+        .run(net, plan, spec, &mut Observer::noop())
+        .unwrap()
+        .into_complete("fluid")
+        .unwrap()
+}
+
 #[test]
 fn empty_schedule_bit_identical_fluid_scheme_b() {
     let slots = 250;
     let (mut net, plan, _, mut rng) = hybrid_setup(200, 64, 4, SEED);
-    let plain = FluidEngine::default().measure_scheme_b(&mut net, &plan, slots, &mut rng);
+    let plain = fluid_in_order(&mut net, FluidPlan::B(&plan), slots, None, &mut rng).base;
 
     let (mut net2, plan2, _, mut rng2) = hybrid_setup(200, 64, 4, SEED);
-    let mut injector = FaultInjector::new(64, &FaultSchedule::empty()).unwrap();
-    let faulted = FluidEngine::default()
-        .measure_scheme_b_with_faults(
-            &mut net2,
-            &plan2,
-            slots,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng2,
-        )
-        .unwrap();
+    let empty = FaultSchedule::empty();
+    let faults = Some((&empty, OutagePolicy::RadioOff));
+    let faulted = fluid_in_order(&mut net2, FluidPlan::B(&plan2), slots, faults, &mut rng2);
     // Bit-identical: the empty schedule takes the exact fault-free path.
     assert_eq!(faulted.base, plain);
     assert_eq!(faulted.base.lambda.to_bits(), plain.lambda.to_bits());
@@ -82,20 +93,12 @@ fn empty_schedule_bit_identical_fluid_scheme_b() {
 fn empty_schedule_bit_identical_fluid_scheme_a() {
     let slots = 250;
     let (mut net, _, plan, mut rng) = hybrid_setup(200, 16, 4, SEED + 1);
-    let plain = FluidEngine::default().measure_scheme_a(&mut net, &plan, slots, &mut rng);
+    let plain = fluid_in_order(&mut net, FluidPlan::A(&plan), slots, None, &mut rng).base;
 
     let (mut net2, _, plan2, mut rng2) = hybrid_setup(200, 16, 4, SEED + 1);
-    let mut injector = FaultInjector::new(16, &FaultSchedule::empty()).unwrap();
-    let faulted = FluidEngine::default()
-        .measure_scheme_a_with_faults(
-            &mut net2,
-            &plan2,
-            slots,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng2,
-        )
-        .unwrap();
+    let empty = FaultSchedule::empty();
+    let faults = Some((&empty, OutagePolicy::RadioOff));
+    let faulted = fluid_in_order(&mut net2, FluidPlan::A(&plan2), slots, faults, &mut rng2);
     assert_eq!(faulted.base, plain);
     assert_eq!(faulted.base.lambda.to_bits(), plain.lambda.to_bits());
     assert_eq!(faulted.outage_slots, 0);
@@ -162,17 +165,8 @@ fn monotone_dead_set_monotone_capacity_measured() {
     for per_group in 0..4 {
         let (mut net, plan, _, mut rng) = hybrid_setup(200, 64, 4, SEED + 3);
         let schedule = kill_per_group(&plan, per_group);
-        let mut injector = FaultInjector::new(64, &schedule).unwrap();
-        let report = FluidEngine::default()
-            .measure_scheme_b_with_faults(
-                &mut net,
-                &plan,
-                slots,
-                &mut injector,
-                OutagePolicy::OccupySpectrum,
-                &mut rng,
-            )
-            .unwrap();
+        let faults = Some((&schedule, OutagePolicy::OccupySpectrum));
+        let report = fluid_in_order(&mut net, FluidPlan::B(&plan), slots, faults, &mut rng);
         assert_eq!(report.fallback_flows, 0, "no group may die completely");
         lambdas.push(report.base.lambda);
     }
@@ -226,17 +220,8 @@ fn dead_group_falls_back_without_panicking() {
     for &b in plan.bs_members(0) {
         schedule = schedule.crash_bs(50, b);
     }
-    let mut injector = FaultInjector::new(64, &schedule).unwrap();
-    let report = FluidEngine::default()
-        .measure_scheme_b_with_faults(
-            &mut net,
-            &plan,
-            slots,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng,
-        )
-        .unwrap();
+    let faults = Some((&schedule, OutagePolicy::RadioOff));
+    let report = fluid_in_order(&mut net, FluidPlan::B(&plan), slots, faults, &mut rng);
     assert_eq!(report.dead_groups, 1);
     assert!(report.fallback_flows > 0, "dead group must shed flows");
     assert_eq!(

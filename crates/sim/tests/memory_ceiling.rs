@@ -45,8 +45,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
+use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
-use hycap_sim::{FluidEngine, HybridNetwork};
+use hycap_sim::{FluidEngine, FluidPlan, FluidRun, HybridNetwork};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -130,7 +131,7 @@ fn streamed_measurement_stays_under_live_byte_budget() {
     let bs = BaseStations::generate_regular(K, 1.0);
     let traffic = TrafficMatrix::permutation(N, &mut rng);
     let plan = SchemeAPlan::build(pop.home_points().points(), &traffic, (N as f64).powf(0.25));
-    let net = HybridNetwork::with_infrastructure(pop, bs);
+    let mut net = HybridNetwork::with_infrastructure(pop, bs);
     drop(traffic);
 
     // Everything above is the unavoidable realized-network baseline; the
@@ -138,10 +139,11 @@ fn streamed_measurement_stays_under_live_byte_budget() {
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
 
+    let spec = FluidRun::streamed(SLOTS, 0x5107, CHUNK);
     let report = FluidEngine::default()
-        .measure_scheme_a_streamed(&net, &plan, SLOTS, 0x5107, CHUNK)
+        .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
         .expect("streamed measurement succeeds");
-    assert!(report.slots == SLOTS);
+    assert!(report.report().base.slots == SLOTS);
 
     let peak = PEAK.load(Ordering::Relaxed);
     let loop_bytes = peak.saturating_sub(baseline);

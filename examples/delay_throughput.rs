@@ -13,7 +13,8 @@
 
 use hycap_mobility::{Kernel, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
-use hycap_sim::{FluidEngine, HybridNetwork, PacketEngine};
+use hycap_sim::obs::Observer;
+use hycap_sim::{FluidEngine, FluidPlan, FluidRun, HybridNetwork, PacketEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,7 +33,12 @@ fn main() {
     let mut net = HybridNetwork::ad_hoc(pop);
 
     // Fluid capacity as the yardstick.
-    let fluid = FluidEngine::default().measure_scheme_a(&mut net, &plan, 400, &mut rng);
+    let spec = FluidRun::in_order(400, &mut rng);
+    let fluid = FluidEngine::default()
+        .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+        .and_then(|outcome| outcome.into_complete("scheme A"))
+        .expect("fluid measurement")
+        .base;
     println!(
         "scheme A at n = {n}: fluid capacity λ* = {:.5} (typical {:.5}), mean hops {:.2}\n",
         fluid.lambda,

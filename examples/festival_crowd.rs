@@ -27,7 +27,11 @@ fn main() {
     );
     for &k_exp in &[0.3, 0.5, 0.7, 0.9] {
         let exps = ModelExponents::new(alpha, 1.0, 0.0, k_exp, 0.0).expect("valid");
-        let report = Scenario::builder(exps, n).seed(99).build().measure(300);
+        let report = Scenario::builder(exps, n)
+            .seed(99)
+            .build()
+            .measure(300)
+            .unwrap();
         let dom = match dominance(alpha, k_exp, 0.0) {
             Dominance::Mobility => "mobility",
             Dominance::Infrastructure => "infrastructure",

@@ -28,7 +28,11 @@ fn main() {
 
     // 3. Measure a finite network with the regime-optimal schemes.
     let n = 500;
-    let report = Scenario::builder(exps, n).seed(42).build().measure(300);
+    let report = Scenario::builder(exps, n)
+        .seed(42)
+        .build()
+        .measure(300)
+        .unwrap();
     println!("\nmeasured at n = {n} ({} slots):", report.slots);
     println!(
         "  k = {}, c(n) = {:.4}, f(n) = {:.2}",
@@ -56,7 +60,8 @@ fn main() {
     let observed = Scenario::builder(exps, n)
         .seed(42)
         .build()
-        .measure_observed(300, &mut obs);
+        .measure_observed(300, &mut obs)
+        .unwrap();
     assert_eq!(observed.lambda, report.lambda, "observation must be free");
     let snapshot = obs.snapshot();
     println!(

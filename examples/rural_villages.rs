@@ -45,7 +45,11 @@ fn main() {
 
     // Measure the BS-backed network with the regime-optimal scheme
     // (scheme B grouped by villages, in-village range).
-    let report = Scenario::builder(exps, n).seed(7).build().measure(400);
+    let report = Scenario::builder(exps, n)
+        .seed(7)
+        .build()
+        .measure(400)
+        .unwrap();
     println!(
         "measured with BSs: λ = {:.5} per resident (typical {:.5})",
         report.lambda_infra.unwrap_or(0.0),
@@ -57,7 +61,11 @@ fn main() {
     println!("\nwire-bandwidth sensitivity (Remark 10):");
     for &phi in &[-0.5, 0.0, 0.5] {
         let e = ModelExponents::new(0.4, 0.2, 0.4, 0.6, phi).expect("valid");
-        let r = Scenario::builder(e, n).seed(7).build().measure(400);
+        let r = Scenario::builder(e, n)
+            .seed(7)
+            .build()
+            .measure(400)
+            .unwrap();
         println!(
             "  ϕ = {phi:>4}: c = {:>10.6}  →  λ = {:.5}",
             r.params.c,

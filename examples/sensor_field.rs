@@ -28,7 +28,7 @@ fn main() {
     assert_eq!(regime, MobilityRegime::Trivial);
     println!("sensor field: n = {n} static sensors, regime: {regime} mobility\n");
 
-    let report = scenario.measure(1);
+    let report = scenario.measure(1).unwrap();
     println!(
         "patches m = {}, gateways k = {}, per-sensor rate λ = {:.5}",
         report.params.m, report.params.k, report.lambda,
@@ -59,7 +59,8 @@ fn main() {
             .mobility(MobilityKind::Static)
             .seed(11)
             .build()
-            .measure(1);
+            .measure(1)
+            .unwrap();
         println!("  K = {k_exp:<5} k = {:<4} λ = {:.5}", r.params.k, r.lambda);
     }
     println!("\ncapacity grows with the gateway count — exactly the k/n access");

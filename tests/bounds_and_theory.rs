@@ -15,7 +15,7 @@ use rand::SeedableRng;
 fn cut_bound_dominates_achieved_rate() {
     let exps = ModelExponents::new(0.25, 1.0, 0.0, 0.5, 0.0).unwrap();
     let scenario = Scenario::builder(exps, 300).seed(8).build();
-    let achieved = scenario.measure(250);
+    let achieved = scenario.measure(250).unwrap();
     let hycap::Realization {
         mut net,
         traffic,
@@ -103,7 +103,8 @@ fn theorem6_placement_invariance() {
                 .scheme_b_cells(2)
                 .seed(11 + seed)
                 .build()
-                .measure(300);
+                .measure(300)
+                .unwrap();
             acc += r.lambda_infra_typical.unwrap_or(0.0);
         }
         rates.push(acc / 3.0);

@@ -17,12 +17,12 @@
 //! UPDATE_GOLDEN=1 cargo test --test conformance golden_snapshot
 //! ```
 
-use hycap::obs::{Observer, PROBE_RATE_BUDGET, PROBE_SCHEDULE_FEASIBILITY};
+use hycap::obs::{MetricsSink, Observer, PROBE_RATE_BUDGET, PROBE_SCHEDULE_FEASIBILITY};
 use hycap::{ModelExponents, Realization, Scenario};
 use hycap_routing::{SchemeAPlan, SchemeBPlan};
 use hycap_sim::{
-    DegradedPacketStats, FaultInjector, FaultSchedule, FlowWorkload, FluidEngine, OutagePolicy,
-    PacketEngine, PacketStats,
+    DegradedFluidReport, DegradedPacketStats, FaultInjector, FaultSchedule, FlowWorkload,
+    FluidEngine, FluidPlan, FluidRun, OutagePolicy, PacketEngine, PacketStats,
 };
 
 /// Bit-level equality for packet statistics: stricter than `PartialEq`
@@ -78,22 +78,37 @@ fn faults(k: usize) -> FaultSchedule {
     schedule.with_bernoulli_bs_outage(0.05, 99)
 }
 
+/// One in-order fluid run of `plan` on realization `r`, under `faults`
+/// when given, observed into `obs`.
+fn fluid<S: MetricsSink>(
+    r: &mut Realization,
+    plan: FluidPlan<'_>,
+    faults: Option<(&FaultSchedule, OutagePolicy)>,
+    obs: &mut Observer<S>,
+) -> DegradedFluidReport {
+    let mut spec = FluidRun::in_order(SLOTS, &mut r.rng);
+    spec.faults = faults;
+    FluidEngine::default()
+        .run(&mut r.net, plan, spec, obs)
+        .unwrap()
+        .into_complete("conformance")
+        .unwrap()
+}
+
 #[test]
 fn fluid_scheme_a_matrix_clean_and_bit_identical() {
     for seed in SEEDS {
-        let engine = FluidEngine::default();
         let (mut plain, plan_a, _) = realize(seed);
-        let base = engine.measure_scheme_a(&mut plain.net, &plan_a, SLOTS, &mut plain.rng);
+        let base = fluid(
+            &mut plain,
+            FluidPlan::A(&plan_a),
+            None,
+            &mut Observer::noop(),
+        );
 
         let (mut obsd, plan_a2, _) = realize(seed);
         let mut obs = Observer::recording().with_probes();
-        let got = engine.measure_scheme_a_observed(
-            &mut obsd.net,
-            &plan_a2,
-            SLOTS,
-            &mut obsd.rng,
-            &mut obs,
-        );
+        let got = fluid(&mut obsd, FluidPlan::A(&plan_a2), None, &mut obs);
         assert_eq!(
             base, got,
             "seed {seed}: observation perturbed fluid scheme A"
@@ -112,19 +127,17 @@ fn fluid_scheme_a_matrix_clean_and_bit_identical() {
 #[test]
 fn fluid_scheme_b_matrix_clean_and_bit_identical() {
     for seed in SEEDS {
-        let engine = FluidEngine::default();
         let (mut plain, _, plan_b) = realize(seed);
-        let base = engine.measure_scheme_b(&mut plain.net, &plan_b, SLOTS, &mut plain.rng);
+        let base = fluid(
+            &mut plain,
+            FluidPlan::B(&plan_b),
+            None,
+            &mut Observer::noop(),
+        );
 
         let (mut obsd, _, plan_b2) = realize(seed);
         let mut obs = Observer::recording().with_probes();
-        let got = engine.measure_scheme_b_observed(
-            &mut obsd.net,
-            &plan_b2,
-            SLOTS,
-            &mut obsd.rng,
-            &mut obs,
-        );
+        let got = fluid(&mut obsd, FluidPlan::B(&plan_b2), None, &mut obs);
         assert_eq!(
             base, got,
             "seed {seed}: observation perturbed fluid scheme B"
@@ -146,59 +159,17 @@ fn fluid_scheme_b_matrix_clean_and_bit_identical() {
 fn fluid_faulted_matrix_clean_and_bit_identical() {
     for seed in SEEDS {
         for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-            let engine = FluidEngine::default();
             let (mut plain, plan_a, plan_b) = realize(seed);
-            let k = plain.params.k;
-            let schedule = faults(k);
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let base_a = engine
-                .measure_scheme_a_with_faults(
-                    &mut plain.net,
-                    &plan_a,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut plain.rng,
-                )
-                .unwrap();
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let base_b = engine
-                .measure_scheme_b_with_faults(
-                    &mut plain.net,
-                    &plan_b,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut plain.rng,
-                )
-                .unwrap();
+            let schedule = faults(plain.params.k);
+            let faulted = Some((&schedule, policy));
+            let noop = &mut Observer::noop();
+            let base_a = fluid(&mut plain, FluidPlan::A(&plan_a), faulted, noop);
+            let base_b = fluid(&mut plain, FluidPlan::B(&plan_b), faulted, noop);
 
             let (mut obsd, plan_a2, plan_b2) = realize(seed);
             let mut obs = Observer::recording().with_probes();
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let got_a = engine
-                .measure_scheme_a_with_faults_observed(
-                    &mut obsd.net,
-                    &plan_a2,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut obsd.rng,
-                    &mut obs,
-                )
-                .unwrap();
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let got_b = engine
-                .measure_scheme_b_with_faults_observed(
-                    &mut obsd.net,
-                    &plan_b2,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut obsd.rng,
-                    &mut obs,
-                )
-                .unwrap();
+            let got_a = fluid(&mut obsd, FluidPlan::A(&plan_a2), faulted, &mut obs);
+            let got_b = fluid(&mut obsd, FluidPlan::B(&plan_b2), faulted, &mut obs);
             assert_eq!(
                 base_a, got_a,
                 "seed {seed} {policy:?}: faulted fluid A diverged"
@@ -437,9 +408,9 @@ fn scenario_measure_flows_is_bit_identical_under_observation() {
 fn scenario_measure_is_bit_identical_under_observation() {
     for seed in SEEDS {
         let sc = Scenario::builder(strong_exps(), N).seed(seed).build();
-        let base = sc.measure(SLOTS);
+        let base = sc.measure(SLOTS).unwrap();
         let mut obs = Observer::recording().with_probes();
-        let got = sc.measure_observed(SLOTS, &mut obs);
+        let got = sc.measure_observed(SLOTS, &mut obs).unwrap();
         assert_eq!(base, got, "seed {seed}: scenario measurement diverged");
         assert!(
             obs.is_clean(),
@@ -457,7 +428,7 @@ fn golden_snapshot() {
     );
     let sc = Scenario::builder(strong_exps(), 100).seed(7).build();
     let mut obs = Observer::recording().with_probes();
-    let _ = sc.measure_observed(40, &mut obs);
+    sc.measure_observed(40, &mut obs).unwrap();
     let got = obs.snapshot().to_json();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(FIXTURE, &got).expect("write golden fixture");

@@ -4,8 +4,9 @@
 
 use hycap::{MobilityRegime, ModelExponents, Scenario};
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
+use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
-use hycap_sim::{FluidEngine, HybridNetwork, PacketEngine};
+use hycap_sim::{FluidEngine, FluidPlan, FluidRun, HybridNetwork, PacketEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,7 +23,8 @@ fn strong_regime_pipeline_produces_capacity() {
     let report = Scenario::builder(strong_exps(), 300)
         .seed(1)
         .build()
-        .measure(200);
+        .measure(200)
+        .unwrap();
     assert_eq!(report.regime, Some(MobilityRegime::Strong));
     assert!(report.lambda > 0.0, "strong pipeline starved: {report:?}");
     assert!(report.lambda < 1.0, "capacity cannot exceed the bandwidth");
@@ -34,7 +36,8 @@ fn weak_regime_pipeline_produces_capacity() {
     let report = Scenario::builder(weak_exps(), 300)
         .seed(2)
         .build()
-        .measure(250);
+        .measure(250)
+        .unwrap();
     assert_eq!(report.regime, Some(MobilityRegime::Weak));
     assert!(
         report.lambda_infra.unwrap() > 0.0,
@@ -48,7 +51,8 @@ fn trivial_regime_pipeline_produces_capacity() {
         .mobility(MobilityKind::Static)
         .seed(3)
         .build()
-        .measure(1);
+        .measure(1)
+        .unwrap();
     assert_eq!(report.regime, Some(MobilityRegime::Trivial));
     assert!(
         report.lambda_infra.unwrap() > 0.0,
@@ -64,6 +68,7 @@ fn capacity_decreases_with_n_in_strong_regime() {
             .seed(4)
             .build()
             .measure(300)
+            .unwrap()
             .lambda_mobility_typical
             .unwrap()
     };
@@ -82,6 +87,7 @@ fn reports_are_deterministic_given_seed() {
             .seed(99)
             .build()
             .measure(100)
+            .unwrap()
     };
     let a = run();
     let b = run();
@@ -103,7 +109,13 @@ fn fluid_and_packet_engines_agree_on_feasibility() {
     let traffic = TrafficMatrix::permutation(n, &mut rng);
     let plan = SchemeAPlan::build(&homes, &traffic, (n as f64).powf(0.25));
     let mut net = HybridNetwork::ad_hoc(pop);
-    let fluid = FluidEngine::default().measure_scheme_a(&mut net, &plan, 300, &mut rng);
+    let spec = FluidRun::in_order(300, &mut rng);
+    let fluid = FluidEngine::default()
+        .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+        .unwrap()
+        .into_complete("scheme A")
+        .unwrap()
+        .base;
     assert!(fluid.lambda > 0.0, "fluid starved");
 
     let chains = plan.materialize_relays(&traffic, &mut rng);
@@ -130,7 +142,8 @@ fn without_bs_only_mobility_path_is_reported() {
         .without_bs()
         .seed(6)
         .build()
-        .measure(150);
+        .measure(150)
+        .unwrap();
     assert!(report.lambda_infra.is_none());
     assert!(report.lambda_mobility.is_some());
     assert_eq!(report.lambda, report.lambda_mobility.unwrap());
@@ -141,7 +154,11 @@ fn boundary_family_reports_none_regime() {
     // α = 1/2 with uniform home-points sits exactly on the Theorem 1
     // boundary: measurement still runs (scheme A), regime is None.
     let exps = ModelExponents::new(0.5, 1.0, 0.0, 0.75, 0.0).unwrap();
-    let report = Scenario::builder(exps, 200).seed(7).build().measure(100);
+    let report = Scenario::builder(exps, 200)
+        .seed(7)
+        .build()
+        .measure(100)
+        .unwrap();
     assert_eq!(report.regime, None);
     assert!(report.theory.is_none());
     assert!(report.lambda_mobility.is_some());

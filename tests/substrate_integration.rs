@@ -4,8 +4,9 @@
 use hycap_geom::{Point, SquareGrid, Torus};
 use hycap_infra::{Backbone, BaseStations, CellularLayout};
 use hycap_mobility::{ClusteredModel, Kernel, MobilityKind, Population, PopulationConfig};
+use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, SchemeBPlan, SchemeCPlan, TrafficMatrix, TwoHopPlan};
-use hycap_sim::{FluidEngine, HybridNetwork};
+use hycap_sim::{FluidEngine, FluidPlan, FluidRun, HybridNetwork};
 use hycap_wireless::LinkCapacityEstimator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,8 +81,13 @@ fn scheme_plans_share_one_network_realization() {
 
     let mut net = HybridNetwork::with_infrastructure(pop, bs);
     let engine = FluidEngine::default();
-    let ra = engine.measure_scheme_a(&mut net, &plan_a, 200, &mut rng);
-    let rb = engine.measure_scheme_b(&mut net, &plan_b, 200, &mut rng);
+    let fluid = |net: &mut HybridNetwork, plan: FluidPlan<'_>, rng: &mut StdRng| {
+        let spec = FluidRun::in_order(200, rng);
+        let outcome = engine.run(net, plan, spec, &mut Observer::noop());
+        outcome.unwrap().into_complete("fluid").unwrap().base
+    };
+    let ra = fluid(&mut net, FluidPlan::A(&plan_a), &mut rng);
+    let rb = fluid(&mut net, FluidPlan::B(&plan_b), &mut rng);
     let rt = engine.measure_two_hop(&mut net, &two_hop, &traffic, 200, &mut rng);
     assert!(ra.lambda_typical > 0.0, "scheme A starved");
     assert!(rb.lambda_typical > 0.0, "scheme B starved");
