@@ -1035,6 +1035,35 @@ mod tests {
     }
 
     #[test]
+    fn reduced_flow_slots_match_the_reference_walk_at_table_one_density() {
+        // Table I's strong row with BSs at n = 2000 (k = 45): both paths
+        // run, and scheme B's reduced slots (only the pairs touching a BS)
+        // must reproduce the full-schedule reference walk exactly.
+        let exps = ModelExponents::new(0.25, 1.0, 0.0, 0.5, 0.0).unwrap();
+        let workload = FlowWorkload::poisson(2e-3, 2, 300).with_seed(21);
+        let fast = Scenario::builder(exps, 2000).seed(17).build();
+        let slow = Scenario::builder(exps, 2000)
+            .seed(17)
+            .flow_skip(false)
+            .build();
+        let a = fast.measure_flows(&workload).unwrap();
+        let b = slow.measure_flows(&workload).unwrap();
+        assert_eq!(a.params.k, 45);
+        let infra = a.flows_infra.as_ref().expect("scheme B ran");
+        assert!(infra.packets_delivered > 0, "{infra:?}");
+        assert_eq!(a.flows_mobility, b.flows_mobility);
+        assert_eq!(a.flows_infra, b.flows_infra);
+        for (ta, tb) in [
+            (a.pacing_mobility, b.pacing_mobility),
+            (a.pacing_infra, b.pacing_infra),
+        ] {
+            let (ta, tb) = (ta.expect("traced"), tb.expect("traced"));
+            assert_eq!(ta.slots, tb.slots);
+            assert_eq!(ta.idle_slots, tb.idle_slots);
+        }
+    }
+
+    #[test]
     fn history_dependent_mobility_runs_flows_under_legacy_pacing() {
         let scenario = Scenario::builder(strong_exps(), 120)
             .mobility(MobilityKind::TetheredWalk { step_frac: 0.05 })

@@ -15,11 +15,9 @@
 //! * `seq`   — a monotone push counter, so equal `(time, class, flow)`
 //!   events drain FIFO (per-queue packet order is stable).
 //!
-//! The module also provides [`EventList`], a `SmallVec`-style list with
-//! inline capacity for the short per-flow queues the flow engine tracks
-//! (no `unsafe`: the inline slots are `Option`s), and [`FlowRng`], the
-//! counter-based per-flow random stream — the same SplitMix64 construction
-//! as `hycap_mobility::SlotRng` under a distinct domain-separation tag, so
+//! The module also provides [`FlowRng`], the counter-based per-flow
+//! random stream — the same SplitMix64 construction as
+//! `hycap_mobility::SlotRng` under a distinct domain-separation tag, so
 //! flow workloads stay independently rederivable from `(seed, flow)`
 //! without replaying anything.
 
@@ -266,108 +264,6 @@ impl EventQueue {
     }
 }
 
-/// Inline capacity of [`EventList`] before it spills to the heap. Eight
-/// covers the common flow windows without allocation.
-const INLINE_CAP: usize = 8;
-
-/// A `SmallVec`-style FIFO list: the first `INLINE_CAP` (8) elements live
-/// inline (as `Option`s — no `unsafe`), the rest spill into a `Vec`.
-///
-/// The flow engine uses it for per-flow in-flight packet timestamps, which
-/// the window limit keeps short; steady-state adapters never allocate
-/// through it at all.
-///
-/// ```
-/// let mut l = hycap_sim::EventList::new();
-/// for i in 0..10u64 {
-///     l.push(i);
-/// }
-/// assert_eq!(l.len(), 10);
-/// assert_eq!(l.pop_front(), Some(0));
-/// assert_eq!(l.iter().copied().collect::<Vec<_>>(), (1..10).collect::<Vec<_>>());
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventList<T> {
-    inline: [Option<T>; INLINE_CAP],
-    inline_len: usize,
-    spill: Vec<T>,
-}
-
-impl<T> Default for EventList<T> {
-    fn default() -> Self {
-        EventList {
-            inline: std::array::from_fn(|_| None),
-            inline_len: 0,
-            spill: Vec::new(),
-        }
-    }
-}
-
-impl<T> EventList<T> {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        EventList::default()
-    }
-
-    /// Appends `value` at the back.
-    pub fn push(&mut self, value: T) {
-        if self.inline_len < INLINE_CAP {
-            self.inline[self.inline_len] = Some(value);
-            self.inline_len += 1;
-        } else {
-            self.spill.push(value);
-        }
-    }
-
-    /// Removes and returns the front element, refilling the inline block
-    /// from the spill vector.
-    pub fn pop_front(&mut self) -> Option<T> {
-        if self.inline_len == 0 {
-            return None;
-        }
-        let front = self.inline[0].take();
-        self.inline.rotate_left(1);
-        self.inline_len -= 1;
-        if !self.spill.is_empty() {
-            self.inline[self.inline_len] = Some(self.spill.remove(0));
-            self.inline_len += 1;
-        }
-        front
-    }
-
-    /// Elements currently stored.
-    pub fn len(&self) -> usize {
-        self.inline_len + self.spill.len()
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inline_len == 0
-    }
-
-    /// Whether any element has spilled past the inline block.
-    pub fn spilled(&self) -> bool {
-        !self.spill.is_empty()
-    }
-
-    /// Iterates front to back.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.inline[..self.inline_len]
-            .iter()
-            .filter_map(Option::as_ref)
-            .chain(self.spill.iter())
-    }
-
-    /// Removes every element.
-    pub fn clear(&mut self) {
-        for slot in &mut self.inline {
-            *slot = None;
-        }
-        self.inline_len = 0;
-        self.spill.clear();
-    }
-}
-
 /// Golden-ratio increment of the SplitMix64 Weyl sequence (same constant
 /// as `hycap_mobility::SlotRng`).
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -551,33 +447,6 @@ mod tests {
         q.push(0, Event::SlotBoundary { slot: 0 });
         while q.pop().is_some() {}
         assert_eq!(q.interrupted(), None);
-    }
-
-    #[test]
-    fn event_list_spills_and_refills_in_order() {
-        let mut l = EventList::new();
-        for i in 0..20u64 {
-            l.push(i);
-        }
-        assert!(l.spilled());
-        assert_eq!(l.len(), 20);
-        let drained: Vec<u64> = std::iter::from_fn(|| l.pop_front()).collect();
-        assert_eq!(drained, (0..20).collect::<Vec<_>>());
-        assert!(l.is_empty());
-        assert!(!l.spilled());
-    }
-
-    #[test]
-    fn event_list_clear_resets() {
-        let mut l = EventList::new();
-        for i in 0..12u64 {
-            l.push(i);
-        }
-        l.clear();
-        assert!(l.is_empty());
-        assert_eq!(l.len(), 0);
-        l.push(7);
-        assert_eq!(l.pop_front(), Some(7));
     }
 
     #[test]

@@ -26,15 +26,17 @@
 //! replications stay bit-identical at any thread count.
 
 use crate::budget;
-use crate::events::{Event, EventList, EventQueue, FlowRng, Time};
+use crate::events::{Event, EventQueue, FlowRng, Time};
 use crate::faults::{FaultInjector, FaultTally, OutagePolicy};
+use crate::groups::GroupMap;
 use crate::packet::{Pacing, PacingTrace, PacketEngine};
 use crate::HybridNetwork;
 use hycap_errors::HycapError;
 use hycap_obs::{MetricsSink, Observer, SpanTimer};
 use hycap_routing::SchemeBPlan;
 use hycap_wireless::{
-    schedule_active_observed, schedule_observed, SStarScheduler, ScheduledPair, SlotWorkspace,
+    schedule_active_observed, schedule_observed, schedule_touching_observed, SStarScheduler,
+    ScheduledPair, SlotWorkspace,
 };
 use rand::Rng;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -656,9 +658,9 @@ impl PacketEngine {
             .iter()
             .map(|c| vec![VecDeque::new(); c.len() - 1])
             .collect();
-        let mut transit: Vec<Vec<EventList<(u32, Time)>>> = chains
+        let mut transit: Vec<Vec<VecDeque<(u32, Time)>>> = chains
             .iter()
-            .map(|c| (0..c.len() - 1).map(|_| EventList::new()).collect())
+            .map(|c| vec![VecDeque::new(); c.len() - 1])
             .collect();
         let mut flows = vec![FlowState::default(); specs.len()];
         let mut counts = RunCounts::default();
@@ -796,7 +798,7 @@ impl PacketEngine {
                                                 &mut active_nodes,
                                             );
                                         }
-                                        transit[p][h].push(entry);
+                                        transit[p][h].push_back(entry);
                                         events.push(
                                             t + 1,
                                             Event::HopComplete {
@@ -952,7 +954,7 @@ impl PacketEngine {
     /// [`HycapError::InvalidParameter`] on a bad workload;
     /// [`HycapError::MissingInfrastructure`] without base stations;
     /// [`HycapError::Mismatch`] when the plan covers a different node count
-    /// than the network.
+    /// than the network, or groups more MSs or BSs than it has.
     pub fn run_flows_scheme_b<R: Rng + ?Sized>(
         &self,
         net: &mut HybridNetwork,
@@ -985,9 +987,13 @@ impl PacketEngine {
     /// [`PacketEngine::run_flows_scheme_b_observed`] plus the run's
     /// [`PacingTrace`]. Demand pacing gates the whole slot body (mobility,
     /// `S*` scheduling, uplink/downlink service and the backbone drain) on
-    /// packets being in the network; the active-set reduction does not
-    /// apply to infrastructure scheduling, so active slots always schedule
-    /// the full network.
+    /// packets being in the network. With `active_set` on, an active slot
+    /// schedules only the `S*` pairs touching a base station
+    /// ([`SStarScheduler::schedule_touching_into`]): phases I/III move
+    /// packets on MS–BS contacts alone, and those are exactly the MS–BS
+    /// subsequence of the full schedule, so packet motion and statistics
+    /// match the full-schedule walk (snapshots record the reduced pair
+    /// series).
     ///
     /// # Errors
     ///
@@ -1005,6 +1011,7 @@ impl PacketEngine {
         workload.validate()?;
         let demand = self.demand_params(net)?;
         let skip = matches!(demand, Some((_, true, _)));
+        let active_set = matches!(demand, Some((_, _, true)));
         let n = net.n();
         let k = net.k();
         let Some(bs) = net.base_stations() else {
@@ -1025,16 +1032,10 @@ impl PacketEngine {
         let window = workload.window;
         let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
-        let mut ms_group = vec![usize::MAX; n];
-        let mut bs_group = vec![usize::MAX; k];
-        for g in 0..plan.group_count() {
-            for &i in plan.ms_members(g) {
-                ms_group[i] = g;
-            }
-            for &b in plan.bs_members(g) {
-                bs_group[b] = g;
-            }
-        }
+        let groups = GroupMap::of(plan, n, k)?;
+        // Phases I/III use MS–BS contacts only, so with the active-set
+        // reduction on, a slot schedules just the pairs touching a BS.
+        let bs_ids: Vec<usize> = (n..n + k).collect();
         let dst_of: Vec<usize> = plan.flows().iter().map(|fl| fl.dst).collect();
         // Stage queues per pair: waiting at the source, waiting for the
         // backbone, waiting at the destination group. Hop ids: 0 uplink,
@@ -1042,9 +1043,8 @@ impl PacketEngine {
         let mut at_src: Vec<VecDeque<(u32, Time)>> = vec![VecDeque::new(); n];
         let mut at_backbone: Vec<VecDeque<(u32, Time)>> = vec![VecDeque::new(); n];
         let mut at_dst_group: Vec<VecDeque<(u32, Time)>> = vec![VecDeque::new(); n];
-        let mut transit: Vec<[EventList<(u32, Time)>; 3]> = (0..n)
-            .map(|_| std::array::from_fn(|_| EventList::new()))
-            .collect();
+        let mut transit: Vec<[VecDeque<(u32, Time)>; 3]> =
+            vec![std::array::from_fn(|_| VecDeque::new()); n];
         let mut flows_by_dst: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (p, &d) in dst_of.iter().enumerate() {
             flows_by_dst[d].push(p);
@@ -1131,9 +1131,15 @@ impl PacketEngine {
                         }
                         None => net.advance_into(rng, &mut buf),
                     }
-                    schedule_observed(
-                        &scheduler, &buf, range, None, slot, &mut ws, &mut pairs, obs,
-                    );
+                    if active_set {
+                        schedule_touching_observed(
+                            &scheduler, &buf, range, &bs_ids, slot, &mut ws, &mut pairs, obs,
+                        );
+                    } else {
+                        schedule_observed(
+                            &scheduler, &buf, range, None, slot, &mut ws, &mut pairs, obs,
+                        );
+                    }
                     for &pair in &pairs {
                         let (ms, bsid) = if pair.a < n && pair.b >= n {
                             (pair.a, pair.b - n)
@@ -1142,14 +1148,12 @@ impl PacketEngine {
                         } else {
                             continue;
                         };
-                        let g = bs_group[bsid];
-                        if g == usize::MAX || ms_group[ms] != g {
+                        if groups.access_group(ms, bsid).is_none() {
                             continue;
                         }
                         // Uplink: the source hands one packet to the group.
                         if let Some(entry) = at_src[ms].pop_front() {
-                            let fl = entry.0;
-                            transit[ms][0].push(entry);
+                            transit[ms][0].push_back(entry);
                             events.push(
                                 t + 1,
                                 Event::HopComplete {
@@ -1157,7 +1161,6 @@ impl PacketEngine {
                                     hop: 0,
                                 },
                             );
-                            let _ = fl;
                         }
                         // Downlink: deliver one packet to `ms` as a
                         // destination (longest-queue-first across pairs).
@@ -1172,7 +1175,7 @@ impl PacketEngine {
                         }
                         if let Some(p) = best {
                             let entry = at_dst_group[p].pop_front().expect("nonempty");
-                            transit[p][2].push(entry);
+                            transit[p][2].push_back(entry);
                             events.push(
                                 t + 1,
                                 Event::HopComplete {
@@ -1191,7 +1194,7 @@ impl PacketEngine {
                         let gd = plan.flows()[p].dst_group;
                         if gs == gd {
                             while let Some(entry) = at_backbone[p].pop_front() {
-                                transit[p][1].push(entry);
+                                transit[p][1].push_back(entry);
                                 events.push(
                                     t + 1,
                                     Event::HopComplete {
@@ -1209,7 +1212,7 @@ impl PacketEngine {
                             match at_backbone[p].pop_front() {
                                 Some(entry) => {
                                     *budget -= 1.0;
-                                    transit[p][1].push(entry);
+                                    transit[p][1].push_back(entry);
                                     events.push(
                                         t + 1,
                                         Event::HopComplete {
@@ -1360,6 +1363,8 @@ impl PacketEngine {
     /// replayed against the injector one relative index at a time. Contact
     /// accounting that requires a schedule (`lost_uplink_contacts`) is
     /// booked on active slots only, identically with and without `skip`.
+    /// Active slots always schedule the full network, even with
+    /// `active_set` on: the ad-hoc fallback delivers over MS–MS pairs.
     ///
     /// # Errors
     ///
@@ -1428,25 +1433,15 @@ impl PacketEngine {
         let window = workload.window;
         let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
-        let gc = plan.group_count();
-        let mut ms_group = vec![usize::MAX; n];
-        let mut bs_group = vec![usize::MAX; k];
-        for g in 0..gc {
-            for &i in plan.ms_members(g) {
-                ms_group[i] = g;
-            }
-            for &b in plan.bs_members(g) {
-                bs_group[b] = g;
-            }
-        }
+        let groups = GroupMap::of(plan, n, k)?;
+        let gc = groups.count;
         let dst_of: Vec<usize> = plan.flows().iter().map(|fl| fl.dst).collect();
         let mut at_src: Vec<VecDeque<(u32, Time)>> = vec![VecDeque::new(); n];
         let mut at_backbone: Vec<VecDeque<(u32, Time)>> = vec![VecDeque::new(); n];
         let mut at_dst_group: Vec<VecDeque<(u32, Time)>> = vec![VecDeque::new(); n];
         // Hop ids: 0 uplink, 1 backbone, 2 downlink, 3 ad-hoc fallback.
-        let mut transit: Vec<[EventList<(u32, Time)>; 4]> = (0..n)
-            .map(|_| std::array::from_fn(|_| EventList::new()))
-            .collect();
+        let mut transit: Vec<[VecDeque<(u32, Time)>; 4]> =
+            vec![std::array::from_fn(|_| VecDeque::new()); n];
         let mut flows_by_dst: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (p, &d) in dst_of.iter().enumerate() {
             flows_by_dst[d].push(p);
@@ -1578,8 +1573,8 @@ impl PacketEngine {
                     }
                     alive_per_group.iter_mut().for_each(|x| *x = 0);
                     for b in 0..k {
-                        if mask.bs_alive(b) && bs_group[b] != usize::MAX {
-                            alive_per_group[bs_group[b]] += 1;
+                        if mask.bs_alive(b) && groups.bs[b] != usize::MAX {
+                            alive_per_group[groups.bs[b]] += 1;
                         }
                     }
                     let fallback_active = |p: usize| -> bool {
@@ -1615,7 +1610,7 @@ impl PacketEngine {
                                 for (u, v) in [(pair.a, pair.b), (pair.b, pair.a)] {
                                     if u < dst_of.len() && dst_of[u] == v && fallback_active(u) {
                                         if let Some(entry) = at_src[u].pop_front() {
-                                            transit[u][3].push(entry);
+                                            transit[u][3].push_back(entry);
                                             events.push(
                                                 t + 1,
                                                 Event::HopComplete {
@@ -1633,15 +1628,14 @@ impl PacketEngine {
                             lost_uplink_contacts += 1;
                             continue;
                         }
-                        let g = bs_group[bsid];
-                        if g == usize::MAX || ms_group[ms] != g {
+                        if groups.access_group(ms, bsid).is_none() {
                             continue;
                         }
                         // Uplink: infrastructure flows only; fallback flows
                         // keep their packets at the source.
                         if ms < dst_of.len() && !fallback_active(ms) {
                             if let Some(entry) = at_src[ms].pop_front() {
-                                transit[ms][0].push(entry);
+                                transit[ms][0].push_back(entry);
                                 events.push(
                                     t + 1,
                                     Event::HopComplete {
@@ -1663,7 +1657,7 @@ impl PacketEngine {
                         }
                         if let Some(p) = best {
                             let entry = at_dst_group[p].pop_front().expect("nonempty");
-                            transit[p][2].push(entry);
+                            transit[p][2].push_back(entry);
                             events.push(
                                 t + 1,
                                 Event::HopComplete {
@@ -1685,7 +1679,7 @@ impl PacketEngine {
                         }
                         if gs == gd {
                             while let Some(entry) = at_backbone[p].pop_front() {
-                                transit[p][1].push(entry);
+                                transit[p][1].push_back(entry);
                                 events.push(
                                     t + 1,
                                     Event::HopComplete {
@@ -1712,7 +1706,7 @@ impl PacketEngine {
                             match at_backbone[p].pop_front() {
                                 Some(entry) => {
                                     *budget -= 1.0;
-                                    transit[p][1].push(entry);
+                                    transit[p][1].push_back(entry);
                                     events.push(
                                         t + 1,
                                         Event::HopComplete {
@@ -1933,9 +1927,8 @@ impl PacketEngine {
         let mut at_src: Vec<VecDeque<(u32, Time)>> = vec![VecDeque::new(); n];
         let mut at_src_cell: Vec<VecDeque<(u32, Time)>> = vec![VecDeque::new(); n];
         let mut at_dst_cell: Vec<VecDeque<(u32, Time)>> = vec![VecDeque::new(); n];
-        let mut transit: Vec<[EventList<(u32, Time)>; 3]> = (0..n)
-            .map(|_| std::array::from_fn(|_| EventList::new()))
-            .collect();
+        let mut transit: Vec<[VecDeque<(u32, Time)>; 3]> =
+            vec![std::array::from_fn(|_| VecDeque::new()); n];
         let mut wire_budget: HashMap<(usize, usize), f64> = HashMap::new();
         let mut uplink_rr = vec![0usize; total_cells];
         let mut flows = vec![FlowState::default(); specs.len()];
@@ -2025,7 +2018,7 @@ impl PacketEngine {
                             for probe in 0..mem.len() {
                                 let p = mem[(uplink_rr[cell] + probe) % mem.len()];
                                 if let Some(entry) = at_src[p].pop_front() {
-                                    transit[p][0].push(entry);
+                                    transit[p][0].push_back(entry);
                                     events.push(
                                         t + 1,
                                         Event::HopComplete {
@@ -2049,7 +2042,7 @@ impl PacketEngine {
                         }
                         if let Some(p) = best {
                             let entry = at_dst_cell[p].pop_front().expect("nonempty");
-                            transit[p][2].push(entry);
+                            transit[p][2].push_back(entry);
                             events.push(
                                 t + 1,
                                 Event::HopComplete {
@@ -2068,7 +2061,7 @@ impl PacketEngine {
                         let cd = plan.serving_cell(dst_of[p]);
                         if cs == cd {
                             while let Some(entry) = at_src_cell[p].pop_front() {
-                                transit[p][1].push(entry);
+                                transit[p][1].push_back(entry);
                                 events.push(
                                     t + 1,
                                     Event::HopComplete {
@@ -2085,7 +2078,7 @@ impl PacketEngine {
                             match at_src_cell[p].pop_front() {
                                 Some(entry) => {
                                     *budget -= 1.0;
-                                    transit[p][1].push(entry);
+                                    transit[p][1].push_back(entry);
                                     events.push(
                                         t + 1,
                                         Event::HopComplete {
@@ -2442,6 +2435,64 @@ mod tests {
         assert_eq!(degraded.base, base);
         assert_eq!(degraded.fallback_delivered, 0);
         assert_eq!(degraded.fallback_share(), 0.0);
+    }
+
+    #[test]
+    fn scheme_b_flows_reject_plan_over_more_base_stations() {
+        use crate::faults::FaultSchedule;
+        use hycap_infra::BaseStations;
+        use hycap_routing::SchemeBPlan;
+        let k = 16;
+        let mut rng = StdRng::seed_from_u64(27);
+        let config = PopulationConfig::builder(120)
+            .alpha(0.0)
+            .kernel(Kernel::uniform_disk(1.0))
+            .build();
+        let pop = Population::generate(&config, &mut rng);
+        let homes = pop.home_points().points().to_vec();
+        let traffic = TrafficMatrix::permutation(120, &mut rng);
+        let wider = BaseStations::generate_regular(k + 1, 1.0);
+        let plan = SchemeBPlan::build(&homes, &traffic, &wider, 4);
+        let bs = BaseStations::generate_regular(k, 1.0);
+        let mut net = HybridNetwork::with_infrastructure(pop, bs);
+        let w = FlowWorkload::deterministic(100, 2, 200).with_seed(5);
+        let engine = PacketEngine::default();
+        let err = engine
+            .run_flows_scheme_b(&mut net, &plan, &w, &mut rng)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                HycapError::Mismatch {
+                    left: 17,
+                    right: 16,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let mut injector = FaultInjector::new(k, &FaultSchedule::empty().crash_bs(0, 0)).unwrap();
+        let err = engine
+            .run_flows_scheme_b_with_faults(
+                &mut net,
+                &plan,
+                &w,
+                &mut injector,
+                OutagePolicy::RadioOff,
+                &mut rng,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                HycapError::Mismatch {
+                    left: 17,
+                    right: 16,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -47,6 +47,7 @@
 
 use crate::budget::{BudgetMeter, Budgeted, RunBudget};
 use crate::faults::{FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
+use crate::groups::GroupMap;
 use crate::pool::{chunk_ranges, WorkerPool};
 use crate::HybridNetwork;
 use hycap_errors::HycapError;
@@ -766,65 +767,12 @@ impl Resources {
                 if bs_mask.is_some_and(|mask| !mask.bs_alive(bs)) {
                     return;
                 }
-                let g = groups.bs[bs];
-                if g != usize::MAX && groups.ms[ms] == g {
+                if let Some(g) = groups.access_group(ms, bs) {
                     acc.service[g] += 1.0;
                     acc.credited += 1;
                 }
             }
         }
-    }
-}
-
-/// Node → group tables of a scheme B plan (`usize::MAX` for ungrouped
-/// ids), built once per run and shared by every chunk.
-#[derive(Debug)]
-struct GroupMap {
-    count: usize,
-    ms: Vec<usize>,
-    bs: Vec<usize>,
-}
-
-impl GroupMap {
-    fn of(plan: &SchemeBPlan, n: usize, k: usize) -> Result<Self, HycapError> {
-        let groups = 0..plan.group_count();
-        let plan_n = groups
-            .clone()
-            .flat_map(|g| plan.ms_members(g))
-            .max()
-            .map_or(0, |&i| i + 1);
-        let plan_k = groups
-            .clone()
-            .flat_map(|g| plan.bs_members(g))
-            .max()
-            .map_or(0, |&b| b + 1);
-        for (what, needed, have) in [
-            ("scheme-B plan and network MS count", plan_n, n),
-            ("scheme-B plan and network BS count", plan_k, k),
-        ] {
-            if needed > have {
-                return Err(HycapError::Mismatch {
-                    what,
-                    left: needed,
-                    right: have,
-                });
-            }
-        }
-        let mut ms = vec![usize::MAX; n];
-        let mut bs = vec![usize::MAX; k];
-        for g in groups {
-            for &i in plan.ms_members(g) {
-                ms[i] = g;
-            }
-            for &b in plan.bs_members(g) {
-                bs[b] = g;
-            }
-        }
-        Ok(GroupMap {
-            count: plan.group_count(),
-            ms,
-            bs,
-        })
     }
 }
 

@@ -65,6 +65,7 @@ mod events;
 pub mod faults;
 mod flows;
 mod fluid;
+mod groups;
 mod packet;
 mod pool;
 pub mod sweep;
@@ -73,7 +74,7 @@ pub use budget::{BudgetExceeded, BudgetMeter, Budgeted, RunBudget};
 pub use cache::{CacheDiskStats, CacheEntry, CacheStats, CacheValue, GcReport, ResultCache};
 pub use checkpoint::{scenario_digest, Checkpoint, ENGINE_VERSION};
 pub use engine::HybridNetwork;
-pub use events::{Event, EventList, EventQueue, FlowRng, Time};
+pub use events::{Event, EventQueue, FlowRng, Time};
 pub use faults::{FaultEvent, FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
 pub use flows::{
     ArrivalProcess, DegradedFlowStats, FlowRunStats, FlowSizes, FlowSpec, FlowWorkload,

@@ -13,6 +13,7 @@
 use crate::budget::{self, RunBudget};
 use crate::events::{Event, EventQueue};
 use crate::faults::{FaultInjector, FaultTally, OutagePolicy};
+use crate::groups::GroupMap;
 use crate::pool::WorkerPool;
 use crate::HybridNetwork;
 use hycap_errors::HycapError;
@@ -113,13 +114,16 @@ pub enum Pacing {
         /// Statistics and snapshots are bit-identical either way (pinned
         /// by the `pacing_identity` suite).
         skip: bool,
-        /// Restrict `S*` enumeration on active slots of flow-chain runs to
-        /// the nodes adjacent to queued packets
-        /// ([`SStarScheduler::schedule_active_into`]). `false` schedules
-        /// the full network on every active slot — the reference the
-        /// active-set path is pinned against. Packet motion and
-        /// [`crate::FlowRunStats`] are identical either way; snapshots
-        /// record the reduction under `schedule.active_nodes`.
+        /// Restrict `S*` enumeration on active slots to the pairs that
+        /// can move a packet: in flow-chain runs, the nodes adjacent to
+        /// queued packets ([`SStarScheduler::schedule_active_into`]); in
+        /// fault-free scheme-B flow runs, the pairs touching a base
+        /// station ([`SStarScheduler::schedule_touching_into`]). `false`
+        /// schedules the full network on every active slot — the
+        /// reference both reductions are pinned against. Packet motion
+        /// and [`crate::FlowRunStats`] are identical either way; snapshots
+        /// record the reduced pair series, and chain runs also the
+        /// `schedule.active_nodes` counter.
         active_set: bool,
     },
 }
@@ -788,7 +792,8 @@ impl PacketEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `slots == 0` or the network has no base stations.
+    /// Panics if `slots == 0`, the network has no base stations, or the
+    /// plan groups more MSs or BSs than the network has.
     pub fn run_scheme_b<R: Rng + ?Sized>(
         &self,
         net: &mut HybridNetwork,
@@ -826,16 +831,10 @@ impl PacketEngine {
         let c = net.base_stations().expect("bs").bandwidth();
         let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
-        let mut ms_group = vec![usize::MAX; n];
-        let mut bs_group = vec![usize::MAX; k];
-        for g in 0..plan.group_count() {
-            for &i in plan.ms_members(g) {
-                ms_group[i] = g;
-            }
-            for &b in plan.bs_members(g) {
-                bs_group[b] = g;
-            }
-        }
+        let groups = match GroupMap::of(plan, n, k) {
+            Ok(groups) => groups,
+            Err(err) => panic!("{err}"),
+        };
         // Flow f is sourced at node f; dst via plan.flows().
         let dst_of: Vec<usize> = plan.flows().iter().map(|fl| fl.dst).collect();
         // Stage queues (absolute 64-bit slot timestamps).
@@ -907,8 +906,7 @@ impl PacketEngine {
                 } else {
                     continue;
                 };
-                let g = bs_group[bs];
-                if g == usize::MAX || ms_group[ms] != g {
+                if groups.access_group(ms, bs).is_none() {
                     continue;
                 }
                 // Uplink direction: source hands one packet to the group.
@@ -1308,7 +1306,8 @@ impl PacketEngine {
     /// [`HycapError::InvalidParameter`] when `slots == 0` or `lambda < 0`;
     /// [`HycapError::MissingInfrastructure`] when the network has no base
     /// stations; [`HycapError::Mismatch`] when the injector covers a
-    /// different BS population than the network.
+    /// different BS population than the network, or the plan groups more
+    /// MSs or BSs than the network has.
     #[allow(clippy::too_many_arguments)]
     pub fn run_scheme_b_with_faults<R: Rng + ?Sized>(
         &self,
@@ -1376,6 +1375,7 @@ impl PacketEngine {
                 right: k,
             });
         }
+        let groups = GroupMap::of(plan, n, k)?;
         if injector.schedule_is_empty() {
             let base = self.run_scheme_b_observed(net, plan, lambda, slots, rng, obs);
             return Ok(DegradedPacketStats {
@@ -1392,17 +1392,7 @@ impl PacketEngine {
         let demand = self.demand_params(net)?;
         let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
-        let gc = plan.group_count();
-        let mut ms_group = vec![usize::MAX; n];
-        let mut bs_group = vec![usize::MAX; k];
-        for g in 0..gc {
-            for &i in plan.ms_members(g) {
-                ms_group[i] = g;
-            }
-            for &b in plan.bs_members(g) {
-                bs_group[b] = g;
-            }
-        }
+        let gc = groups.count;
         let dst_of: Vec<usize> = plan.flows().iter().map(|fl| fl.dst).collect();
         let mut at_src: Vec<VecDeque<u64>> = vec![VecDeque::new(); n];
         let mut at_backbone: Vec<VecDeque<u64>> = vec![VecDeque::new(); n];
@@ -1474,8 +1464,8 @@ impl PacketEngine {
             }
             alive_per_group.iter_mut().for_each(|x| *x = 0);
             for b in 0..k {
-                if mask.bs_alive(b) && bs_group[b] != usize::MAX {
-                    alive_per_group[bs_group[b]] += 1;
+                if mask.bs_alive(b) && groups.bs[b] != usize::MAX {
+                    alive_per_group[groups.bs[b]] += 1;
                 }
             }
             let fallback_active = |f: usize| -> bool {
@@ -1524,8 +1514,7 @@ impl PacketEngine {
                     lost_uplink_contacts += 1;
                     continue;
                 }
-                let g = bs_group[bsid];
-                if g == usize::MAX || ms_group[ms] != g {
+                if groups.access_group(ms, bsid).is_none() {
                     continue;
                 }
                 // Uplink: infrastructure flows only; fallback flows keep
@@ -1709,7 +1698,7 @@ mod tests {
     use super::*;
     use hycap_infra::BaseStations;
     use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
-    use hycap_routing::{SchemeAPlan, TrafficMatrix};
+    use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1722,6 +1711,63 @@ mod tests {
             .build();
         let pop = Population::generate(&config, &mut rng);
         (HybridNetwork::ad_hoc(pop), rng)
+    }
+
+    /// A network of 16 BSs and a scheme-B plan compiled over 17.
+    fn net_with_wider_plan() -> (HybridNetwork, SchemeBPlan, StdRng) {
+        let mut rng = StdRng::seed_from_u64(28);
+        let config = PopulationConfig::builder(120)
+            .alpha(0.0)
+            .kernel(Kernel::uniform_disk(1.0))
+            .build();
+        let pop = Population::generate(&config, &mut rng);
+        let homes = pop.home_points().points().to_vec();
+        let traffic = TrafficMatrix::permutation(120, &mut rng);
+        let wider = BaseStations::generate_regular(17, 1.0);
+        let plan = SchemeBPlan::build(&homes, &traffic, &wider, 4);
+        let bs = BaseStations::generate_regular(16, 1.0);
+        (HybridNetwork::with_infrastructure(pop, bs), plan, rng)
+    }
+
+    #[test]
+    #[should_panic(expected = "scheme-B plan and network BS count")]
+    fn scheme_b_plan_over_more_base_stations_panics() {
+        let (mut net, plan, mut rng) = net_with_wider_plan();
+        PacketEngine::default().run_scheme_b(&mut net, &plan, 0.01, 10, &mut rng);
+    }
+
+    #[test]
+    fn faulted_scheme_b_rejects_plan_over_more_base_stations() {
+        use crate::faults::FaultSchedule;
+        let (mut net, plan, mut rng) = net_with_wider_plan();
+        for schedule in [
+            FaultSchedule::empty(),
+            FaultSchedule::empty().crash_bs(0, 0),
+        ] {
+            let mut injector = FaultInjector::new(16, &schedule).unwrap();
+            let err = PacketEngine::default()
+                .run_scheme_b_with_faults(
+                    &mut net,
+                    &plan,
+                    0.01,
+                    10,
+                    &mut injector,
+                    OutagePolicy::RadioOff,
+                    &mut rng,
+                )
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    HycapError::Mismatch {
+                        left: 17,
+                        right: 16,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -150,7 +150,9 @@ proptest! {
     /// non-empty fault schedule (two staggered BS crashes plus a Bernoulli
     /// outage overlay), both pinned across the pacing variants. Idle slots
     /// still advance the fault clock, so the degradation accounting must
-    /// not depend on how they are walked.
+    /// not depend on how they are walked. The BS count runs from a single
+    /// station to one per MS, where BS–BS pairs crowd the reduced
+    /// (BS-touching) schedule of fault-free active-set slots.
     #[test]
     fn scheme_b_stats_and_snapshots_are_pacing_invariant(
         seed in 0u64..1 << 16,
@@ -158,8 +160,8 @@ proptest! {
         static_mob in any::<bool>(),
         faulted in any::<bool>(),
         base_slot in prop_oneof![Just(0u64), (1u64 << 32) + 1..1 << 40],
+        k in prop_oneof![Just(1usize), Just(16), Just(N)],
     ) {
-        let k = 16;
         let run = |skip: bool, active_set: bool| {
             let mut rng = StdRng::seed_from_u64(seed);
             let config = PopulationConfig::builder(N)
@@ -179,7 +181,7 @@ proptest! {
             if faulted {
                 let schedule = FaultSchedule::empty()
                     .crash_bs(0, 0)
-                    .crash_bs(HORIZON / 2, 1)
+                    .crash_bs(HORIZON / 2, 1.min(k - 1))
                     .with_bernoulli_bs_outage(0.02, seed ^ 0xBAD);
                 let mut injector = FaultInjector::new(k, &schedule).unwrap();
                 let (stats, trace) = eng

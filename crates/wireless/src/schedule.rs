@@ -100,9 +100,11 @@ pub struct SlotWorkspace {
     /// by torus cell of side `>= guard` so the accept scan examines a 3×3
     /// block instead of every accepted endpoint.
     guard_buckets: HashMap<(usize, usize), Vec<Point>>,
-    /// Active-set membership stamps: `active_stamp[id] == active_epoch`
-    /// marks `id` active for the current [`SStarScheduler::
-    /// schedule_active_into`] call. Epoch-bumped so clearing is `O(1)`.
+    /// Node-set membership stamps: `active_stamp[id] == active_epoch`
+    /// marks `id` a member of the set passed to the current
+    /// [`SStarScheduler::schedule_active_into`] or
+    /// [`SStarScheduler::schedule_touching_into`] call. Epoch-bumped so
+    /// clearing is `O(1)`.
     active_stamp: Vec<u32>,
     /// The epoch value that means "active" in `active_stamp`.
     active_epoch: u32,
@@ -332,35 +334,107 @@ impl SStarScheduler {
         ws: &mut SlotWorkspace,
         out: &mut Vec<ScheduledPair>,
     ) {
+        let Some(guard) = self.begin_set_query(positions, range, active, ws, out) else {
+            return;
+        };
+        for &i in active {
+            let admit = |j: usize| j > i && ws.is_active(j);
+            if let Some(j) = sstar_partner(&ws.hash, positions, i, guard, range, admit) {
+                out.push(ScheduledPair::new(i, j));
+            }
+        }
+    }
+
+    /// [`Scheduler::schedule_into`] restricted to the pairs that *touch* a
+    /// node set: emits exactly the pairs of the full `S*` schedule with at
+    /// least one endpoint in `set` (strictly ascending node ids), in the
+    /// same order.
+    ///
+    /// This is the infrastructure-phase form of
+    /// [`SStarScheduler::schedule_active_into`]: with `set` the base
+    /// stations, it yields every MS–BS (and BS–BS) pair of the slot for
+    /// `O(n)` index upkeep plus `O(|set|)` per-node singleton queries —
+    /// an `S*` link depends on nothing beyond the guard zones of its two
+    /// endpoints, so a pair touching a BS is decided around that BS.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is not positive or an id in `set` is out of
+    /// range; debug builds additionally check that `set` is strictly
+    /// ascending.
+    pub fn schedule_touching_into(
+        &self,
+        positions: &[Point],
+        range: f64,
+        set: &[usize],
+        ws: &mut SlotWorkspace,
+        out: &mut Vec<ScheduledPair>,
+    ) {
+        let Some(guard) = self.begin_set_query(positions, range, set, ws, out) else {
+            return;
+        };
+        for &b in set {
+            // A pair with both endpoints in the set is emitted once, from
+            // its smaller endpoint.
+            let admit = |u: usize| u > b || !ws.is_active(u);
+            if let Some(u) = sstar_partner(&ws.hash, positions, b, guard, range, admit) {
+                out.push(ScheduledPair::new(b, u));
+            }
+        }
+        // Pairs are node-disjoint, so ordering by the smaller endpoint is
+        // the full schedule's order.
+        out.sort_unstable_by_key(|p| p.a);
+    }
+
+    /// The common start of the per-node set queries: checks `range`,
+    /// clears `out`, refreshes the index over all `positions` and stamps
+    /// `set` (strictly ascending). Returns the guard radius, or `None`
+    /// when no pair can form.
+    fn begin_set_query(
+        &self,
+        positions: &[Point],
+        range: f64,
+        set: &[usize],
+        ws: &mut SlotWorkspace,
+        out: &mut Vec<ScheduledPair>,
+    ) -> Option<f64> {
         assert!(
             range.is_finite() && range > 0.0,
             "transmission range must be positive, got {range}"
         );
         debug_assert!(
-            active.windows(2).all(|w| w[0] < w[1]),
-            "active set must be strictly ascending"
+            set.windows(2).all(|w| w[0] < w[1]),
+            "node set must be strictly ascending"
         );
         out.clear();
-        if positions.len() < 2 || active.is_empty() {
-            return;
+        if positions.len() < 2 || set.is_empty() {
+            return None;
         }
         let guard = self.protocol.guard_radius(range);
         ws.hash.update(positions, clamp_index_radius(guard));
-        ws.stamp_active(positions.len(), active);
-        for &i in active {
-            let j = ws.hash.unique_neighbor_within(i, guard);
-            if j == usize::MAX || j <= i || !ws.is_active(j) {
-                continue;
-            }
-            // Mutual singletons, exactly the batch kernel's condition.
-            if ws.hash.unique_neighbor_within(j, guard) != i {
-                continue;
-            }
-            if positions[i].torus_dist_sq(positions[j]) < range * range {
-                out.push(ScheduledPair::new(i, j));
-            }
-        }
+        ws.stamp_active(positions.len(), set);
+        Some(guard)
     }
+}
+
+/// The `S*` partner of node `i` over an index refreshed for this slot: the
+/// unique guard-zone neighbor `j` of `i` whose own guard zone holds only
+/// `i`, strictly within `range` — the batch kernel's mutual-singleton
+/// condition, asked for one node. `admit(j)` runs before the reverse query,
+/// so callers drop partners they would discard anyway without paying for it.
+fn sstar_partner(
+    hash: &SpatialHash,
+    positions: &[Point],
+    i: usize,
+    guard: f64,
+    range: f64,
+    admit: impl FnOnce(usize) -> bool,
+) -> Option<usize> {
+    let j = hash.unique_neighbor_within(i, guard);
+    if j == usize::MAX || !admit(j) || hash.unique_neighbor_within(j, guard) != i {
+        return None;
+    }
+    (positions[i].torus_dist_sq(positions[j]) < range * range).then_some(j)
 }
 
 impl Default for SStarScheduler {
@@ -680,12 +754,7 @@ pub fn schedule_observed<Sch, S>(
     S: MetricsSink,
 {
     scheduler.schedule_masked_into(positions, range, alive, ws, out);
-    if obs.sink.enabled() {
-        obs.sink.counter("schedule.slots", 1);
-        obs.sink.counter("schedule.pairs_total", out.len() as u64);
-        obs.sink
-            .observe("schedule.pairs_per_slot", out.len() as f64);
-    }
+    record_schedule(obs, out);
     if let Some(probes) = obs.probes_mut() {
         check_schedule_feasibility(
             probes,
@@ -696,6 +765,17 @@ pub fn schedule_observed<Sch, S>(
             scheduler.delta(),
             alive,
         );
+    }
+}
+
+/// Records one slot's schedule series: `schedule.slots`,
+/// `schedule.pairs_total` and the `schedule.pairs_per_slot` histogram.
+fn record_schedule<S: MetricsSink>(obs: &mut Observer<S>, pairs: &[ScheduledPair]) {
+    if obs.sink.enabled() {
+        obs.sink.counter("schedule.slots", 1);
+        obs.sink.counter("schedule.pairs_total", pairs.len() as u64);
+        obs.sink
+            .observe("schedule.pairs_per_slot", pairs.len() as f64);
     }
 }
 
@@ -793,12 +873,7 @@ pub fn schedule_memoized_observed<Sch, S>(
         memo.hits += 1;
         out.clear();
         out.extend_from_slice(&memo.pairs);
-        if obs.sink.enabled() {
-            obs.sink.counter("schedule.slots", 1);
-            obs.sink.counter("schedule.pairs_total", out.len() as u64);
-            obs.sink
-                .observe("schedule.pairs_per_slot", out.len() as f64);
-        }
+        record_schedule(obs, out);
         if let Some(probes) = obs.probes_mut() {
             // Re-probe the replayed slot: probe *check counts* are part of
             // the snapshot, so a memo hit must verify (and tally) exactly
@@ -832,9 +907,10 @@ pub fn schedule_memoized_observed<Sch, S>(
 /// reduced schedule, **plus** the `schedule.active_nodes` counter — a
 /// versioned addition to the snapshot payload (new in the demand-driven
 /// engine, PR 9): the total active-set entries scheduled over, recording
-/// how reduced the demand-driven slots were. Full-schedule paths never
-/// emit the key, and snapshot readers treat its absence as "full schedule
-/// every slot".
+/// how reduced the demand-driven slots were. Only this path emits the key
+/// — neither the full-schedule paths nor [`schedule_touching_observed`]
+/// do — and snapshot readers treat its absence as "no active-set
+/// reduction".
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_active_observed<S>(
     scheduler: &SStarScheduler,
@@ -849,14 +925,40 @@ pub fn schedule_active_observed<S>(
     S: MetricsSink,
 {
     scheduler.schedule_active_into(positions, range, active, ws, out);
+    record_schedule(obs, out);
     if obs.sink.enabled() {
-        obs.sink.counter("schedule.slots", 1);
-        obs.sink.counter("schedule.pairs_total", out.len() as u64);
-        obs.sink
-            .observe("schedule.pairs_per_slot", out.len() as f64);
         obs.sink
             .counter("schedule.active_nodes", active.len() as u64);
     }
+    if let Some(probes) = obs.probes_mut() {
+        check_schedule_feasibility(probes, slot, positions, out, range, scheduler.delta(), None);
+    }
+}
+
+/// [`schedule_observed`] for the set-touching path: runs
+/// [`SStarScheduler::schedule_touching_into`] and feeds the result through
+/// the same `schedule.slots` / `schedule.pairs_total` /
+/// `schedule.pairs_per_slot` series and feasibility probe, for the reduced
+/// schedule.
+///
+/// It does **not** add to `schedule.active_nodes`: that counter's readers
+/// divide it by the slots of active-set (relay-chain) runs, and a
+/// set-touching slot has no active set.
+#[allow(clippy::too_many_arguments)]
+pub fn schedule_touching_observed<S>(
+    scheduler: &SStarScheduler,
+    positions: &[Point],
+    range: f64,
+    set: &[usize],
+    slot: u64,
+    ws: &mut SlotWorkspace,
+    out: &mut Vec<ScheduledPair>,
+    obs: &mut Observer<S>,
+) where
+    S: MetricsSink,
+{
+    scheduler.schedule_touching_into(positions, range, set, ws, out);
+    record_schedule(obs, out);
     if let Some(probes) = obs.probes_mut() {
         check_schedule_feasibility(probes, slot, positions, out, range, scheduler.delta(), None);
     }
@@ -881,12 +983,7 @@ pub fn schedule_prebuilt_observed<S>(
     S: MetricsSink,
 {
     scheduler.schedule_prebuilt_masked_into(range, alive, ws, out);
-    if obs.sink.enabled() {
-        obs.sink.counter("schedule.slots", 1);
-        obs.sink.counter("schedule.pairs_total", out.len() as u64);
-        obs.sink
-            .observe("schedule.pairs_per_slot", out.len() as f64);
-    }
+    record_schedule(obs, out);
     let n = ws.hash.len();
     let SlotWorkspace { hash, .. } = ws;
     if let Some(probes) = obs.probes_mut() {

@@ -343,6 +343,104 @@ proptest! {
     }
 }
 
+/// Points from `(u, v, side)` triples: uniform on the torus, or — when
+/// `seam` — each within one index cell of a seam (a quarter of them in a
+/// corner), where the block walk wraps.
+fn place(raw: &[(f64, f64, usize)], seam: bool, cell: f64) -> Vec<Point> {
+    let near = |u: f64, high: bool| if high { 1.0 - u * cell } else { u * cell };
+    raw.iter()
+        .map(|&(u, v, side)| match (seam, side) {
+            (false, _) => Point::new(u, v),
+            (true, 0) => Point::new(near(u, false), v),
+            (true, 1) => Point::new(near(u, true), v),
+            (true, 2) => Point::new(v, near(u, v < 0.5)),
+            (true, _) => Point::new(near(u, v < 0.5), near(v, u < 0.5)),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The set-touching `S*` schedule is the full schedule filtered to the
+    /// pairs with at least one endpoint in the set, in the same order —
+    /// for an empty set, every node (the full schedule itself), a dense
+    /// id suffix (the engines' base-station block, where BS–BS pairs
+    /// form), a random subset, seam-packed points and guard radii that
+    /// span the whole grid.
+    #[test]
+    fn touching_schedule_is_the_filtered_full_schedule(
+        raw in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0usize..4), 0..150),
+        seam in any::<bool>(),
+        range in prop_oneof![arb_regime_range(), 0.26f64..0.45],
+        delta in prop_oneof![Just(1.0f64), 0.0f64..1.5],
+        set_kind in 0usize..4,
+        set_seed in any::<u64>(),
+    ) {
+        let sched = SStarScheduler::new(delta);
+        let guard = (1.0 + delta) * range;
+        let cell = 1.0 / (1.0 / hycap_geom::clamp_index_radius(guard)).floor();
+        let positions = place(&raw, seam, cell);
+        let n = positions.len();
+        let set: Vec<usize> = match set_kind {
+            0 => Vec::new(),
+            1 => (0..n).collect(),
+            2 => (n - (set_seed as usize % (n + 1))..n).collect(),
+            _ => (0..n).filter(|&i| (set_seed >> (i % 64)) & 1 == 1).collect(),
+        };
+        // Separate workspaces: the set-touching path must refresh the
+        // index itself.
+        let (mut ws_full, mut ws_touching) = (SlotWorkspace::new(), SlotWorkspace::new());
+        let mut full = Vec::new();
+        let mut touching = Vec::new();
+        sched.schedule_into(&positions, range, &mut ws_full, &mut full);
+        sched.schedule_touching_into(&positions, range, &set, &mut ws_touching, &mut touching);
+        let in_set = |id: usize| set.binary_search(&id).is_ok();
+        let expected: Vec<ScheduledPair> = full
+            .iter()
+            .copied()
+            .filter(|p| in_set(p.a) || in_set(p.b))
+            .collect();
+        prop_assert_eq!(&touching, &expected);
+        if set.len() == n {
+            prop_assert_eq!(&touching, &full);
+        }
+    }
+}
+
+/// A pair with both endpoints in the set is emitted exactly once, and at
+/// the full schedule's position: two isolated base-station pairs and one
+/// isolated MS pair, in an order the per-set walk does not produce.
+#[test]
+fn touching_schedule_emits_in_set_pairs_once_in_order() {
+    let positions = vec![
+        Point::new(0.70, 0.70), // 0: MS, pairs with BS 5
+        Point::new(0.10, 0.10), // 1: MS, pairs with MS 2
+        Point::new(0.11, 0.10), // 2
+        Point::new(0.40, 0.40), // 3: BS, pairs with BS 4
+        Point::new(0.41, 0.40), // 4: BS
+        Point::new(0.71, 0.70), // 5: BS
+    ];
+    let sched = SStarScheduler::new(1.0);
+    let mut ws = SlotWorkspace::new();
+    let mut full = Vec::new();
+    let mut touching = Vec::new();
+    sched.schedule_into(&positions, 0.05, &mut ws, &mut full);
+    assert_eq!(
+        full,
+        vec![
+            ScheduledPair::new(0, 5),
+            ScheduledPair::new(1, 2),
+            ScheduledPair::new(3, 4)
+        ]
+    );
+    sched.schedule_touching_into(&positions, 0.05, &[3, 4, 5], &mut ws, &mut touching);
+    assert_eq!(
+        touching,
+        vec![ScheduledPair::new(0, 5), ScheduledPair::new(3, 4)]
+    );
+}
+
 /// Bit-identity at the scales the proptest budget cannot reach: n up to
 /// 2000, uniform and clustered placements, faulted and fault-free, against
 /// the seed reference for both policies. The clustered placement is the
