@@ -40,8 +40,10 @@ use hycap_bench::report;
 use hycap_geom::{clamp_index_radius, Point, SpatialHash};
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::TrafficMatrix;
+use hycap_sim::obs::Observer;
 use hycap_sim::{
     FlowRunStats, FlowSizes, FlowWorkload, HybridNetwork, Pacing, PacingTrace, PacketEngine,
+    PacketPlan, PacketRun,
 };
 use hycap_wireless::{
     critical_range, GreedyMatchingScheduler, SStarScheduler, ScheduledPair, Scheduler,
@@ -89,8 +91,9 @@ fn pr6_workload(sizes: &'static str, horizon: usize) -> FlowWorkload {
 }
 
 /// One timed chains-engine run: fresh network and RNG from the case seed,
-/// so reruns are bit-identical by construction.
-fn run_case(case: Case, pacing: Pacing) -> Row {
+/// so reruns are bit-identical by construction. `demand` is `None` for
+/// legacy pacing and `Some(skip)` for demand pacing.
+fn run_case(case: Case, demand: Option<bool>) -> Row {
     let Case {
         n, sizes, horizon, ..
     } = case;
@@ -105,7 +108,6 @@ fn run_case(case: Case, pacing: Pacing) -> Row {
         .mobility(mobility)
         .build();
     let pop = Population::generate(&config, &mut rng);
-    let engine = PacketEngine::default().with_pacing(pacing);
     let (chains, w): (Vec<Vec<usize>>, FlowWorkload) = match case.load {
         "pr6" => {
             let traffic = TrafficMatrix::permutation(n, &mut rng);
@@ -137,29 +139,35 @@ fn run_case(case: Case, pacing: Pacing) -> Row {
         }
     };
     let mut net = HybridNetwork::ad_hoc(pop);
-    let tag = match pacing {
-        Pacing::Legacy => "legacy",
-        Pacing::Demand { .. } => "demand",
+    let (tag, pacing) = match demand {
+        None => ("legacy", Pacing::Legacy(&mut rng)),
+        Some(skip) => (
+            "demand",
+            Pacing::Demand {
+                seed: PACING_SEED,
+                skip,
+                active_set: true,
+            },
+        ),
     };
     let start = Instant::now();
-    let (stats, trace) = engine
-        .run_flows_traced(&mut net, &chains, &w, &mut rng)
+    let report = PacketEngine::default()
+        .run(
+            &mut net,
+            PacketPlan::Chains(&chains),
+            PacketRun::flows(&w, pacing),
+            &mut Observer::noop(),
+        )
+        .and_then(|r| r.into_complete("flow run"))
         .expect("flow run");
     let seconds = start.elapsed().as_secs_f64();
+    let (stats, trace) = (report.flows.expect("flow statistics"), report.pacing);
     Row {
         case,
         pacing: tag,
         seconds,
         stats,
         trace,
-    }
-}
-
-fn demand_pacing(skip: bool) -> Pacing {
-    Pacing::Demand {
-        seed: PACING_SEED,
-        skip,
-        active_set: true,
     }
 }
 
@@ -323,19 +331,19 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for &case in &cases {
-        rows.push(run_case(case, Pacing::Legacy));
-        rows.push(run_case(case, demand_pacing(true)));
+        rows.push(run_case(case, None));
+        rows.push(run_case(case, Some(true)));
     }
 
     // Determinism cross-check on the smallest pr6 case: a legacy rerun
     // must reproduce the statistics bit for bit.
-    let rerun = run_case(cases[0], Pacing::Legacy);
+    let rerun = run_case(cases[0], None);
     let identical = rerun.stats == rows[0].stats;
 
     // Skip soundness: the smallest demand case rerun with fast-forward off
     // must agree with the skipping run on every statistic and on the idle
     // count (only `fast_forwarded` may differ).
-    let no_skip = run_case(cases[0], demand_pacing(false));
+    let no_skip = run_case(cases[0], Some(false));
     let skip_identical =
         no_skip.stats == rows[1].stats && no_skip.trace.idle_slots == rows[1].trace.idle_slots;
 

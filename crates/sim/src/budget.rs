@@ -276,22 +276,6 @@ impl<T> Budgeted<T> {
     }
 }
 
-/// Builds the typed interruption error for event-core runs, which count
-/// progress in completed slots.
-pub(crate) fn interrupted_error(
-    what: &'static str,
-    completed: u64,
-    requested: u64,
-    exceeded: BudgetExceeded,
-) -> HycapError {
-    HycapError::Interrupted {
-        what,
-        completed,
-        requested,
-        reason: exceeded.reason(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,14 +9,15 @@
 //!   (squarelet edge, access group, backbone wire) combined with a routing
 //!   plan's load map: `λ = min service/load`, through one entry point,
 //!   [`FluidEngine::run`]. Fast; used for `n`-sweeps.
-//! * [`PacketEngine`] — a slotted queueing simulator with real buffers and
-//!   a bisection search for the stability boundary. Slower; validates the
-//!   fluid numbers.
+//! * [`PacketEngine`] — a slotted queueing simulator with real buffers,
+//!   through one entry point, [`PacketEngine::run`]: relay chains or
+//!   schemes A, B and C under open-loop injection or finite flows. Slower;
+//!   validates the fluid numbers.
 //! * [`sweep`] — geometric `n` ladders, log–log exponent fits and an
 //!   order-preserving parallel driver, used by every Table-I / Figure-3
 //!   experiment.
 //! * [`WorkerPool`] — a persistent worker pool backing slot-sharded fluid
-//!   runs ([`Sampling::Counter`]), [`PacketEngine::run_replications`] and the bench
+//!   runs ([`Sampling::Counter`]), packet replications and the bench
 //!   drivers; combined with counter-based mobility streams
 //!   (`hycap_mobility::SlotRng`), measurements are bit-identical at any
 //!   thread count.
@@ -76,14 +77,15 @@ pub use checkpoint::{scenario_digest, Checkpoint, ENGINE_VERSION};
 pub use engine::HybridNetwork;
 pub use events::{Event, EventQueue, FlowRng, Time};
 pub use faults::{FaultEvent, FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
-pub use flows::{
-    ArrivalProcess, DegradedFlowStats, FlowRunStats, FlowSizes, FlowSpec, FlowWorkload,
-};
+pub use flows::{ArrivalProcess, FlowRunStats, FlowSizes, FlowSpec, FlowWorkload};
 pub use fluid::{
     Bottleneck, DegradedFluidReport, FluidEngine, FluidPlan, FluidReport, FluidRun, Sampling,
     TwoHopReport,
 };
-pub use packet::{DegradedPacketStats, Pacing, PacingTrace, PacketEngine, PacketStats};
+pub use packet::{
+    FaultReport, Pacing, PacingTrace, PacketEngine, PacketPlan, PacketReport, PacketRun,
+    PacketStats, PacketWorkload,
+};
 pub use pool::{JobPanic, WorkerPool};
 pub use sweep::{
     fit_linear, fit_loglog, geometric_ns, load_ladder, parallel_map, parallel_map_checkpointed,
@@ -91,6 +93,6 @@ pub use sweep::{
 };
 
 /// Re-export of the observability crate so downstream code can construct
-/// [`hycap_obs::Observer`]s for [`FluidEngine::run`] and the `*_observed`
-/// packet and flow entry points without naming `hycap-obs` directly.
+/// [`hycap_obs::Observer`]s for [`FluidEngine::run`] and
+/// [`PacketEngine::run`] without naming `hycap-obs` directly.
 pub use hycap_obs as obs;

@@ -1,7 +1,7 @@
 //! A persistent worker pool for the measurement stack.
 //!
 //! Every parallel consumer in the crate — the slot-sharded fluid engine,
-//! [`crate::PacketEngine::run_replications`], the sweep driver and the bench
+//! packet replications, the sweep driver and the bench
 //! bins — used to spawn fresh threads per call. [`WorkerPool`] replaces that
 //! with long-lived workers fed from a shared queue: threads are spawned once,
 //! jobs are boxed closures, and batch results come back tagged with their

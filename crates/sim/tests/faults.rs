@@ -13,8 +13,8 @@ use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
 use hycap_sim::{
-    DegradedFluidReport, FaultInjector, FaultSchedule, FluidEngine, FluidPlan, FluidRun,
-    HybridNetwork, OutagePolicy, PacketEngine,
+    DegradedFluidReport, FaultSchedule, FluidEngine, FluidPlan, FluidRun, HybridNetwork,
+    OutagePolicy, Pacing, PacketEngine, PacketPlan, PacketReport, PacketRun,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,6 +65,24 @@ fn fluid_in_order(
         .unwrap()
 }
 
+/// A legacy-paced open-loop scheme-B packet run, under `faults` when given.
+fn packet_b(
+    net: &mut HybridNetwork,
+    plan: &SchemeBPlan,
+    lambda: f64,
+    slots: usize,
+    faults: Option<(&FaultSchedule, OutagePolicy)>,
+    rng: &mut StdRng,
+) -> PacketReport {
+    let mut spec = PacketRun::open_loop(lambda, slots, Pacing::Legacy(rng));
+    spec.faults = faults;
+    PacketEngine::default()
+        .run(net, PacketPlan::B(plan), spec, &mut Observer::noop())
+        .unwrap()
+        .into_complete("packet scheme B")
+        .unwrap()
+}
+
 #[test]
 fn empty_schedule_bit_identical_fluid_scheme_b() {
     let slots = 250;
@@ -109,36 +127,26 @@ fn empty_schedule_bit_identical_packet_scheme_b() {
     let slots = 1200;
     let lambda = 0.002;
     let (mut net, plan, _, mut rng) = hybrid_setup(150, 16, 4, SEED + 2);
-    let plain = PacketEngine::default().run_scheme_b(&mut net, &plan, lambda, slots, &mut rng);
+    let plain = packet_b(&mut net, &plan, lambda, slots, None, &mut rng);
+    assert!(plain.faults.is_none());
 
     let (mut net2, plan2, _, mut rng2) = hybrid_setup(150, 16, 4, SEED + 2);
-    let mut injector = FaultInjector::new(16, &FaultSchedule::empty()).unwrap();
-    let faulted = PacketEngine::default()
-        .run_scheme_b_with_faults(
-            &mut net2,
-            &plan2,
-            lambda,
-            slots,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng2,
-        )
-        .unwrap();
-    assert!(plain.delivered > 0, "baseline run must move packets");
-    assert_eq!(faulted.base.injected, plain.injected);
-    assert_eq!(faulted.base.delivered, plain.delivered);
-    assert_eq!(faulted.base.backlog, plain.backlog);
+    let empty = FaultSchedule::empty();
+    let faults = Some((&empty, OutagePolicy::RadioOff));
+    let faulted = packet_b(&mut net2, &plan2, lambda, slots, faults, &mut rng2);
+    assert!(plain.stats.delivered > 0, "baseline run must move packets");
+    // Bit-identical: the empty schedule takes the exact fault-free path.
+    assert_eq!(faulted.stats, plain.stats);
     assert_eq!(
-        faulted.base.throughput_per_node.to_bits(),
-        plain.throughput_per_node.to_bits()
+        faulted.stats.mean_delay.to_bits(),
+        plain.stats.mean_delay.to_bits()
     );
-    assert_eq!(
-        faulted.base.mean_delay.to_bits(),
-        plain.mean_delay.to_bits()
-    );
-    assert_eq!(faulted.infra_delivered, plain.delivered);
-    assert_eq!(faulted.fallback_delivered, 0);
-    assert_eq!(faulted.lost_uplink_contacts, 0);
+    assert_eq!(faulted.pacing, plain.pacing);
+    let report = faulted.faults.unwrap();
+    assert_eq!(report.infra_delivered, plain.stats.delivered);
+    assert_eq!(report.fallback_delivered, 0);
+    assert_eq!(report.lost_uplink_contacts, 0);
+    assert_eq!(report.k_alive_mean, 16.0);
 }
 
 /// Kill `per_group` base stations in every group (regular grid: every group
@@ -245,26 +253,17 @@ fn packet_engine_delivers_via_fallback_when_all_bs_dead() {
     for b in 0..16 {
         schedule = schedule.crash_bs(0, b);
     }
-    let mut injector = FaultInjector::new(16, &schedule).unwrap();
-    let stats = PacketEngine::default()
-        .run_scheme_b_with_faults(
-            &mut net,
-            &plan,
-            0.001,
-            slots,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng,
-        )
-        .unwrap();
-    assert!(stats.base.injected > 0);
+    let faults = Some((&schedule, OutagePolicy::RadioOff));
+    let run = packet_b(&mut net, &plan, 0.001, slots, faults, &mut rng);
+    let stats = run.faults.unwrap();
+    assert!(run.stats.injected > 0);
     assert_eq!(stats.infra_delivered, 0, "no BS alive, no infra delivery");
     assert!(
         stats.fallback_delivered > 0,
         "direct source–destination contacts must still deliver (backlog {})",
-        stats.base.backlog
+        run.stats.backlog
     );
-    assert_eq!(stats.fallback_delivered, stats.base.delivered);
+    assert_eq!(stats.fallback_delivered, run.stats.delivered);
     assert_eq!(stats.fallback_share(), 1.0);
     assert_eq!(stats.k_alive_mean, 0.0);
     assert_eq!(stats.outage_slots, slots);
@@ -278,17 +277,9 @@ fn occupy_spectrum_wastes_contacts_on_dead_bs() {
     for b in 0..8 {
         schedule = schedule.crash_bs(0, b);
     }
-    let mut injector = FaultInjector::new(16, &schedule).unwrap();
-    let stats = PacketEngine::default()
-        .run_scheme_b_with_faults(
-            &mut net,
-            &plan,
-            0.002,
-            slots,
-            &mut injector,
-            OutagePolicy::OccupySpectrum,
-            &mut rng,
-        )
+    let faults = Some((&schedule, OutagePolicy::OccupySpectrum));
+    let stats = packet_b(&mut net, &plan, 0.002, slots, faults, &mut rng)
+        .faults
         .unwrap();
     assert!(
         stats.lost_uplink_contacts > 0,

@@ -29,7 +29,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::TrafficMatrix;
-use hycap_sim::{FlowWorkload, HybridNetwork, PacingTrace, PacketEngine};
+use hycap_sim::obs::Observer;
+use hycap_sim::{FlowWorkload, HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketRun};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -104,15 +105,21 @@ fn loop_peak_bytes(horizon: usize) -> usize {
     drop(traffic);
     let mut net = HybridNetwork::ad_hoc(pop);
     let workload = FlowWorkload::poisson(RATE, 2, horizon).with_seed(7);
-    let engine = PacketEngine::default().with_demand_pacing(0xD0_0D);
 
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
 
-    let (stats, trace): (_, PacingTrace) = engine
-        .run_flows_traced(&mut net, &chains, &workload, &mut rng)
+    let report = PacketEngine::default()
+        .run(
+            &mut net,
+            PacketPlan::Chains(&chains),
+            PacketRun::flows(&workload, Pacing::demand(0xD0_0D)),
+            &mut Observer::noop(),
+        )
+        .and_then(|outcome| outcome.into_complete("packet flow run"))
         .expect("demand-paced flow run succeeds");
-    assert_eq!(trace.slots, horizon as u64);
+    assert_eq!(report.pacing.slots, horizon as u64);
+    let stats = report.flows.expect("flow statistics");
     assert!(stats.flows_started > 0, "workload must generate traffic");
 
     PEAK.load(Ordering::Relaxed).saturating_sub(baseline)

@@ -9,8 +9,11 @@
 use hycap_errors::HycapError;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::TrafficMatrix;
-use hycap_sim::{Event, EventQueue, FlowRunStats, FlowWorkload, HybridNetwork, PacketEngine};
-use hycap_sim::{PacketStats, WorkerPool};
+use hycap_sim::obs::Observer;
+use hycap_sim::{
+    Event, EventQueue, FlowRunStats, FlowWorkload, HybridNetwork, Pacing, PacketEngine, PacketPlan,
+    PacketReport, PacketRun, PacketStats, WorkerPool,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,14 +101,34 @@ fn dense_net(n: usize, seed: u64) -> (HybridNetwork, StdRng) {
     (HybridNetwork::ad_hoc(pop), rng)
 }
 
+/// A legacy-paced run of `plan` on `net`, drawing mobility from `rng`.
+fn run(
+    engine: PacketEngine,
+    net: &mut HybridNetwork,
+    plan: PacketPlan<'_>,
+    spec: PacketRun<'_>,
+) -> PacketReport {
+    engine
+        .run(net, plan, spec, &mut Observer::noop())
+        .unwrap()
+        .into_complete("packet run")
+        .unwrap()
+}
+
 fn flow_run(seed: u64) -> FlowRunStats {
     let (mut net, mut rng) = dense_net(60, seed);
     let traffic = TrafficMatrix::permutation(60, &mut rng);
     let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
     let workload = FlowWorkload::poisson(0.004, 3, 300).with_seed(seed);
-    PacketEngine::default()
-        .run_flows(&mut net, &chains, &workload, &mut rng)
-        .unwrap()
+    let spec = PacketRun::flows(&workload, Pacing::Legacy(&mut rng));
+    run(
+        PacketEngine::default(),
+        &mut net,
+        PacketPlan::Chains(&chains),
+        spec,
+    )
+    .flows
+    .unwrap()
 }
 
 #[test]
@@ -123,10 +146,7 @@ fn flow_stats_are_bit_identical_across_reruns() {
 #[test]
 fn flow_replications_are_thread_count_invariant() {
     let seeds: Vec<u64> = (0..6).collect();
-    let engine = PacketEngine::default();
-    let runs = |pool: &WorkerPool| -> Vec<FlowRunStats> {
-        engine.run_replications(&seeds, pool, |_, seed| flow_run(seed))
-    };
+    let runs = |pool: &WorkerPool| -> Vec<FlowRunStats> { pool.map(seeds.clone(), flow_run) };
     let one = runs(&WorkerPool::new(1));
     let four = runs(&WorkerPool::new(4));
     assert_eq!(one, four, "thread count changed flow statistics");
@@ -138,16 +158,15 @@ fn flow_replications_are_thread_count_invariant() {
 #[test]
 fn high_base_slot_matches_origin_run_bit_for_bit() {
     let offset = (u32::MAX as u64) + 7;
-    let run = |engine: PacketEngine| -> PacketStats {
+    let chains_run = |engine: PacketEngine| -> PacketStats {
         let (mut net, mut rng) = dense_net(50, 21);
         let traffic = TrafficMatrix::permutation(50, &mut rng);
         let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
-        engine
-            .run_chains(&mut net, &chains, 0.05, 200, &mut rng)
-            .unwrap()
+        let spec = PacketRun::open_loop(0.05, 200, Pacing::Legacy(&mut rng));
+        run(engine, &mut net, PacketPlan::Chains(&chains), spec).stats
     };
-    let base = run(PacketEngine::default());
-    let offset_stats = run(PacketEngine::default().with_base_slot(offset));
+    let base = chains_run(PacketEngine::default());
+    let offset_stats = chains_run(PacketEngine::default().with_base_slot(offset));
     assert!(base.delivered > 0, "inconclusive: nothing delivered");
     assert_eq!(base.injected, offset_stats.injected);
     assert_eq!(base.delivered, offset_stats.delivered);
@@ -182,9 +201,9 @@ fn high_base_slot_scheme_b_delays_stay_finite() {
     let traffic = TrafficMatrix::permutation(150, &mut rng);
     let plan = SchemeBPlan::build(&homes, &traffic, &bs, 4);
     let mut net = HybridNetwork::with_infrastructure(pop, bs);
-    let stats = PacketEngine::default()
-        .with_base_slot(offset)
-        .run_scheme_b(&mut net, &plan, 0.002, 2000, &mut rng);
+    let engine = PacketEngine::default().with_base_slot(offset);
+    let spec = PacketRun::open_loop(0.002, 2000, Pacing::Legacy(&mut rng));
+    let stats = run(engine, &mut net, PacketPlan::B(&plan), spec).stats;
     assert!(stats.delivered > 0, "inconclusive: nothing delivered");
     assert!(
         stats.mean_delay.is_finite() && stats.mean_delay < 2000.0,
@@ -218,9 +237,15 @@ fn empty_flow_run_reports_zeros() {
     let (mut net, mut rng) = dense_net(20, 5);
     let chains: Vec<Vec<usize>> = vec![vec![0, 1]];
     let workload = FlowWorkload::poisson(0.0, 2, 400);
-    let stats = PacketEngine::default()
-        .run_flows(&mut net, &chains, &workload, &mut rng)
-        .unwrap();
+    let spec = PacketRun::flows(&workload, Pacing::Legacy(&mut rng));
+    let stats = run(
+        PacketEngine::default(),
+        &mut net,
+        PacketPlan::Chains(&chains),
+        spec,
+    )
+    .flows
+    .unwrap();
     assert_eq!(stats.flows_started, 0);
     assert_eq!(stats.mean_fct.to_bits(), 0.0f64.to_bits());
     assert!(stats.fct_p50.is_none(), "idle run must not report an FCT");

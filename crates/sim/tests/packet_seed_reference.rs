@@ -1,16 +1,22 @@
-//! Pre-refactor seed-reference pins for the packet engine.
+//! Seed-reference pins for open-loop packet runs.
 //!
-//! The PacketStats below were captured from the slot-synchronous packet
-//! engine before the event-queue refactor (fixed seeds, fixed setups).
-//! The event-core adapters must reproduce them bit for bit: any drift in
-//! RNG consumption order, service order or timestamp arithmetic shows up
-//! here as a hard failure.
+//! The PacketStats below are fixed-seed captures of open-loop runs of every
+//! plan through `PacketEngine::run`, under legacy pacing. Any drift in RNG
+//! consumption order, service order or timestamp arithmetic shows up here
+//! as a hard failure. They were last re-captured when open-loop runs
+//! adopted the one-hop-per-slot rule (a packet sent in slot `t` lands at
+//! `t + 1`); regenerate them only for such a deliberate seed break:
+//!
+//! ```text
+//! CAPTURE_SEED_REF=1 cargo test -p hycap-sim --test packet_seed_reference -- --nocapture
+//! ```
 
 use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
-use hycap_sim::faults::{FaultInjector, FaultSchedule, OutagePolicy};
-use hycap_sim::{HybridNetwork, PacketEngine, PacketStats};
+use hycap_sim::faults::{FaultSchedule, OutagePolicy};
+use hycap_sim::obs::Observer;
+use hycap_sim::{HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketRun, PacketStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -63,6 +69,26 @@ fn check(label: &'static str, stats: &PacketStats, want: &Reference) {
     );
 }
 
+/// An open-loop run of `plan` at rate `lambda` for `slots` slots, drawing
+/// mobility in order from `rng`, under `faults` when given.
+fn open_loop(
+    net: &mut HybridNetwork,
+    plan: PacketPlan<'_>,
+    lambda: f64,
+    slots: usize,
+    faults: Option<(&FaultSchedule, OutagePolicy)>,
+    rng: &mut StdRng,
+) -> PacketStats {
+    let mut spec = PacketRun::open_loop(lambda, slots, Pacing::Legacy(rng));
+    spec.faults = faults;
+    PacketEngine::default()
+        .run(net, plan, spec, &mut Observer::noop())
+        .unwrap()
+        .into_complete("packet seed reference")
+        .unwrap()
+        .stats
+}
+
 fn dense_net(n: usize, seed: u64) -> (HybridNetwork, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let config = PopulationConfig::builder(n)
@@ -79,9 +105,8 @@ fn run_chains_direct_matches_seed_reference() {
     let (mut net, mut rng) = dense_net(80, 11);
     let traffic = TrafficMatrix::permutation(80, &mut rng);
     let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
-    let stats = PacketEngine::default()
-        .run_chains(&mut net, &chains, 0.01, 400, &mut rng)
-        .unwrap();
+    let plan = PacketPlan::Chains(&chains);
+    let stats = open_loop(&mut net, plan, 0.01, 400, None, &mut rng);
     check(
         "chains-direct",
         &stats,
@@ -91,7 +116,7 @@ fn run_chains_direct_matches_seed_reference() {
             delivered: 27,
             backlog: 293,
             throughput_bits: 0x3f4b_a5e3_53f7_ced9,
-            mean_delay_bits: 0x4065_7da1_2f68_4bda,
+            mean_delay_bits: 0x4065_9da1_2f68_4bda,
         },
     );
 }
@@ -103,9 +128,8 @@ fn run_chains_relays_match_seed_reference() {
     let homes = net.population().home_points().points().to_vec();
     let plan = SchemeAPlan::build(&homes, &traffic, 2.0);
     let chains = plan.materialize_relays(&traffic, &mut rng);
-    let stats = PacketEngine::default()
-        .run_chains(&mut net, &chains, 0.002, 600, &mut rng)
-        .unwrap();
+    let plan = PacketPlan::Chains(&chains);
+    let stats = open_loop(&mut net, plan, 0.002, 600, None, &mut rng);
     check(
         "chains-relay",
         &stats,
@@ -115,7 +139,7 @@ fn run_chains_relays_match_seed_reference() {
             delivered: 5,
             backlog: 115,
             throughput_bits: 0x3f12_3456_789a_bcdf,
-            mean_delay_bits: 0x4045_1999_9999_999a,
+            mean_delay_bits: 0x4045_9999_9999_999a,
         },
     );
 }
@@ -132,8 +156,11 @@ fn scheme_a_matches_seed_reference() {
     let traffic = TrafficMatrix::permutation(150, &mut rng);
     let plan = SchemeAPlan::build(&homes, &traffic, (150f64).powf(0.25));
     let mut net = HybridNetwork::ad_hoc(pop);
-    let stats =
-        PacketEngine::default().run_scheme_a(&mut net, &plan, &traffic, 0.002, 600, &mut rng);
+    let plan = PacketPlan::A {
+        plan: &plan,
+        traffic: &traffic,
+    };
+    let stats = open_loop(&mut net, plan, 0.002, 600, None, &mut rng);
     check(
         "scheme-a",
         &stats,
@@ -147,7 +174,7 @@ fn scheme_a_matches_seed_reference() {
             delivered: 14,
             backlog: 136,
             throughput_bits: 0x3f24_6394_0c32_6d23,
-            mean_delay_bits: 0x404b_0000_0000_0000,
+            mean_delay_bits: 0x404b_8000_0000_0000,
         },
     );
 }
@@ -165,7 +192,7 @@ fn scheme_b_matches_seed_reference() {
     let traffic = TrafficMatrix::permutation(150, &mut rng);
     let plan = SchemeBPlan::build(&homes, &traffic, &bs, 4);
     let mut net = HybridNetwork::with_infrastructure(pop, bs);
-    let stats = PacketEngine::default().run_scheme_b(&mut net, &plan, 0.002, 2000, &mut rng);
+    let stats = open_loop(&mut net, PacketPlan::B(&plan), 0.002, 2000, None, &mut rng);
     check(
         "scheme-b",
         &stats,
@@ -175,7 +202,7 @@ fn scheme_b_matches_seed_reference() {
             delivered: 40,
             backlog: 560,
             throughput_bits: 0x3f21_79ec_9cbd_821e,
-            mean_delay_bits: 0x408a_2766_6666_6666,
+            mean_delay_bits: 0x408a_2f66_6666_6666,
         },
     );
 }
@@ -198,28 +225,25 @@ fn scheme_b_faulted_matches_seed_reference() {
         .crash_bs(0, 1)
         .crash_bs(100, 2)
         .repair_bs(300, 1);
-    let mut injector = FaultInjector::new(16, &schedule).unwrap();
-    let report = PacketEngine::default()
-        .run_scheme_b_with_faults(
-            &mut net,
-            &plan,
-            0.002,
-            2000,
-            &mut injector,
-            OutagePolicy::RadioOff,
-            &mut rng,
-        )
-        .unwrap();
+    let faults = Some((&schedule, OutagePolicy::RadioOff));
+    let stats = open_loop(
+        &mut net,
+        PacketPlan::B(&plan),
+        0.002,
+        2000,
+        faults,
+        &mut rng,
+    );
     check(
         "scheme-b-faulted",
-        &report.base,
+        &stats,
         &Reference {
             label: "scheme-b-faulted",
             injected: 600,
             delivered: 71,
             backlog: 529,
             throughput_bits: 0x3f2f_0537_2fd0_608e,
-            mean_delay_bits: 0x4087_276f_c64f_52ee,
+            mean_delay_bits: 0x4087_2f6f_c64f_52ee,
         },
     );
 }
@@ -244,7 +268,15 @@ fn scheme_c_matches_seed_reference() {
     let layout = CellularLayout::build(&centers, radius, 20);
     let traffic = TrafficMatrix::permutation(n, &mut rng);
     let plan = SchemeCPlan::build(&positions, &cluster_of, &layout, &traffic);
-    let stats = PacketEngine::default().run_scheme_c(&plan, &layout, &traffic, 1.0, 0.01, 500);
+    let cells = PacketPlan::C {
+        plan: &plan,
+        layout: &layout,
+        traffic: &traffic,
+        c: 1.0,
+    };
+    // Scheme C is static and reads nothing from the network.
+    let (mut net, _) = dense_net(n, 32);
+    let stats = open_loop(&mut net, cells, 0.01, 500, None, &mut rng);
     check(
         "scheme-c",
         &stats,
@@ -254,7 +286,7 @@ fn scheme_c_matches_seed_reference() {
             delivered: 419,
             backlog: 181,
             throughput_bits: 0x3f7c_9a8e_448a_2bf7,
-            mean_delay_bits: 0x404d_ff15_625e_1738,
+            mean_delay_bits: 0x404f_190c_d49e_dabb,
         },
     );
 }

@@ -14,7 +14,9 @@
 use hycap_mobility::{Kernel, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
 use hycap_sim::obs::Observer;
-use hycap_sim::{FluidEngine, FluidPlan, FluidRun, HybridNetwork, PacketEngine};
+use hycap_sim::{
+    FluidEngine, FluidPlan, FluidRun, HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketRun,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,7 +56,16 @@ fn main() {
     for &load in &[0.1, 0.25, 0.5, 1.0, 2.0, 4.0] {
         // Packets are W/2-sized: one fluid-λ unit = 2 packets/slot.
         let lambda = load * fluid.lambda * 2.0;
-        let stats = engine.run_scheme_a(&mut net, &plan, &traffic, lambda, 4000, &mut rng);
+        let scheme_a = PacketPlan::A {
+            plan: &plan,
+            traffic: &traffic,
+        };
+        let spec = PacketRun::open_loop(lambda, 4000, Pacing::Legacy(&mut rng));
+        let stats = engine
+            .run(&mut net, scheme_a, spec, &mut Observer::noop())
+            .and_then(|outcome| outcome.into_complete("scheme A packets"))
+            .expect("packet run")
+            .stats;
         println!(
             "{:<12} {:<12} {:<14} {:<12} {:<10}",
             format!("{load:.2}"),
@@ -64,7 +75,7 @@ fn main() {
                 stats.delivered,
                 100.0 * stats.delivery_ratio()
             ),
-            if stats.mean_delay.is_nan() {
+            if stats.delivered == 0 {
                 "-".to_string()
             } else {
                 format!("{:.0} slots", stats.mean_delay)

@@ -21,9 +21,11 @@ use hycap::obs::{MetricsSink, Observer, PROBE_RATE_BUDGET, PROBE_SCHEDULE_FEASIB
 use hycap::{ModelExponents, Realization, Scenario};
 use hycap_routing::{SchemeAPlan, SchemeBPlan};
 use hycap_sim::{
-    DegradedFluidReport, DegradedPacketStats, FaultInjector, FaultSchedule, FlowWorkload,
-    FluidEngine, FluidPlan, FluidRun, OutagePolicy, PacketEngine, PacketStats,
+    DegradedFluidReport, FaultSchedule, FlowRunStats, FlowWorkload, FluidEngine, FluidPlan,
+    FluidRun, HybridNetwork, OutagePolicy, Pacing, PacketEngine, PacketPlan, PacketReport,
+    PacketRun, PacketStats, PacketWorkload,
 };
+use rand::rngs::StdRng;
 
 /// Bit-level equality for packet statistics: stricter than `PartialEq`
 /// (it also equates a NaN `mean_delay` on both sides, which `==` on f64
@@ -37,15 +39,9 @@ fn stats_identical(a: &PacketStats, b: &PacketStats) -> bool {
         && a.mean_delay.to_bits() == b.mean_delay.to_bits()
 }
 
-fn degraded_identical(a: &DegradedPacketStats, b: &DegradedPacketStats) -> bool {
-    stats_identical(&a.base, &b.base)
-        && a.infra_delivered == b.infra_delivered
-        && a.fallback_delivered == b.fallback_delivered
-        && a.lost_uplink_contacts == b.lost_uplink_contacts
-        && a.backbone_stalled_slots == b.backbone_stalled_slots
-        && a.k_alive_mean.to_bits() == b.k_alive_mean.to_bits()
-        && a.outage_slots == b.outage_slots
-        && a.tally == b.tally
+fn degraded_identical(a: &PacketReport, b: &PacketReport) -> bool {
+    let k_alive = |r: &PacketReport| r.faults.map(|f| f.k_alive_mean.to_bits());
+    stats_identical(&a.stats, &b.stats) && a.faults == b.faults && k_alive(a) == k_alive(b)
 }
 
 const SEEDS: [u64; 3] = [11, 22, 33];
@@ -90,6 +86,29 @@ fn fluid<S: MetricsSink>(
     spec.faults = faults;
     FluidEngine::default()
         .run(&mut r.net, plan, spec, obs)
+        .unwrap()
+        .into_complete("conformance")
+        .unwrap()
+}
+
+/// One legacy-paced packet run of `plan` on `net`, drawing mobility from
+/// `rng`, under `faults` when given, observed into `obs`.
+fn packet<S: MetricsSink>(
+    net: &mut HybridNetwork,
+    rng: &mut StdRng,
+    plan: PacketPlan<'_>,
+    workload: PacketWorkload<'_>,
+    faults: Option<(&FaultSchedule, OutagePolicy)>,
+    obs: &mut Observer<S>,
+) -> PacketReport {
+    let spec = PacketRun {
+        workload,
+        pacing: Pacing::Legacy(rng),
+        faults,
+        budget: None,
+    };
+    PacketEngine::default()
+        .run(net, plan, spec, obs)
         .unwrap()
         .into_complete("conformance")
         .unwrap()
@@ -192,39 +211,32 @@ fn fluid_faulted_matrix_clean_and_bit_identical() {
 
 #[test]
 fn packet_matrix_clean_and_bit_identical() {
-    let lambda = 0.05;
+    fn run<S: MetricsSink>(
+        r: &mut Realization,
+        plan_a: &SchemeAPlan,
+        plan_b: &SchemeBPlan,
+        obs: &mut Observer<S>,
+    ) -> (PacketStats, PacketStats) {
+        let open = PacketWorkload::OpenLoop {
+            lambda: 0.05,
+            slots: SLOTS,
+        };
+        let a = PacketPlan::A {
+            plan: plan_a,
+            traffic: &r.traffic,
+        };
+        let got_a = packet(&mut r.net, &mut r.rng, a, open, None, obs);
+        let b = PacketPlan::B(plan_b);
+        let got_b = packet(&mut r.net, &mut r.rng, b, open, None, obs);
+        (got_a.stats, got_b.stats)
+    }
     for seed in SEEDS {
-        let engine = PacketEngine::default();
         let (mut plain, plan_a, plan_b) = realize(seed);
-        let base_a = engine.run_scheme_a(
-            &mut plain.net,
-            &plan_a,
-            &plain.traffic,
-            lambda,
-            SLOTS,
-            &mut plain.rng,
-        );
-        let base_b = engine.run_scheme_b(&mut plain.net, &plan_b, lambda, SLOTS, &mut plain.rng);
+        let (base_a, base_b) = run(&mut plain, &plan_a, &plan_b, &mut Observer::noop());
 
         let (mut obsd, plan_a2, plan_b2) = realize(seed);
         let mut obs = Observer::recording().with_probes();
-        let got_a = engine.run_scheme_a_observed(
-            &mut obsd.net,
-            &plan_a2,
-            &obsd.traffic,
-            lambda,
-            SLOTS,
-            &mut obsd.rng,
-            &mut obs,
-        );
-        let got_b = engine.run_scheme_b_observed(
-            &mut obsd.net,
-            &plan_b2,
-            lambda,
-            SLOTS,
-            &mut obsd.rng,
-            &mut obs,
-        );
+        let (got_a, got_b) = run(&mut obsd, &plan_a2, &plan_b2, &mut obs);
         assert!(
             stats_identical(&base_a, &got_a),
             "seed {seed}: packet scheme A diverged: {base_a:?} vs {got_a:?}"
@@ -246,41 +258,23 @@ fn packet_matrix_clean_and_bit_identical() {
 
 #[test]
 fn packet_faulted_matrix_clean_and_bit_identical() {
-    let lambda = 0.05;
+    let open = PacketWorkload::OpenLoop {
+        lambda: 0.05,
+        slots: SLOTS,
+    };
     for seed in SEEDS {
         for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-            let engine = PacketEngine::default();
             let (mut plain, _, plan_b) = realize(seed);
-            let k = plain.params.k;
-            let schedule = faults(k);
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let base = engine
-                .run_scheme_b_with_faults(
-                    &mut plain.net,
-                    &plan_b,
-                    lambda,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut plain.rng,
-                )
-                .unwrap();
+            let schedule = faults(plain.params.k);
+            let faulted = Some((&schedule, policy));
+            let b = PacketPlan::B(&plan_b);
+            let noop = &mut Observer::noop();
+            let base = packet(&mut plain.net, &mut plain.rng, b, open, faulted, noop);
 
             let (mut obsd, _, plan_b2) = realize(seed);
             let mut obs = Observer::recording().with_probes();
-            let mut inj = FaultInjector::new(k, &schedule).unwrap();
-            let got = engine
-                .run_scheme_b_with_faults_observed(
-                    &mut obsd.net,
-                    &plan_b2,
-                    lambda,
-                    SLOTS,
-                    &mut inj,
-                    policy,
-                    &mut obsd.rng,
-                    &mut obs,
-                )
-                .unwrap();
+            let b = PacketPlan::B(&plan_b2);
+            let got = packet(&mut obsd.net, &mut obsd.rng, b, open, faulted, &mut obs);
             assert!(
                 degraded_identical(&base, &got),
                 "seed {seed} {policy:?}: faulted packet B diverged: {base:?} vs {got:?}"
@@ -297,48 +291,44 @@ fn packet_faulted_matrix_clean_and_bit_identical() {
 
 #[test]
 fn flow_matrix_clean_and_bit_identical() {
+    /// Pinned relay chains (what `Scenario::measure_flows` runs), the
+    /// any-member scheme A, and scheme B.
+    fn run<S: MetricsSink>(
+        r: &mut Realization,
+        workload: &FlowWorkload,
+        plan_a: &SchemeAPlan,
+        plan_b: &SchemeBPlan,
+        obs: &mut Observer<S>,
+    ) -> [Option<FlowRunStats>; 3] {
+        let flows = PacketWorkload::Flows(workload);
+        let chains = plan_a.materialize_relays(&r.traffic, &mut r.rng);
+        let plans = [
+            PacketPlan::Chains(&chains),
+            PacketPlan::A {
+                plan: plan_a,
+                traffic: &r.traffic,
+            },
+            PacketPlan::B(plan_b),
+        ];
+        plans.map(|plan| packet(&mut r.net, &mut r.rng, plan, flows, None, obs).flows)
+    }
     for seed in SEEDS {
         let workload = FlowWorkload::poisson(0.002, 3, SLOTS).with_seed(seed);
-        let engine = PacketEngine::default();
         let (mut plain, plan_a, plan_b) = realize(seed);
-        let base_a = engine
-            .run_flows_scheme_a(
-                &mut plain.net,
-                &plan_a,
-                &plain.traffic,
-                &workload,
-                &mut plain.rng,
-            )
-            .unwrap();
-        let base_b = engine
-            .run_flows_scheme_b(&mut plain.net, &plan_b, &workload, &mut plain.rng)
-            .unwrap();
+        let base = run(
+            &mut plain,
+            &workload,
+            &plan_a,
+            &plan_b,
+            &mut Observer::noop(),
+        );
 
         let (mut obsd, plan_a2, plan_b2) = realize(seed);
         let mut obs = Observer::recording().with_probes();
-        let got_a = engine
-            .run_flows_scheme_a_observed(
-                &mut obsd.net,
-                &plan_a2,
-                &obsd.traffic,
-                &workload,
-                &mut obsd.rng,
-                &mut obs,
-            )
-            .unwrap();
-        let got_b = engine
-            .run_flows_scheme_b_observed(
-                &mut obsd.net,
-                &plan_b2,
-                &workload,
-                &mut obsd.rng,
-                &mut obs,
-            )
-            .unwrap();
+        let got = run(&mut obsd, &workload, &plan_a2, &plan_b2, &mut obs);
         // Plain f64 equality doubles as the NaN pin: a poisoned statistic
         // would fail even against an identical rerun.
-        assert_eq!(base_a, got_a, "seed {seed}: flow scheme A diverged");
-        assert_eq!(base_b, got_b, "seed {seed}: flow scheme B diverged");
+        assert_eq!(base, got, "seed {seed}: flow runs diverged");
         assert!(
             obs.is_clean(),
             "seed {seed}: violations: {:?}",
@@ -346,6 +336,7 @@ fn flow_matrix_clean_and_bit_identical() {
         );
         let snap = obs.snapshot();
         assert_eq!(snap.counter("flows.chains.runs"), 1);
+        assert_eq!(snap.counter("flows.scheme_a.runs"), 1);
         assert_eq!(snap.counter("flows.scheme_b.runs"), 1);
     }
 }
@@ -358,17 +349,21 @@ fn empty_run_row_reports_zeros_and_finite_json() {
     let (mut r, _, _) = realize(SEEDS[0]);
     let chains: Vec<Vec<usize>> = r.traffic.pairs().map(|(s, d)| vec![s, d]).collect();
     let mut obs = Observer::recording().with_probes();
-    let stats = PacketEngine::default()
-        .run_chains_observed(&mut r.net, &chains, 0.0, SLOTS, &mut r.rng, &mut obs)
-        .unwrap();
+    let idle = PacketWorkload::OpenLoop {
+        lambda: 0.0,
+        slots: SLOTS,
+    };
+    let plan = PacketPlan::Chains(&chains);
+    let stats = packet(&mut r.net, &mut r.rng, plan, idle, None, &mut obs).stats;
     assert_eq!(stats.injected, 0);
     assert_eq!(stats.delivered, 0);
     assert_eq!(stats.mean_delay.to_bits(), 0.0f64.to_bits());
     assert_eq!(stats.throughput_per_node.to_bits(), 0.0f64.to_bits());
 
     let workload = FlowWorkload::poisson(0.0, 2, SLOTS);
-    let flow_stats = PacketEngine::default()
-        .run_flows_observed(&mut r.net, &chains, &workload, &mut r.rng, &mut obs)
+    let flows = PacketWorkload::Flows(&workload);
+    let flow_stats = packet(&mut r.net, &mut r.rng, plan, flows, None, &mut obs)
+        .flows
         .unwrap();
     assert_eq!(flow_stats.flows_started, 0);
     assert_eq!(flow_stats.mean_fct.to_bits(), 0.0f64.to_bits());

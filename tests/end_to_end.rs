@@ -6,7 +6,9 @@ use hycap::{MobilityRegime, ModelExponents, Scenario};
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
-use hycap_sim::{FluidEngine, FluidPlan, FluidRun, HybridNetwork, PacketEngine};
+use hycap_sim::{
+    FluidEngine, FluidPlan, FluidRun, HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketRun,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -118,15 +120,27 @@ fn fluid_and_packet_engines_agree_on_feasibility() {
         .base;
     assert!(fluid.lambda > 0.0, "fluid starved");
 
-    let chains = plan.materialize_relays(&traffic, &mut rng);
-    let engine = PacketEngine::default();
+    // Scheme A as Definition 11 states it: any next-squarelet member relays.
+    let scheme_a = PacketPlan::A {
+        plan: &plan,
+        traffic: &traffic,
+    };
+    let mut packets = |lambda: f64, slots: usize, rng: &mut StdRng| {
+        PacketEngine::default()
+            .run(
+                &mut net,
+                scheme_a,
+                PacketRun::open_loop(lambda, slots, Pacing::Legacy(rng)),
+                &mut Observer::noop(),
+            )
+            .unwrap()
+            .into_complete("scheme A packets")
+            .unwrap()
+            .stats
+    };
     // Packets have size W/2, so one fluid-unit of λ is two packets/slot.
-    let low = engine
-        .run_chains(&mut net, &chains, 0.2 * fluid.lambda, 2500, &mut rng)
-        .unwrap();
-    let high = engine
-        .run_chains(&mut net, &chains, 20.0 * fluid.lambda, 800, &mut rng)
-        .unwrap();
+    let low = packets(0.2 * fluid.lambda, 2500, &mut rng);
+    let high = packets(20.0 * fluid.lambda, 800, &mut rng);
     assert!(
         low.delivery_ratio() > 2.0 * high.delivery_ratio(),
         "packet engine does not separate feasible ({:.2}) from infeasible ({:.2})",
