@@ -1,6 +1,6 @@
 //! The discrete-event core of the packet engine.
 //!
-//! Every packet-level run — steady-state adapters and flow-level workloads
+//! Every packet-level run — open-loop injection and flow-level workloads
 //! alike — drains one [`EventQueue`]: a time-ordered binary heap of typed
 //! [`Event`]s popped in strict `(time, class, flow, seq)` order. The
 //! four-part key makes the drain order a pure function of the pushed set:
@@ -43,7 +43,8 @@ pub enum Event {
     /// A packet transmitted during the previous slot lands at hop `hop`'s
     /// receiver (or at the destination when `hop` is the last one).
     HopComplete {
-        /// The flow whose packet completes the hop.
+        /// The transit queue the packet crossed on: its traffic pair, or
+        /// the receiving node under any-member scheme A.
         flow: u32,
         /// Hop index within the flow's route (0 = first transmission).
         hop: u32,
@@ -51,7 +52,7 @@ pub enum Event {
     /// Start of slot `slot`: mobility advances, the scheduler runs, and
     /// scheduled pairs transmit.
     SlotBoundary {
-        /// The absolute slot index (base offset included).
+        /// The slot index, relative to the start of the run.
         slot: u64,
     },
     /// A flow's last packet was delivered; flow-completion time is
