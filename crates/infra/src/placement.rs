@@ -5,6 +5,7 @@ use hycap_errors::HycapError;
 use hycap_geom::{Point, SquareGrid, Torus};
 use hycap_mobility::{HomePoints, Kernel};
 use rand::Rng;
+use std::sync::Arc;
 
 /// The BS deployment strategy.
 ///
@@ -42,7 +43,7 @@ pub enum BsPlacement {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BaseStations {
-    positions: Vec<Point>,
+    positions: Arc<[Point]>,
     cluster_of: Vec<usize>,
     placement: BsPlacement,
     bandwidth: f64,
@@ -88,7 +89,7 @@ impl BaseStations {
     pub fn generate_uniform<R: Rng + ?Sized>(k: usize, bandwidth: f64, rng: &mut R) -> Self {
         validate(k, bandwidth);
         let torus = Torus::UNIT;
-        let positions: Vec<Point> = (0..k).map(|_| torus.sample_uniform(rng)).collect();
+        let positions: Arc<[Point]> = (0..k).map(|_| torus.sample_uniform(rng)).collect();
         BaseStations {
             cluster_of: (0..k).collect(),
             positions,
@@ -106,7 +107,7 @@ impl BaseStations {
         validate(k, bandwidth);
         let side = (k as f64).sqrt().ceil() as usize;
         let grid = SquareGrid::with_cells_per_side(side);
-        let positions: Vec<Point> = grid.cells().take(k).map(|c| grid.cell_center(c)).collect();
+        let positions: Arc<[Point]> = grid.cells().take(k).map(|c| grid.cell_center(c)).collect();
         BaseStations {
             cluster_of: (0..k).collect(),
             positions,
@@ -148,6 +149,11 @@ impl BaseStations {
     /// BS positions (static; also their home-points, Remark 2).
     pub fn positions(&self) -> &[Point] {
         &self.positions
+    }
+
+    /// BS positions as a shared handle (no copy).
+    pub fn shared_positions(&self) -> Arc<[Point]> {
+        Arc::clone(&self.positions)
     }
 
     /// The cluster index of each BS's anchor point (meaningful only for

@@ -55,7 +55,9 @@ pub mod trace;
 pub use density::{DensityStats, UniformityReport};
 pub use kernel::Kernel;
 pub use placement::{ClusteredModel, HomePoints};
-pub use population::{Population, PopulationConfig, PopulationConfigBuilder, SlotPositionStream};
+pub use population::{
+    Population, PopulationConfig, PopulationConfigBuilder, SlotPositionStream, SlotSampler,
+};
 pub use process::{MobilityKind, NodeProcess};
 pub use slot_rng::SlotRng;
 pub use trace::{ContactStats, Trace, TraceError};

@@ -10,6 +10,7 @@
 
 use hycap_geom::{Point, Torus};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Parameters of the clustered home-point model.
 ///
@@ -113,11 +114,14 @@ impl ClusteredModel {
 /// Produced by [`HomePoints::generate`]; consumed by
 /// [`crate::Population`] (MS home-points) and by the BS placement in
 /// `hycap-infra` (which matches the MS distribution per Section II-A).
+/// Points and centers sit behind [`Arc`]s, so clones and slot samplers
+/// share them instead of copying `n` points; under the uniform model the
+/// centers are the points themselves.
 #[derive(Debug, Clone)]
 pub struct HomePoints {
-    points: Vec<Point>,
+    points: Arc<[Point]>,
     cluster_of: Vec<usize>,
-    centers: Vec<Point>,
+    centers: Arc<[Point]>,
     radius: f64,
 }
 
@@ -134,25 +138,52 @@ impl HomePoints {
         rng: &mut R,
     ) -> Self {
         let (m, radius) = model.realize(n);
-        let torus = Torus::UNIT;
         if radius == 0.0 {
-            // Uniform model: each point is its own cluster center.
-            let points: Vec<Point> = (0..count).map(|_| torus.sample_uniform(rng)).collect();
-            return HomePoints {
-                cluster_of: (0..count).collect(),
-                centers: points.clone(),
-                points,
-                radius: 0.0,
-            };
+            return Self::uniform(count, rng);
         }
-        let centers: Vec<Point> = (0..m).map(|_| torus.sample_uniform(rng)).collect();
-        let mut points = Vec::with_capacity(count);
+        let centers = (0..m).map(|_| Torus::UNIT.sample_uniform(rng)).collect();
+        Self::in_clusters(centers, radius, count, rng)
+    }
+
+    /// Generates home-points sharing an existing cluster structure (used for
+    /// matched base-station placement, Section II-A: "for a particular BS j,
+    /// we randomly choose a point Q_j according to the clustered model").
+    pub fn generate_matching<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Self {
+        if self.radius == 0.0 {
+            return Self::uniform(count, rng);
+        }
+        Self::in_clusters(Arc::clone(&self.centers), self.radius, count, rng)
+    }
+
+    /// The uniform model: each point is its own cluster center.
+    fn uniform<R: Rng + ?Sized>(count: usize, rng: &mut R) -> Self {
+        let points: Arc<[Point]> = (0..count)
+            .map(|_| Torus::UNIT.sample_uniform(rng))
+            .collect();
+        HomePoints {
+            cluster_of: (0..count).collect(),
+            centers: Arc::clone(&points),
+            points,
+            radius: 0.0,
+        }
+    }
+
+    /// `count` points, each uniform in the `radius` disk around a uniformly
+    /// chosen one of `centers`.
+    fn in_clusters<R: Rng + ?Sized>(
+        centers: Arc<[Point]>,
+        radius: f64,
+        count: usize,
+        rng: &mut R,
+    ) -> Self {
         let mut cluster_of = Vec::with_capacity(count);
-        for _ in 0..count {
-            let c = rng.gen_range(0..m);
-            cluster_of.push(c);
-            points.push(torus.sample_in_disk(rng, centers[c], radius));
-        }
+        let points = (0..count)
+            .map(|_| {
+                let c = rng.gen_range(0..centers.len());
+                cluster_of.push(c);
+                Torus::UNIT.sample_in_disk(rng, centers[c], radius)
+            })
+            .collect();
         HomePoints {
             points,
             cluster_of,
@@ -161,39 +192,14 @@ impl HomePoints {
         }
     }
 
-    /// Generates home-points sharing an existing cluster structure (used for
-    /// matched base-station placement, Section II-A: "for a particular BS j,
-    /// we randomly choose a point Q_j according to the clustered model").
-    pub fn generate_matching<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Self {
-        let torus = Torus::UNIT;
-        if self.radius == 0.0 {
-            let points: Vec<Point> = (0..count).map(|_| torus.sample_uniform(rng)).collect();
-            return HomePoints {
-                cluster_of: (0..count).collect(),
-                centers: points.clone(),
-                points,
-                radius: 0.0,
-            };
-        }
-        let m = self.centers.len();
-        let mut points = Vec::with_capacity(count);
-        let mut cluster_of = Vec::with_capacity(count);
-        for _ in 0..count {
-            let c = rng.gen_range(0..m);
-            cluster_of.push(c);
-            points.push(torus.sample_in_disk(rng, self.centers[c], self.radius));
-        }
-        HomePoints {
-            points,
-            cluster_of,
-            centers: self.centers.clone(),
-            radius: self.radius,
-        }
-    }
-
     /// The home-point positions.
     pub fn points(&self) -> &[Point] {
         &self.points
+    }
+
+    /// The home-point positions as a shared handle (no copy).
+    pub(crate) fn shared_points(&self) -> Arc<[Point]> {
+        Arc::clone(&self.points)
     }
 
     /// Number of home-points.

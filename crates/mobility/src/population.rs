@@ -1,8 +1,11 @@
 //! A complete mobile-station population: home-points + kernel + processes.
 
-use crate::{ClusteredModel, HomePoints, Kernel, MobilityKind, NodeProcess};
+use crate::{ClusteredModel, HomePoints, Kernel, MobilityKind, NodeProcess, SlotRng};
+use hycap_errors::HycapError;
 use hycap_geom::{Point, Torus};
 use rand::Rng;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Configuration of a mobile-station population.
 ///
@@ -161,13 +164,14 @@ impl PopulationConfigBuilder {
 /// A realized population of `n` mobile stations.
 ///
 /// Holds the home-points, the per-node mobility processes and a position
-/// cache refreshed by [`Population::advance`].
+/// cache refreshed by [`Population::advance`]. Home-points and processes
+/// sit behind [`Arc`]s, so a [`SlotSampler`] shares them without a copy.
 #[derive(Debug, Clone)]
 pub struct Population {
     config: PopulationConfig,
     torus: Torus,
     home: HomePoints,
-    processes: Vec<NodeProcess>,
+    processes: Arc<[NodeProcess]>,
     positions: Vec<Point>,
 }
 
@@ -198,7 +202,7 @@ impl Population {
         let torus = config.torus();
         let norm = 1.0 / torus.scale();
         let weights: Vec<f64> = config.kernel_mixture.iter().map(|&(_, w)| w).collect();
-        let processes: Vec<NodeProcess> = home
+        let processes: Arc<[NodeProcess]> = home
             .points()
             .iter()
             .map(|&h| {
@@ -248,7 +252,9 @@ impl Population {
         &self.home
     }
 
-    /// Current positions of all nodes (refreshed by [`Population::advance`]).
+    /// Current positions of all nodes, refreshed by [`Population::advance`]
+    /// and [`Population::resample_stationary`]. Slot draws through a
+    /// [`SlotSampler`] leave them untouched.
     pub fn positions(&self) -> &[Point] {
         &self.positions
     }
@@ -264,71 +270,49 @@ impl Population {
 
     /// Advances every node by one slot and refreshes the position cache.
     pub fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        for (proc_, slot) in self.processes.iter_mut().zip(self.positions.iter_mut()) {
+        let processes = Arc::make_mut(&mut self.processes);
+        for (proc_, slot) in processes.iter_mut().zip(self.positions.iter_mut()) {
             proc_.advance(rng);
             *slot = proc_.position();
         }
     }
 
-    /// Advances every node into slot `slot` using the counter-based stream
-    /// for `(seed, slot)` and refreshes the position cache.
-    ///
-    /// Equivalent to a plain [`Population::advance`] fed a fresh
-    /// [`crate::SlotRng::new`]`(seed, slot)`; calling it with increasing
-    /// `slot` replays a whole run, while calling it for an arbitrary `slot`
-    /// rederives that slot's snapshot directly — the position depends only
-    /// on `(seed, slot)` when [`Population::counter_samplable`] holds.
-    pub fn advance_slot(&mut self, seed: u64, slot: u64) {
-        let mut rng = crate::SlotRng::new(seed, slot);
-        self.advance(&mut rng);
-    }
-
     /// `true` when slot snapshots depend only on `(seed, slot)`, i.e. the
     /// trajectory model carries no state between slots (see
-    /// [`MobilityKind::counter_samplable`]). Only then may
-    /// [`Population::advance_slot`] be invoked out of slot order.
+    /// [`MobilityKind::counter_samplable`]). Only then does
+    /// [`Population::slot_sampler`] succeed.
     pub fn counter_samplable(&self) -> bool {
         self.config.mobility.counter_samplable()
     }
 
-    /// Streams the slot-`slot` snapshot chunk by chunk without mutating the
-    /// population or materializing all `n` positions at once.
+    /// The read-only slot sampler of this population: any slot's snapshot
+    /// as a pure function of `(seed, slot)`.
     ///
-    /// The stream replays the same counter-based RNG
-    /// [`Population::advance_slot`]`(seed, slot)` would consume, drawing
-    /// per node exactly the variates an advance would draw, in id order —
-    /// so the concatenation of all chunks is bit-identical to the
-    /// `advance_slot` position cache. Kernels are rejection-sampled (a
-    /// variable number of draws per node), so chunks must be consumed
-    /// strictly in sequence; the stream enforces this by construction.
+    /// The sampler shares the home-points and processes through [`Arc`]s,
+    /// so building it copies no per-node state, and clones of it can be
+    /// handed to worker threads.
     ///
-    /// Re-created per slot, the stream is the memory backbone of the
-    /// million-node ladder points: engines index positions straight out of
-    /// bounded chunks (see `SpatialHash::try_rebuild_streamed`) instead of
-    /// cloning the full snapshot.
+    /// # Errors
     ///
-    /// # Panics
-    ///
-    /// Panics if the mobility model is not
+    /// [`HycapError::InvalidParameter`] if the mobility model is not
     /// [`Population::counter_samplable`].
-    pub fn slot_stream(&self, seed: u64, slot: u64) -> SlotPositionStream<'_> {
-        assert!(
-            self.counter_samplable(),
-            "slot streaming requires a counter-samplable mobility model, got {:?}",
-            self.config.mobility
-        );
-        SlotPositionStream {
-            processes: &self.processes,
-            rng: crate::SlotRng::new(seed, slot),
-            cursor: 0,
-        }
+    pub fn slot_sampler(&self) -> Result<SlotSampler, HycapError> {
+        self.config.mobility.require_counter_samplable()?;
+        let iid = self.config.kernel_mixture.is_empty()
+            && self.config.mobility == MobilityKind::IidStationary;
+        Ok(SlotSampler {
+            home: self.home.shared_points(),
+            iid: iid.then(|| (self.config.kernel, 1.0 / self.torus.scale())),
+            processes: Arc::clone(&self.processes),
+        })
     }
 
     /// Redraws every node from its stationary distribution. Equivalent to
     /// an `advance` for [`MobilityKind::IidStationary`]; useful to decorrelate
     /// snapshots for the slower processes.
     pub fn resample_stationary<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        for (proc_, slot) in self.processes.iter_mut().zip(self.positions.iter_mut()) {
+        let processes = Arc::make_mut(&mut self.processes);
+        for (proc_, slot) in processes.iter_mut().zip(self.positions.iter_mut()) {
             proc_.reset_stationary(rng);
             *slot = proc_.position();
         }
@@ -389,34 +373,103 @@ impl Population {
     }
 }
 
-/// A sequential, chunked view of one slot's position snapshot, created by
-/// [`Population::slot_stream`].
+/// A read-only view of everything a counter-based slot draw reads: the
+/// home-points, the kernel and normalization `1/f(n)` of an i.i.d.
+/// population, and the per-node processes otherwise. Built by
+/// [`Population::slot_sampler`]; cloning shares the per-node data.
 ///
-/// The stream borrows the population immutably and owns the slot's
-/// counter-based RNG; pulling chunks advances an internal node cursor.
-/// Because kernel offsets are rejection-sampled, positions can only be
-/// produced front to back — there is no random access, only replay.
+/// Slot `slot`'s snapshot under `seed` replays [`SlotRng::new`]`(seed,
+/// slot)` through every node in id order, drawing exactly the variates a
+/// [`Population::advance`] fed that RNG would draw — so it is bit-identical
+/// to the position cache such an advance leaves, whether drawn whole
+/// ([`SlotSampler::draw`]) or streamed ([`SlotSampler::stream`]).
+#[derive(Debug, Clone)]
+pub struct SlotSampler {
+    home: Arc<[Point]>,
+    /// The one kernel and the norm `1/f(n)` when every node redraws i.i.d.
+    /// from it; `None` walks the per-node processes (kernel mixtures and
+    /// static nodes).
+    iid: Option<(Kernel, f64)>,
+    processes: Arc<[NodeProcess]>,
+}
+
+impl SlotSampler {
+    /// Number of nodes in a snapshot.
+    pub fn len(&self) -> usize {
+        self.home.len()
+    }
+
+    /// `true` when a snapshot is empty.
+    pub fn is_empty(&self) -> bool {
+        self.home.is_empty()
+    }
+
+    /// Appends the slot-`slot` positions of all nodes under `seed` to
+    /// `out`, in node-id order.
+    pub fn draw(&self, seed: u64, slot: u64, out: &mut Vec<Point>) {
+        self.fill(0..self.len(), &mut SlotRng::new(seed, slot), out);
+    }
+
+    /// The slot-`slot` snapshot under `seed` as a chunked stream; the
+    /// concatenation of its chunks is the [`SlotSampler::draw`] snapshot.
+    pub fn stream(&self, seed: u64, slot: u64) -> SlotPositionStream<'_> {
+        SlotPositionStream {
+            sampler: self,
+            rng: SlotRng::new(seed, slot),
+            cursor: 0,
+        }
+    }
+
+    /// The one slot draw: appends the positions of `nodes` to `out`,
+    /// continuing `rng` where the previous nodes left it.
+    fn fill(&self, nodes: Range<usize>, rng: &mut SlotRng, out: &mut Vec<Point>) {
+        match self.iid {
+            Some((kernel, norm)) => out.extend(
+                self.home[nodes]
+                    .iter()
+                    .map(|h| h.translate(kernel.sample_offset(rng) * norm)),
+            ),
+            None => out.extend(
+                self.processes[nodes]
+                    .iter()
+                    .map(|p| p.sample_slot_position(rng)),
+            ),
+        }
+    }
+}
+
+/// A sequential, chunked view of one slot's position snapshot, created by
+/// [`SlotSampler::stream`].
+///
+/// The stream borrows the sampler and owns the slot's counter-based RNG;
+/// pulling chunks advances an internal node cursor. Because kernel offsets
+/// are rejection-sampled (a variable number of draws per node), positions
+/// can only be produced front to back — there is no random access, only
+/// replay. Re-created per slot, the stream is the memory backbone of the
+/// million-node ladder points: engines index positions straight out of
+/// bounded chunks (see `SpatialHash::try_rebuild_streamed`) instead of
+/// materializing the full snapshot.
 #[derive(Debug)]
 pub struct SlotPositionStream<'a> {
-    processes: &'a [NodeProcess],
-    rng: crate::SlotRng,
+    sampler: &'a SlotSampler,
+    rng: SlotRng,
     cursor: usize,
 }
 
 impl SlotPositionStream<'_> {
     /// Total number of nodes in the underlying snapshot.
     pub fn len(&self) -> usize {
-        self.processes.len()
+        self.sampler.len()
     }
 
     /// `true` when the snapshot is empty.
     pub fn is_empty(&self) -> bool {
-        self.processes.is_empty()
+        self.sampler.is_empty()
     }
 
     /// Nodes not yet emitted.
     pub fn remaining(&self) -> usize {
-        self.processes.len() - self.cursor
+        self.len() - self.cursor
     }
 
     /// Fills `buf` with the next `min(max, remaining)` positions (in node-id
@@ -424,21 +477,20 @@ impl SlotPositionStream<'_> {
     /// exhausted. `buf` is cleared first, so its capacity — not the
     /// population size — bounds the live memory.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `max == 0` (a zero-sized chunk would loop forever at every
-    /// call site).
-    pub fn next_chunk(&mut self, max: usize, buf: &mut Vec<Point>) -> usize {
-        assert!(max > 0, "chunk size must be positive");
+    /// [`HycapError::InvalidParameter`] if `max == 0` (a zero-sized chunk
+    /// would loop forever at every call site).
+    pub fn next_chunk(&mut self, max: usize, buf: &mut Vec<Point>) -> Result<usize, HycapError> {
+        if max == 0 {
+            return Err(HycapError::invalid("chunk", "need a positive chunk size"));
+        }
         buf.clear();
         let take = max.min(self.remaining());
-        buf.extend(
-            self.processes[self.cursor..self.cursor + take]
-                .iter()
-                .map(|p| p.sample_slot_position(&mut self.rng)),
-        );
+        let nodes = self.cursor..self.cursor + take;
+        self.sampler.fill(nodes, &mut self.rng, buf);
         self.cursor += take;
-        take
+        Ok(take)
     }
 }
 
@@ -457,11 +509,18 @@ mod tests {
             .build()
     }
 
-    /// Streaming one slot chunk by chunk must reproduce the
-    /// `advance_slot` position cache bit for bit, for any chunk size and
-    /// for both counter-samplable mobility kinds.
+    fn bits(points: &[Point]) -> Vec<(u64, u64)> {
+        points
+            .iter()
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect()
+    }
+
+    /// Drawn whole or streamed chunk by chunk, a slot must reproduce the
+    /// position cache of an `advance` fed the slot's counter stream, bit
+    /// for bit, for any chunk size and both counter-samplable kinds.
     #[test]
-    fn slot_stream_matches_advance_slot_bitwise() {
+    fn slot_sampler_matches_counter_stream_advance_bitwise() {
         for kind in [MobilityKind::IidStationary, MobilityKind::Static] {
             let config = PopulationConfig::builder(257)
                 .alpha(0.25)
@@ -471,33 +530,33 @@ mod tests {
                 .build();
             let mut rng = StdRng::seed_from_u64(7);
             let mut pop = Population::generate(&config, &mut rng);
+            let sampler = pop.slot_sampler().unwrap();
             for slot in [0u64, 1, 17] {
-                pop.advance_slot(0xABCD, slot);
-                let want = pop.positions().to_vec();
+                pop.advance(&mut SlotRng::new(0xABCD, slot));
+                let want = bits(pop.positions());
+                let mut drawn = Vec::new();
+                sampler.draw(0xABCD, slot, &mut drawn);
+                assert_eq!(bits(&drawn), want, "{kind:?} slot {slot}");
                 for chunk in [1usize, 64, 100, 257, 1000] {
-                    let mut stream = pop.slot_stream(0xABCD, slot);
+                    let mut stream = sampler.stream(0xABCD, slot);
                     assert_eq!(stream.len(), 257);
                     let mut got = Vec::new();
                     let mut buf = Vec::new();
-                    while stream.next_chunk(chunk, &mut buf) > 0 {
+                    while stream.next_chunk(chunk, &mut buf).unwrap() > 0 {
                         assert!(buf.len() <= chunk);
                         got.extend_from_slice(&buf);
                     }
                     assert_eq!(stream.remaining(), 0);
-                    assert_eq!(got.len(), want.len());
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(g.x.to_bits(), w.x.to_bits(), "{kind:?} slot {slot}");
-                        assert_eq!(g.y.to_bits(), w.y.to_bits(), "{kind:?} slot {slot}");
-                    }
+                    assert_eq!(bits(&got), want, "{kind:?} slot {slot} chunk {chunk}");
                 }
             }
         }
     }
 
-    /// History-dependent mobility cannot be streamed.
+    /// History-dependent mobility has no slot sampler, and a zero chunk is
+    /// a typed error rather than an endless loop.
     #[test]
-    #[should_panic(expected = "counter-samplable")]
-    fn slot_stream_rejects_history_dependent_mobility() {
+    fn slot_sampler_errors_are_typed() {
         let config = PopulationConfig::builder(8)
             .alpha(0.25)
             .kernel(Kernel::uniform_disk(1.0))
@@ -505,7 +564,24 @@ mod tests {
             .build();
         let mut rng = StdRng::seed_from_u64(9);
         let pop = Population::generate(&config, &mut rng);
-        let _ = pop.slot_stream(1, 0);
+        let err = pop.slot_sampler().unwrap_err();
+        assert!(matches!(
+            err,
+            HycapError::InvalidParameter {
+                name: "mobility",
+                ..
+            }
+        ));
+
+        let pop = Population::generate(&small_config(), &mut rng);
+        let sampler = pop.slot_sampler().unwrap();
+        let mut stream = sampler.stream(1, 0);
+        let err = stream.next_chunk(0, &mut Vec::new()).unwrap_err();
+        assert!(matches!(
+            err,
+            HycapError::InvalidParameter { name: "chunk", .. }
+        ));
+        assert_eq!(stream.remaining(), pop.len());
     }
 
     #[test]

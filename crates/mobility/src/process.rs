@@ -21,6 +21,7 @@
 //!   home-points (the Gupta–Kumar baseline and the BS model).
 
 use crate::Kernel;
+use hycap_errors::HycapError;
 use hycap_geom::{sample, Point, Vec2};
 use rand::Rng;
 
@@ -88,6 +89,26 @@ impl MobilityKind {
     /// in slot order.
     pub fn counter_samplable(&self) -> bool {
         matches!(self, MobilityKind::IidStationary | MobilityKind::Static)
+    }
+
+    /// [`MobilityKind::counter_samplable`] as a typed check: `Ok` for the
+    /// memoryless kinds.
+    ///
+    /// # Errors
+    ///
+    /// [`HycapError::InvalidParameter`] (`"mobility"`) for the walk, OU
+    /// and Brownian processes, whose slot positions depend on history.
+    pub fn require_counter_samplable(&self) -> Result<(), HycapError> {
+        if self.counter_samplable() {
+            return Ok(());
+        }
+        Err(HycapError::invalid(
+            "mobility",
+            format!(
+                "slot positions of {self:?} depend on history; counter-based \
+                 slot draws need i.i.d.-per-slot or static mobility"
+            ),
+        ))
     }
 
     /// `true` when positions never change across slots, making any
@@ -233,27 +254,20 @@ impl NodeProcess {
     }
 
     /// Samples this node's position for one slot *without mutating the
-    /// process* — the streaming primitive behind
-    /// [`crate::Population::slot_stream`].
+    /// process* — the per-node draw of [`crate::SlotSampler`] for kernel
+    /// mixtures and static nodes.
     ///
     /// Draws exactly the random variates [`NodeProcess::advance`] would
     /// draw from `rng`, so replaying one slot's RNG through every node in
-    /// id order reproduces the [`crate::Population::advance_slot`] snapshot
-    /// bit for bit — but the caller never materializes or stores per-node
-    /// state. Only memoryless kinds qualify: the walk/OU/Brownian processes
-    /// evolve the previous offset and cannot be sampled statelessly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mobility kind is not
-    /// [`MobilityKind::counter_samplable`].
-    pub fn sample_slot_position<R: Rng + ?Sized>(&self, rng: &mut R) -> Point {
+    /// id order reproduces the snapshot an `advance` fed that RNG would
+    /// leave, bit for bit. Only memoryless kinds qualify; the sampler
+    /// exists only for them ([`MobilityKind::require_counter_samplable`]).
+    pub(crate) fn sample_slot_position<R: Rng + ?Sized>(&self, rng: &mut R) -> Point {
         match self.kind {
-            MobilityKind::IidStationary => self
+            MobilityKind::Static => self.position(),
+            _ => self
                 .home
                 .translate(self.kernel.sample_offset(rng) * self.norm),
-            MobilityKind::Static => self.position(),
-            kind => panic!("slot positions of {kind:?} depend on history and cannot be streamed"),
         }
     }
 }

@@ -1,7 +1,11 @@
 //! Property-based tests for kernels, placement and mobility processes.
 
+use hycap_errors::HycapError;
 use hycap_geom::Point;
-use hycap_mobility::{ClusteredModel, HomePoints, Kernel, MobilityKind, NodeProcess};
+use hycap_mobility::{
+    ClusteredModel, HomePoints, Kernel, MobilityKind, NodeProcess, Population, PopulationConfig,
+    SlotRng,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,8 +18,104 @@ fn arb_kernel() -> impl Strategy<Value = Kernel> {
     ]
 }
 
+/// Every kernel shape, the degenerate `Point` kernel included.
+fn arb_any_kernel() -> impl Strategy<Value = Kernel> {
+    prop_oneof![arb_kernel(), Just(Kernel::Point)]
+}
+
+/// A homogeneous kernel (empty mixture) or a two-class kernel mixture.
+fn arb_classes() -> impl Strategy<Value = Vec<(Kernel, f64)>> {
+    prop_oneof![
+        arb_any_kernel().prop_map(|k| vec![(k, 1.0)]),
+        (arb_any_kernel(), arb_any_kernel(), 0.1f64..3.0)
+            .prop_map(|(a, b, w)| vec![(a, 1.0), (b, w)]),
+    ]
+}
+
+fn sampler_population(
+    n: usize,
+    alpha: f64,
+    classes: &[(Kernel, f64)],
+    mobility: MobilityKind,
+    seed: u64,
+) -> Population {
+    let mut builder = PopulationConfig::builder(n)
+        .alpha(alpha)
+        .clusters(ClusteredModel::explicit(3, 0.1))
+        .mobility(mobility);
+    builder = match classes {
+        [(kernel, _)] => builder.kernel(*kernel),
+        _ => builder.kernel_mixture(classes.to_vec()),
+    };
+    Population::generate(&builder.build(), &mut StdRng::seed_from_u64(seed))
+}
+
+fn bits(points: &[Point]) -> Vec<(u64, u64)> {
+    points
+        .iter()
+        .map(|p| (p.x.to_bits(), p.y.to_bits()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The slot sampler reproduces, bit for bit, the position cache an
+    /// `advance` fed the slot's counter stream leaves — drawn whole and
+    /// streamed in chunks of 1, 7 and n — for every kernel shape and
+    /// mixture under i.i.d. and static mobility.
+    #[test]
+    fn slot_sampler_matches_counter_stream_advance(
+        n in 1usize..120,
+        alpha in 0.0f64..0.5,
+        classes in arb_classes(),
+        static_nodes in any::<bool>(),
+        seed in any::<u64>(),
+        slot in 0u64..1000,
+    ) {
+        let mobility = if static_nodes {
+            MobilityKind::Static
+        } else {
+            MobilityKind::IidStationary
+        };
+        let mut pop = sampler_population(n, alpha, &classes, mobility, seed);
+        let sampler = pop.slot_sampler().unwrap();
+        pop.advance(&mut SlotRng::new(seed, slot));
+        let want = bits(pop.positions());
+
+        let mut drawn = Vec::new();
+        sampler.draw(seed, slot, &mut drawn);
+        prop_assert_eq!(bits(&drawn), want.clone());
+        for chunk in [1, 7, n] {
+            let mut stream = sampler.stream(seed, slot);
+            let (mut got, mut buf) = (Vec::new(), Vec::new());
+            while stream.next_chunk(chunk, &mut buf).unwrap() > 0 {
+                got.extend_from_slice(&buf);
+            }
+            prop_assert_eq!(bits(&got), want.clone(), "chunk {}", chunk);
+        }
+    }
+
+    /// History-dependent mobility gets a typed error, never a panic.
+    #[test]
+    fn history_dependent_mobility_has_no_slot_sampler(
+        n in 1usize..40,
+        classes in arb_classes(),
+        pick in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let mobility = match pick {
+            0 => MobilityKind::TetheredWalk { step_frac: 0.3 },
+            1 => MobilityKind::DiscreteOu { decay: 0.7 },
+            _ => MobilityKind::BrownianTorus { step: 0.05 },
+        };
+        let pop = sampler_population(n, 0.25, &classes, mobility, seed);
+        let typed = matches!(
+            pop.slot_sampler(),
+            Err(HycapError::InvalidParameter { name: "mobility", .. })
+        );
+        prop_assert!(typed);
+    }
 
     /// Kernels are non-increasing with support exactly `support_radius`.
     #[test]

@@ -1,9 +1,11 @@
 //! The hybrid network state shared by the capacity-measurement engines.
 
+use hycap_errors::HycapError;
 use hycap_geom::Point;
 use hycap_infra::BaseStations;
-use hycap_mobility::Population;
+use hycap_mobility::{Population, SlotSampler};
 use rand::Rng;
+use std::sync::Arc;
 
 /// A hybrid wireless network: `n` mobile stations plus (optionally) `k`
 /// static base stations.
@@ -81,21 +83,45 @@ impl HybridNetwork {
         }
     }
 
-    /// Advances into slot `slot` using the counter-based stream for
-    /// `(seed, slot)` and writes the combined `MS ++ BS` snapshot into `buf`.
+    /// Writes the combined `MS ++ BS` snapshot of slot `slot` under the
+    /// counter-based stream for `(seed, slot)` into `buf`.
     ///
-    /// When [`HybridNetwork::counter_samplable`] holds, the snapshot depends
-    /// only on `(seed, slot)` — any slot can be rederived independently,
-    /// which is what lets the fluid engine shard a run into contiguous slot
-    /// chunks. For stateful mobility the call is still deterministic but
-    /// must be issued in slot order starting at 0.
-    pub fn advance_slot_into(&mut self, seed: u64, slot: u64, buf: &mut Vec<Point>) {
-        self.population.advance_slot(seed, slot);
-        buf.clear();
-        buf.extend_from_slice(self.population.positions());
-        if let Some(bs) = &self.bs {
-            buf.extend_from_slice(bs.positions());
-        }
+    /// The snapshot depends only on `(seed, slot)`, so any slot can be
+    /// rederived independently; this is [`SlotView::draw_into`] on
+    /// [`HybridNetwork::slot_view`]. The network is not mutated: the mobile
+    /// processes keep their state and [`Population::positions`] is not
+    /// refreshed.
+    ///
+    /// # Errors
+    ///
+    /// [`HycapError::InvalidParameter`] if the mobility model is not
+    /// [`HybridNetwork::counter_samplable`].
+    pub fn advance_slot_into(
+        &self,
+        seed: u64,
+        slot: u64,
+        buf: &mut Vec<Point>,
+    ) -> Result<(), HycapError> {
+        self.slot_view()?.draw_into(seed, slot, buf);
+        Ok(())
+    }
+
+    /// The read-only slot view of this network: the mobile population's
+    /// [`SlotSampler`] plus the static BS tail. Building it copies no
+    /// per-node state, and clones of it share everything it reads.
+    ///
+    /// # Errors
+    ///
+    /// [`HycapError::InvalidParameter`] if the mobility model is not
+    /// [`HybridNetwork::counter_samplable`].
+    pub fn slot_view(&self) -> Result<SlotView, HycapError> {
+        Ok(SlotView {
+            ms: self.population.slot_sampler()?,
+            bs: self
+                .bs
+                .as_ref()
+                .map_or_else(|| Arc::from([]), BaseStations::shared_positions),
+        })
     }
 
     /// `true` when slot snapshots depend only on `(seed, slot)` (stateless
@@ -112,47 +138,70 @@ impl HybridNetwork {
     pub fn positions_static(&self) -> bool {
         self.population.config().mobility.is_static()
     }
+}
+
+/// What a counter-based slot draw of a [`HybridNetwork`] reads, shared
+/// read-only: the mobile population's [`SlotSampler`] and the static BS
+/// positions. Everything sits behind [`Arc`]s, so a clone per worker
+/// thread copies no per-node state.
+#[derive(Debug, Clone)]
+pub struct SlotView {
+    ms: SlotSampler,
+    bs: Arc<[Point]>,
+}
+
+impl SlotView {
+    /// Total node count `n + k` of a snapshot.
+    pub fn total_nodes(&self) -> usize {
+        self.ms.len() + self.bs.len()
+    }
+
+    /// Writes the combined `MS ++ BS` snapshot of slot `slot` under `seed`
+    /// into `buf` (cleared first).
+    pub fn draw_into(&self, seed: u64, slot: u64, buf: &mut Vec<Point>) {
+        buf.clear();
+        buf.reserve(self.total_nodes());
+        self.ms.draw(seed, slot, buf);
+        buf.extend_from_slice(&self.bs);
+    }
 
     /// Streams the slot-`slot` combined `MS ++ BS` snapshot to `emit` in
-    /// chunks of at most `chunk` positions, without mutating the network or
-    /// materializing all `n + k` positions.
+    /// chunks of at most `chunk` positions, without materializing all
+    /// `n + k` positions.
     ///
     /// The concatenation of the emitted chunks is bit-identical to the
-    /// `buf` an [`HybridNetwork::advance_slot_into`]`(seed, slot, buf)`
-    /// would produce: MS positions first (replayed through
-    /// [`Population::slot_stream`]), then the static BS tail. `buf` is the
-    /// caller-provided chunk scratch — its capacity, not the network size,
-    /// bounds the live memory; `emit` must copy out what it needs.
+    /// [`SlotView::draw_into`] snapshot: MS positions first (replayed
+    /// through [`hycap_mobility::SlotPositionStream`]), then the BS tail.
+    /// `buf` is the caller-provided chunk scratch — its capacity, not the
+    /// network size, bounds the live memory; `emit` must copy out what it
+    /// needs.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `chunk == 0` or the mobility model is not
-    /// [`HybridNetwork::counter_samplable`].
-    pub fn stream_slot_positions<F: FnMut(&[Point])>(
+    /// [`HycapError::InvalidParameter`] if `chunk == 0`.
+    pub fn stream<F: FnMut(&[Point])>(
         &self,
         seed: u64,
         slot: u64,
         chunk: usize,
         buf: &mut Vec<Point>,
         mut emit: F,
-    ) {
-        assert!(chunk > 0, "chunk size must be positive");
-        let mut stream = self.population.slot_stream(seed, slot);
-        while stream.next_chunk(chunk, buf) > 0 {
+    ) -> Result<(), HycapError> {
+        let mut stream = self.ms.stream(seed, slot);
+        while stream.next_chunk(chunk, buf)? > 0 {
             emit(buf);
         }
-        if let Some(bs) = &self.bs {
-            for tail in bs.positions().chunks(chunk) {
-                emit(tail);
-            }
+        for tail in self.bs.chunks(chunk) {
+            emit(tail);
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hycap_mobility::PopulationConfig;
+    use hycap_mobility::{MobilityKind, PopulationConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -195,45 +244,72 @@ mod tests {
     fn advance_slot_into_rederives_any_slot() {
         let (pop, mut rng) = population(10, 4);
         let bs = BaseStations::generate_uniform(2, 1.0, &mut rng);
-        let mut net = HybridNetwork::with_infrastructure(pop, bs);
+        let net = HybridNetwork::with_infrastructure(pop, bs);
         assert!(net.counter_samplable());
-        let mut replay = net.clone();
-        // Sequential replay of slots 0..5 on one copy...
+        // Sequential replay of slots 0..5...
         let mut buf = Vec::new();
         for slot in 0..5u64 {
-            replay.advance_slot_into(9, slot, &mut buf);
+            net.advance_slot_into(9, slot, &mut buf).unwrap();
         }
-        // ...must equal jumping straight to slot 4 on the other.
+        // ...must equal jumping straight to slot 4.
         let mut direct = Vec::new();
-        net.advance_slot_into(9, 4, &mut direct);
-        assert_eq!(buf.len(), direct.len());
-        for (a, b) in buf.iter().zip(&direct) {
-            assert!(a.torus_dist(*b) < 1e-15);
-        }
+        net.advance_slot_into(9, 4, &mut direct).unwrap();
+        assert_eq!(buf, direct);
+        assert_eq!(buf.len(), 12);
     }
 
     /// Streamed chunks concatenate to the exact `advance_slot_into` buffer
     /// (MS head, BS tail), bit for bit, for any chunk size.
     #[test]
-    fn stream_slot_positions_matches_advance_slot_into() {
+    fn slot_view_stream_matches_advance_slot_into() {
         let (pop, mut rng) = population(97, 5);
         let bs = BaseStations::generate_uniform(7, 1.0, &mut rng);
-        let mut net = HybridNetwork::with_infrastructure(pop, bs);
+        let net = HybridNetwork::with_infrastructure(pop, bs);
         let mut want = Vec::new();
-        net.advance_slot_into(42, 3, &mut want);
+        net.advance_slot_into(42, 3, &mut want).unwrap();
+        let view = net.slot_view().unwrap();
+        assert_eq!(view.total_nodes(), 104);
         for chunk in [1usize, 16, 97, 104, 1000] {
             let mut got = Vec::new();
             let mut buf = Vec::new();
-            net.stream_slot_positions(42, 3, chunk, &mut buf, |c| {
+            view.stream(42, 3, chunk, &mut buf, |c| {
                 assert!(c.len() <= chunk);
                 got.extend_from_slice(c);
-            });
+            })
+            .unwrap();
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.x.to_bits(), w.x.to_bits());
                 assert_eq!(g.y.to_bits(), w.y.to_bits());
             }
         }
+    }
+
+    /// History-dependent mobility and zero chunks are typed errors.
+    #[test]
+    fn slot_entry_points_reject_bad_input() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let config = PopulationConfig::builder(12)
+            .mobility(MobilityKind::DiscreteOu { decay: 0.5 })
+            .build();
+        let net = HybridNetwork::ad_hoc(Population::generate(&config, &mut rng));
+        let err = net.advance_slot_into(1, 0, &mut Vec::new()).unwrap_err();
+        assert!(matches!(
+            err,
+            HycapError::InvalidParameter {
+                name: "mobility",
+                ..
+            }
+        ));
+        assert!(net.slot_view().is_err());
+
+        let (pop, _) = population(12, 7);
+        let view = HybridNetwork::ad_hoc(pop).slot_view().unwrap();
+        let err = view.stream(1, 0, 0, &mut Vec::new(), |_| {}).unwrap_err();
+        assert!(matches!(
+            err,
+            HycapError::InvalidParameter { name: "chunk", .. }
+        ));
     }
 
     #[test]

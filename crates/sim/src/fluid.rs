@@ -32,7 +32,8 @@
 //!   static — see [`HybridNetwork::counter_samplable`]): any slot's
 //!   snapshot is then a pure function of `(seed, slot)`, so with a
 //!   [`WorkerPool`] the slot range splits into contiguous chunks, one per
-//!   pool thread, and without one it runs as a single inline chunk.
+//!   pool thread, and without one it runs as a single inline chunk. The
+//!   chunks draw through one shared read-only [`SlotView`].
 //! * [`Sampling::Streamed`] replays the same counter streams in chunks of
 //!   at most `chunk` points straight into the spatial index, so no step
 //!   materializes the `n + k` position snapshot — what makes `n = 10⁶`
@@ -49,7 +50,7 @@ use crate::budget::{BudgetMeter, Budgeted, RunBudget};
 use crate::faults::{FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
 use crate::groups::GroupMap;
 use crate::pool::{chunk_ranges, WorkerPool};
-use crate::HybridNetwork;
+use crate::{HybridNetwork, SlotView};
 use hycap_errors::HycapError;
 use hycap_geom::{clamp_index_radius, Cell, Point, SquareGrid};
 use hycap_infra::{Backbone, LinkMask};
@@ -175,6 +176,13 @@ pub enum Sampling<'a> {
     /// From the per-slot counter streams `SlotRng::new(seed, slot)`, sharded
     /// over `pool` in contiguous chunks when one is given and run inline
     /// otherwise. Reports and snapshots do not depend on the pool size.
+    ///
+    /// The run builds one [`SlotView`] of the network
+    /// ([`HybridNetwork::slot_view`]) and every chunk reads positions
+    /// through a clone of it: the home-points, kernel and norm (or the
+    /// per-node processes of a kernel mixture) and the BS tail are shared
+    /// behind `Arc`s, so a chunk adds only its own position buffer and
+    /// workspace, and the network is left untouched.
     Counter {
         /// Seed of the per-slot streams.
         seed: u64,
@@ -379,12 +387,11 @@ impl FluidEngine {
             return Err(HycapError::invalid("slots", "need at least one slot"));
         }
         let in_order = matches!(sampling, Sampling::InOrder(_));
-        if !in_order && !net.counter_samplable() {
-            return Err(HycapError::invalid(
-                "mobility",
-                "counter-based sampling requires an i.i.d.-per-slot or static \
-                 mobility model (slot positions must not depend on history)",
-            ));
+        if !in_order {
+            net.population()
+                .config()
+                .mobility
+                .require_counter_samplable()?;
         }
         if let Sampling::Streamed { chunk: 0, .. } = sampling {
             return Err(HycapError::invalid("chunk", "need a positive chunk size"));
@@ -407,6 +414,9 @@ impl FluidEngine {
             injector,
             policy,
             meter: budget.map(|b| b.meter()),
+            n: net.n(),
+            k,
+            frozen: net.positions_static(),
         };
         let timer = SpanTimer::start();
         // In-order runs record straight into `obs`; the others record per
@@ -414,22 +424,31 @@ impl FluidEngine {
         let record = !in_order && obs.active();
         let chunks: Vec<ChunkOut> = match sampling {
             Sampling::InOrder(rng) => {
-                vec![self.chunk(net, &spec, 0..slots, Draw::InOrder(rng), obs)?]
+                vec![self.chunk(&spec, 0..slots, Draw::InOrder(net, rng), obs)?]
             }
             Sampling::Streamed { seed, chunk } => {
-                let draw = Draw::Streamed { seed, chunk };
-                vec![self.recorded_chunk(record, net, &spec, 0..slots, draw)?]
+                let view = net.slot_view()?;
+                let draw = Draw::Streamed {
+                    view: &view,
+                    seed,
+                    chunk,
+                };
+                vec![self.recorded_chunk(record, &spec, 0..slots, draw)?]
             }
             Sampling::Counter { seed, pool } => {
+                // Every chunk draws through a clone of one read-only view:
+                // it shares the home-points, processes and BS tail, so no
+                // chunk copies the network.
+                let view = net.slot_view()?;
                 let engine = *self;
                 let jobs: Vec<_> = chunk_ranges(slots, pool.map_or(1, WorkerPool::threads))
                     .into_iter()
                     .map(|range| {
-                        let mut net = net.clone();
+                        let view = view.clone();
                         let spec = spec.clone();
                         move || {
-                            let draw = Draw::Counter(seed);
-                            engine.recorded_chunk(record, &mut net, &spec, range, draw)
+                            let draw = Draw::Counter { view: &view, seed };
+                            engine.recorded_chunk(record, &spec, range, draw)
                         }
                     })
                     .collect();
@@ -559,16 +578,15 @@ impl FluidEngine {
     fn recorded_chunk(
         &self,
         record: bool,
-        net: &mut HybridNetwork,
         spec: &ChunkSpec,
         slots: Range<usize>,
         draw: Draw<'_>,
     ) -> Result<ChunkOut, HycapError> {
         if !record {
-            return self.chunk(net, spec, slots, draw, &mut Observer::noop());
+            return self.chunk(spec, slots, draw, &mut Observer::noop());
         }
         let mut obs = Observer::recording().with_probes();
-        let mut out = self.chunk(net, spec, slots, draw, &mut obs)?;
+        let mut out = self.chunk(spec, slots, draw, &mut obs)?;
         out.snap = Some(obs.snapshot());
         Ok(out)
     }
@@ -578,15 +596,12 @@ impl FluidEngine {
     /// both schemes run through it; a pooled run calls it once per chunk.
     fn chunk<S: MetricsSink>(
         &self,
-        net: &mut HybridNetwork,
         spec: &ChunkSpec,
         slots: Range<usize>,
         mut draw: Draw<'_>,
         obs: &mut Observer<S>,
     ) -> Result<ChunkOut, HycapError> {
-        let n = net.n();
-        let k = net.k();
-        let total = net.total_nodes();
+        let (n, k) = (spec.n, spec.k);
         let range = self.range_for(n);
         let scheduler = SStarScheduler::new(self.delta);
         let index_radius = clamp_index_radius(scheduler.protocol().guard_radius(range));
@@ -605,8 +620,7 @@ impl FluidEngine {
         let mut pairs: Vec<ScheduledPair> = Vec::new();
         // Sound only over frozen, materialized positions; the memo re-checks
         // the alive mask itself, so fault transitions invalidate it per slot.
-        let mut memo =
-            (self.memoize && !streamed && net.positions_static()).then(ScheduleMemo::new);
+        let mut memo = (self.memoize && !streamed && spec.frozen).then(ScheduleMemo::new);
         for slot in slots {
             if spec
                 .meter
@@ -627,13 +641,15 @@ impl FluidEngine {
             let mask = injector.is_some().then_some(alive.as_slice());
             let tag = slot as u64;
             match &mut draw {
-                Draw::InOrder(rng) => net.advance_into(&mut **rng, &mut buf),
-                Draw::Counter(seed) => net.advance_slot_into(*seed, tag, &mut buf),
-                Draw::Streamed { seed, chunk } => {
+                Draw::InOrder(net, rng) => net.advance_into(&mut **rng, &mut buf),
+                Draw::Counter { view, seed } => view.draw_into(*seed, tag, &mut buf),
+                Draw::Streamed { view, seed, chunk } => {
+                    let mut drawn = Ok(());
                     ws.hash_mut()
-                        .try_rebuild_streamed(total, index_radius, |emit| {
-                            net.stream_slot_positions(*seed, tag, *chunk, &mut buf, emit)
-                        })?
+                        .try_rebuild_streamed(n + k, index_radius, |emit| {
+                            drawn = view.stream(*seed, tag, *chunk, &mut buf, emit);
+                        })?;
+                    drawn?;
                 }
             }
             if streamed {
@@ -666,11 +682,19 @@ impl Default for FluidEngine {
     }
 }
 
-/// Where one chunk's slot positions come from.
+/// Where one chunk's slot positions come from: the network advanced in
+/// order, or the run's read-only [`SlotView`] drawn whole or streamed.
 enum Draw<'r> {
-    InOrder(&'r mut dyn RngCore),
-    Counter(u64),
-    Streamed { seed: u64, chunk: usize },
+    InOrder(&'r mut HybridNetwork, &'r mut dyn RngCore),
+    Counter {
+        view: &'r SlotView,
+        seed: u64,
+    },
+    Streamed {
+        view: &'r SlotView,
+        seed: u64,
+        chunk: usize,
+    },
 }
 
 /// What every chunk of one run shares. Cloning shares the resource tables,
@@ -682,6 +706,11 @@ struct ChunkSpec {
     injector: Option<FaultInjector>,
     policy: OutagePolicy,
     meter: Option<BudgetMeter>,
+    /// Mobile stations `n` and base stations `k` of the network.
+    n: usize,
+    k: usize,
+    /// Whether slot positions never change (the schedule memo's premise).
+    frozen: bool,
 }
 
 /// One chunk's result: its tallies, its injector's end state, and its

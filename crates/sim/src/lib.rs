@@ -74,7 +74,7 @@ pub mod sweep;
 pub use budget::{BudgetExceeded, BudgetMeter, Budgeted, RunBudget};
 pub use cache::{CacheDiskStats, CacheEntry, CacheStats, CacheValue, GcReport, ResultCache};
 pub use checkpoint::{scenario_digest, Checkpoint, ENGINE_VERSION};
-pub use engine::HybridNetwork;
+pub use engine::{HybridNetwork, SlotView};
 pub use events::{Event, EventQueue, FlowRng, Time};
 pub use faults::{FaultEvent, FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
 pub use flows::{ArrivalProcess, FlowRunStats, FlowSizes, FlowSpec, FlowWorkload};

@@ -25,7 +25,7 @@ use crate::events::{Event, EventQueue, Time};
 use crate::faults::{FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
 use crate::flows::{mean, FlowRunStats, FlowSpec, FlowWorkload};
 use crate::groups::GroupMap;
-use crate::HybridNetwork;
+use crate::{HybridNetwork, SlotView};
 use hycap_errors::HycapError;
 use hycap_geom::Point;
 use hycap_infra::CellularLayout;
@@ -524,16 +524,19 @@ impl PacketEngine {
     ) -> Result<Budgeted<PacketReport>, HycapError> {
         let (demand, skip, motion) = match spec.pacing {
             Pacing::Legacy(rng) => (false, false, Motion::InOrder(rng)),
-            Pacing::Demand { seed, skip, .. } => (true, skip, Motion::Counter(seed)),
+            Pacing::Demand { skip, .. } if !P::MOBILE => (true, skip, Motion::Still),
+            Pacing::Demand { seed, skip, .. } => {
+                let view = net.slot_view().map_err(|_| {
+                    HycapError::invalid(
+                        "pacing",
+                        "demand pacing requires counter-samplable mobility \
+                         (i.i.d. stationary or static); history-dependent \
+                         models must run legacy pacing",
+                    )
+                })?;
+                (true, skip, Motion::Counter(view, seed))
+            }
         };
-        if demand && P::MOBILE && !net.counter_samplable() {
-            return Err(HycapError::invalid(
-                "pacing",
-                "demand pacing requires counter-samplable mobility \
-                 (i.i.d. stationary or static); history-dependent \
-                 models must run legacy pacing",
-            ));
-        }
         let pairs = plan.pairs();
         let (mut source, horizon) = match spec.workload {
             PacketWorkload::OpenLoop { lambda, slots } => {
@@ -908,8 +911,11 @@ impl Source {
 enum Motion<'a> {
     /// In slot order from the run's RNG.
     InOrder(&'a mut dyn RngCore),
-    /// From the counter streams of the seed, at the absolute slot.
-    Counter(u64),
+    /// From the counter streams of the seed, at the absolute slot, through
+    /// the network's read-only slot view.
+    Counter(SlotView, u64),
+    /// Not at all: the plan's slot bodies draw no mobility (scheme C).
+    Still,
 }
 
 /// Which pairs of the `S*` schedule a slot needs.
@@ -943,10 +949,9 @@ impl Radio<'_> {
         obs: &mut Observer<S>,
     ) -> &[ScheduledPair] {
         match &mut self.motion {
-            Motion::Counter(seed) => {
-                net.advance_slot_into(*seed, self.base_slot + t, &mut self.buf)
-            }
+            Motion::Counter(view, seed) => view.draw_into(*seed, self.base_slot + t, &mut self.buf),
             Motion::InOrder(rng) => net.advance_into(&mut **rng, &mut self.buf),
+            Motion::Still => self.buf.clear(),
         }
         let (s, buf, range) = (&self.scheduler, &self.buf, self.range);
         let (ws, out) = (&mut self.ws, &mut self.pairs);

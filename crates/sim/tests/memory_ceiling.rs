@@ -1,8 +1,9 @@
-//! Live-memory ceilings of the streamed measurement loop and of plan
-//! compilation.
+//! Live-memory ceilings of the streamed and pooled measurement loops and of
+//! plan compilation.
 //!
 //! A byte-counting shim around the system allocator tracks live and peak
-//! heap bytes. Both tests realize an `n = 10⁵` hybrid network.
+//! heap bytes, on every thread. Every test realizes an `n = 10⁵` hybrid
+//! network.
 //!
 //! The streamed test takes the post-setup live baseline (network + plans
 //! are O(n) state the engine cannot avoid), then runs a streamed scheme A
@@ -19,6 +20,21 @@
 //! covers per-cell arrays, the chunk scratch and the schedule buffer. A
 //! materialized engine cannot meet this bound: cloning the network and
 //! buffering the full snapshot alone add ~10× more per-node state.
+//!
+//! The pooled test runs counter-based scheme A measurements on
+//! `WorkerPool`s of 2 and 4 threads, one chunk per thread, and asserts the
+//! additional peak stays within a per-chunk workspace budget:
+//!
+//! ```text
+//! peak_loop_bytes ≤ chunks × 96 B/node + 4 MiB slack
+//! ```
+//!
+//! A chunk keeps its own `n + k` position buffer (16 B/node), the
+//! materialized spatial index, the neighbor table and the schedule buffer
+//! (~81 B/node measured). It reads positions through one read-only slot
+//! view shared by every chunk. A chunk that cloned the network would add
+//! its processes, position cache and home-points (~150 B/node) and break
+//! the budget.
 //!
 //! The plan test compiles a scheme-A and a scheme-B plan and asserts the
 //! bytes they keep live stay under the compact-layout budget of DESIGN.md
@@ -47,7 +63,7 @@ use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
-use hycap_sim::{FluidEngine, FluidPlan, FluidRun, HybridNetwork};
+use hycap_sim::{FluidEngine, FluidPlan, FluidRun, HybridNetwork, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -106,6 +122,9 @@ const CHUNK: usize = 8_192;
 
 /// Documented budget: 96 bytes per node (MS + BS) plus 4 MiB slack.
 const BUDGET_BYTES: usize = 96 * (N + K) + 4 * 1024 * 1024;
+
+/// Workspace budget of one pooled chunk: 96 bytes per node (MS + BS).
+const CHUNK_BUDGET_BYTES: usize = 96 * (N + K);
 
 /// Documented plan budget: 64 bytes per MS plus 1 MiB slack.
 const PLAN_BUDGET_BYTES: usize = 64 * N + 1024 * 1024;
@@ -178,4 +197,39 @@ fn compiled_plans_stay_under_per_node_budget() {
          (64 B/node + 1 MiB)",
         plan_bytes / N
     );
+}
+
+#[test]
+#[ignore = "slow under the debug profile; CI runs it in the release job"]
+fn pooled_counter_chunks_stay_under_per_chunk_budget() {
+    let _serial = serial();
+    let mut rng = StdRng::seed_from_u64(0x9001);
+    let pop = population(&mut rng);
+    let bs = BaseStations::generate_regular(K, 1.0);
+    let traffic = TrafficMatrix::permutation(N, &mut rng);
+    let plan = SchemeAPlan::build(pop.home_points().points(), &traffic, (N as f64).powf(0.25));
+    let mut net = HybridNetwork::with_infrastructure(pop, bs);
+    drop(traffic);
+
+    for threads in [2, 4] {
+        let pool = WorkerPool::new(threads);
+        let baseline = LIVE.load(Ordering::Relaxed);
+        PEAK.store(baseline, Ordering::Relaxed);
+
+        let spec = FluidRun::counter(2 * threads, 0xC7A, Some(&pool));
+        let report = FluidEngine::default()
+            .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+            .expect("pooled counter measurement succeeds");
+        assert_eq!(report.report().base.slots, 2 * threads);
+
+        let loop_bytes = PEAK.load(Ordering::Relaxed).saturating_sub(baseline);
+        let budget = threads * CHUNK_BUDGET_BYTES + 4 * 1024 * 1024;
+        assert!(
+            loop_bytes <= budget,
+            "a {threads}-chunk pooled run peaked at {loop_bytes} live bytes over \
+             the baseline ({} B/node per chunk), exceeding the budget of \
+             {budget} bytes ({threads} × 96 B/node + 4 MiB)",
+            loop_bytes / threads / (N + K)
+        );
+    }
 }
