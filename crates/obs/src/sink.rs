@@ -44,6 +44,14 @@ pub trait MetricsSink {
         true
     }
 
+    /// `true` when the sink keeps span durations (a
+    /// [`MemorySink::with_timings`] sink). Engines that record on private
+    /// sinks and absorb them afterwards build those sinks to match, so the
+    /// absorbed spans keep their durations.
+    fn timed(&self) -> bool {
+        false
+    }
+
     /// Folds the metrics of `snapshot` in, exactly as [`Snapshot::merge`]
     /// would: a sink that absorbed snapshots `a` then `b` exports the same
     /// bytes as `a.merge(b)`. Engines that record work on private sinks
@@ -312,6 +320,10 @@ impl MetricsSink for MemorySink {
         if self.record_timings {
             s.total_micros = s.total_micros.saturating_add(micros);
         }
+    }
+
+    fn timed(&self) -> bool {
+        self.record_timings
     }
 
     fn absorb(&mut self, snapshot: &Snapshot) {

@@ -1094,14 +1094,19 @@ fn queued(queues: &[VecDeque<Entry>]) -> u64 {
     queues.iter().map(|q| q.len() as u64).sum()
 }
 
-/// Per-pair node chains: `queues[p][h]` waits at chain position `h` for a
-/// contact with `h + 1`; `transit[p][h]` crosses that hop.
+/// Per-pair node chains over flat hop arrays: hop `h` of chain `p` has
+/// index `first[p] + h`; `queues[i]` waits at the hop's tail for a contact
+/// with its head, and `transit[i]` crosses the hop.
 struct Chains<'a> {
     chains: &'a [Vec<usize>],
-    /// `(u, v)` → the `(pair, hop)`s whose hop goes `u -> v`.
-    watchers: HashMap<(usize, usize), Vec<(usize, usize)>>,
-    queues: Vec<Vec<VecDeque<Entry>>>,
-    transit: Vec<Vec<VecDeque<Entry>>>,
+    /// `first[p]`: the index of chain `p`'s hop 0; `first[pairs]` is the
+    /// hop count.
+    first: Vec<usize>,
+    /// `(u, v, p, h)` for hop `h` of chain `p` going `u -> v`, sorted: the
+    /// hops a contact `u -> v` serves form one run, in `(p, h)` order.
+    watchers: Vec<[u32; 4]>,
+    queues: Vec<VecDeque<Entry>>,
+    transit: Vec<VecDeque<Entry>>,
     /// Packets in hop queues (in-transit packets need no slot).
     queued: u64,
     /// Nodes incident on a non-empty hop queue, with their queue counts.
@@ -1124,33 +1129,48 @@ impl<'a> Chains<'a> {
                 });
             }
         }
-        let mut watchers: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
+        let mut first = Vec::with_capacity(chains.len() + 1);
+        first.push(0);
+        for chain in chains {
+            first.push(first[first.len() - 1] + chain.len() - 1);
+        }
+        let hops = first[chains.len()];
+        if nodes.max(hops) > u32::MAX as usize {
+            let reason = format!("{nodes} nodes and {hops} hops exceed the 32-bit hop table");
+            return Err(HycapError::invalid("chains", reason));
+        }
+        let mut watchers = Vec::with_capacity(hops);
         for (p, chain) in chains.iter().enumerate() {
             for (h, w) in chain.windows(2).enumerate() {
-                watchers.entry((w[0], w[1])).or_default().push((p, h));
+                watchers.push([w[0], w[1], p, h].map(|x| x as u32));
             }
         }
-        let hops = || -> Vec<Vec<VecDeque<Entry>>> {
-            chains
-                .iter()
-                .map(|c| vec![VecDeque::new(); c.len() - 1])
-                .collect()
-        };
+        watchers.sort_unstable();
         Ok(Chains {
             chains,
+            first,
             watchers,
-            queues: hops(),
-            transit: hops(),
+            queues: vec![VecDeque::new(); hops],
+            transit: vec![VecDeque::new(); hops],
             queued: 0,
             active: active_set.then(|| ActiveSet::new(nodes)),
         })
     }
 
+    /// The hops a contact `u -> v` serves, in `(p, h)` order.
+    fn watching(watchers: &[[u32; 4]], u: usize, v: usize) -> &[[u32; 4]] {
+        let key = (u as u32, v as u32);
+        let lo = watchers.partition_point(|w| (w[0], w[1]) < key);
+        let len = watchers[lo..].partition_point(|w| (w[0], w[1]) == key);
+        &watchers[lo..lo + len]
+    }
+
     /// Queues `entry` at position `h` of chain `p`, activating the hop's
     /// endpoints when its queue goes non-empty.
     fn enqueue(&mut self, p: usize, h: usize, entry: Entry) {
-        let was_empty = self.queues[p][h].is_empty();
-        self.queues[p][h].push_back(entry);
+        let queue = &mut self.queues[self.first[p] + h];
+        let was_empty = queue.is_empty();
+        queue.push_back(entry);
         self.queued += 1;
         if let (true, Some(active)) = (was_empty, &mut self.active) {
             active.add(self.chains[p][h]);
@@ -1170,8 +1190,8 @@ impl Stages for Chains<'_> {
 
     fn land(&mut self, key: u32, hop: u32) -> Option<Entry> {
         let (p, h) = (key as usize, hop as usize);
-        let entry = self.transit[p][h].pop_front()?;
-        if h + 1 == self.queues[p].len() {
+        let entry = self.transit[self.first[p] + h].pop_front()?;
+        if self.first[p] + h + 1 == self.first[p + 1] {
             return Some(entry);
         }
         self.enqueue(p, h + 1, entry);
@@ -1196,34 +1216,32 @@ impl Stages for Chains<'_> {
         };
         for &pair in radio.slot(net, t, contacts, obs) {
             for (u, v) in [(pair.a, pair.b), (pair.b, pair.a)] {
-                let Some(list) = self.watchers.get(&(u, v)) else {
-                    continue;
-                };
                 // Serve the watcher with the longest queue (longest-queue-
                 // first keeps relays balanced).
-                let queues = list.iter().map(|&(p, h)| ((p, h), self.queues[p][h].len()));
-                let Some((p, h)) = longest(queues) else {
+                let hops = Self::watching(&self.watchers, u, v)
+                    .iter()
+                    .map(|&[_, _, p, h]| {
+                        let i = self.first[p as usize] + h as usize;
+                        ((p, h, i), self.queues[i].len())
+                    });
+                let Some((p, h, i)) = longest(hops) else {
                     continue;
                 };
-                let Some(entry) = self.queues[p][h].pop_front() else {
+                let Some(entry) = self.queues[i].pop_front() else {
                     continue;
                 };
                 self.queued -= 1;
-                if let (true, Some(active)) = (self.queues[p][h].is_empty(), &mut self.active) {
-                    active.remove(self.chains[p][h]);
-                    active.remove(self.chains[p][h + 1]);
+                if let (true, Some(active)) = (self.queues[i].is_empty(), &mut self.active) {
+                    active.remove(u);
+                    active.remove(v);
                 }
-                send(&mut self.transit[p][h], entry, events, t, p, h as u32);
+                send(&mut self.transit[i], entry, events, t, p as usize, h);
             }
         }
     }
 
     fn stored(&self) -> u64 {
-        self.queues
-            .iter()
-            .chain(&self.transit)
-            .map(|q| queued(q))
-            .sum()
+        queued(&self.queues) + queued(&self.transit)
     }
 }
 
@@ -2207,6 +2225,21 @@ mod tests {
         );
         // Uplink, backbone and downlink each take a slot.
         assert!(stats.mean_delay >= 3.0, "{stats:?}");
+    }
+
+    #[test]
+    fn chain_watchers_serve_shared_links_in_pair_then_hop_order() {
+        let chains = vec![vec![3, 0, 1], vec![0, 1, 2], vec![2, 3], vec![0, 1, 0, 1]];
+        let state = Chains::new(&chains, 4, false).unwrap();
+        let serving = |u, v| -> Vec<(u32, u32)> {
+            let hops = Chains::watching(&state.watchers, u, v);
+            hops.iter().map(|&[_, _, p, h]| (p, h)).collect()
+        };
+        assert_eq!(serving(0, 1), [(0, 1), (1, 0), (3, 0), (3, 2)]);
+        assert_eq!(serving(1, 0), [(3, 1)]);
+        assert_eq!(serving(2, 3), [(2, 0)]);
+        assert!(serving(3, 2).is_empty());
+        assert_eq!(state.first, [0, 2, 4, 5, 8]);
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //!    active-set buffers) is reallocated per slot instead of reused; and
 //! 2. an absolute O(n) ceiling on the loop peak itself.
 //!
+//! It then runs scheme A's relay chains (`materialize_relays` over
+//! 16 × 16 squarelets, ~8 hops per chain) on the same network and asserts
+//! a per-hop ceiling of 96 B/hop + 4 MiB on the loop peak: hop state lives
+//! in flat per-hop arrays, so long chains cost no per-chain allocations.
+//!
 //! The workload keeps every slot active (permutation pairs on an i.i.d.
 //! population never drain their backlog), so the full slot body — mobility
 //! resample, index update, active-set schedule, serve loop — runs every
@@ -28,7 +33,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
-use hycap_routing::TrafficMatrix;
+use hycap_routing::{SchemeAPlan, TrafficMatrix};
 use hycap_sim::obs::Observer;
 use hycap_sim::{FlowWorkload, HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketRun};
 use rand::rngs::StdRng;
@@ -89,10 +94,16 @@ const REUSE_SLACK_BYTES: usize = 512 * 1024;
 /// the O(n) position buffer, spatial index and active-set scratch. The
 /// slack covers the event queue and `Vec` growth headroom.
 const BUDGET_BYTES: usize = 768 * N + 4 * 1024 * 1024;
+/// Squarelets per side of the relay-chain case: ~8 hops per chain.
+const RELAY_SIDE: f64 = 16.0;
+/// Per-hop budget of the relay-chain case. A hop keeps a queue and a
+/// transit `VecDeque` (32 B each) and one 16 B watcher entry (~80 B
+/// measured); a hash-map watcher index with a `Vec` per hop and per-chain
+/// nested queue vectors take ~210 B and break it.
+const HOP_BUDGET_BYTES: usize = 96;
 
-/// One demand-paced chains run; returns the loop's peak live bytes over
-/// the post-setup baseline.
-fn loop_peak_bytes(horizon: usize) -> usize {
+/// The `n`-node network every case runs on, and its traffic.
+fn network() -> (HybridNetwork, TrafficMatrix, StdRng) {
     let mut rng = StdRng::seed_from_u64(0x9AC7);
     let config = PopulationConfig::builder(N)
         .alpha(0.0)
@@ -101,9 +112,12 @@ fn loop_peak_bytes(horizon: usize) -> usize {
         .build();
     let pop = Population::generate(&config, &mut rng);
     let traffic = TrafficMatrix::permutation(N, &mut rng);
-    let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
-    drop(traffic);
-    let mut net = HybridNetwork::ad_hoc(pop);
+    (HybridNetwork::ad_hoc(pop), traffic, rng)
+}
+
+/// One demand-paced run of `chains`; returns the loop's peak live bytes
+/// over the post-setup baseline.
+fn loop_peak_bytes(net: &mut HybridNetwork, chains: &[Vec<usize>], horizon: usize) -> usize {
     let workload = FlowWorkload::poisson(RATE, 2, horizon).with_seed(7);
 
     let baseline = LIVE.load(Ordering::Relaxed);
@@ -111,8 +125,8 @@ fn loop_peak_bytes(horizon: usize) -> usize {
 
     let report = PacketEngine::default()
         .run(
-            &mut net,
-            PacketPlan::Chains(&chains),
+            net,
+            PacketPlan::Chains(chains),
             PacketRun::flows(&workload, Pacing::demand(0xD0_0D)),
             &mut Observer::noop(),
         )
@@ -125,11 +139,19 @@ fn loop_peak_bytes(horizon: usize) -> usize {
     PEAK.load(Ordering::Relaxed).saturating_sub(baseline)
 }
 
+/// Direct permutation chains, one hop each.
+fn direct_peak_bytes(horizon: usize) -> usize {
+    let (mut net, traffic, _) = network();
+    let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
+    drop(traffic);
+    loop_peak_bytes(&mut net, &chains, horizon)
+}
+
 #[test]
 #[ignore = "slow under the debug profile; CI runs it in the release job"]
 fn packet_flow_run_reuses_slot_arenas() {
-    let warmup = loop_peak_bytes(WARMUP_HORIZON);
-    let long = loop_peak_bytes(LONG_HORIZON);
+    let warmup = direct_peak_bytes(WARMUP_HORIZON);
+    let long = direct_peak_bytes(LONG_HORIZON);
 
     assert!(
         long <= warmup + REUSE_SLACK_BYTES,
@@ -142,5 +164,21 @@ fn packet_flow_run_reuses_slot_arenas() {
         "packet slot loop peaked at {long} live bytes over baseline, \
          exceeding the documented budget of {BUDGET_BYTES} bytes \
          (768 B/chain + 4 MiB)"
+    );
+
+    // Multi-hop relay chains: the per-hop queue state dominates.
+    let (mut net, traffic, mut rng) = network();
+    let homes = net.population().home_points().points().to_vec();
+    let chains =
+        SchemeAPlan::build(&homes, &traffic, RELAY_SIDE).materialize_relays(&traffic, &mut rng);
+    drop((homes, traffic));
+    let hops: usize = chains.iter().map(|c| c.len() - 1).sum();
+    let relayed = loop_peak_bytes(&mut net, &chains, LONG_HORIZON);
+    let budget = HOP_BUDGET_BYTES * hops + 4 * 1024 * 1024;
+    assert!(
+        relayed <= budget,
+        "relay-chain run over {hops} hops peaked at {relayed} live bytes \
+         over baseline, exceeding the budget of {budget} bytes \
+         ({HOP_BUDGET_BYTES} B/hop + 4 MiB)"
     );
 }
