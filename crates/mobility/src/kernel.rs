@@ -179,6 +179,20 @@ impl Kernel {
         }
     }
 
+    /// The number of `u64` draws one [`Kernel::sample_offset`] takes, when
+    /// it is the same for every sample: 3 for [`Kernel::UniformDisk`]
+    /// (radius, angle and an acceptance draw that is always `< 1.0`, since
+    /// the density is flat on the disk), 0 for [`Kernel::Point`]. The
+    /// rejection kernels draw a random number of candidates and return
+    /// `None`.
+    pub fn fixed_draws(&self) -> Option<u64> {
+        match self {
+            Kernel::UniformDisk { .. } => Some(3),
+            Kernel::Point => Some(0),
+            Kernel::TruncatedGaussian { .. } | Kernel::PowerLaw { .. } => None,
+        }
+    }
+
     /// Monte-Carlo estimate of the self-convolution
     /// `η(‖X₀‖) = ∫ s(‖X − X₀‖) s(‖X‖) dX` of Corollary 1, evaluated at
     /// separation `x0` (physical units), using `samples` draws.
@@ -253,6 +267,30 @@ mod tests {
                 prev = v;
             }
         }
+    }
+
+    /// Counts the `u64` draws it hands out.
+    struct Counted<R>(R, u64);
+
+    impl<R: rand::RngCore> rand::RngCore for Counted<R> {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn fixed_draws_match_what_sampling_takes() {
+        for k in [Kernel::uniform_disk(0.7), Kernel::Point] {
+            let fixed = k.fixed_draws().expect("fixed draw count");
+            let mut rng = Counted(StdRng::seed_from_u64(3), 0);
+            for i in 1..=500 {
+                k.sample_offset(&mut rng);
+                assert_eq!(rng.1, fixed * i, "{k:?}");
+            }
+        }
+        assert_eq!(Kernel::truncated_gaussian(0.5, 2.0).fixed_draws(), None);
+        assert_eq!(Kernel::power_law(2.0, 3.0).fixed_draws(), None);
     }
 
     #[test]

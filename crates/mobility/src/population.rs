@@ -300,9 +300,15 @@ impl Population {
         self.config.mobility.require_counter_samplable()?;
         let iid = self.config.kernel_mixture.is_empty()
             && self.config.mobility == MobilityKind::IidStationary;
+        let fixed_draws = match self.config.mobility {
+            _ if !self.config.kernel_mixture.is_empty() => None,
+            MobilityKind::Static => Some(0),
+            _ => self.config.kernel.fixed_draws(),
+        };
         Ok(SlotSampler {
             home: self.home.shared_points(),
             iid: iid.then(|| (self.config.kernel, 1.0 / self.torus.scale())),
+            fixed_draws,
             processes: Arc::clone(&self.processes),
         })
     }
@@ -390,6 +396,9 @@ pub struct SlotSampler {
     /// from it; `None` walks the per-node processes (kernel mixtures and
     /// static nodes).
     iid: Option<(Kernel, f64)>,
+    /// The draws every node takes from the slot stream, when fixed
+    /// ([`SlotSampler::fixed_draws`]).
+    fixed_draws: Option<u64>,
     processes: Arc<[NodeProcess]>,
 }
 
@@ -408,6 +417,46 @@ impl SlotSampler {
     /// `out`, in node-id order.
     pub fn draw(&self, seed: u64, slot: u64, out: &mut Vec<Point>) {
         self.fill(0..self.len(), &mut SlotRng::new(seed, slot), out);
+    }
+
+    /// The number of slot-stream draws every node takes, when it is the
+    /// same for all of them: the kernel's [`Kernel::fixed_draws`] for an
+    /// i.i.d. population, 0 for a static one. Kernel mixtures and the
+    /// rejection kernels return `None`.
+    pub fn fixed_draws(&self) -> Option<u64> {
+        self.fixed_draws
+    }
+
+    /// `true` when `other` draws from the same home-points, kernel and
+    /// processes — a clone of this sampler, or the sampler of a clone of
+    /// its population.
+    pub fn same_source(&self, other: &SlotSampler) -> bool {
+        Arc::ptr_eq(&self.home, &other.home)
+            && Arc::ptr_eq(&self.processes, &other.processes)
+            && self.iid == other.iid
+    }
+
+    /// Appends the slot-`slot` positions of `nodes` under `seed` to `out`:
+    /// exactly the `nodes` slice of the [`SlotSampler::draw`] snapshot, so
+    /// any partition of `0..len` drawn range by range concatenates to it
+    /// bit for bit. With a [`SlotSampler::fixed_draws`] count the stream
+    /// jumps straight to `nodes.start` ([`SlotRng::skip`]); otherwise the
+    /// nodes before it are replayed and discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` reaches past [`SlotSampler::len`].
+    pub fn draw_range(&self, seed: u64, slot: u64, nodes: Range<usize>, out: &mut Vec<Point>) {
+        let mut rng = SlotRng::new(seed, slot);
+        match self.fixed_draws {
+            Some(per_node) => rng.skip(per_node * nodes.start as u64),
+            None => {
+                for p in &self.processes[..nodes.start] {
+                    p.sample_slot_position(&mut rng);
+                }
+            }
+        }
+        self.fill(nodes, &mut rng, out);
     }
 
     /// The slot-`slot` snapshot under `seed` as a chunked stream; the

@@ -59,6 +59,14 @@ impl SlotRng {
         let state = mix(seed.wrapping_add(GAMMA) ^ mix(slot ^ SLOT_STREAM_TAG));
         SlotRng { state }
     }
+
+    /// Jumps the stream ahead by `draws` outputs in O(1): the state is a
+    /// Weyl sequence, so discarding `draws` calls to `next_u64` adds
+    /// `draws · GAMMA` to it. This is what lets a slot snapshot be drawn
+    /// from any node on when every node takes a fixed number of draws.
+    pub fn skip(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
+    }
 }
 
 impl RngCore for SlotRng {
@@ -79,6 +87,21 @@ mod tests {
         let mut b = SlotRng::new(7, 11);
         for _ in 0..32 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn skip_equals_discarded_draws() {
+        for k in [0u64, 1, 2, 3, 7, 300, 3 * 4096 + 1] {
+            let mut skipped = SlotRng::new(5, 9);
+            skipped.skip(k);
+            let mut walked = SlotRng::new(5, 9);
+            for _ in 0..k {
+                walked.next_u64();
+            }
+            for _ in 0..4 {
+                assert_eq!(skipped.next_u64(), walked.next_u64(), "skip({k})");
+            }
         }
     }
 

@@ -96,6 +96,48 @@ proptest! {
         }
     }
 
+    /// Any partition of `0..n` drawn range by range through
+    /// `SlotSampler::draw_range` concatenates to the whole-slot draw bit
+    /// for bit, for every kernel and mixture under i.i.d. and static
+    /// mobility. Only uniform-disk and point kernels and static
+    /// populations report a fixed draw count (the ranges then skip ahead);
+    /// rejection kernels and mixtures report none (the ranges replay).
+    #[test]
+    fn draw_range_partitions_concatenate_to_draw(
+        n in 1usize..150,
+        classes in arb_classes(),
+        static_nodes in any::<bool>(),
+        cuts in prop::collection::vec(0usize..150, 0..6),
+        seed in any::<u64>(),
+        slot in 0u64..1000,
+    ) {
+        let mobility = if static_nodes {
+            MobilityKind::Static
+        } else {
+            MobilityKind::IidStationary
+        };
+        let pop = sampler_population(n, 0.25, &classes, mobility, seed);
+        let sampler = pop.slot_sampler().unwrap();
+        let want_fixed = match classes.as_slice() {
+            [_] if static_nodes => Some(0),
+            [(Kernel::UniformDisk { .. }, _)] => Some(3),
+            [(Kernel::Point, _)] => Some(0),
+            _ => None,
+        };
+        prop_assert_eq!(sampler.fixed_draws(), want_fixed);
+
+        let mut whole = Vec::new();
+        sampler.draw(seed, slot, &mut whole);
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(n)).collect();
+        bounds.extend([0, n]);
+        bounds.sort_unstable();
+        let mut got = Vec::new();
+        for w in bounds.windows(2) {
+            sampler.draw_range(seed, slot, w[0]..w[1], &mut got);
+        }
+        prop_assert_eq!(bits(&got), bits(&whole), "cuts {:?}", bounds);
+    }
+
     /// History-dependent mobility gets a typed error, never a panic.
     #[test]
     fn history_dependent_mobility_has_no_slot_sampler(

@@ -279,6 +279,17 @@ impl MemorySink {
         }
     }
 
+    /// [`MemorySink::with_timings`] when `timed` holds, [`MemorySink::new`]
+    /// otherwise: the private sink of work recorded apart and absorbed
+    /// into a sink whose [`MetricsSink::timed`] is `timed`, so the
+    /// absorbed spans keep their durations exactly when the caller's do.
+    pub fn with_timings_when(timed: bool) -> Self {
+        MemorySink {
+            record_timings: timed,
+            ..MemorySink::default()
+        }
+    }
+
     /// Counter value by name (`0` when never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)

@@ -5,6 +5,7 @@ use hycap_geom::Point;
 use hycap_infra::BaseStations;
 use hycap_mobility::{Population, SlotSampler};
 use rand::Rng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A hybrid wireless network: `n` mobile stations plus (optionally) `k`
@@ -163,6 +164,40 @@ impl SlotView {
         buf.reserve(self.total_nodes());
         self.ms.draw(seed, slot, buf);
         buf.extend_from_slice(&self.bs);
+    }
+
+    /// Number of mobile stations `n` (the snapshot's MS prefix).
+    pub(crate) fn mobile_nodes(&self) -> usize {
+        self.ms.len()
+    }
+
+    /// The base-station tail of every snapshot.
+    pub(crate) fn bs_positions(&self) -> &[Point] {
+        &self.bs
+    }
+
+    /// The number of slot-stream draws every mobile station takes, when it
+    /// is fixed ([`SlotSampler::fixed_draws`]): only then can a snapshot be
+    /// drawn in node ranges without replaying the nodes before each one.
+    pub fn fixed_draws(&self) -> Option<u64> {
+        self.ms.fixed_draws()
+    }
+
+    /// `true` when `other` draws the same snapshots: a view of the same
+    /// network or of a clone of it.
+    pub(crate) fn same_source(&self, other: &SlotView) -> bool {
+        self.ms.same_source(&other.ms) && self.bs[..] == other.bs[..]
+    }
+
+    /// Appends the slot-`slot` positions of the mobile stations `nodes`
+    /// under `seed` to `out`: that slice of the [`SlotView::draw_into`]
+    /// snapshot, bit for bit ([`SlotSampler::draw_range`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` reaches past the `n` mobile stations.
+    pub fn draw_range(&self, seed: u64, slot: u64, nodes: Range<usize>, out: &mut Vec<Point>) {
+        self.ms.draw_range(seed, slot, nodes, out);
     }
 
     /// Streams the slot-`slot` combined `MS ++ BS` snapshot to `emit` in

@@ -54,7 +54,7 @@ use crate::{HybridNetwork, SlotView};
 use hycap_errors::HycapError;
 use hycap_geom::{clamp_index_radius, Cell, Point, SquareGrid};
 use hycap_infra::{Backbone, LinkMask};
-use hycap_obs::{MetricsSink, Observer, Snapshot, SpanTimer};
+use hycap_obs::{MemorySink, MetricsSink, Observer, Snapshot, SpanTimer};
 use hycap_routing::{edge_key, EdgeKey, SchemeAPlan, SchemeBPlan, TrafficMatrix, TwoHopPlan};
 use hycap_wireless::{
     critical_range, schedule_memoized_observed, schedule_observed, schedule_prebuilt_observed,
@@ -420,8 +420,9 @@ impl FluidEngine {
         };
         let timer = SpanTimer::start();
         // In-order runs record straight into `obs`; the others record per
-        // chunk and fold the merged snapshot into `obs` at the end.
-        let record = !in_order && obs.active();
+        // chunk and fold the merged snapshot into `obs` at the end, on
+        // sinks that keep span durations when `obs`'s sink does.
+        let record = (!in_order && obs.active()).then(|| obs.sink.timed());
         let chunks: Vec<ChunkOut> = match sampling {
             Sampling::InOrder(rng) => {
                 vec![self.chunk(&spec, 0..slots, Draw::InOrder(net, rng), obs)?]
@@ -461,7 +462,7 @@ impl FluidEngine {
         };
         let mut acc = Acc::new(spec.resources.len());
         let mut tally = FaultTally::default();
-        let mut merged = record.then(Snapshot::default);
+        let mut merged = record.map(|_| Snapshot::default());
         let mut end_state = None;
         for chunk in chunks {
             acc.absorb(&chunk.acc);
@@ -489,7 +490,8 @@ impl FluidEngine {
         };
         let report = match merged {
             Some(mut merged) => {
-                let mut run_obs = Observer::recording().with_probes();
+                let sink = MemorySink::with_timings_when(record == Some(true));
+                let mut run_obs = Observer::new(sink).with_probes();
                 let report = finalize(plan, &totals, bandwidth, timer, &mut run_obs)?;
                 merged.merge(&run_obs.snapshot());
                 obs.absorb(&merged);
@@ -573,19 +575,19 @@ impl FluidEngine {
     }
 
     /// [`FluidEngine::chunk`] into a fresh recording observer when `record`
-    /// holds (the chunk's snapshot comes back with it), into a no-op one
-    /// otherwise.
+    /// is `Some(timed)` (the chunk's snapshot comes back with it; span
+    /// durations are kept when `timed` holds), into a no-op one otherwise.
     fn recorded_chunk(
         &self,
-        record: bool,
+        record: Option<bool>,
         spec: &ChunkSpec,
         slots: Range<usize>,
         draw: Draw<'_>,
     ) -> Result<ChunkOut, HycapError> {
-        if !record {
+        let Some(timed) = record else {
             return self.chunk(spec, slots, draw, &mut Observer::noop());
-        }
-        let mut obs = Observer::recording().with_probes();
+        };
+        let mut obs = Observer::new(MemorySink::with_timings_when(timed)).with_probes();
         let mut out = self.chunk(spec, slots, draw, &mut obs)?;
         out.snap = Some(obs.snapshot());
         Ok(out)
@@ -1307,6 +1309,40 @@ mod tests {
             report.scheduled_pairs_per_slot.to_bits(),
             plain.scheduled_pairs_per_slot.to_bits()
         );
+    }
+
+    /// Counter (pooled or not) and streamed runs record on private sinks
+    /// and fold them into the caller's: a timed caller keeps the run span's
+    /// duration, an untimed one still reads 0.
+    #[test]
+    fn timed_sinks_keep_span_durations_of_every_sampling_mode() {
+        let (mut net, mut rng) = uniform_net(300, 23);
+        let traffic = TrafficMatrix::permutation(300, &mut rng);
+        let homes = net.population().home_points().points().to_vec();
+        let plan = SchemeAPlan::build(&homes, &traffic, (300f64).powf(0.25));
+        let pool = WorkerPool::new(2);
+        let specs = || {
+            [
+                FluidRun::counter(40, 4, None),
+                FluidRun::counter(40, 4, Some(&pool)),
+                FluidRun::streamed(40, 4, 64),
+            ]
+        };
+        for timed in [false, true] {
+            for spec in specs() {
+                let mut obs = Observer::new(MemorySink::with_timings_when(timed));
+                FluidEngine::default()
+                    .run(&mut net, FluidPlan::A(&plan), spec, &mut obs)
+                    .unwrap();
+                let (_, span) = obs
+                    .sink
+                    .spans()
+                    .find(|(name, _)| *name == "fluid.measure_scheme_a")
+                    .expect("run span");
+                assert_eq!(span.count, 1);
+                assert_eq!(span.total_micros > 0, timed, "timed = {timed}");
+            }
+        }
     }
 
     #[test]

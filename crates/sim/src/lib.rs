@@ -61,6 +61,7 @@
 mod budget;
 pub mod cache;
 mod checkpoint;
+mod draws;
 mod engine;
 mod events;
 pub mod faults;
@@ -74,6 +75,7 @@ pub mod sweep;
 pub use budget::{BudgetExceeded, BudgetMeter, Budgeted, RunBudget};
 pub use cache::{CacheDiskStats, CacheEntry, CacheStats, CacheValue, GcReport, ResultCache};
 pub use checkpoint::{scenario_digest, Checkpoint, ENGINE_VERSION};
+pub use draws::{DrawParty, SharedDraws, SlotRead};
 pub use engine::{HybridNetwork, SlotView};
 pub use events::{Event, EventQueue, FlowRng, Time};
 pub use faults::{FaultEvent, FaultInjector, FaultSchedule, FaultTally, OutagePolicy};

@@ -25,7 +25,7 @@ use crate::events::{Event, EventQueue, Time};
 use crate::faults::{FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
 use crate::flows::{mean, FlowRunStats, FlowSpec, FlowWorkload};
 use crate::groups::GroupMap;
-use crate::{HybridNetwork, SlotView};
+use crate::{DrawParty, HybridNetwork, SlotView};
 use hycap_errors::HycapError;
 use hycap_geom::Point;
 use hycap_infra::CellularLayout;
@@ -247,6 +247,11 @@ pub struct PacketRun<'a> {
     /// exhausted budget yields [`Budgeted::Interrupted`]. A budget that
     /// never trips leaves every statistic bit-identical.
     pub budget: Option<RunBudget>,
+    /// A seat at a [`crate::SharedDraws`] feed: demand-paced slot
+    /// positions come from the feed, drawn once for every concurrent run
+    /// that needs the slot, instead of from a private buffer. Every
+    /// statistic and snapshot is bit-identical either way.
+    pub shared: Option<&'a DrawParty<'a>>,
 }
 
 impl<'a> PacketRun<'a> {
@@ -267,6 +272,7 @@ impl<'a> PacketRun<'a> {
             pacing,
             faults: None,
             budget: None,
+            shared: None,
         }
     }
 
@@ -279,6 +285,12 @@ impl<'a> PacketRun<'a> {
     /// Runs under `budget`.
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.budget = Some(budget);
+        self
+    }
+
+    /// Draws demand-paced slots through `party`'s feed.
+    pub fn shared(mut self, party: &'a DrawParty<'a>) -> Self {
+        self.shared = Some(party);
         self
     }
 }
@@ -473,6 +485,12 @@ impl PacketEngine {
             PacketWorkload::OpenLoop { .. } => {}
             PacketWorkload::Flows(w) => w.validate()?,
         }
+        if spec.shared.is_some() && matches!(spec.pacing, Pacing::Legacy(_)) {
+            return Err(HycapError::invalid(
+                "shared",
+                "shared slot draws need demand pacing",
+            ));
+        }
         if spec.faults.is_some() && !matches!(plan, PacketPlan::B(_)) {
             return Err(HycapError::invalid(
                 "faults",
@@ -534,7 +552,14 @@ impl PacketEngine {
                          models must run legacy pacing",
                     )
                 })?;
-                (true, skip, Motion::Counter(view, seed))
+                let motion = match spec.shared {
+                    Some(party) => {
+                        party.check(&view, seed)?;
+                        Motion::Shared(party)
+                    }
+                    None => Motion::Counter(view, seed),
+                };
+                (true, skip, motion)
             }
         };
         let pairs = plan.pairs();
@@ -914,6 +939,8 @@ enum Motion<'a> {
     /// From the counter streams of the seed, at the absolute slot, through
     /// the network's read-only slot view.
     Counter(SlotView, u64),
+    /// From the counter streams through a shared feed, read in place.
+    Shared(&'a DrawParty<'a>),
     /// Not at all: the plan's slot bodies draw no mobility (scheme C).
     Still,
 }
@@ -948,12 +975,28 @@ impl Radio<'_> {
         contacts: Contacts<'_>,
         obs: &mut Observer<S>,
     ) -> &[ScheduledPair] {
-        match &mut self.motion {
-            Motion::Counter(view, seed) => view.draw_into(*seed, self.base_slot + t, &mut self.buf),
-            Motion::InOrder(rng) => net.advance_into(&mut **rng, &mut self.buf),
-            Motion::Still => self.buf.clear(),
-        }
-        let (s, buf, range) = (&self.scheduler, &self.buf, self.range);
+        let slot = self.base_slot + t;
+        let shared;
+        let buf: &[Point] = match &mut self.motion {
+            Motion::Shared(party) => {
+                // `buf` is the chunk scratch; positions are read in place.
+                shared = party.slot(slot, &mut self.buf);
+                &shared
+            }
+            Motion::Counter(view, seed) => {
+                view.draw_into(*seed, slot, &mut self.buf);
+                &self.buf
+            }
+            Motion::InOrder(rng) => {
+                net.advance_into(&mut **rng, &mut self.buf);
+                &self.buf
+            }
+            Motion::Still => {
+                self.buf.clear();
+                &self.buf
+            }
+        };
+        let (s, range) = (&self.scheduler, self.range);
         let (ws, out) = (&mut self.ws, &mut self.pairs);
         match contacts {
             Contacts::All(alive) => schedule_observed(s, buf, range, alive, t, ws, out, obs),
@@ -2535,6 +2578,7 @@ mod tests {
                     pacing: Pacing::demand(43),
                     faults: None,
                     budget: None,
+                    shared: None,
                 };
                 delivered[i] = complete(&mut net, plan, spec).stats.delivered;
             }

@@ -19,6 +19,13 @@
 //! a per-hop ceiling of 96 B/hop + 4 MiB on the loop peak: hop state lives
 //! in flat per-hop arrays, so long chains cost no per-chain allocations.
 //!
+//! Last, it overlaps two direct-chain runs on two threads over one shared
+//! slot-draw feed and asserts that the feed holds at most `W·(n + k)·16`
+//! bytes plus a small slack, allocated once, and that the long overlapped
+//! runs peak no higher than the warm-up ones (plus the flow-record
+//! allowance of each run): the feed's ring replaces the per-run position
+//! buffers, and no slot allocates.
+//!
 //! The workload keeps every slot active (permutation pairs on an i.i.d.
 //! population never drain their backlog), so the full slot body — mobility
 //! resample, index update, active-set schedule, serve loop — runs every
@@ -35,7 +42,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
 use hycap_sim::obs::Observer;
-use hycap_sim::{FlowWorkload, HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketRun};
+use hycap_sim::{
+    DrawParty, FlowWorkload, HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketRun,
+    SharedDraws,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -101,6 +111,10 @@ const RELAY_SIDE: f64 = 16.0;
 /// measured); a hash-map watcher index with a `Vec` per hop and per-chain
 /// nested queue vectors take ~210 B and break it.
 const HOP_BUDGET_BYTES: usize = 96;
+/// The feed's bookkeeping beyond its ring: the entry headers and the
+/// per-entry and per-seat ring vectors.
+const FEED_SLACK_BYTES: usize = 4 * 1024;
+const PACING_SEED: u64 = 0xD0_0D;
 
 /// The `n`-node network every case runs on, and its traffic.
 fn network() -> (HybridNetwork, TrafficMatrix, StdRng) {
@@ -115,28 +129,59 @@ fn network() -> (HybridNetwork, TrafficMatrix, StdRng) {
     (HybridNetwork::ad_hoc(pop), traffic, rng)
 }
 
-/// One demand-paced run of `chains`; returns the loop's peak live bytes
-/// over the post-setup baseline.
-fn loop_peak_bytes(net: &mut HybridNetwork, chains: &[Vec<usize>], horizon: usize) -> usize {
+/// One demand-paced run of `chains`, drawing through `shared` when given.
+fn chains_run(
+    net: &mut HybridNetwork,
+    chains: &[Vec<usize>],
+    horizon: usize,
+    shared: Option<&DrawParty<'_>>,
+) {
     let workload = FlowWorkload::poisson(RATE, 2, horizon).with_seed(7);
-
-    let baseline = LIVE.load(Ordering::Relaxed);
-    PEAK.store(baseline, Ordering::Relaxed);
-
+    let mut spec = PacketRun::flows(&workload, Pacing::demand(PACING_SEED));
+    spec.shared = shared;
     let report = PacketEngine::default()
-        .run(
-            net,
-            PacketPlan::Chains(chains),
-            PacketRun::flows(&workload, Pacing::demand(0xD0_0D)),
-            &mut Observer::noop(),
-        )
+        .run(net, PacketPlan::Chains(chains), spec, &mut Observer::noop())
         .and_then(|outcome| outcome.into_complete("packet flow run"))
         .expect("demand-paced flow run succeeds");
     assert_eq!(report.pacing.slots, horizon as u64);
     let stats = report.flows.expect("flow statistics");
     assert!(stats.flows_started > 0, "workload must generate traffic");
+}
 
+/// One demand-paced run of `chains`; returns the loop's peak live bytes
+/// over the post-setup baseline.
+fn loop_peak_bytes(net: &mut HybridNetwork, chains: &[Vec<usize>], horizon: usize) -> usize {
+    let baseline = LIVE.load(Ordering::Relaxed);
+    PEAK.store(baseline, Ordering::Relaxed);
+    chains_run(net, chains, horizon, None);
     PEAK.load(Ordering::Relaxed).saturating_sub(baseline)
+}
+
+/// Two direct-chain runs side by side on two threads over one shared
+/// feed; returns the feed's live bytes and the overlapped loop's peak live
+/// bytes over the post-feed baseline.
+fn overlapped_peak_bytes(horizon: usize) -> (usize, usize) {
+    let (net, traffic, _) = network();
+    let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
+    drop(traffic);
+    let view = net.slot_view().expect("i.i.d. network");
+    let mut nets = [net.clone(), net];
+
+    let before = LIVE.load(Ordering::Relaxed);
+    let feed = SharedDraws::new(view, PACING_SEED, 2).expect("uniform-disk feed");
+    let baseline = LIVE.load(Ordering::Relaxed);
+    PEAK.store(baseline, Ordering::Relaxed);
+    std::thread::scope(|scope| {
+        for net in &mut nets {
+            let (feed, chains) = (&feed, &chains);
+            scope.spawn(move || {
+                let party = feed.party().expect("a free seat");
+                chains_run(net, chains, horizon, Some(&party));
+            });
+        }
+    });
+    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(baseline);
+    (baseline - before, peak)
 }
 
 /// Direct permutation chains, one hop each.
@@ -180,5 +225,22 @@ fn packet_flow_run_reuses_slot_arenas() {
         "relay-chain run over {hops} hops peaked at {relayed} live bytes \
          over baseline, exceeding the budget of {budget} bytes \
          ({HOP_BUDGET_BYTES} B/hop + 4 MiB)"
+    );
+
+    // Both runs overlapped over one shared slot-draw feed.
+    let (feed, warmup) = overlapped_peak_bytes(WARMUP_HORIZON);
+    let ring = SharedDraws::WINDOW * N * std::mem::size_of::<hycap_geom::Point>();
+    assert!(
+        feed <= ring + FEED_SLACK_BYTES,
+        "the shared feed holds {feed} live bytes, over its ring of {ring} \
+         bytes ({} slots of {N} positions) plus {FEED_SLACK_BYTES}",
+        SharedDraws::WINDOW
+    );
+    let (_, long) = overlapped_peak_bytes(LONG_HORIZON);
+    assert!(
+        long <= warmup + 2 * REUSE_SLACK_BYTES,
+        "overlapped {LONG_HORIZON}-slot runs peaked at {long} loop bytes vs \
+         {warmup} for {WARMUP_HORIZON} slots: something allocates per slot \
+         (allowance {REUSE_SLACK_BYTES} bytes per run)"
     );
 }

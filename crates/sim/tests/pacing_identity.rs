@@ -62,6 +62,7 @@ fn run_demand(
         },
         faults,
         budget: None,
+        shared: None,
     };
     let mut obs = Observer::recording().with_probes();
     let report = PacketEngine::default()

@@ -106,6 +106,7 @@ fn packet<S: MetricsSink>(
         pacing: Pacing::Legacy(rng),
         faults,
         budget: None,
+        shared: None,
     };
     PacketEngine::default()
         .run(net, plan, spec, obs)
