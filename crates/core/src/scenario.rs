@@ -692,9 +692,23 @@ impl Scenario {
 }
 
 impl ScenarioBuilder {
-    /// Sets the mobility kernel.
+    /// Sets the mobility kernel, rebuilt through its validating
+    /// constructor: a bad literal (a negative or NaN radius, say) panics
+    /// here instead of hanging the rejection sampler in
+    /// [`Scenario::realize`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kernel parameter is not finite and positive.
     pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.inner.kernel = kernel;
+        self.inner.kernel = match kernel {
+            Kernel::UniformDisk { radius } => Kernel::uniform_disk(radius),
+            Kernel::TruncatedGaussian { sigma, support } => {
+                Kernel::truncated_gaussian(sigma, support)
+            }
+            Kernel::PowerLaw { exponent, support } => Kernel::power_law(exponent, support),
+            Kernel::Point => Kernel::Point,
+        };
         self
     }
 
@@ -1116,6 +1130,52 @@ mod tests {
             .build();
         assert_eq!(scenario.n(), 64);
         assert_eq!(scenario.exponents().alpha, 0.25);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel radius must be positive")]
+    fn builder_rejects_negative_disk_radius() {
+        // Unvalidated, this literal hangs `realize()`: its density at 0 is
+        // 0, so every acceptance ratio of the rejection sampler is NaN.
+        let _ = Scenario::builder(strong_exps(), 64).kernel(Kernel::UniformDisk { radius: -1.0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel radius must be positive")]
+    fn builder_rejects_nan_disk_radius() {
+        let _ =
+            Scenario::builder(strong_exps(), 64).kernel(Kernel::UniformDisk { radius: f64::NAN });
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma must be positive")]
+    fn builder_rejects_bad_gaussian_kernel() {
+        let _ = Scenario::builder(strong_exps(), 64).kernel(Kernel::TruncatedGaussian {
+            sigma: 0.0,
+            support: 1.0,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "exponent must be positive")]
+    fn builder_rejects_bad_power_law_kernel() {
+        let _ = Scenario::builder(strong_exps(), 64).kernel(Kernel::PowerLaw {
+            exponent: f64::NAN,
+            support: 1.0,
+        });
+    }
+
+    #[test]
+    fn builder_keeps_valid_kernels() {
+        for kernel in [
+            Kernel::uniform_disk(2.0),
+            Kernel::truncated_gaussian(0.5, 1.5),
+            Kernel::power_law(2.0, 1.0),
+            Kernel::Point,
+        ] {
+            let sc = Scenario::builder(strong_exps(), 64).kernel(kernel).build();
+            assert_eq!(sc.kernel, kernel);
+        }
     }
 
     #[test]

@@ -155,6 +155,11 @@ pub struct Point {
 /// Wraps a scalar coordinate into the canonical interval `[0, 1)`.
 #[inline]
 fn wrap01(v: f64) -> f64 {
+    // Inside the open unit interval `v - v.floor()` is `v - 0.0`, which is
+    // `v`. The bound is strict: `-0.0` must take the floor path to `+0.0`.
+    if 0.0 < v && v < 1.0 {
+        return v;
+    }
     let w = v - v.floor();
     // `v.floor()` can produce `w == 1.0` for tiny negative inputs due to
     // rounding; fold that case back to 0.
@@ -268,6 +273,50 @@ mod tests {
         assert!((wrap01(-0.25) - 0.75).abs() < TOL);
         assert!((wrap01(2.5) - 0.5).abs() < TOL);
         assert!((wrap01(-3.25) - 0.75).abs() < TOL);
+    }
+
+    #[test]
+    fn wrap01_fast_path_matches_floor_path() {
+        // The floor path alone: the reference the shortcut must match.
+        let floor_path = |v: f64| {
+            let w = v - v.floor();
+            if w >= 1.0 {
+                0.0
+            } else {
+                w
+            }
+        };
+        let values = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            -1e-18,
+            -0.25,
+            -1.0,
+            -3.25,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for v in values {
+            let (got, want) = (wrap01(v), floor_path(v));
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "wrap01({v:e}) = {got:e}, floor path {want:e}"
+            );
+        }
+        // Signed zero: the strict bound keeps `-0.0` off the shortcut, and
+        // the floor path turns it into `+0.0`.
+        assert_eq!(wrap01(-0.0).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
