@@ -162,6 +162,23 @@ impl Kernel {
     /// acceptance ratio `s(d)/s(0)`; this is exact because `s` is
     /// non-increasing, so `s(0)` is the maximum.
     pub fn sample_offset<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec2 {
+        // A flat disk accepts its first candidate: `d <= radius`, so the
+        // ratio is 1 and the acceptance draw is always `< 1.0`. It is still
+        // taken, unread, to keep the stream's count
+        // ([`Kernel::fixed_draws`]). A zero, negative or NaN radius, which
+        // no constructor builds, takes the loop as before. An infinite one
+        // (no constructor builds it either) comes here: its offsets are not
+        // finite on either path, and a finiteness test per draw costs ~9%
+        // of a slot draw.
+        if let Kernel::UniformDisk { radius } = *self {
+            if radius > 0.0 {
+                let u: f64 = rng.gen();
+                let d = radius * u.sqrt();
+                let angle = rng.gen::<f64>() * std::f64::consts::TAU;
+                rng.next_u64();
+                return Vec2::from_polar(d, angle);
+            }
+        }
         let support = self.support_radius();
         if support == 0.0 {
             return Vec2::ZERO;
@@ -291,6 +308,37 @@ mod tests {
         }
         assert_eq!(Kernel::truncated_gaussian(0.5, 2.0).fixed_draws(), None);
         assert_eq!(Kernel::power_law(2.0, 3.0).fixed_draws(), None);
+    }
+
+    /// The uniform disk's fast path returns what the rejection loop
+    /// returns, bit for bit, and leaves the stream where the loop leaves
+    /// it.
+    #[test]
+    fn uniform_disk_fast_path_matches_rejection_loop() {
+        fn rejection_loop(k: &Kernel, rng: &mut impl rand::RngCore) -> Vec2 {
+            let (support, s_max) = (k.support_radius(), k.density(0.0));
+            loop {
+                let u: f64 = rng.gen();
+                let d = support * u.sqrt();
+                let angle = rng.gen::<f64>() * std::f64::consts::TAU;
+                if rng.gen::<f64>() < k.density(d) / s_max {
+                    return Vec2::from_polar(d, angle);
+                }
+            }
+        }
+        for radius in [1e-300, 1e-6, 0.3, 1.0, 7.5, 1e150] {
+            let k = Kernel::uniform_disk(radius);
+            let mut fast = crate::SlotRng::new(11, radius.to_bits());
+            let mut slow = fast.clone();
+            for _ in 0..20_000 {
+                let (a, b) = (k.sample_offset(&mut fast), rejection_loop(&k, &mut slow));
+                assert_eq!(
+                    (a.x.to_bits(), a.y.to_bits()),
+                    (b.x.to_bits(), b.y.to_bits())
+                );
+            }
+            assert_eq!(fast.gen::<u64>(), slow.gen::<u64>(), "radius {radius}");
+        }
     }
 
     #[test]
