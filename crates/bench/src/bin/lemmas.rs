@@ -1,6 +1,6 @@
 //! Monte-Carlo verification of the paper's load-bearing lemmas:
 //!
-//! * **Theorem 1** — the uniformly dense criterion: bounded density ratio
+//! * **Theorem 1** — the uniformly dense condition: bounded density ratio
 //!   under strong mobility, diverging under clustering.
 //! * **Lemma 1** — squarelet home-point counts within `[¼, 4]×` the
 //!   expectation at the `(16+β)γ(n)` tessellation scale.
@@ -94,7 +94,7 @@ fn theorem1(seed: u64) -> Check {
     let mut pop = Population::generate(&clustered_cfg, &mut rng);
     let clustered = density::check_uniformly_dense(&mut pop, 30, 6, 4.0, &mut rng);
     Check {
-        name: "Theorem 1 (uniformly dense criterion)",
+        name: "Theorem 1 (uniformly dense condition)",
         detail: format!(
             "strong ratio {:.2} (bounded), clustered ratio {}",
             uniform.stats.ratio(),

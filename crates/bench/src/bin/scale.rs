@@ -182,7 +182,7 @@ fn push_fit(json: &mut String, name: &str, fit: Option<&FitResult>, theory: f64,
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = report::quick_flag();
+    let quick = args.iter().any(|a| a == "--quick");
     let ladder_max: usize = args
         .iter()
         .position(|a| a == "--ladder-max")
@@ -278,8 +278,8 @@ fn main() {
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
 
-    // Deliberately NOT write_json_with_root_copy: the nightly CI gate
-    // diffs the committed root BENCH_PR8.json against this fresh run.
+    // Written under target/reports/ only: the nightly CI gate diffs the
+    // committed root BENCH_PR8.json against this fresh run.
     let path = report::write_json("BENCH_PR8", &json).expect("write BENCH_PR8.json");
     let metrics_path = report::write_snapshot_json("BENCH_PR8_metrics", &merged)
         .expect("write BENCH_PR8_metrics.json");

@@ -1,6 +1,6 @@
-//! Experiment drivers shared by the report binaries and the criterion
-//! benches. Each driver regenerates one paper artifact (Table I row,
-//! Figure 1/2/3) at a configurable scale.
+//! Experiment drivers shared by the report binaries. Each driver
+//! regenerates one paper artifact (Table I row, Figure 1/2/3) at a
+//! configurable scale.
 
 use hycap::{capacity_exponent, MobilityRegime, ModelExponents, Scenario};
 use hycap_errors::HycapError;
@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
 
-/// Experiment scale: `Quick` for benches and smoke runs, `Full` for the
+/// Experiment scale: `Quick` for the default bin runs, `Full` for the
 /// EXPERIMENTS.md numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -235,6 +235,21 @@ fn clustered_cache_key(exps: &ModelExponents, n: usize, seed: u64) -> String {
     format!("clustered-{}", scenario_digest(&refs))
 }
 
+/// Mean of the reps that returned a value, 0.0 when none did. A rep that
+/// measured 0.0 counts like any other: dropping it would bias the point
+/// upward.
+fn mean_of_returned(values: impl IntoIterator<Item = Option<f64>>) -> f64 {
+    let (sum, count) = values
+        .into_iter()
+        .flatten()
+        .fold((0.0, 0usize), |(sum, count), v| (sum + v, count + 1));
+    if count == 0 {
+        0.0
+    } else {
+        sum / count as f64
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_table1_row_impl(
     label: &'static str,
@@ -269,81 +284,66 @@ fn run_table1_row_impl(
         }
     };
     let cache = cache.map(Arc::clone);
-    // Per ladder point: (mobility term, infrastructure term), averaged
-    // over positive reps.
+    // Per ladder point: (mobility term, infrastructure term), each the mean
+    // of the reps that returned a value.
     let point = move |n: usize| {
-        let (mut acc_m, mut used_m, mut acc_i, mut used_i) = (0.0, 0usize, 0.0, 0usize);
-        for rep in 0..reps {
-            let seed = seed
-                .wrapping_add((n as u64) << 8)
-                .wrapping_add(rep as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let (lm, li) = if regime == Some(MobilityRegime::Weak) && !with_bs {
-                // Corollary 3 row: clustered static multihop at the
-                // Lemma 10 connectivity range.
-                let lambda = match &cache {
-                    None => measure_clustered_no_bs(&exps, n, seed),
-                    Some(c) => {
-                        let key = clustered_cache_key(&exps, n, seed);
-                        match c.get(&key, |e| e.f64("lambda")) {
-                            Some(v) => v,
-                            None => {
-                                let v = measure_clustered_no_bs(&exps, n, seed);
-                                let mut entry = CacheEntry::new();
-                                entry.push_f64("lambda", v);
-                                if let Err(e) = c.put(&key, &entry) {
-                                    stash(e);
+        let per_rep: Vec<(Option<f64>, Option<f64>)> = (0..reps)
+            .map(|rep| {
+                let seed = seed
+                    .wrapping_add((n as u64) << 8)
+                    .wrapping_add(rep as u64)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                if regime == Some(MobilityRegime::Weak) && !with_bs {
+                    // Corollary 3 row: clustered static multihop at the
+                    // Lemma 10 connectivity range.
+                    let lambda = match &cache {
+                        None => measure_clustered_no_bs(&exps, n, seed),
+                        Some(c) => {
+                            let key = clustered_cache_key(&exps, n, seed);
+                            match c.get(&key, |e| e.f64("lambda")) {
+                                Some(v) => v,
+                                None => {
+                                    let v = measure_clustered_no_bs(&exps, n, seed);
+                                    let mut entry = CacheEntry::new();
+                                    entry.push_f64("lambda", v);
+                                    if let Err(e) = c.put(&key, &entry) {
+                                        stash(e);
+                                    }
+                                    v
                                 }
-                                v
                             }
                         }
-                    }
-                };
-                (Some(lambda), None)
-            } else {
-                let sc = Scenario::builder(exps, n)
-                    .mobility(mobility)
-                    // 2x2 constant-area squarelets: the mobility radius is
-                    // a larger fraction of the squarelet at small n, which
-                    // shortens the finite-size transient of phase I/III.
-                    .scheme_b_cells(2)
-                    .seed(seed)
-                    .build_with_bs(with_bs);
-                let measured = match &cache {
-                    None => sc.measure(slots),
-                    Some(c) => sc.measure_cached(slots, c).or_else(|e| {
-                        stash(e);
-                        sc.measure(slots)
-                    }),
-                };
-                match measured {
-                    Ok(report) => (report.lambda_mobility_typical, report.lambda_infra_typical),
-                    Err(e) => {
-                        stash(e);
-                        (None, None)
+                    };
+                    (Some(lambda), None)
+                } else {
+                    let sc = Scenario::builder(exps, n)
+                        .mobility(mobility)
+                        // 2x2 constant-area squarelets: the mobility radius is
+                        // a larger fraction of the squarelet at small n, which
+                        // shortens the finite-size transient of phase I/III.
+                        .scheme_b_cells(2)
+                        .seed(seed)
+                        .build_with_bs(with_bs);
+                    let measured = match &cache {
+                        None => sc.measure(slots),
+                        Some(c) => sc.measure_cached(slots, c).or_else(|e| {
+                            stash(e);
+                            sc.measure(slots)
+                        }),
+                    };
+                    match measured {
+                        Ok(report) => (report.lambda_mobility_typical, report.lambda_infra_typical),
+                        Err(e) => {
+                            stash(e);
+                            (None, None)
+                        }
                     }
                 }
-            };
-            if let Some(l) = lm.filter(|&l| l > 0.0) {
-                acc_m += l;
-                used_m += 1;
-            }
-            if let Some(l) = li.filter(|&l| l > 0.0) {
-                acc_i += l;
-                used_i += 1;
-            }
-        }
+            })
+            .collect();
         (
-            if used_m > 0 {
-                acc_m / used_m as f64
-            } else {
-                0.0
-            },
-            if used_i > 0 {
-                acc_i / used_i as f64
-            } else {
-                0.0
-            },
+            mean_of_returned(per_rep.iter().map(|&(m, _)| m)),
+            mean_of_returned(per_rep.iter().map(|&(_, i)| i)),
         )
     };
     let measured: Vec<(f64, f64)> = match checkpoint {
@@ -441,15 +441,11 @@ fn run_table1_row_impl(
     Ok(RowResult { label, components })
 }
 
-/// Runs all five Table I rows on one shared worker pool.
-pub fn run_table1(scale: Scale, seed: u64) -> Vec<RowResult> {
-    run_table1_cached(scale, seed, None).expect("a cache-free table run performs no store I/O")
-}
-
-/// [`run_table1`] with an optional result cache threaded through every
-/// row: ladder points already stored under the current engine version
-/// are served bit-identically instead of recomputed, so a warm rerun of
-/// the whole table costs only directory reads.
+/// Runs all five Table I rows on one shared worker pool, with an optional
+/// result cache threaded through every row: ladder points already stored
+/// under the current engine version are served bit-identically instead of
+/// recomputed, so a warm rerun of the whole table costs only directory
+/// reads.
 ///
 /// # Errors
 ///
@@ -616,6 +612,17 @@ impl ScenarioBuilderExt for hycap::ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rep_mean_counts_zero_reps() {
+        assert_eq!(mean_of_returned([Some(0.5), Some(0.25)]), 0.375);
+        // A rep that measured 0.0 lowers the mean; one that returned no
+        // value does not.
+        assert_eq!(mean_of_returned([Some(0.5), Some(0.0), Some(0.25)]), 0.25);
+        assert_eq!(mean_of_returned([Some(0.5), None, Some(0.25)]), 0.375);
+        assert_eq!(mean_of_returned([None, None]), 0.0);
+        assert_eq!(mean_of_returned(std::iter::empty()), 0.0);
+    }
 
     #[test]
     fn ladder_scales() {

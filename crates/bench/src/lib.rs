@@ -2,7 +2,7 @@
 //! the ICDCS 2010 paper.
 //!
 //! * [`experiments`] — drivers: Table I row sweeps with exponent fits,
-//!   Figure 3 anchors, at [`experiments::Scale::Quick`] (benches) or
+//!   Figure 3 anchors, at [`experiments::Scale::Quick`] (default runs) or
 //!   [`experiments::Scale::Full`] (EXPERIMENTS.md numbers).
 //! * [`report`] — CSV artifacts plus ASCII tables and ANSI heatmaps (the
 //!   offline environment has no plotting stack).

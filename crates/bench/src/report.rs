@@ -83,43 +83,6 @@ pub fn write_json(name: &str, json: &str) -> Result<PathBuf, HycapError> {
     Ok(path)
 }
 
-/// `true` when the bench was invoked with `--quick` (the CI smoke
-/// profile). Shared by the report bins so the flag is spelled and parsed
-/// exactly one way.
-pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// [`write_json`] plus a copy at the repository root (`<name>.json`),
-/// where committed bench baselines live. Only for artifacts WITHOUT a CI
-/// gate that diffs the committed root file against a fresh run — a gated
-/// bench (BENCH_PR8, BENCH_PR9) must use plain [`write_json`], or the run
-/// would overwrite the very baseline it is gated against. Returns the
-/// `target/reports/` path.
-///
-/// # Errors
-///
-/// [`HycapError::Io`] on filesystem errors.
-pub fn write_json_with_root_copy(name: &str, json: &str) -> Result<PathBuf, HycapError> {
-    let path = write_json(name, json)?;
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}.json"));
-    fs::write(&root, json).map_err(|e| HycapError::io("write root json copy", &e))?;
-    Ok(path)
-}
-
-/// Writes a metrics [`Snapshot`] as flat `kind,name,field,value` CSV into
-/// [`reports_dir`], returning its path.
-///
-/// # Errors
-///
-/// [`HycapError::Io`] on filesystem errors.
-pub fn write_snapshot_csv(name: &str, snapshot: &Snapshot) -> Result<PathBuf, HycapError> {
-    let path = reports_dir()?.join(format!("{name}.csv"));
-    fs::write(&path, snapshot.to_csv())
-        .map_err(|e| HycapError::io("write metrics snapshot csv", &e))?;
-    Ok(path)
-}
-
 /// Renders an ASCII table with padded columns.
 ///
 /// # Panics
@@ -243,14 +206,10 @@ mod tests {
         obs.sink.observe("test.value", 1.5);
         let snap = obs.snapshot();
         let jp = write_snapshot_json("test_snapshot_writer", &snap).unwrap();
-        let cp = write_snapshot_csv("test_snapshot_writer", &snap).unwrap();
         let json = fs::read_to_string(&jp).unwrap();
         assert!(json.contains("hycap-metrics/1"));
         assert!(json.contains("test.counter"));
-        let csv = fs::read_to_string(&cp).unwrap();
-        assert!(csv.contains("counter,test.counter"));
         fs::remove_file(jp).ok();
-        fs::remove_file(cp).ok();
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! λ ≤ O(1/f) + O(min(k²c/n, k/n)).
 //! ```
 
+use hycap_errors::HycapError;
 use hycap_geom::Cut;
 use hycap_routing::TrafficMatrix;
 use hycap_sim::HybridNetwork;
@@ -51,9 +52,9 @@ pub struct CutBound {
 ///
 /// Returns `lambda_bound = ∞` when no flow crosses the cut.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `slots == 0`.
+/// [`HycapError::InvalidParameter`] when `slots == 0`.
 pub fn cut_upper_bound<C: Cut, R: Rng + ?Sized>(
     net: &mut HybridNetwork,
     cut: &C,
@@ -62,8 +63,10 @@ pub fn cut_upper_bound<C: Cut, R: Rng + ?Sized>(
     c_t: f64,
     slots: usize,
     rng: &mut R,
-) -> CutBound {
-    assert!(slots > 0, "need at least one slot");
+) -> Result<CutBound, HycapError> {
+    if slots == 0 {
+        return Err(HycapError::invalid("slots", "need at least one slot"));
+    }
     let n = net.n();
     let range = critical_range(n, c_t);
     let scheduler = SStarScheduler::new(delta);
@@ -108,13 +111,13 @@ pub fn cut_upper_bound<C: Cut, R: Rng + ?Sized>(
     } else {
         (wireless_term + wire_term) / crossing_flows as f64
     };
-    CutBound {
+    Ok(CutBound {
         lambda_bound,
         wireless_term,
         wire_term,
         crossing_flows,
         slots,
-    }
+    })
 }
 
 /// The Lemma 8 empirical access bound: measures the aggregate MS↔BS
@@ -124,18 +127,24 @@ pub fn cut_upper_bound<C: Cut, R: Rng + ?Sized>(
 ///
 /// Returns `(per_node_bound, aggregate_rate)`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `slots == 0` or the network has no base stations.
+/// * [`HycapError::InvalidParameter`] when `slots == 0`;
+/// * [`HycapError::MissingInfrastructure`] when the network has no base
+///   stations.
 pub fn access_upper_bound<R: Rng + ?Sized>(
     net: &mut HybridNetwork,
     delta: f64,
     c_t: f64,
     slots: usize,
     rng: &mut R,
-) -> (f64, f64) {
-    assert!(slots > 0, "need at least one slot");
-    assert!(net.k() > 0, "access bound requires base stations");
+) -> Result<(f64, f64), HycapError> {
+    if slots == 0 {
+        return Err(HycapError::invalid("slots", "need at least one slot"));
+    }
+    if net.k() == 0 {
+        return Err(HycapError::MissingInfrastructure("access bound"));
+    }
     let n = net.n();
     let range = critical_range(n, c_t);
     let scheduler = SStarScheduler::new(delta);
@@ -154,7 +163,7 @@ pub fn access_upper_bound<R: Rng + ?Sized>(
         }
     }
     let aggregate = contacts / slots as f64;
-    (aggregate / n as f64, aggregate)
+    Ok((aggregate / n as f64, aggregate))
 }
 
 #[cfg(test)]
@@ -188,7 +197,7 @@ mod tests {
         let (mut net, mut rng) = dense_net(300, 0, 1);
         let traffic = TrafficMatrix::permutation(300, &mut rng);
         let cut = HalfStripCut::bisection();
-        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 200, &mut rng);
+        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 200, &mut rng).unwrap();
         assert!(bound.crossing_flows > 100, "{}", bound.crossing_flows);
         assert!(bound.lambda_bound.is_finite());
         assert!(bound.lambda_bound > 0.0);
@@ -200,7 +209,7 @@ mod tests {
         let (mut net, mut rng) = dense_net(100, 16, 2);
         let traffic = TrafficMatrix::permutation(100, &mut rng);
         let cut = HalfStripCut::bisection();
-        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 50, &mut rng);
+        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 50, &mut rng).unwrap();
         // Regular 4x4 grid splits 8/8 across the bisection: 64·c.
         assert!((bound.wire_term - 64.0).abs() < 1e-9, "{}", bound.wire_term);
     }
@@ -230,7 +239,7 @@ mod tests {
             .unwrap()
             .base;
         let cut = HalfStripCut::bisection();
-        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 300, &mut rng);
+        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 300, &mut rng).unwrap();
         assert!(
             bound.lambda_bound >= fluid.lambda,
             "cut bound {} below achieved {}",
@@ -242,9 +251,9 @@ mod tests {
     #[test]
     fn access_bound_scales_with_k() {
         let (mut net4, mut rng) = dense_net(200, 4, 4);
-        let (per4, agg4) = access_upper_bound(&mut net4, 0.5, 0.4, 300, &mut rng);
+        let (per4, agg4) = access_upper_bound(&mut net4, 0.5, 0.4, 300, &mut rng).unwrap();
         let (mut net16, mut rng2) = dense_net(200, 16, 5);
-        let (per16, agg16) = access_upper_bound(&mut net16, 0.5, 0.4, 300, &mut rng2);
+        let (per16, agg16) = access_upper_bound(&mut net16, 0.5, 0.4, 300, &mut rng2).unwrap();
         assert!(agg4 > 0.0);
         assert!(
             agg16 > 2.0 * agg4,
@@ -260,16 +269,18 @@ mod tests {
         // the other half so nothing crosses.
         let traffic = TrafficMatrix::permutation(10, &mut rng);
         let cut = hycap_geom::DiskCut::new(hycap_geom::Point::new(0.0, 0.0), 1e-6);
-        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 10, &mut rng);
+        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 10, &mut rng).unwrap();
         if bound.crossing_flows == 0 {
             assert!(bound.lambda_bound.is_infinite());
         }
     }
 
     #[test]
-    #[should_panic(expected = "requires base stations")]
     fn access_bound_needs_bs() {
         let (mut net, mut rng) = dense_net(20, 0, 7);
-        let _ = access_upper_bound(&mut net, 0.5, 0.4, 10, &mut rng);
+        assert_eq!(
+            access_upper_bound(&mut net, 0.5, 0.4, 10, &mut rng),
+            Err(HycapError::MissingInfrastructure("access bound"))
+        );
     }
 }

@@ -499,16 +499,7 @@ impl Scenario {
     /// engine and `"measure_par"` for the slot-sharded one — the two agree
     /// in distribution, not bit-for-bit, so they must never share a key.
     pub fn cache_key(&self, mode: &str, slots: usize) -> String {
-        self.cache_key_with(mode, slots, &[])
-    }
-
-    /// [`Scenario::cache_key`] with extra digest parts folded in — e.g. a
-    /// [`hycap_sim::FaultSchedule::digest_parts`] for faulted runs, so an
-    /// edit to the fault schedule invalidates exactly the points it
-    /// perturbs and no others.
-    pub fn cache_key_with(&self, mode: &str, slots: usize, extra: &[String]) -> String {
-        let mut parts = self.digest_parts(mode, slots);
-        parts.extend_from_slice(extra);
+        let parts = self.digest_parts(mode, slots);
         let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
         format!("scenario-{}", scenario_digest(&refs))
     }
@@ -1418,10 +1409,6 @@ mod tests {
         assert_ne!(base, s.cache_key("measure", 101));
         let other = Scenario::builder(strong_exps(), 200).seed(2).build();
         assert_ne!(base, other.cache_key("measure", 100));
-        assert_ne!(
-            base,
-            s.cache_key_with("measure", 100, &["fault=crash@0:1".into()])
-        );
     }
 
     #[test]

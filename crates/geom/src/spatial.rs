@@ -887,34 +887,6 @@ impl SpatialHash {
         n
     }
 
-    /// Total indexed population (alive or not) of the cell block that
-    /// covers a radius-`radius` disk around point `id`, including `id`
-    /// itself.
-    ///
-    /// Upper-bounds `1 + count_within(position(id), radius)`: a result of
-    /// `<= 1` proves `id` has no neighbor within `radius`, without a single
-    /// distance computation. Used to prune candidate generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn block_population(&self, id: usize, radius: f64) -> usize {
-        let Some(grid) = self.grid else { return 0 };
-        let c = self.cell_scratch[id] as usize;
-        let s = grid.cells_per_side();
-        let mut pop = 0usize;
-        for_each_block_run(
-            s,
-            c / s,
-            c % s,
-            block_reach(radius, self.cell_len),
-            |cells| {
-                pop += (self.starts[cells.end] - self.starts[cells.start]) as usize;
-            },
-        );
-        pop
-    }
-
     /// The singleton-guard-zone kernel of scheduler `S*`: for every alive
     /// point `i`, sets `out[i]` to the id of the *unique* alive point
     /// strictly within `radius` of `i`, or `usize::MAX` when `i` has zero
@@ -1889,19 +1861,6 @@ mod tests {
         streamed.unique_neighbors_into(radius, Some(&alive), &mut scratch, &mut b);
         assert_eq!(a, b);
         assert_eq!(a, brute_unique_neighbors(&pts, radius, Some(&alive)));
-    }
-
-    #[test]
-    fn block_population_upper_bounds_disk_count() {
-        let pts = random_points(300, 109);
-        let radius = 0.05;
-        let hash = SpatialHash::build(&pts, radius);
-        for (id, &p) in pts.iter().enumerate() {
-            let pop = hash.block_population(id, radius);
-            let within = hash.count_within(p, radius);
-            assert!(pop >= within, "id {id}: block {pop} < disk {within}");
-            assert!(pop >= 1, "block must include the point itself");
-        }
     }
 
     /// Streams `pts` in chunks of `chunk` through the streamed builder.

@@ -1,4 +1,4 @@
-//! Local density `ρ(X)` and the uniformly-dense criterion.
+//! Local density `ρ(X)` and the uniformly-dense condition.
 //!
 //! Definition 7 of the paper defines the local density at `X` as the
 //! expected number of nodes inside the disk `B(X, 1/√n)`; Definition 8 calls

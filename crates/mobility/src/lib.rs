@@ -19,7 +19,7 @@
 //!   derives slot `s`'s generator from `(seed, s)` so stateless processes
 //!   can rederive any slot's snapshot without replaying earlier slots.
 //! * [`density`] — the local density `ρ(X)` of Definition 7 and the
-//!   uniformly-dense criterion of Definition 8 / Theorem 1.
+//!   uniformly-dense condition of Definition 8 / Theorem 1.
 //! * [`trace`] — mobility-trace recording, CSV exchange, and estimation of
 //!   the model's ingredients (home-points, kernel, contacts) from traces.
 //!

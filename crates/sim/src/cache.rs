@@ -34,9 +34,7 @@
 //! differ are doubly invalidated.
 //!
 //! Cache bookkeeping never touches engine RNG streams or measured values;
-//! hit/miss/byte counters are exposed via [`ResultCache::stats`] and
-//! [`ResultCache::record_counters`] for the `hycap cache stats` subcommand
-//! and the bench harness.
+//! hit/miss/byte counters are exposed via [`ResultCache::stats`].
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -45,7 +43,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use hycap_errors::HycapError;
-use hycap_obs::MetricsSink;
 
 use crate::checkpoint::ENGINE_VERSION;
 
@@ -217,18 +214,6 @@ impl ResultCache {
             .stats
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Emits the traffic counters into a metrics sink (`cache.hits`,
-    /// `cache.misses`, `cache.stores`, `cache.bytes_read`,
-    /// `cache.bytes_written`).
-    pub fn record_counters<S: MetricsSink>(&self, sink: &mut S) {
-        let s = self.stats();
-        sink.counter("cache.hits", s.hits);
-        sink.counter("cache.misses", s.misses);
-        sink.counter("cache.stores", s.stores);
-        sink.counter("cache.bytes_read", s.bytes_read);
-        sink.counter("cache.bytes_written", s.bytes_written);
     }
 
     /// Looks up `key` and converts the stored entry through `decode`.

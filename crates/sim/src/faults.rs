@@ -172,33 +172,6 @@ impl FaultSchedule {
     pub fn bernoulli(&self) -> Option<(f64, u64)> {
         self.bernoulli
     }
-
-    /// Canonical digest parts for [`crate::scenario_digest`]: one string
-    /// per scripted event (in order — reordered events change fault-masked
-    /// results, so they must change the digest too) plus the Bernoulli
-    /// configuration. This is the "fault-relevant component" of a cache
-    /// key: editing a schedule invalidates exactly the cached points whose
-    /// key folds in the edited schedule, and nothing else.
-    pub fn digest_parts(&self) -> Vec<String> {
-        let mut parts = Vec::with_capacity(self.events.len() + 1);
-        for ev in &self.events {
-            parts.push(match *ev {
-                FaultEvent::BsCrash { slot, bs } => format!("fault=crash@{slot}:{bs}"),
-                FaultEvent::BsRepair { slot, bs } => format!("fault=repair@{slot}:{bs}"),
-                FaultEvent::WireCut { slot, a, b } => format!("fault=cut@{slot}:{a}-{b}"),
-                FaultEvent::WireRepair { slot, a, b } => {
-                    format!("fault=mend@{slot}:{a}-{b}")
-                }
-                FaultEvent::WireDegrade { slot, a, b, factor } => {
-                    format!("fault=degrade@{slot}:{a}-{b}:{:016x}", factor.to_bits())
-                }
-            });
-        }
-        if let Some((p, seed)) = self.bernoulli {
-            parts.push(format!("fault=bernoulli:{:016x}:{seed}", p.to_bits()));
-        }
-        parts
-    }
 }
 
 /// How a crashed base station interacts with the wireless spectrum.

@@ -272,6 +272,8 @@ pub struct FluidEngine {
     delta: f64,
     c_t: f64,
     range_override: Option<f64>,
+    // The static-position schedule memo. Always on outside the unit test
+    // that checks it against recomputation.
     memoize: bool,
 }
 
@@ -292,18 +294,6 @@ impl FluidEngine {
             range_override: None,
             memoize: true,
         }
-    }
-
-    /// Disables the static-position schedule memo ([`ScheduleMemo`]).
-    ///
-    /// Memoization is on by default and bit-identical to recomputation (it
-    /// only engages when [`HybridNetwork::positions_static`] holds, and
-    /// invalidates on every alive-mask change); this switch exists so the
-    /// cache bench can measure the speedup and *assert* that identity
-    /// rather than trust it.
-    pub fn without_schedule_memo(mut self) -> Self {
-        self.memoize = false;
-        self
     }
 
     /// Overrides the transmission range with an explicit value instead of
@@ -1365,7 +1355,10 @@ mod tests {
         let mut net = HybridNetwork::with_infrastructure(pop, bs);
         assert!(net.positions_static());
         let on = FluidEngine::default();
-        let off = on.without_schedule_memo();
+        let off = FluidEngine {
+            memoize: false,
+            ..on
+        };
         // Fault churn: scripted crash/repair plus per-slot Bernoulli
         // outage masks — the memo must invalidate on every transition.
         let schedule = FaultSchedule::empty()

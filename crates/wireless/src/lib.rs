@@ -43,8 +43,8 @@ pub use protocol::ProtocolModel;
 pub use schedule::{
     check_schedule_feasibility, check_schedule_feasibility_indexed, schedule_active_observed,
     schedule_memoized_observed, schedule_observed, schedule_prebuilt_observed,
-    schedule_touching_observed, GreedyMatchingScheduler, GreedyVersion, SStarScheduler,
-    ScheduleMemo, ScheduledPair, Scheduler, SlotWorkspace,
+    schedule_touching_observed, GreedyMatchingScheduler, SStarScheduler, ScheduleMemo,
+    ScheduledPair, Scheduler, SlotWorkspace,
 };
 
 /// Index of a node in a position array (mobile stations first, then base

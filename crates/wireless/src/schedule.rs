@@ -3,9 +3,6 @@
 use crate::{NodeId, ProtocolModel};
 use hycap_geom::{clamp_index_radius, OccupancyScratch, Point, SpatialHash};
 use hycap_obs::{MetricsSink, Observer, Probes, PROBE_SCHEDULE_FEASIBILITY};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// A scheduled bidirectional pair.
@@ -90,7 +87,7 @@ pub struct SlotWorkspace {
     /// `u32` by the [`SpatialHash`] capacity contract, so a candidate is 8
     /// bytes — at 10⁶ nodes the list stays cache-friendly.
     candidates: Vec<(u32, u32)>,
-    /// Greedy v2: canonical per-node sort key (cell Morton code, then the
+    /// Greedy: canonical per-node sort key (cell Morton code, then the
     /// order-preserving bit patterns of x and y).
     node_keys: Vec<(u64, u64, u64)>,
     /// Greedy: per-node "already matched" flags.
@@ -484,116 +481,37 @@ impl Scheduler for SStarScheduler {
     }
 }
 
-/// Which candidate-enumeration generation a [`GreedyMatchingScheduler`]
-/// runs. See DESIGN.md §14 for the v1 → v2 seed-break rationale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GreedyVersion {
-    /// The historical matcher: candidates gathered by a per-node radius
-    /// scan in input-id order, then shuffled with an RNG seeded from a
-    /// fold over the position array. Deterministic per snapshot, but the
-    /// accept order — and hence the schedule — depends on how the input
-    /// happens to be indexed, which blocks order-neutral (streamed,
-    /// sharded) candidate generation.
-    V1,
-    /// The order-neutral matcher: candidates enumerated by the pair kernel
-    /// of the occupancy index and sorted into canonical cell-Morton order
-    /// keyed on geometry alone, so any permutation of the input produces
-    /// the same schedule (up to the node relabeling). This is the
-    /// documented seed-break of PR 8; v1 stays available for the frozen
-    /// bit-identity pins.
-    #[default]
-    V2,
-}
-
 /// A greedy maximal-matching baseline scheduler.
 ///
-/// Candidate pairs within range are visited in a deterministic order — a
-/// canonical geometry-keyed order for [`GreedyVersion::V2`] (the default),
-/// a snapshot-seeded shuffle for the historical [`GreedyVersion::V1`] —
-/// and a pair is activated iff both endpoints are unused and each endpoint
-/// is at least `(1+Δ)R_T` away from every endpoint of an already-active
-/// pair. Both versions are pure functions of the position snapshot, as
-/// Definition 9's stationarity requires.
+/// Candidate pairs within range are visited in a canonical
+/// geometry-keyed order, and a pair is activated iff both endpoints are
+/// unused and each endpoint is at least `(1+Δ)R_T` away from every
+/// endpoint of an already-active pair. The schedule is a pure function of
+/// the position snapshot, as Definition 9's stationarity requires, and
+/// any permutation of the input yields the same schedule up to the
+/// relabeling (exactly coincident positions excepted).
 ///
 /// `S*` is strictly more conservative: every `S*` pair is feasible for the
 /// greedy matcher *regardless of accept order* (no third node sits within
 /// the guard zone of either `S*` endpoint, so nothing can block it), but
 /// the greedy matcher can pack more pairs in crowded areas. Theorem 2
 /// shows the extra pairs do not change the capacity order; the
-/// `schedulers` bench quantifies the constant-factor gap.
+/// `ablations` bin's scheduler ablation quantifies the constant-factor
+/// gap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GreedyMatchingScheduler {
     protocol: ProtocolModel,
-    version: GreedyVersion,
 }
 
 impl GreedyMatchingScheduler {
-    /// Creates the matcher with guard factor `Δ`, running the current
-    /// candidate-order generation ([`GreedyVersion::V2`]).
-    ///
-    /// **Seed-break notice:** up to PR 7 this constructor produced the v1
-    /// shuffle order; schedules (not capacity orders) differ between the
-    /// two. Callers pinned to the historical bit patterns must migrate to
-    /// [`GreedyMatchingScheduler::v1`].
+    /// Creates the matcher with guard factor `Δ`.
     pub fn new(delta: f64) -> Self {
-        GreedyMatchingScheduler::with_version(delta, GreedyVersion::V2)
-    }
-
-    /// Creates the frozen historical matcher ([`GreedyVersion::V1`]),
-    /// bit-identical to the pre-PR 8 `new`.
-    pub fn v1(delta: f64) -> Self {
-        GreedyMatchingScheduler::with_version(delta, GreedyVersion::V1)
-    }
-
-    /// Creates the matcher with an explicit candidate-order version.
-    pub fn with_version(delta: f64, version: GreedyVersion) -> Self {
         GreedyMatchingScheduler {
             protocol: ProtocolModel::new(delta),
-            version,
         }
     }
 
-    /// The candidate-order generation this instance runs.
-    pub fn version(&self) -> GreedyVersion {
-        self.version
-    }
-
-    /// v1 candidate order: per-node radius scans in input-id order, then a
-    /// shuffle seeded from a fold over the position array. Preserved
-    /// verbatim (including the seed fold) for the frozen pins.
-    fn order_candidates_v1(
-        positions: &[Point],
-        range: f64,
-        alive: Option<&[bool]>,
-        ws: &mut SlotWorkspace,
-    ) {
-        ws.candidates.clear();
-        for (i, &p) in positions.iter().enumerate() {
-            if !is_alive(alive, i) {
-                continue;
-            }
-            if ws.hash.block_population(i, range) <= 1 {
-                continue;
-            }
-            let candidates = &mut ws.candidates;
-            ws.hash.for_each_within(p, range, |j| {
-                if j > i && is_alive(alive, j) {
-                    candidates.push((i as u32, j as u32));
-                }
-            });
-        }
-        // Deterministic shuffle seeded from the snapshot geometry.
-        let seed = positions
-            .iter()
-            .fold(0u64, |acc, p| {
-                acc.wrapping_mul(31).wrapping_add((p.x * 1e9) as u64)
-            })
-            .wrapping_add(positions.len() as u64);
-        let mut rng = StdRng::seed_from_u64(seed);
-        ws.candidates.shuffle(&mut rng);
-    }
-
-    /// v2 candidate order: enumerate in-range pairs with the symmetric pair
+    /// Candidate order: enumerate in-range pairs with the symmetric pair
     /// kernel, then sort by a key derived from geometry alone — each
     /// endpoint maps to (cell Morton code, x bits, y bits) and a pair is
     /// keyed by its smaller endpoint key first. Input ids never enter the
@@ -601,7 +519,7 @@ impl GreedyMatchingScheduler {
     /// sequence (and hence the same schedule) up to the relabeling —
     /// except between nodes at *exactly* coincident positions, whose keys
     /// tie (a measure-zero event for continuous placements).
-    fn order_candidates_v2(range: f64, alive: Option<&[bool]>, ws: &mut SlotWorkspace) {
+    fn order_candidates(range: f64, alive: Option<&[bool]>, ws: &mut SlotWorkspace) {
         let n = ws.hash.len();
         ws.node_keys.clear();
         ws.node_keys.reserve(n);
@@ -659,12 +577,8 @@ impl Scheduler for GreedyMatchingScheduler {
         let guard = self.protocol.guard_radius(range);
         ws.hash.update(positions, clamp_index_radius(guard));
         // Enumerate and order candidate pairs within range; dead nodes are
-        // invisible. Both orderings are deterministic per snapshot; only v2
-        // is invariant under input permutation.
-        match self.version {
-            GreedyVersion::V1 => Self::order_candidates_v1(positions, range, alive, ws),
-            GreedyVersion::V2 => Self::order_candidates_v2(range, alive, ws),
-        }
+        // invisible.
+        Self::order_candidates(range, alive, ws);
 
         ws.used.clear();
         ws.used.resize(positions.len(), false);
@@ -673,8 +587,9 @@ impl Scheduler for GreedyMatchingScheduler {
         // >= guard, so each candidate examines a 3x3 block instead of every
         // accepted endpoint (the linear scan this replaced made crowded
         // slots O(candidates x accepted)). Pure existence queries — accept
-        // decisions are order-irrelevant — so both versions' schedules are
-        // bit-identical to the replaced scan, v1 pins included.
+        // decisions are order-irrelevant — so the schedule is bit-identical
+        // to the replaced scan (the naive reference in tests/greedy_v2.rs
+        // still runs it).
         let cells = if guard.is_finite() && guard > 0.0 {
             ((1.0 / guard) as usize).clamp(1, 4096)
         } else {
@@ -1225,6 +1140,8 @@ pub fn sstar_violations(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn isolated_pair_positions() -> Vec<Point> {
         vec![

@@ -13,7 +13,10 @@
 //! 3. **Reference bit-identity** — the production matcher is bit-identical
 //!    to a naive O(n²) reimplementation of the v2 specification:
 //!    brute-force in-range pair enumeration, canonical
-//!    (cell-Morton, x-bits, y-bits) sort, and the shared guard accept loop.
+//!    (cell-Morton, x-bits, y-bits) sort, and a linear guard accept scan.
+//!    It holds on single snapshots, across a drifting slot sequence that
+//!    reuses one workspace (so the index updates incrementally), and on
+//!    uniform and clustered layouts up to n = 2000.
 //!
 //! Exactly coincident positions are the documented exception to (1): their
 //! keys tie and the unstable sort may order them differently. The
@@ -24,8 +27,7 @@
 use hycap_geom::{clamp_index_radius, Point};
 use hycap_obs::Probes;
 use hycap_wireless::{
-    check_schedule_feasibility, GreedyMatchingScheduler, GreedyVersion, ScheduledPair, Scheduler,
-    SlotWorkspace,
+    check_schedule_feasibility, GreedyMatchingScheduler, ScheduledPair, Scheduler, SlotWorkspace,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -224,6 +226,87 @@ proptest! {
         let got = schedule_v2(&positions, range, delta, mask.as_deref());
         prop_assert_eq!(got, want);
     }
+
+    /// Bit-identity across a slot *sequence* reusing one workspace, where
+    /// consecutive snapshots drift: the path where the incremental index
+    /// update engages inside the matcher.
+    #[test]
+    fn drifting_slots_bit_identical_to_naive_reference(
+        positions in arb_distinct_positions(150),
+        range in 0.01f64..0.1,
+        steps in prop::collection::vec(0.0f64..0.02, 1..4),
+    ) {
+        let mut positions = positions;
+        let g = GreedyMatchingScheduler::new(1.0);
+        let mut ws = SlotWorkspace::new();
+        let mut got = Vec::new();
+        for (slot, &step) in steps.iter().enumerate() {
+            for (i, p) in positions.iter_mut().enumerate() {
+                let h = (i.wrapping_mul(2654435761).wrapping_add(slot.wrapping_mul(97))) as u64;
+                let dx = ((h % 1024) as f64 / 511.5 - 1.0) * step;
+                let dy = (((h >> 10) % 1024) as f64 / 511.5 - 1.0) * step;
+                *p = p.translate(hycap_geom::Vec2::new(dx, dy));
+            }
+            g.schedule_into(&positions, range, &mut ws, &mut got);
+            prop_assert_eq!(&got, &naive_v2(&positions, range, 1.0, None));
+        }
+    }
+}
+
+/// Bit-identity at the scales the proptest budget cannot reach: n up to
+/// 2000, uniform and clustered placements, masked and unmasked, at the
+/// critical, a tiny and a large range. One workspace serves every case.
+/// The clustered placement crowds many candidates into few cells, where
+/// the bucketed accept loop does the most work.
+#[test]
+fn large_n_bit_identical_to_naive_reference() {
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    let uniform = |rng: &mut StdRng, n: usize| -> Vec<Point> {
+        (0..n)
+            .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
+            .collect()
+    };
+    let clustered = |rng: &mut StdRng, n: usize| -> Vec<Point> {
+        let centers: Vec<Point> = (0..8)
+            .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
+            .collect();
+        (0..n)
+            .map(|_| {
+                let c = centers[rng.gen_range(0..centers.len())];
+                let dx = (rng.gen::<f64>() - 0.5) * 0.04;
+                let dy = (rng.gen::<f64>() - 0.5) * 0.04;
+                Point::new(c.x + dx, c.y + dy)
+            })
+            .collect()
+    };
+    let mut ws = SlotWorkspace::new();
+    let mut got = Vec::new();
+    for &n in &[2usize, 17, 400, 2000] {
+        for placement in 0..2 {
+            let positions = if placement == 0 {
+                uniform(&mut rng, n)
+            } else {
+                clustered(&mut rng, n)
+            };
+            let mask: Option<Vec<bool>> = if n % 2 == 0 {
+                Some((0..n).map(|i| i % 7 != 0).collect())
+            } else {
+                None
+            };
+            let range = hycap_wireless::critical_range(n.max(8), 1.0);
+            for &r in &[range, 0.004, 0.2] {
+                GreedyMatchingScheduler::new(1.0).schedule_masked_into(
+                    &positions,
+                    r,
+                    mask.as_deref(),
+                    &mut ws,
+                    &mut got,
+                );
+                let want = naive_v2(&positions, r, 1.0, mask.as_deref());
+                assert_eq!(got, want, "n={n} placement={placement} r={r}");
+            }
+        }
+    }
 }
 
 /// Deterministic large-n sweep (n = 2000, all three regimes): permutation
@@ -272,23 +355,4 @@ fn large_n_permutation_invariant_and_feasible() {
             "{regime} schedule unexpectedly empty at n = {n}"
         );
     }
-}
-
-/// The constructors wire the versions as documented: `new` is the
-/// order-neutral V2 default, `v1` the frozen historical matcher.
-#[test]
-fn constructor_version_wiring() {
-    assert_eq!(
-        GreedyMatchingScheduler::new(0.5).version(),
-        GreedyVersion::V2
-    );
-    assert_eq!(
-        GreedyMatchingScheduler::v1(0.5).version(),
-        GreedyVersion::V1
-    );
-    assert_eq!(
-        GreedyMatchingScheduler::with_version(0.5, GreedyVersion::V1).version(),
-        GreedyVersion::V1
-    );
-    assert_eq!(GreedyVersion::default(), GreedyVersion::V2);
 }

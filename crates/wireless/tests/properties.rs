@@ -42,16 +42,14 @@ fn arb_regime_range() -> impl Strategy<Value = f64> {
     prop_oneof![0.002f64..0.012, 0.012f64..0.08, 0.08f64..0.35]
 }
 
-/// The seed schedulers, reimplemented verbatim from the pre-kernel source
-/// on top of the public `SpatialHash` API (`rebuild` + `for_each_within`,
-/// both of which kept their exact iteration semantics). The production
-/// schedulers must stay bit-identical to these loops.
+/// The seed S* scheduler, reimplemented verbatim from the pre-kernel
+/// source on top of the public `SpatialHash` API (`rebuild` +
+/// `for_each_within`, both of which kept their exact iteration semantics).
+/// The production scheduler must stay bit-identical to this loop. The
+/// greedy matcher's reference is `naive_v2` in tests/greedy_v2.rs.
 mod seed_reference {
     use hycap_geom::{Point, SpatialHash};
     use hycap_wireless::ScheduledPair;
-    use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
 
     fn is_alive(alive: Option<&[bool]>, id: usize) -> bool {
         alive.is_none_or(|a| a[id])
@@ -95,58 +93,6 @@ mod seed_reference {
             {
                 out.push(ScheduledPair::new(i, j));
             }
-        }
-        out
-    }
-
-    pub fn greedy(
-        positions: &[Point],
-        range: f64,
-        delta: f64,
-        alive: Option<&[bool]>,
-    ) -> Vec<ScheduledPair> {
-        let mut out = Vec::new();
-        if positions.len() < 2 {
-            return out;
-        }
-        let guard = (1.0 + delta) * range;
-        let mut hash = SpatialHash::new();
-        hash.rebuild(positions, guard.clamp(1e-4, 0.25));
-        let mut candidates = Vec::new();
-        for (i, &p) in positions.iter().enumerate() {
-            if !is_alive(alive, i) {
-                continue;
-            }
-            hash.for_each_within(p, range, |j| {
-                if j > i && is_alive(alive, j) {
-                    candidates.push((i, j));
-                }
-            });
-        }
-        let seed = positions
-            .iter()
-            .fold(0u64, |acc, p| {
-                acc.wrapping_mul(31).wrapping_add((p.x * 1e9) as u64)
-            })
-            .wrapping_add(positions.len() as u64);
-        let mut rng = StdRng::seed_from_u64(seed);
-        candidates.shuffle(&mut rng);
-        let mut used = vec![false; positions.len()];
-        let mut active: Vec<Point> = Vec::new();
-        'next: for &(i, j) in &candidates {
-            if used[i] || used[j] {
-                continue;
-            }
-            for &e in &active {
-                if e.torus_dist(positions[i]) < guard || e.torus_dist(positions[j]) < guard {
-                    continue 'next;
-                }
-            }
-            used[i] = true;
-            used[j] = true;
-            active.push(positions[i]);
-            active.push(positions[j]);
-            out.push(ScheduledPair::new(i, j));
         }
         out
     }
@@ -270,27 +216,6 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The block-pruned greedy v1 matcher is bit-identical to the seed
-    /// scheduler: the candidate list (and hence the deterministic shuffle
-    /// and the activation order) must be unchanged. The default matcher is
-    /// GreedyV2 (an explicit PR 8 seed-break, pinned by its own reference
-    /// in tests/greedy_v2.rs); this pin freezes the v1 constructor.
-    #[test]
-    fn greedy_v1_bit_identical_to_seed_reference(
-        positions in arb_positions(250),
-        mask_seed in any::<u64>(),
-        range in arb_regime_range(),
-        delta in 0.0f64..1.5,
-    ) {
-        let mask = mask_from_seed(positions.len(), mask_seed);
-        let want = seed_reference::greedy(&positions, range, delta, mask.as_deref());
-        let mut ws = SlotWorkspace::new();
-        let mut got = Vec::new();
-        GreedyMatchingScheduler::v1(delta)
-            .schedule_masked_into(&positions, range, mask.as_deref(), &mut ws, &mut got);
-        prop_assert_eq!(got, want);
-    }
-
     /// Bit-identity holds across a slot *sequence* reusing one workspace,
     /// where consecutive snapshots drift — this is the path where the
     /// incremental CSR update actually engages inside the scheduler.
@@ -302,8 +227,6 @@ proptest! {
     ) {
         let mut positions = positions;
         let s = SStarScheduler::new(1.0);
-        // v1: this pin compares against the frozen seed reference.
-        let g = GreedyMatchingScheduler::v1(1.0);
         let mut ws = SlotWorkspace::new();
         let mut got = Vec::new();
         for (slot, &step) in steps.iter().enumerate() {
@@ -315,8 +238,6 @@ proptest! {
             }
             s.schedule_into(&positions, range, &mut ws, &mut got);
             prop_assert_eq!(&got, &seed_reference::sstar(&positions, range, 1.0, None));
-            g.schedule_into(&positions, range, &mut ws, &mut got);
-            prop_assert_eq!(&got, &seed_reference::greedy(&positions, range, 1.0, None));
         }
     }
 
@@ -443,7 +364,8 @@ fn touching_schedule_emits_in_set_pairs_once_in_order() {
 
 /// Bit-identity at the scales the proptest budget cannot reach: n up to
 /// 2000, uniform and clustered placements, faulted and fault-free, against
-/// the seed reference for both policies. The clustered placement is the
+/// the seed reference. The greedy matcher runs the same layouts in
+/// tests/greedy_v2.rs. The clustered placement is the
 /// regime where the occupancy prunes fire hardest (dense cells decided by
 /// counts, empty cells skipped), so any pruning unsoundness shows up here.
 #[test]
@@ -494,15 +416,6 @@ fn large_n_bit_identical_to_seed_reference() {
                     &mut got,
                 );
                 assert_eq!(got, want, "sstar n={n} placement={placement} r={r}");
-                let want = seed_reference::greedy(&positions, r, 1.0, mask.as_deref());
-                GreedyMatchingScheduler::v1(1.0).schedule_masked_into(
-                    &positions,
-                    r,
-                    mask.as_deref(),
-                    &mut ws,
-                    &mut got,
-                );
-                assert_eq!(got, want, "greedy n={n} placement={placement} r={r}");
             }
         }
     }

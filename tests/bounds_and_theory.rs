@@ -2,11 +2,11 @@
 //! rates, the Theorem 6 placement invariance, and theory cross-checks.
 
 use hycap::{
-    capacity_exponent, cut_upper_bound, dominance, phase_surface, MobilityRegime, ModelExponents,
-    Order, Scenario,
+    access_upper_bound, capacity_exponent, cut_upper_bound, dominance, phase_surface,
+    MobilityRegime, ModelExponents, Order, Scenario,
 };
 use hycap_geom::{DiskCut, HalfStripCut, Point};
-use hycap_infra::BsPlacement;
+use hycap_infra::{BsPlacement, HycapError};
 use hycap_routing::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,7 +31,8 @@ fn cut_bound_dominates_achieved_rate() {
             0.4,
             250,
             &mut rng,
-        ),
+        )
+        .unwrap(),
         cut_upper_bound(
             &mut net,
             &DiskCut::new(Point::new(0.5, 0.5), 0.3),
@@ -40,7 +41,8 @@ fn cut_bound_dominates_achieved_rate() {
             0.4,
             250,
             &mut rng,
-        ),
+        )
+        .unwrap(),
     ] {
         assert!(
             bound.lambda_bound >= achieved.lambda,
@@ -50,6 +52,55 @@ fn cut_bound_dominates_achieved_rate() {
         );
         assert!(bound.crossing_flows > 0);
     }
+}
+
+#[test]
+fn bounds_reject_zero_slots() {
+    let exps = ModelExponents::new(0.25, 1.0, 0.0, 0.5, 0.0).unwrap();
+    let hycap::Realization {
+        mut net,
+        traffic,
+        mut rng,
+        ..
+    } = Scenario::builder(exps, 100).seed(8).build().realize();
+    let cut = cut_upper_bound(
+        &mut net,
+        &HalfStripCut::bisection(),
+        &traffic,
+        0.5,
+        0.4,
+        0,
+        &mut rng,
+    );
+    assert!(
+        matches!(cut, Err(HycapError::InvalidParameter { name: "slots", .. })),
+        "{cut:?}"
+    );
+    let access = access_upper_bound(&mut net, 0.5, 0.4, 0, &mut rng);
+    assert!(
+        matches!(
+            access,
+            Err(HycapError::InvalidParameter { name: "slots", .. })
+        ),
+        "{access:?}"
+    );
+}
+
+#[test]
+fn access_bound_requires_base_stations() {
+    let exps = ModelExponents::new(0.25, 1.0, 0.0, 0.5, 0.0).unwrap();
+    let hycap::Realization {
+        mut net, mut rng, ..
+    } = Scenario::builder(exps, 100)
+        .seed(8)
+        .without_bs()
+        .build()
+        .realize();
+    assert_eq!(net.k(), 0);
+    assert_eq!(
+        access_upper_bound(&mut net, 0.5, 0.4, 10, &mut rng),
+        Err(HycapError::MissingInfrastructure("access bound"))
+    );
 }
 
 #[test]
@@ -76,7 +127,8 @@ fn wire_term_grows_with_k_squared() {
             0.4,
             10,
             &mut rng,
-        );
+        )
+        .unwrap();
         terms.push(bound.wire_term);
     }
     // 4x the BSs → 16x the wires across the cut (k/2 each side).
