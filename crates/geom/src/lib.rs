@@ -16,7 +16,9 @@
 //! * [`HexLattice`] — the hexagonal cellular layout of routing & scheduling
 //!   scheme C (Definition 13).
 //! * [`SpatialHash`] — an `O(1)`-per-query neighbor index used by the
-//!   scheduler to evaluate the protocol interference model efficiently.
+//!   scheduler to evaluate the protocol interference model efficiently,
+//!   and [`CellChains`], the per-slot cell chains behind its per-node
+//!   queries.
 //! * [`Cut`] implementations — simple closed curves dividing `O` into an
 //!   inside and an outside, used by the cut upper bound of Lemma 6.
 //! * [`sample`] — random sampling helpers (uniform disk, Box–Muller normal,
@@ -52,7 +54,7 @@ pub use grid::{Cell, GridPath, Leg, SquareGrid};
 pub use hex::{HexCell, HexLattice};
 pub use point::{Point, Vec2};
 pub use spatial::{
-    clamp_index_radius, OccupancyScratch, RebuildKind, SpatialHash, MAX_INDEX_RADIUS,
+    clamp_index_radius, CellChains, OccupancyScratch, RebuildKind, SpatialHash, MAX_INDEX_RADIUS,
     MIN_INDEX_RADIUS,
 };
 pub use torus::Torus;

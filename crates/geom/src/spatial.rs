@@ -274,8 +274,7 @@ fn for_each_half_block_run(
 
 /// Counts, on top of `hit = (count, last)`, the slots `u` of `slots` other
 /// than `a` that pass `ok` and lie strictly within `√r2` of slot `a`,
-/// stopping at the second: the per-node scan of
-/// [`SpatialHash::unique_neighbor_within`] and of the sweep's dense cells.
+/// stopping at the second: the per-node scan of the sweep's dense cells.
 /// `last` is the slot of the last one counted; `tests` gains the distance
 /// tests made.
 #[inline(always)]
@@ -1111,61 +1110,6 @@ impl SpatialHash {
         }
     }
 
-    /// The id of the *unique* indexed point strictly within `radius` of
-    /// point `id`, or `usize::MAX` when `id` has zero or more than one such
-    /// neighbor.
-    ///
-    /// This is the per-node form of the unmasked
-    /// [`SpatialHash::unique_neighbors_into`] kernel and is result-identical
-    /// to it: it runs the scan that kernel gives the members of dense
-    /// cells over the whole block, stopping at the second in-radius
-    /// neighbor. A point in a dense cell scans its own cell first, where
-    /// that second neighbor mostly is; any other point keeps the block's
-    /// row order, which reads the cell-sorted mirror front to back.
-    /// Demand-driven schedulers use it to answer the `S*` singleton
-    /// question for the handful of *active* nodes without paying the
-    /// whole-network sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` is not finite and positive, or `id` is out of
-    /// range.
-    pub fn unique_neighbor_within(&self, id: usize, radius: f64) -> usize {
-        self.unique_neighbor_counting(id, radius, &mut 0)
-    }
-
-    /// [`SpatialHash::unique_neighbor_within`], adding its distance tests
-    /// to `tests`.
-    fn unique_neighbor_counting(&self, id: usize, radius: f64, tests: &mut u64) -> usize {
-        let Some(grid) = self.grid else {
-            return usize::MAX;
-        };
-        assert!(
-            radius.is_finite() && radius > 0.0,
-            "radius must be positive, got {radius}"
-        );
-        assert!(id < self.ids.len(), "point id {id} out of range");
-        let a = self.slot_of[id] as usize;
-        let home = grid.cell_of(self.pos[a]);
-        let (s, b) = (grid.cells_per_side(), block_reach(radius, self.cell_len));
-        let (r2, mut hit) = (radius * radius, (0, u32::MAX));
-        let scan = |cells: Range<usize>| {
-            let slots = self.starts[cells.start] as usize..self.starts[cells.end] as usize;
-            count_to_two(&self.pos, slots, a, r2, &|_| true, &mut hit, tests);
-        };
-        let c = home.row() * s + home.col();
-        if self.starts[c + 1] - self.starts[c] > DENSE_CELL {
-            for_each_block_run_own_cell_first(s, home.row(), home.col(), b, scan);
-        } else {
-            for_each_block_run(s, home.row(), home.col(), b, scan);
-        }
-        if hit.0 == 1 {
-            self.ids[hit.1 as usize] as usize
-        } else {
-            usize::MAX
-        }
-    }
-
     /// Calls `f(i, j)` with `i < j` exactly once for every unordered pair of
     /// indexed points strictly within `radius` of each other.
     ///
@@ -1216,6 +1160,145 @@ impl SpatialHash {
                     f(row, col, slots);
                 }
             }
+        }
+    }
+}
+
+/// The end of a cell chain.
+const CHAIN_END: u32 = u32::MAX;
+
+/// Per-slot cell chains (a linked-cell list) over a snapshot of positions:
+/// the index behind the per-node guard-zone query of the demand-driven
+/// `S*` paths, which ask it for a few hundred nodes of a slot and so
+/// cannot amortize a CSR build over all of them.
+///
+/// Building is one pass in id order that pushes each point onto its
+/// cell's chain: `head` holds one entry per cell, `next` one per point,
+/// and nothing is sorted, mirrored or kept from the previous slot. The
+/// grid, and so each query's block of cells, is the one
+/// [`SpatialHash::rebuild`] lays out for the same cell-sizing radius.
+///
+/// # Example
+///
+/// ```
+/// use hycap_geom::{CellChains, Point};
+/// let pts = vec![Point::new(0.1, 0.1), Point::new(0.12, 0.1), Point::new(0.9, 0.9)];
+/// let mut chains = CellChains::new();
+/// chains.rebuild(&pts, 0.05);
+/// assert_eq!(chains.unique_neighbor(&pts, 0, 0.05), 1);
+/// assert_eq!(chains.unique_neighbor(&pts, 2, 0.05), usize::MAX);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct CellChains {
+    grid: Option<SquareGrid>,
+    /// Per cell: the last point pushed onto its chain, or [`CHAIN_END`].
+    head: Vec<u32>,
+    /// Per point: the point pushed onto its cell's chain before it, or
+    /// [`CHAIN_END`].
+    next: Vec<u32>,
+}
+
+impl CellChains {
+    /// Creates empty chains; every query finds nothing until
+    /// [`CellChains::rebuild`].
+    pub fn new() -> Self {
+        CellChains::default()
+    }
+
+    /// Chains `points` into the grid of cell-sizing radius `max_radius`,
+    /// reusing the buffers of the previous slot.
+    ///
+    /// # Panics
+    ///
+    /// As [`SpatialHash::rebuild`]: if `max_radius` is not finite and
+    /// positive, or if more than `u32::MAX` points are chained.
+    pub fn rebuild(&mut self, points: &[Point], max_radius: f64) {
+        if let Err(e) = SpatialHash::check_build_inputs(points.len(), max_radius) {
+            panic!("{e}");
+        }
+        let grid = SquareGrid::with_cells_per_side(cells_for_radius(max_radius));
+        // `SquareGrid::cell_of` in `u32` arithmetic, which halves the cost
+        // of this pass: a side of at most 2048 cells keeps every product
+        // exact, and the saturating conversion truncates as the `usize`
+        // one does.
+        let s = grid.cells_per_side() as u32;
+        let (scale, last) = (f64::from(s), s - 1);
+        let head = &mut self.head;
+        head.clear();
+        head.resize(grid.cell_count(), CHAIN_END);
+        self.next.clear();
+        self.next.extend(points.iter().enumerate().map(|(id, p)| {
+            let col = ((p.x * scale) as u32).min(last);
+            let row = ((p.y * scale) as u32).min(last);
+            std::mem::replace(&mut head[(row * s + col) as usize], id as u32)
+        }));
+        self.grid = Some(grid);
+    }
+
+    /// The id of the *unique* point strictly within `radius` of point
+    /// `id`, or `usize::MAX` when `id` has zero or more than one such
+    /// neighbor: the per-node form of the unmasked
+    /// [`SpatialHash::unique_neighbors_into`] kernel, and result-identical
+    /// to it. `points` must be the snapshot of the last
+    /// [`CellChains::rebuild`].
+    ///
+    /// The query walks the chains of the block of cells a radius-`radius`
+    /// disk can reach, its own cell first (a crowded cell mostly holds both
+    /// neighbors that decide the answer), each distinct cell once, and
+    /// stops at the second hit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `radius` is not finite and positive, or `id` is out of
+    /// range.
+    pub fn unique_neighbor(&self, points: &[Point], id: usize, radius: f64) -> usize {
+        self.unique_neighbor_tallied(points, id, radius, &mut 0)
+    }
+
+    /// [`CellChains::unique_neighbor`], adding its distance tests to
+    /// `tests`.
+    fn unique_neighbor_tallied(
+        &self,
+        points: &[Point],
+        id: usize,
+        radius: f64,
+        tests: &mut u64,
+    ) -> usize {
+        let Some(grid) = self.grid else {
+            return usize::MAX;
+        };
+        assert!(
+            radius.is_finite() && radius > 0.0,
+            "radius must be positive, got {radius}"
+        );
+        debug_assert_eq!(
+            points.len(),
+            self.next.len(),
+            "points are not the chained snapshot"
+        );
+        let p = points[id];
+        let home = grid.cell_of(p);
+        let (s, b) = (grid.cells_per_side(), block_reach(radius, grid.cell_len()));
+        let r2 = radius * radius;
+        let (mut hits, mut only) = (0u8, CHAIN_END);
+        for_each_block_run_own_cell_first(s, home.row(), home.col(), b, |cells| {
+            for c in cells {
+                let mut u = self.head[c];
+                while u != CHAIN_END && hits < 2 {
+                    if u as usize != id {
+                        *tests += 1;
+                        if p.torus_dist_sq(points[u as usize]) < r2 {
+                            (hits, only) = (hits + 1, u);
+                        }
+                    }
+                    u = self.next[u as usize];
+                }
+            }
+        });
+        if hits == 1 {
+            only as usize
+        } else {
+            usize::MAX
         }
     }
 }
@@ -1594,7 +1677,7 @@ mod tests {
     }
 
     #[test]
-    fn per_node_query_work_is_bounded_on_dense_clusters() {
+    fn chain_query_work_is_bounded_on_dense_clusters() {
         // Four clusters of 1,000 points, each about six guard radii wide:
         // ~28 points per cell. Starting in the own cell, the query finds
         // its two neighbors within a few tests.
@@ -1613,9 +1696,14 @@ mod tests {
         let hash = SpatialHash::build(&pts, guard);
         let (mut scratch, mut out) = (OccupancyScratch::default(), Vec::new());
         hash.unique_neighbors_into(guard, None, &mut scratch, &mut out);
+        let mut chains = CellChains::new();
+        chains.rebuild(&pts, guard);
         let mut tests = 0;
         for (id, &want) in out.iter().enumerate() {
-            assert_eq!(hash.unique_neighbor_counting(id, guard, &mut tests), want);
+            assert_eq!(
+                chains.unique_neighbor_tallied(&pts, id, guard, &mut tests),
+                want
+            );
         }
         assert!(
             tests <= 4 * n as u64,
@@ -1624,9 +1712,10 @@ mod tests {
     }
 
     #[test]
-    fn per_node_unique_neighbor_matches_batch_kernel() {
+    fn chain_query_matches_batch_kernel() {
         let mut scratch = OccupancyScratch::default();
         let mut out = Vec::new();
+        let mut chains = CellChains::new();
         for (n, radius, seed) in [
             (2usize, 0.3, 59u64),
             (50, 0.08, 61),
@@ -1638,14 +1727,21 @@ mod tests {
             let hash = SpatialHash::build(&pts, clamp_index_radius(radius));
             hash.unique_neighbors_into(radius, None, &mut scratch, &mut out);
             assert_eq!(out.len(), n);
+            chains.rebuild(&pts, clamp_index_radius(radius));
             for (id, &want) in out.iter().enumerate() {
                 assert_eq!(
-                    hash.unique_neighbor_within(id, radius),
+                    chains.unique_neighbor(&pts, id, radius),
                     want,
                     "n={n} id={id}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn empty_chains_find_nothing() {
+        let chains = CellChains::new();
+        assert_eq!(chains.unique_neighbor(&[Point::ORIGIN], 0, 0.1), usize::MAX);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the torus geometry primitives.
 
 use hycap_geom::{
-    clamp_index_radius, Cut, DiskCut, HalfStripCut, OccupancyScratch, Point, RebuildKind, RectCut,
-    SpatialHash, SquareGrid, Vec2,
+    clamp_index_radius, CellChains, Cut, DiskCut, HalfStripCut, OccupancyScratch, Point,
+    RebuildKind, RectCut, SpatialHash, SquareGrid, Vec2,
 };
 use proptest::prelude::*;
 
@@ -295,8 +295,9 @@ proptest! {
     }
 
     /// Near the torus seams and on the whole-grid path the block walk wraps
-    /// or collapses; the batch kernel, the per-node scan and brute force
-    /// must still agree on every node, with and without an alive mask.
+    /// or collapses; the batch kernel, the per-node chain query and brute
+    /// force must still agree on every node, with and without an alive
+    /// mask.
     #[test]
     fn unique_neighbor_kernels_agree_at_seams_and_whole_grid(
         raw in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0usize..4), 0..120),
@@ -325,6 +326,8 @@ proptest! {
             .map(|i| (mask_seed >> (i % 64)) & 1 == 1 || i % 5 == 0)
             .collect();
         let hash = SpatialHash::build(&pts, clamp_index_radius(index_radius));
+        let mut chains = CellChains::new();
+        chains.rebuild(&pts, clamp_index_radius(index_radius));
         let mut scratch = OccupancyScratch::default();
         let mut batch = Vec::new();
         for mask in [None, Some(alive.as_slice())] {
@@ -338,7 +341,7 @@ proptest! {
                 let want = if hits.len() == 1 { hits[0] } else { usize::MAX };
                 prop_assert_eq!(batch[i], want, "node {} masked {}", i, mask.is_some());
                 if mask.is_none() {
-                    prop_assert_eq!(hash.unique_neighbor_within(i, radius), want, "node {}", i);
+                    prop_assert_eq!(chains.unique_neighbor(&pts, i, radius), want, "node {}", i);
                 }
             }
         }

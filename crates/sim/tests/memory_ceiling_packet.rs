@@ -26,6 +26,12 @@
 //! allowance of each run): the feed's ring replaces the per-run position
 //! buffers, and no slot allocates.
 //!
+//! Then it runs the active-set and set-touching `S*` passes on a bare
+//! `SlotWorkspace` over a few slots of `n` positions and asserts that the
+//! workspace holds at most 8 B per node (cell chain link and set stamp)
+//! plus 4 B per cell (chain head), and that no CSR `SpatialHash` was built
+//! behind them.
+//!
 //! The workload keeps every slot active (permutation pairs on an i.i.d.
 //! population never drain their backlog), so the full slot body — mobility
 //! resample, index update, active-set schedule, serve loop — runs every
@@ -39,6 +45,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use hycap_geom::{clamp_index_radius, Point};
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
 use hycap_sim::obs::Observer;
@@ -46,8 +53,9 @@ use hycap_sim::{
     DrawParty, FlowWorkload, HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketRun,
     SharedDraws,
 };
+use hycap_wireless::{critical_range, SStarScheduler, SlotWorkspace};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 struct CountingAlloc;
 
@@ -184,6 +192,37 @@ fn overlapped_peak_bytes(horizon: usize) -> (usize, usize) {
     (baseline - before, peak)
 }
 
+/// Runs both set-query `S*` passes on a fresh workspace over three slots
+/// of `N` uniform positions, with a relay-sized active set and a BS-sized
+/// touching set; returns the workspace's live bytes and its index cells.
+fn set_query_workspace_bytes() -> (usize, usize) {
+    let mut rng = StdRng::seed_from_u64(0x5E7);
+    let sched = SStarScheduler::new(1.0);
+    let range = critical_range(N, 0.5);
+    let active: Vec<usize> = (0..N).step_by(29).collect();
+    let bss: Vec<usize> = (N - 100..N).collect();
+    let mut positions = Vec::with_capacity(N);
+    let mut pairs = Vec::with_capacity(active.len() + bss.len());
+
+    let baseline = LIVE.load(Ordering::Relaxed);
+    let mut ws = SlotWorkspace::new();
+    for _ in 0..3 {
+        positions.clear();
+        positions.extend((0..N).map(|_| Point::new(rng.gen(), rng.gen())));
+        sched.schedule_active_into(&positions, range, &active, &mut ws, &mut pairs);
+        sched.schedule_touching_into(&positions, range, &bss, &mut ws, &mut pairs);
+    }
+    let bytes = LIVE.load(Ordering::Relaxed) - baseline;
+    assert!(
+        ws.hash().is_empty(),
+        "the set-query passes built a CSR index of {} points",
+        ws.hash().len()
+    );
+    // The index's cells per side for the guard radius.
+    let side = (1.0 / clamp_index_radius(sched.protocol().guard_radius(range))).floor() as usize;
+    (bytes, side.clamp(1, 2048).pow(2))
+}
+
 /// Direct permutation chains, one hop each.
 fn direct_peak_bytes(horizon: usize) -> usize {
     let (mut net, traffic, _) = network();
@@ -242,5 +281,14 @@ fn packet_flow_run_reuses_slot_arenas() {
         "overlapped {LONG_HORIZON}-slot runs peaked at {long} loop bytes vs \
          {warmup} for {WARMUP_HORIZON} slots: something allocates per slot \
          (allowance {REUSE_SLACK_BYTES} bytes per run)"
+    );
+
+    // A bare set-query workspace: chains and set stamps only.
+    let (bytes, cells) = set_query_workspace_bytes();
+    let budget = 8 * N + 4 * cells;
+    assert!(
+        bytes <= budget,
+        "a set-query workspace holds {bytes} live bytes, over its budget of \
+         {budget} bytes (8 B per node for {N} nodes + 4 B per cell for {cells} cells)"
     );
 }

@@ -1,7 +1,7 @@
 //! Scheduling policies: the paper's `S*` and a greedy baseline.
 
 use crate::{NodeId, ProtocolModel};
-use hycap_geom::{clamp_index_radius, OccupancyScratch, Point, SpatialHash};
+use hycap_geom::{clamp_index_radius, CellChains, OccupancyScratch, Point, SpatialHash};
 use hycap_obs::{MetricsSink, Observer, Probes, PROBE_SCHEDULE_FEASIBILITY};
 use std::collections::HashMap;
 
@@ -76,10 +76,15 @@ impl ScheduledPair {
 /// [`Scheduler::schedule`] path.
 #[derive(Debug, Clone, Default)]
 pub struct SlotWorkspace {
-    /// Spatial index, refreshed in place each slot. Consecutive slots of
-    /// the same run reuse it through [`SpatialHash::update`], so the CSR
-    /// layout is patched incrementally while cell churn stays low.
+    /// Spatial index of the full-schedule paths, refreshed in place each
+    /// slot. Consecutive slots of the same run reuse it through
+    /// [`SpatialHash::update`], so the CSR layout is patched incrementally
+    /// while cell churn stays low. The set paths never build it.
     hash: SpatialHash,
+    /// Cell chains of the set paths
+    /// ([`SStarScheduler::schedule_active_into`],
+    /// [`SStarScheduler::schedule_touching_into`]), rebuilt each slot.
+    chains: CellChains,
     /// Scratch for the neighbor sweep of the spatial index: `S*` reads its
     /// mutual guard-zone singletons from it.
     occupancy: OccupancyScratch,
@@ -293,15 +298,15 @@ impl SStarScheduler {
     /// exactly the pairs of the full `S*` schedule whose endpoints are
     /// both in `active` (strictly ascending node ids), in the same order.
     ///
-    /// Per-slot cost tracks the active set instead of `n`: the spatial
-    /// index is still refreshed over all positions (`S*` uniqueness counts
-    /// idle bystanders — a third node inside a guard zone blocks the pair
-    /// whether or not it holds traffic), but the singleton question runs
-    /// per *active* node through
-    /// [`SpatialHash::unique_neighbor_within`] rather than the
-    /// whole-network batch kernel. A demand-driven packet engine whose
-    /// in-flight packets touch `a ≪ n` nodes pays `O(n)` index upkeep plus
-    /// `O(a)` scans per slot.
+    /// Per-slot cost tracks the active set instead of `n`: `S*`
+    /// uniqueness counts idle bystanders — a third node inside a guard
+    /// zone blocks the pair whether or not it holds traffic — so every
+    /// position is still chained into the workspace's [`CellChains`], one
+    /// `O(n)` pass with no sort, but the singleton question runs per
+    /// *active* node through [`CellChains::unique_neighbor`] rather than
+    /// the whole-network batch kernel. A demand-driven packet engine whose
+    /// in-flight packets touch `a ≪ n` nodes pays that pass plus `O(a)`
+    /// block walks per slot, and builds no [`SpatialHash`].
     ///
     /// Dropping pairs with an idle endpoint cannot change packet motion: a
     /// pair moves a packet only when a queued packet watches one of its
@@ -321,15 +326,7 @@ impl SStarScheduler {
         ws: &mut SlotWorkspace,
         out: &mut Vec<ScheduledPair>,
     ) {
-        let Some(guard) = self.begin_set_query(positions, range, active, ws, out) else {
-            return;
-        };
-        for &i in active {
-            let admit = |j: usize| j > i && ws.is_active(j);
-            if let Some(j) = sstar_partner(&ws.hash, positions, i, guard, range, admit) {
-                out.push(ScheduledPair::new(i, j));
-            }
-        }
+        self.set_pairs(positions, range, active, false, ws, out);
     }
 
     /// [`Scheduler::schedule_into`] restricted to the pairs that *touch* a
@@ -340,8 +337,8 @@ impl SStarScheduler {
     /// This is the infrastructure-phase form of
     /// [`SStarScheduler::schedule_active_into`]: with `set` the base
     /// stations, it yields every MS–BS (and BS–BS) pair of the slot for
-    /// `O(n)` index upkeep plus `O(|set|)` per-node singleton queries —
-    /// an `S*` link depends on nothing beyond the guard zones of its two
+    /// the `O(n)` chaining pass plus `O(|set|)` per-node singleton queries
+    /// — an `S*` link depends on nothing beyond the guard zones of its two
     /// endpoints, so a pair touching a BS is decided around that BS.
     ///
     /// # Panics
@@ -357,34 +354,26 @@ impl SStarScheduler {
         ws: &mut SlotWorkspace,
         out: &mut Vec<ScheduledPair>,
     ) {
-        let Some(guard) = self.begin_set_query(positions, range, set, ws, out) else {
-            return;
-        };
-        for &b in set {
-            // A pair with both endpoints in the set is emitted once, from
-            // its smaller endpoint.
-            let admit = |u: usize| u > b || !ws.is_active(u);
-            if let Some(u) = sstar_partner(&ws.hash, positions, b, guard, range, admit) {
-                out.push(ScheduledPair::new(b, u));
-            }
-        }
-        // Pairs are node-disjoint, so ordering by the smaller endpoint is
-        // the full schedule's order.
-        out.sort_unstable_by_key(|p| p.a);
+        self.set_pairs(positions, range, set, true, ws, out);
     }
 
-    /// The common start of the per-node set queries: checks `range`,
-    /// clears `out`, refreshes the index over all `positions` and stamps
-    /// `set` (strictly ascending). Returns the guard radius, or `None`
-    /// when no pair can form.
-    fn begin_set_query(
+    /// The per-node `S*` query behind both set paths: chains `positions`,
+    /// then pairs each member `i` of `set` (strictly ascending) with its
+    /// unique guard-zone neighbor `j` when `j`'s own guard zone holds only
+    /// `i` and `d_ij < R_T` — the batch kernel's mutual-singleton
+    /// condition, asked for one node. A pair with both endpoints in the set
+    /// is emitted once, from its smaller endpoint; partners outside the set
+    /// are kept when `touching`. Membership is checked before the reverse
+    /// query, so partners that would be dropped cost nothing more.
+    fn set_pairs(
         &self,
         positions: &[Point],
         range: f64,
         set: &[usize],
+        touching: bool,
         ws: &mut SlotWorkspace,
         out: &mut Vec<ScheduledPair>,
-    ) -> Option<f64> {
+    ) {
         assert!(
             range.is_finite() && range > 0.0,
             "transmission range must be positive, got {range}"
@@ -395,33 +384,26 @@ impl SStarScheduler {
         );
         out.clear();
         if positions.len() < 2 || set.is_empty() {
-            return None;
+            return;
         }
         let guard = self.protocol.guard_radius(range);
-        ws.hash.update(positions, clamp_index_radius(guard));
+        ws.chains.rebuild(positions, clamp_index_radius(guard));
         ws.stamp_active(positions.len(), set);
-        Some(guard)
+        let chains = &ws.chains;
+        for &i in set {
+            let j = chains.unique_neighbor(positions, i, guard);
+            let admit = j != usize::MAX && if ws.is_active(j) { j > i } else { touching };
+            if admit
+                && chains.unique_neighbor(positions, j, guard) == i
+                && positions[i].torus_dist_sq(positions[j]) < range * range
+            {
+                out.push(ScheduledPair::new(i, j));
+            }
+        }
+        // Pairs are node-disjoint, so ordering by the smaller endpoint is
+        // the full schedule's order.
+        out.sort_unstable_by_key(|p| p.a);
     }
-}
-
-/// The `S*` partner of node `i` over an index refreshed for this slot: the
-/// unique guard-zone neighbor `j` of `i` whose own guard zone holds only
-/// `i`, strictly within `range` — the batch kernel's mutual-singleton
-/// condition, asked for one node. `admit(j)` runs before the reverse query,
-/// so callers drop partners they would discard anyway without paying for it.
-fn sstar_partner(
-    hash: &SpatialHash,
-    positions: &[Point],
-    i: usize,
-    guard: f64,
-    range: f64,
-    admit: impl FnOnce(usize) -> bool,
-) -> Option<usize> {
-    let j = hash.unique_neighbor_within(i, guard);
-    if j == usize::MAX || !admit(j) || hash.unique_neighbor_within(j, guard) != i {
-        return None;
-    }
-    (positions[i].torus_dist_sq(positions[j]) < range * range).then_some(j)
 }
 
 /// The batch `S*` schedule over the index in `ws`: every pair of alive

@@ -8,6 +8,11 @@
 //! (uniform density, dense clusters, blocks spanning the grid, points on
 //! the torus seams), masked and unmasked, on materialized and streamed
 //! indexes, and bound its distance tests on crowded layouts.
+//!
+//! The demand-driven set queries (`SStarScheduler::schedule_active_into`,
+//! `schedule_touching_into`) answer the same singleton question per node
+//! over per-slot cell chains; they are pinned here to the brute-force
+//! schedule restricted to the set, on the same layouts.
 
 use hycap::{ModelExponents, Scenario};
 use hycap_geom::{clamp_index_radius, OccupancyScratch, Point, SpatialHash};
@@ -210,6 +215,82 @@ proptest! {
     }
 }
 
+/// A seed-derived ascending node set: every node, about half of them, or
+/// about one in eight.
+fn node_set(n: usize, seed: u64) -> Vec<usize> {
+    let mut rng = Mix(seed ^ 0x5E7);
+    let keep = [1, 2, 8][(rng.next() % 3) as usize];
+    (0..n).filter(|_| rng.next().is_multiple_of(keep)).collect()
+}
+
+/// Checks both set-query `S*` passes on `pts` against the brute-force
+/// schedule restricted to a seed-derived set: the active-set pass keeps the
+/// pairs with both endpoints in the set, the touching pass those with at
+/// least one. Neither may build the CSR index.
+fn check_set_queries(pts: &[Point], range: f64, seed: u64) -> Result<(), TestCaseError> {
+    let delta = 0.5;
+    let sched = SStarScheduler::new(delta);
+    let full = brute_sstar(pts, range, delta, None);
+    let set = node_set(pts.len(), seed);
+    let mut member = vec![false; pts.len()];
+    for &i in &set {
+        member[i] = true;
+    }
+    let restricted = |both: bool| -> Vec<ScheduledPair> {
+        full.iter()
+            .filter(|p| {
+                if both {
+                    member[p.a] && member[p.b]
+                } else {
+                    member[p.a] || member[p.b]
+                }
+            })
+            .copied()
+            .collect()
+    };
+    let mut ws = SlotWorkspace::new();
+    let mut pairs = Vec::new();
+    sched.schedule_active_into(pts, range, &set, &mut ws, &mut pairs);
+    prop_assert_eq!(&pairs, &restricted(true), "active set of {}", set.len());
+    sched.schedule_touching_into(pts, range, &set, &mut ws, &mut pairs);
+    prop_assert_eq!(&pairs, &restricted(false), "touching set of {}", set.len());
+    prop_assert!(ws.hash().is_empty(), "a set query built the CSR index");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Uniform, clustered (dense-cell) and seam layouts with the guard at
+    /// about one index cell or a few cells wide.
+    #[test]
+    fn set_queries_equal_the_restricted_schedule(
+        n in 2usize..400,
+        kind in 0usize..3,
+        scale in 0.5f64..2.5,
+        seed in any::<u64>(),
+    ) {
+        let kind = [Layout::Uniform, Layout::Clustered, Layout::Seams][kind];
+        let (pts, cell) = layout(kind, n, seed);
+        check_set_queries(&pts, clamp_index_radius(cell) * scale / 1.5, seed)?;
+    }
+
+    /// Guards above the index's largest cell side: the grid has four cells
+    /// a side and every block spans it (`2b + 1 >= s`), so each chain is
+    /// walked once.
+    #[test]
+    fn set_queries_equal_the_restricted_schedule_on_tiny_grids(
+        n in 2usize..120,
+        kind in 0usize..3,
+        guard in 0.26f64..0.72,
+        seed in any::<u64>(),
+    ) {
+        let kind = [Layout::Uniform, Layout::Clustered, Layout::Seams][kind];
+        let (pts, _) = layout(kind, n, seed);
+        check_set_queries(&pts, guard / 1.5, seed)?;
+    }
+}
+
 /// A fixed larger case of each layout, masked and unmasked.
 #[test]
 fn sweep_equals_brute_force_at_a_few_thousand_points() {
@@ -301,4 +382,13 @@ fn sstar_equals_brute_force_on_the_trivial_row_layout() {
     let range = critical_range(n, 0.4);
     let got = SStarScheduler::new(0.5).schedule(&pts, range);
     assert_eq!(got, brute_sstar(&pts, range, 0.5, None));
+}
+
+#[test]
+fn set_queries_equal_the_restricted_schedule_on_the_trivial_row_layout() {
+    let n = 3_000;
+    let pts = trivial_row(n);
+    for seed in 0..3 {
+        check_set_queries(&pts, critical_range(n, 0.4), seed).unwrap();
+    }
 }
