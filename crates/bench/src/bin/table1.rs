@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use hycap::{optimal_range, MobilityRegime, ModelExponents};
-use hycap_bench::experiments::{run_table1_cached, table1_exponents, Scale};
+use hycap_bench::experiments::{run_table1, table1_exponents, Scale};
 use hycap_bench::report;
 use hycap_mobility::MobilityKind;
 use hycap_sim::ResultCache;
@@ -43,7 +43,7 @@ fn main() {
     println!("Table I — capacity and optimal transmission range per regime");
     println!("scale: {scale:?}, seed: {seed}\n");
 
-    let results = run_table1_cached(scale, seed, cache.as_ref()).expect("cache store");
+    let results = run_table1(scale, seed, cache.as_ref()).expect("cache store");
     let specs = table1_exponents();
 
     let mut rows = Vec::new();

@@ -6,9 +6,7 @@ use hycap::{capacity_exponent, MobilityRegime, ModelExponents, Scenario};
 use hycap_errors::HycapError;
 use hycap_mobility::{ClusteredModel, Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::{baselines, StaticMultihopPlan, TrafficMatrix};
-use hycap_sim::{
-    fit_loglog, scenario_digest, CacheEntry, Checkpoint, FitResult, ResultCache, WorkerPool,
-};
+use hycap_sim::{fit_loglog, scenario_digest, CacheEntry, FitResult, ResultCache, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
@@ -140,6 +138,19 @@ pub fn table1_exponents() -> [(&'static str, ModelExponents, bool, MobilityKind)
 
 /// Runs one Table I row: sweeps the ladder, measures the regime-optimal
 /// scheme per `n`, fits the exponent. Ladder points fan out across `pool`.
+///
+/// With a [`ResultCache`], every per-rep measurement is keyed by the
+/// scenario's content digest (mode `"measure"` — the sequential engine),
+/// so reruns of the same row, or of any sweep sharing a point, serve
+/// bit-identical results from disk. Cache store failures degrade to a
+/// recompute and surface as the row's error only after the measurements
+/// complete.
+///
+/// # Errors
+///
+/// [`HycapError::Io`] when a cache store fails; the row's measurements
+/// themselves never depend on the cache.
+#[allow(clippy::too_many_arguments)]
 pub fn run_table1_row(
     label: &'static str,
     exps: ModelExponents,
@@ -148,118 +159,6 @@ pub fn run_table1_row(
     scale: Scale,
     seed: u64,
     pool: &WorkerPool,
-) -> RowResult {
-    run_table1_row_checkpointed(label, exps, with_bs, mobility, scale, seed, pool, None)
-        .expect("a checkpoint-free table row performs no journal I/O")
-}
-
-/// The checkpoint key of one Table I ladder point. Row label and `n`
-/// identify the point; scale, seed and engine version are bound by the
-/// journal's scenario digest, not the key.
-fn table1_point_key(label: &str, n: usize) -> String {
-    format!("table1/{label}/n={n}")
-}
-
-/// [`run_table1_row`] with per-point checkpoint/resume: every completed
-/// ladder point is journaled to `checkpoint` as it finishes (from the
-/// worker, so a crash mid-row keeps the finished points), and points
-/// already in the journal are returned without recomputation. The merged
-/// row is bit-identical to an uninterrupted run because each point is a
-/// pure function of `(label, n, seed, scale)` and the journal stores exact
-/// `f64` bits.
-///
-/// # Errors
-///
-/// [`HycapError::Io`] when journaling a completed point fails; the row's
-/// measurements are lost but the journal stays consistent (only fully
-/// written records are ever read back).
-#[allow(clippy::too_many_arguments)]
-pub fn run_table1_row_checkpointed(
-    label: &'static str,
-    exps: ModelExponents,
-    with_bs: bool,
-    mobility: MobilityKind,
-    scale: Scale,
-    seed: u64,
-    pool: &WorkerPool,
-    checkpoint: Option<&Arc<Checkpoint>>,
-) -> Result<RowResult, HycapError> {
-    run_table1_row_impl(
-        label, exps, with_bs, mobility, scale, seed, pool, checkpoint, None,
-    )
-}
-
-/// [`run_table1_row_checkpointed`] with an on-disk [`ResultCache`]: every
-/// per-rep measurement is keyed by the scenario's content digest (mode
-/// `"measure"` — the sequential engine), so reruns of the same row, or of
-/// any sweep sharing a point, serve bit-identical results from disk. The
-/// cache composes with the checkpoint journal: journal first (bound to
-/// this row's digest), cache second, compute last. Cache store failures
-/// degrade to a recompute and surface as the row's error only after the
-/// measurements complete.
-///
-/// # Errors
-///
-/// As [`run_table1_row_checkpointed`], plus cache-store I/O failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_table1_row_cached(
-    label: &'static str,
-    exps: ModelExponents,
-    with_bs: bool,
-    mobility: MobilityKind,
-    scale: Scale,
-    seed: u64,
-    pool: &WorkerPool,
-    checkpoint: Option<&Arc<Checkpoint>>,
-    cache: Option<&Arc<ResultCache>>,
-) -> Result<RowResult, HycapError> {
-    run_table1_row_impl(
-        label, exps, with_bs, mobility, scale, seed, pool, checkpoint, cache,
-    )
-}
-
-/// The cache key of one clustered-multihop (Corollary 3) measurement,
-/// which bypasses [`Scenario`] and therefore needs its own digest.
-fn clustered_cache_key(exps: &ModelExponents, n: usize, seed: u64) -> String {
-    let parts = [
-        "table1-clustered".to_string(),
-        format!("alpha={}", exps.alpha),
-        format!("m_exp={}", exps.m_exp),
-        format!("r_exp={}", exps.r_exp),
-        format!("k_exp={}", exps.k_exp),
-        format!("phi={}", exps.phi),
-        format!("n={n}"),
-        format!("seed={seed}"),
-    ];
-    let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
-    format!("clustered-{}", scenario_digest(&refs))
-}
-
-/// Mean of the reps that returned a value, 0.0 when none did. A rep that
-/// measured 0.0 counts like any other: dropping it would bias the point
-/// upward.
-fn mean_of_returned(values: impl IntoIterator<Item = Option<f64>>) -> f64 {
-    let (sum, count) = values
-        .into_iter()
-        .flatten()
-        .fold((0.0, 0usize), |(sum, count), v| (sum + v, count + 1));
-    if count == 0 {
-        0.0
-    } else {
-        sum / count as f64
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_table1_row_impl(
-    label: &'static str,
-    exps: ModelExponents,
-    with_bs: bool,
-    mobility: MobilityKind,
-    scale: Scale,
-    seed: u64,
-    pool: &WorkerPool,
-    checkpoint: Option<&Arc<Checkpoint>>,
     cache: Option<&Arc<ResultCache>>,
 ) -> Result<RowResult, HycapError> {
     let ns = ladder_for(scale, &exps);
@@ -273,7 +172,7 @@ fn run_table1_row_impl(
     let reps = scale.reps();
     // Cache-store failures are stashed here (first one wins) so a full
     // disk never costs the row its measurements mid-flight; the error
-    // surfaces once the row completes, mirroring the journal funnel.
+    // surfaces once the row completes.
     let cache_err: Arc<Mutex<Option<HycapError>>> = Arc::new(Mutex::new(None));
     let stash = {
         let slot = Arc::clone(&cache_err);
@@ -346,40 +245,7 @@ fn run_table1_row_impl(
             mean_of_returned(per_rep.iter().map(|&(_, i)| i)),
         )
     };
-    let measured: Vec<(f64, f64)> = match checkpoint {
-        None => pool.map(ns.clone(), point),
-        Some(ck) => {
-            let mut out: Vec<Option<(f64, f64)>> = ns
-                .iter()
-                .map(|&n| {
-                    ck.lookup(&table1_point_key(label, n))
-                        .and_then(|bits| (bits.len() == 2).then(|| (bits[0], bits[1])))
-                })
-                .collect();
-            let missing_idx: Vec<usize> = (0..ns.len()).filter(|&i| out[i].is_none()).collect();
-            let missing_ns: Vec<usize> = missing_idx.iter().map(|&i| ns[i]).collect();
-            let journal_err: Arc<Mutex<Option<HycapError>>> = Arc::new(Mutex::new(None));
-            let ck2 = Arc::clone(ck);
-            let err2 = Arc::clone(&journal_err);
-            let fresh = pool.map(missing_ns, move |n| {
-                let value = point(n);
-                if let Err(e) = ck2.record(&table1_point_key(label, n), &[value.0, value.1]) {
-                    let mut slot = err2.lock().unwrap_or_else(|p| p.into_inner());
-                    slot.get_or_insert(e);
-                }
-                value
-            });
-            if let Some(e) = journal_err.lock().unwrap_or_else(|p| p.into_inner()).take() {
-                return Err(e);
-            }
-            for (&i, value) in missing_idx.iter().zip(fresh) {
-                out[i] = Some(value);
-            }
-            out.into_iter()
-                .map(|v| v.expect("every ladder point resolved"))
-                .collect()
-        }
-    };
+    let measured: Vec<(f64, f64)> = pool.map(ns.clone(), point);
     let xs: Vec<f64> = ns.iter().map(|&n| n as f64).collect();
     let component = |name: &'static str, lambdas: Vec<f64>, order: Option<hycap::Order>| {
         let positive = lambdas.iter().filter(|&&l| l > 0.0).count();
@@ -441,6 +307,38 @@ fn run_table1_row_impl(
     Ok(RowResult { label, components })
 }
 
+/// The cache key of one clustered-multihop (Corollary 3) measurement,
+/// which bypasses [`Scenario`] and therefore needs its own digest.
+fn clustered_cache_key(exps: &ModelExponents, n: usize, seed: u64) -> String {
+    let parts = [
+        "table1-clustered".to_string(),
+        format!("alpha={}", exps.alpha),
+        format!("m_exp={}", exps.m_exp),
+        format!("r_exp={}", exps.r_exp),
+        format!("k_exp={}", exps.k_exp),
+        format!("phi={}", exps.phi),
+        format!("n={n}"),
+        format!("seed={seed}"),
+    ];
+    let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
+    format!("clustered-{}", scenario_digest(&refs))
+}
+
+/// Mean of the reps that returned a value, 0.0 when none did. A rep that
+/// measured 0.0 counts like any other: dropping it would bias the point
+/// upward.
+fn mean_of_returned(values: impl IntoIterator<Item = Option<f64>>) -> f64 {
+    let (sum, count) = values
+        .into_iter()
+        .flatten()
+        .fold((0.0, 0usize), |(sum, count), v| (sum + v, count + 1));
+    if count == 0 {
+        0.0
+    } else {
+        sum / count as f64
+    }
+}
+
 /// Runs all five Table I rows on one shared worker pool, with an optional
 /// result cache threaded through every row: ladder points already stored
 /// under the current engine version are served bit-identically instead of
@@ -451,7 +349,7 @@ fn run_table1_row_impl(
 ///
 /// [`HycapError::Io`] when a cache store fails; served rows are never
 /// affected.
-pub fn run_table1_cached(
+pub fn run_table1(
     scale: Scale,
     seed: u64,
     cache: Option<&Arc<ResultCache>>,
@@ -460,9 +358,7 @@ pub fn run_table1_cached(
     table1_exponents()
         .into_iter()
         .map(|(label, exps, with_bs, mobility)| {
-            run_table1_row_cached(
-                label, exps, with_bs, mobility, scale, seed, &pool, None, cache,
-            )
+            run_table1_row(label, exps, with_bs, mobility, scale, seed, &pool, cache)
         })
         .collect()
 }
@@ -657,7 +553,17 @@ mod tests {
     fn strong_row_produces_fit() {
         let (label, exps, with_bs, mobility) = table1_exponents()[0];
         let pool = WorkerPool::new(2);
-        let row = run_table1_row(label, exps, with_bs, mobility, Scale::Smoke, 11, &pool);
+        let row = run_table1_row(
+            label,
+            exps,
+            with_bs,
+            mobility,
+            Scale::Smoke,
+            11,
+            &pool,
+            None,
+        )
+        .unwrap();
         assert_eq!(row.components.len(), 1);
         let comp = &row.components[0];
         assert_eq!(comp.ns.len(), comp.lambdas.len());
@@ -671,54 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_row_journals_and_resumes_bit_identically() {
-        let (label, exps, with_bs, mobility) = table1_exponents()[0];
-        let pool = WorkerPool::new(2);
-        let plain = run_table1_row(label, exps, with_bs, mobility, Scale::Smoke, 11, &pool);
-        let dir = std::env::temp_dir().join(format!("hycap-bench-ckpt-{}", std::process::id()));
-        let path = dir.join("row.jsonl");
-        let digest = hycap_sim::scenario_digest(&[label, "scale=smoke", "seed=11"]);
-        let ck = Arc::new(Checkpoint::create(&path, &digest).unwrap());
-        let first = run_table1_row_checkpointed(
-            label,
-            exps,
-            with_bs,
-            mobility,
-            Scale::Smoke,
-            11,
-            &pool,
-            Some(&ck),
-        )
-        .unwrap();
-        let expect = &plain.components[0].lambdas;
-        let got = &first.components[0].lambdas;
-        assert_eq!(expect.len(), got.len());
-        for (a, b) in expect.iter().zip(got) {
-            assert_eq!(a.to_bits(), b.to_bits(), "journaling must not perturb");
-        }
-        assert_eq!(ck.completed(), plain.components[0].ns.len());
-        // A fresh process resuming the journal recomputes nothing and
-        // reproduces the same bits.
-        let resumed_ck = Arc::new(Checkpoint::resume(&path, &digest).unwrap());
-        assert_eq!(resumed_ck.completed(), ck.completed());
-        let resumed = run_table1_row_checkpointed(
-            label,
-            exps,
-            with_bs,
-            mobility,
-            Scale::Smoke,
-            11,
-            &pool,
-            Some(&resumed_ck),
-        )
-        .unwrap();
-        for (a, b) in expect.iter().zip(&resumed.components[0].lambdas) {
-            assert_eq!(a.to_bits(), b.to_bits(), "resume must reproduce exactly");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn cached_rows_are_bit_identical_and_warm_runs_hit() {
         let pool = WorkerPool::new(2);
         let dir = std::env::temp_dir().join(format!("hycap-bench-cache-{}", std::process::id()));
@@ -728,31 +586,22 @@ mod tests {
         // exercises the non-Scenario cache key.
         for idx in [0usize, 2] {
             let (label, exps, with_bs, mobility) = table1_exponents()[idx];
-            let plain = run_table1_row(label, exps, with_bs, mobility, Scale::Smoke, 11, &pool);
-            let cold = run_table1_row_cached(
-                label,
-                exps,
-                with_bs,
-                mobility,
-                Scale::Smoke,
-                11,
-                &pool,
-                None,
-                Some(&cache),
-            )
-            .unwrap();
-            let warm = run_table1_row_cached(
-                label,
-                exps,
-                with_bs,
-                mobility,
-                Scale::Smoke,
-                11,
-                &pool,
-                None,
-                Some(&cache),
-            )
-            .unwrap();
+            let run = |cache| {
+                run_table1_row(
+                    label,
+                    exps,
+                    with_bs,
+                    mobility,
+                    Scale::Smoke,
+                    11,
+                    &pool,
+                    cache,
+                )
+                .unwrap()
+            };
+            let plain = run(None);
+            let cold = run(Some(&cache));
+            let warm = run(Some(&cache));
             for (p, c) in plain.components.iter().zip(&cold.components) {
                 for (a, b) in p.lambdas.iter().zip(&c.lambdas) {
                     assert_eq!(

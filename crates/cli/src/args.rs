@@ -1,4 +1,8 @@
 //! A small `--key value` argument parser (no external dependencies).
+//!
+//! Each subcommand names the options it takes; the parser rejects any
+//! other `--key` as it reads it, so a misspelled option fails the command
+//! before any work starts instead of silently falling back to a default.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -21,6 +25,8 @@ pub enum ArgError {
     MissingValue(String),
     /// A positional token appeared where an option was expected.
     UnexpectedToken(String),
+    /// An option the subcommand does not take.
+    UnknownOption(String),
     /// A required option is absent.
     MissingOption(String),
     /// An option failed to parse as the requested type.
@@ -38,6 +44,7 @@ impl fmt::Display for ArgError {
             ArgError::MissingCommand => write!(f, "missing subcommand"),
             ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
             ArgError::UnexpectedToken(t) => write!(f, "unexpected token '{t}'"),
+            ArgError::UnknownOption(k) => write!(f, "unknown option --{k}"),
             ArgError::MissingOption(k) => write!(f, "required option --{k} is missing"),
             ArgError::BadValue { key, value } => {
                 write!(f, "option --{key} has invalid value '{value}'")
@@ -49,17 +56,18 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Option names that are boolean switches (take no value).
-const SWITCHES: &[&str] = &[
-    "static", "no-bs", "no-skip", "help", "full", "occupy", "resume", "no-cache",
-];
+const SWITCHES: &[&str] = &["static", "no-bs", "no-skip", "help", "occupy"];
 
 impl Args {
-    /// Parses `tokens` (without the program name).
+    /// Parses `tokens` (without the program name), accepting only the
+    /// options named in `known` (space-separated, without the leading
+    /// `--`) plus `--help`.
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] on malformed input.
-    pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Self, ArgError> {
+    /// Returns [`ArgError`] on malformed input, including
+    /// [`ArgError::UnknownOption`] for an option outside `known`.
+    pub fn parse<I: IntoIterator<Item = String>>(tokens: I, known: &str) -> Result<Self, ArgError> {
         let mut iter = tokens.into_iter().peekable();
         let command = iter.next().ok_or(ArgError::MissingCommand)?;
         if command.starts_with("--") {
@@ -72,6 +80,9 @@ impl Args {
                 .strip_prefix("--")
                 .ok_or_else(|| ArgError::UnexpectedToken(tok.clone()))?
                 .to_string();
+            if key != "help" && !known.split_whitespace().any(|k| k == key) {
+                return Err(ArgError::UnknownOption(key));
+            }
             if SWITCHES.contains(&key.as_str()) {
                 flags.push(key);
                 continue;
@@ -172,8 +183,10 @@ impl Args {
 mod tests {
     use super::*;
 
+    const KNOWN: &str = "alpha n ns phi static no-bs";
+
     fn parse(s: &str) -> Result<Args, ArgError> {
-        Args::parse(s.split_whitespace().map(String::from))
+        Args::parse(s.split_whitespace().map(String::from), KNOWN)
     }
 
     #[test]
@@ -184,6 +197,21 @@ mod tests {
         assert_eq!(args.require::<usize>("n").unwrap(), 500);
         assert!(args.flag("static"));
         assert!(!args.flag("no-bs"));
+    }
+
+    #[test]
+    fn unknown_options_rejected_by_name() {
+        assert_eq!(
+            parse("measure --n 150 --sedd 3"),
+            Err(ArgError::UnknownOption("sedd".into()))
+        );
+        // Rejected before its value is looked for: an unknown switch at
+        // the end names itself instead of asking for a value.
+        assert_eq!(
+            parse("sweep --ns 100,200 --resume"),
+            Err(ArgError::UnknownOption("resume".into()))
+        );
+        assert!(parse("measure --n 150 --help").unwrap().flag("help"));
     }
 
     #[test]
@@ -250,6 +278,7 @@ mod tests {
             ArgError::MissingCommand,
             ArgError::MissingValue("x".into()),
             ArgError::UnexpectedToken("y".into()),
+            ArgError::UnknownOption("u".into()),
             ArgError::MissingOption("z".into()),
             ArgError::BadValue {
                 key: "k".into(),

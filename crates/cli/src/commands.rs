@@ -3,14 +3,16 @@
 
 use crate::args::{ArgError, Args};
 use hycap::obs::{MetricsSink, Observer, Snapshot};
-use hycap::{theory as laws, MobilityRegime, ModelExponents, Realization, Scenario};
+use hycap::{
+    theory as laws, MobilityRegime, ModelExponents, Realization, Scenario, ScenarioReport,
+};
 use hycap_errors::HycapError;
 use hycap_mobility::MobilityKind;
 use hycap_routing::SchemeBPlan;
 use hycap_sim::{
-    fit_loglog, geometric_ns, load_ladder, scenario_digest, Checkpoint, DegradedFluidReport,
-    FaultSchedule, FlowRunStats, FlowSizes, FlowWorkload, FluidEngine, FluidPlan, FluidReport,
-    FluidRun, HybridNetwork, OutagePolicy, PacingTrace, PacketEngine, ResultCache, WorkerPool,
+    fit_loglog, geometric_ns, load_ladder, DegradedFluidReport, FaultSchedule, FlowRunStats,
+    FlowSizes, FlowWorkload, FluidEngine, FluidPlan, FluidReport, FluidRun, HybridNetwork,
+    OutagePolicy, PacingTrace, PacketEngine, ResultCache, WorkerPool,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -25,18 +27,18 @@ USAGE:
   hycap theory   --alpha A --m M --r R --k K --phi P [--static] [--no-bs]
   hycap measure  --alpha A --m M --r R --k K --phi P --n N
                  [--slots S] [--seed X] [--threads T] [--static] [--no-bs]
-                 [--metrics PATH] [--cache DIR] [--no-cache]
+                 [--metrics PATH] [--cache DIR]
   hycap sweep    --alpha A --m M --r R --k K --phi P
                  [--ns 200,400,800 | --min-n N --max-n N --count C]
                  [--ladder-max N] [--slots S] [--seed X] [--threads T]
                  [--static] [--no-bs] [--metrics PATH] [--deadline SECS]
-                 [--checkpoint PATH] [--resume] [--cache DIR] [--no-cache]
+                 [--cache DIR]
   hycap cache    stats|gc|clear --cache DIR
   hycap surface  --phi P [--res 21]
   hycap degrade  --alpha A --m M --r R --k K --phi P --n N
                  [--fail-frac F] [--outage-p P] [--outage-seed Y]
                  [--cells C] [--slots S] [--seed X] [--threads T] [--occupy]
-                 [--metrics PATH]
+                 [--static] [--no-bs] [--metrics PATH]
   hycap flows    --alpha A --m M --r R --k K --phi P --n N
                  [--rate R | --interval I] [--size P]
                  [--mice P --elephants P --elephant-frac F]
@@ -106,7 +108,6 @@ RESULT CACHE (measure and sweep subcommands):
                 serves cached results byte-identically — damaged entries
                 degrade to a recompute, never a wrong answer. Hit/miss
                 counts go to stderr so stdout stays byte-identical.
-  --no-cache    ignore --cache (wins when both are given)
 
 CACHE MAINTENANCE (cache subcommand):
   stats         live/stale entry counts and total bytes
@@ -115,18 +116,82 @@ CACHE MAINTENANCE (cache subcommand):
   clear         remove every cache file
 
 CRASH SAFETY (sweep subcommand):
-  --deadline SECS    stop cleanly at the next ladder-point boundary once
-                     SECS of wall clock have elapsed; the partial table is
-                     printed and the process exits 4
-  --checkpoint PATH  journal each completed ladder point to PATH (one
-                     JSONL record per point, fsynced, exact f64 bits); the
-                     journal is bound to the sweep's parameters + engine
-                     version by a digest in its header
-  --resume           with --checkpoint: verify the digest, reuse every
-                     journaled point and compute only the missing ones;
-                     the merged report is bit-identical to an
-                     uninterrupted sweep (incompatible with --metrics)
+  --deadline SECS  stop cleanly at the next ladder-point boundary once SECS
+                   of wall clock have elapsed; the partial table is printed
+                   and the process exits 4
+  With --cache DIR every finished ladder point is committed before the
+  next one starts. To resume a killed or cut sweep, rerun the same command
+  with the same --cache DIR: finished points are served from the cache,
+  only the rest run, and stdout is byte-identical to an uninterrupted sweep.
+
+Every subcommand rejects options it does not take (exit 2).
 ";
+
+/// One subcommand: its name, every option it takes (space-separated,
+/// without the leading `--`, value options and switches alike) and its
+/// implementation.
+pub struct Subcommand {
+    /// Name on the command line.
+    pub name: &'static str,
+    /// The options [`Args::parse`] accepts for it.
+    pub options: &'static str,
+    /// The implementation.
+    pub run: fn(&Args) -> CmdResult,
+}
+
+/// Every subcommand. `cache` carries its action (`stats`, `gc`, `clear`)
+/// in the nested command slot.
+pub const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: "classify",
+        options: "alpha m r k phi static",
+        run: classify,
+    },
+    Subcommand {
+        name: "theory",
+        options: "alpha m r k phi static no-bs",
+        run: theory,
+    },
+    Subcommand {
+        name: "measure",
+        options: "alpha m r k phi static no-bs n slots seed threads metrics cache",
+        run: measure,
+    },
+    Subcommand {
+        name: "sweep",
+        options: "alpha m r k phi static no-bs ns min-n max-n count ladder-max \
+                  slots seed threads metrics deadline cache",
+        run: sweep,
+    },
+    Subcommand {
+        name: "cache",
+        options: "cache",
+        run: cache,
+    },
+    Subcommand {
+        name: "surface",
+        options: "phi res",
+        run: surface,
+    },
+    Subcommand {
+        name: "degrade",
+        options: "alpha m r k phi static no-bs n fail-frac outage-p outage-seed \
+                  cells slots seed threads occupy metrics",
+        run: degrade,
+    },
+    Subcommand {
+        name: "flows",
+        options: "alpha m r k phi static no-bs n rate interval size mice elephants \
+                  elephant-frac window horizon flow-seed loads min-load max-load \
+                  load-count delta ct seed no-skip metrics",
+        run: flows,
+    },
+];
+
+/// The subcommand called `name`.
+pub fn subcommand(name: &str) -> Option<&'static Subcommand> {
+    SUBCOMMANDS.iter().find(|c| c.name == name)
+}
 
 /// What a subcommand hands back to `main`: the text to print plus the
 /// process exit code. `code` is 0 for a complete run and 4 when a
@@ -166,11 +231,8 @@ fn metrics_path(args: &Args) -> Result<Option<PathBuf>, Box<dyn std::error::Erro
 }
 
 /// The `--cache DIR` option shared by measure/sweep: the on-disk result
-/// cache, disabled by `--no-cache` (which wins when both are given).
+/// cache.
 fn result_cache(args: &Args) -> Result<Option<ResultCache>, Box<dyn std::error::Error>> {
-    if args.flag("no-cache") {
-        return Ok(None);
-    }
     match args.get::<String>("cache")? {
         None => Ok(None),
         Some(dir) => Ok(Some(ResultCache::open(Path::new(&dir))?)),
@@ -178,8 +240,8 @@ fn result_cache(args: &Args) -> Result<Option<ResultCache>, Box<dyn std::error::
 }
 
 /// Prints the run's cache traffic to stderr — stdout must stay
-/// byte-identical between cold and warm runs so their reports diff clean
-/// (same convention as the sweep resume status).
+/// byte-identical between cold and warm runs, and between a resumed
+/// sweep and an uninterrupted one, so their reports diff clean.
 fn cache_status(cache: &ResultCache) {
     let s = cache.stats();
     eprintln!(
@@ -297,6 +359,29 @@ fn scenario(args: &Args, exps: ModelExponents, n: usize) -> Result<Scenario, Arg
     Ok(builder.build())
 }
 
+/// One slot-sharded measurement of `sc` through the optional result
+/// cache, recording a snapshot when `observed` (`--metrics`) is set.
+fn measure_point(
+    sc: &Scenario,
+    slots: usize,
+    pool: &WorkerPool,
+    cache: Option<&ResultCache>,
+    observed: bool,
+) -> Result<(ScenarioReport, Option<Snapshot>), HycapError> {
+    Ok(match (cache, observed) {
+        (Some(c), true) => {
+            let (report, snapshot) = sc.measure_par_observed_cached(slots, pool, c)?;
+            (report, Some(snapshot))
+        }
+        (Some(c), false) => (sc.measure_par_cached(slots, pool, c)?, None),
+        (None, true) => {
+            let (report, snapshot) = sc.measure_par_observed(slots, pool)?;
+            (report, Some(snapshot))
+        }
+        (None, false) => (sc.measure_par(slots, pool)?, None),
+    })
+}
+
 /// `hycap measure` — one finite-network capacity measurement.
 pub fn measure(args: &Args) -> CmdResult {
     let exps = exponents(args)?;
@@ -306,18 +391,7 @@ pub fn measure(args: &Args) -> CmdResult {
     let cache = result_cache(args)?;
     let pool = worker_pool(args)?;
     let sc = scenario(args, exps, n)?;
-    let (report, snapshot) = match (&cache, metrics.is_some()) {
-        (Some(c), true) => {
-            let (report, snapshot) = sc.measure_par_observed_cached(slots, &pool, c)?;
-            (report, Some(snapshot))
-        }
-        (Some(c), false) => (sc.measure_par_cached(slots, &pool, c)?, None),
-        (None, true) => {
-            let (report, snapshot) = sc.measure_par_observed(slots, &pool)?;
-            (report, Some(snapshot))
-        }
-        (None, false) => (sc.measure_par(slots, &pool)?, None),
-    };
+    let (report, snapshot) = measure_point(&sc, slots, &pool, cache.as_ref(), metrics.is_some())?;
     if let Some(c) = &cache {
         cache_status(c);
     }
@@ -360,30 +434,12 @@ pub fn measure(args: &Args) -> CmdResult {
     done(out)
 }
 
-/// The journal digest of one sweep invocation: every parameter that
-/// changes the measured numbers (model exponents, slots, seed, mobility
-/// and infrastructure toggles — not the ladder itself, so a journal can
-/// seed an extended ladder, and not `--threads`, which is bit-invariant).
-fn sweep_digest(exps: &ModelExponents, slots: usize, seed: u64, args: &Args) -> String {
-    scenario_digest(&[
-        "sweep",
-        &format!("alpha={}", exps.alpha),
-        &format!("m={}", exps.m_exp),
-        &format!("r={}", exps.r_exp),
-        &format!("k={}", exps.k_exp),
-        &format!("phi={}", exps.phi),
-        &format!("slots={slots}"),
-        &format!("seed={seed}"),
-        &format!("static={}", args.flag("static")),
-        &format!("no-bs={}", args.flag("no-bs")),
-    ])
-}
-
 /// `hycap sweep` — capacity over an `n`-ladder with a log–log exponent
 /// fit, with optional crash safety: `--deadline SECS` stops cleanly at the
-/// next point boundary (exit code 4, partial table printed), and
-/// `--checkpoint PATH` journals each completed point so `--resume` picks
-/// up where a killed run stopped, bit-identical to an uninterrupted sweep.
+/// next point boundary (exit code 4, partial table printed), and with
+/// `--cache DIR` each point is committed before the next one starts, so
+/// rerunning the same command resumes where a killed or cut run stopped,
+/// bit-identical to an uninterrupted sweep.
 pub fn sweep(args: &Args) -> CmdResult {
     // The deadline clock starts before argument validation and pool
     // spawning so `--deadline` bounds the whole command, not just the
@@ -422,7 +478,6 @@ pub fn sweep(args: &Args) -> CmdResult {
         return Err("sweep needs at least two ladder points".into());
     }
     let slots: usize = args.get_or("slots", 400)?;
-    let seed: u64 = args.get_or("seed", 0)?;
     let metrics = metrics_path(args)?;
     let deadline: Option<Duration> = match args.get::<f64>("deadline")? {
         None => None,
@@ -435,41 +490,6 @@ pub fn sweep(args: &Args) -> CmdResult {
             .into())
         }
     };
-    let resume = args.flag("resume");
-    let checkpoint_path: Option<String> = args.get("checkpoint")?;
-    if resume && checkpoint_path.is_none() {
-        return Err(HycapError::invalid("resume", "--resume needs --checkpoint PATH").into());
-    }
-    if resume && metrics.is_some() {
-        return Err(HycapError::invalid(
-            "resume",
-            "--resume cannot rebuild the merged --metrics snapshot for cached \
-             points; rerun without --resume to record metrics",
-        )
-        .into());
-    }
-    let digest = sweep_digest(&exps, slots, seed, args);
-    let checkpoint = match &checkpoint_path {
-        None => None,
-        Some(p) => {
-            let path = Path::new(p);
-            let ck = if resume {
-                Checkpoint::resume(path, &digest)?
-            } else {
-                Checkpoint::create(path, &digest)?
-            };
-            Some(ck)
-        }
-    };
-    if let (true, Some(ck)) = (resume, checkpoint.as_ref()) {
-        // Status to stderr: stdout must stay byte-identical to an
-        // uninterrupted sweep so resumed reports diff clean.
-        eprintln!(
-            "resume: {} completed point(s) found in {}",
-            ck.completed(),
-            checkpoint_path.as_deref().unwrap_or("")
-        );
-    }
     let cache = result_cache(args)?;
     let pool = worker_pool(args)?;
     let mut merged = Snapshot::default();
@@ -483,47 +503,20 @@ pub fn sweep(args: &Args) -> CmdResult {
                 break;
             }
         }
-        let key = format!("sweep/n={n}");
-        let cached = checkpoint
-            .as_ref()
-            .and_then(|ck| ck.lookup(&key))
-            .and_then(|bits| (bits.len() == 2).then(|| (bits[0], bits[1])));
-        let (lambda, typical) = match cached {
-            Some(point) => point,
-            None => {
-                // Per-point granularity: the checkpoint journal answers
-                // "did this run already compute the point", the result
-                // cache answers "did any run ever" — journal first (it is
-                // bound to this sweep's digest), then the cache, then
-                // compute and record to both.
-                let sc = scenario(args, exps, n)?;
-                let report = match (&cache, metrics.is_some()) {
-                    (Some(c), true) => {
-                        let (report, snapshot) = sc.measure_par_observed_cached(slots, &pool, c)?;
-                        merged.merge(&snapshot);
-                        report
-                    }
-                    (Some(c), false) => sc.measure_par_cached(slots, &pool, c)?,
-                    (None, true) => {
-                        let (report, snapshot) = sc.measure_par_observed(slots, &pool)?;
-                        merged.merge(&snapshot);
-                        report
-                    }
-                    (None, false) => sc.measure_par(slots, &pool)?,
-                };
-                let typical = report
-                    .lambda_mobility_typical
-                    .unwrap_or(0.0)
-                    .max(report.lambda_infra_typical.unwrap_or(0.0));
-                if let Some(ck) = checkpoint.as_ref() {
-                    ck.record(&key, &[report.lambda, typical])?;
-                }
-                (report.lambda, typical)
-            }
-        };
+        let sc = scenario(args, exps, n)?;
+        let (report, snapshot) =
+            measure_point(&sc, slots, &pool, cache.as_ref(), metrics.is_some())?;
+        if let Some(snapshot) = &snapshot {
+            merged.merge(snapshot);
+        }
+        let typical = report
+            .lambda_mobility_typical
+            .unwrap_or(0.0)
+            .max(report.lambda_infra_typical.unwrap_or(0.0));
         writeln!(
             out,
-            "n = {n:6}: lambda = {lambda:.6} (typical {typical:.6})"
+            "n = {n:6}: lambda = {:.6} (typical {typical:.6})",
+            report.lambda
         )?;
         lambdas.push(typical);
     }
@@ -947,8 +940,15 @@ pub fn surface(args: &Args) -> CmdResult {
 mod tests {
     use super::*;
 
+    /// Parses `s` with the options of the subcommand it names (`cache`
+    /// for the nested cache actions).
     fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+        let name = s.split_whitespace().next().unwrap_or("");
+        let known = subcommand(name)
+            .or_else(|| subcommand("cache"))
+            .unwrap()
+            .options;
+        Args::parse(s.split_whitespace().map(String::from), known).unwrap()
     }
 
     #[test]
@@ -1165,10 +1165,6 @@ mod tests {
         let warm = sweep(&args(&cmd)).unwrap().text;
         assert_eq!(cold, uncached, "caching must not perturb the report");
         assert_eq!(warm, cold, "warm run must be byte-identical");
-        // --no-cache wins over --cache: the entries are ignored (the run
-        // still recomputes and matches, proving the flag disables lookup).
-        let out = sweep(&args(&format!("{cmd} --no-cache"))).unwrap().text;
-        assert_eq!(out, uncached);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1359,22 +1355,36 @@ mod tests {
     }
 
     #[test]
-    fn sweep_resume_requires_checkpoint_and_rejects_metrics() {
-        let err = sweep(&args(
-            "sweep --alpha 0.25 --m 1.0 --k 0.5 --ns 100,200 --slots 40 --resume",
-        ))
-        .unwrap_err();
-        let hycap_err = err.downcast_ref::<HycapError>().expect("typed error");
-        assert_eq!(hycap_err.exit_code(), 2);
-        let path = std::env::temp_dir().join("hycap_cli_resume_metrics.jsonl");
-        let cmd = format!(
-            "sweep --alpha 0.25 --m 1.0 --k 0.5 --ns 100,200 --slots 40 --resume \
-             --checkpoint {} --metrics m.json",
-            path.display()
-        );
-        let err = sweep(&args(&cmd)).unwrap_err();
-        let hycap_err = err.downcast_ref::<HycapError>().expect("typed error");
-        assert_eq!(hycap_err.exit_code(), 2);
+    fn every_subcommand_rejects_options_it_does_not_take() {
+        let parse = |s: &str| {
+            let name = s.split_whitespace().next().unwrap();
+            Args::parse(
+                s.split_whitespace().map(String::from),
+                subcommand(name).unwrap().options,
+            )
+        };
+        for (cmd, bad) in [
+            ("measure --alpha 0.25 --n 150 --slot 40", "slot"),
+            ("measure --alpha 0.25 --n 150 --sedd 3", "sedd"),
+            (
+                "sweep --alpha 0.25 --ns 100,200 --checkpoint x",
+                "checkpoint",
+            ),
+            ("sweep --alpha 0.25 --ns 100,200 --resume", "resume"),
+            ("sweep --alpha 0.25 --ns 100,200 --no-cache", "no-cache"),
+            ("flows --alpha 0.25 --n 100 --threads 2", "threads"),
+            ("classify --alpha 0.25 --no-bs", "no-bs"),
+            ("cache --cache d --n 3", "n"),
+        ] {
+            assert_eq!(
+                parse(cmd),
+                Err(ArgError::UnknownOption(bad.into())),
+                "{cmd}"
+            );
+        }
+        // Every option a subcommand lists is one it reads: a full
+        // measure command line parses.
+        assert!(parse("measure --alpha 0.25 --m 1 --r 0 --k 0.5 --phi 0 --n 150 --slots 40 --seed 3 --threads 2 --static --no-bs --metrics m.json --cache d").is_ok());
     }
 
     #[test]
@@ -1388,33 +1398,37 @@ mod tests {
     }
 
     #[test]
-    fn sweep_checkpoint_then_resume_is_byte_identical() {
-        let dir = std::env::temp_dir().join(format!("hycap-cli-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let journal = dir.join("sweep.jsonl");
-        let base = "sweep --alpha 0.25 --m 1.0 --k 0.5 --ns 100,200 --slots 60 --seed 4";
-        let plain = sweep(&args(base)).unwrap();
+    fn sweep_resumes_from_a_partial_cache_byte_identically() {
+        let dir = temp_cache_dir("resume");
+        let live = || {
+            ResultCache::open(&dir)
+                .unwrap()
+                .disk_stats()
+                .unwrap()
+                .live_entries
+        };
+        let base = "sweep --alpha 0.25 --m 1.0 --k 0.5 --ns 100,200 --slots 60";
+        let plain = sweep(&args(&format!("{base} --seed 4"))).unwrap();
         assert_eq!(plain.code, 0);
-        let first = sweep(&args(&format!("{base} --checkpoint {}", journal.display()))).unwrap();
-        assert_eq!(plain.text, first.text, "journaling must not perturb");
-        // Resume with a warm journal recomputes nothing and reproduces the
-        // exact bytes.
-        let resumed = sweep(&args(&format!(
-            "{base} --checkpoint {} --resume",
-            journal.display()
+        // A run cut after its first point leaves exactly that point in
+        // the cache; `measure` at the same parameters stores the same key.
+        measure(&args(&format!(
+            "measure --alpha 0.25 --m 1.0 --k 0.5 --n 100 --slots 60 --seed 4 --cache {}",
+            dir.display()
         )))
         .unwrap();
-        assert_eq!(plain.text, resumed.text);
-        assert_eq!(resumed.code, 0);
-        // A different seed is a different scenario digest: resume refuses.
-        let err = sweep(&args(&format!(
-            "sweep --alpha 0.25 --m 1.0 --k 0.5 --ns 100,200 --slots 60 --seed 5 \
-             --checkpoint {} --resume",
-            journal.display()
-        )))
-        .unwrap_err();
-        let hycap_err = err.downcast_ref::<HycapError>().expect("typed error");
-        assert_eq!(hycap_err.exit_code(), 2);
+        assert_eq!(live(), 1);
+        let cmd = format!("{base} --seed 4 --cache {}", dir.display());
+        let resumed = sweep(&args(&cmd)).unwrap();
+        assert_eq!(resumed, plain, "resumed sweep must match the uncached run");
+        assert_eq!(live(), 2, "only the missing point was computed and stored");
+        // Another seed is another key: nothing is served, the report is
+        // that seed's own.
+        let other = sweep(&args(&format!("{base} --seed 5"))).unwrap();
+        let mixed = sweep(&args(&format!("{base} --seed 5 --cache {}", dir.display()))).unwrap();
+        assert_eq!(mixed, other);
+        assert_ne!(mixed.text, plain.text);
+        assert_eq!(live(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 

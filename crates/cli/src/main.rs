@@ -4,15 +4,17 @@
 //! hycap classify --alpha A --m M --r R --k K --phi P [--static]
 //! hycap theory   --alpha A --m M --r R --k K --phi P [--static] [--no-bs]
 //! hycap measure  --alpha A --m M --r R --k K --phi P --n N
-//!                [--slots S] [--seed X] [--static] [--no-bs] [--metrics PATH]
+//!                [--slots S] [--seed X] [--threads T] [--static] [--no-bs]
+//!                [--metrics PATH] [--cache DIR]
 //! hycap sweep    --alpha A --m M --r R --k K --phi P
-//!                [--ns 200,400,800] [--slots S] [--seed X] [--static] [--no-bs]
-//!                [--metrics PATH]
+//!                [--ns 200,400,800] [--slots S] [--seed X] [--threads T]
+//!                [--static] [--no-bs] [--metrics PATH] [--deadline SECS]
+//!                [--cache DIR]
 //! hycap cache    stats|gc|clear --cache DIR
 //! hycap surface  --phi P [--res 21]
 //! hycap degrade  --alpha A --m M --r R --k K --phi P --n N
 //!                [--fail-frac F] [--outage-p P] [--slots S] [--seed X] [--occupy]
-//!                [--metrics PATH]
+//!                [--static] [--no-bs] [--metrics PATH]
 //! hycap flows    --alpha A --m M --r R --k K --phi P --n N
 //!                [--rate R | --interval I] [--size P] [--window W]
 //!                [--horizon H] [--loads ... | --min-load L --max-load L
@@ -25,19 +27,23 @@
 //! (flat CSV when PATH ends in `.csv`) without perturbing the measured
 //! numbers.
 //!
-//! `sweep` additionally accepts `--deadline SECS` (stop at the next point
-//! boundary, exit 4), `--checkpoint PATH` (journal completed points) and
-//! `--resume` (reuse journaled points; bit-identical merged report).
-//!
 //! `measure` and `sweep` accept `--cache DIR`: a content-addressed on-disk
 //! result cache keyed by every bit-relevant parameter plus the engine
 //! version. Warm runs serve cached results byte-identically (hit/miss
-//! counts go to stderr); `--no-cache` disables it, and the `cache`
-//! subcommand inspects (`stats`), prunes (`gc`) or wipes (`clear`) a
-//! cache directory.
+//! counts go to stderr), and the `cache` subcommand inspects (`stats`),
+//! prunes (`gc`) or wipes (`clear`) a cache directory.
+//!
+//! `sweep` additionally accepts `--deadline SECS` (stop at the next point
+//! boundary, exit 4). With `--cache DIR` each finished point is committed
+//! before the next one starts, so rerunning a killed or cut sweep with the
+//! same `--cache DIR` resumes it: finished points are served, and stdout
+//! is byte-identical to an uninterrupted run.
+//!
+//! Every subcommand rejects options it does not take (exit 2, naming the
+//! option).
 //!
 //! Exit codes: 0 success; 1 unexpected failure (including I/O); 2 invalid
-//! input (bad arguments or parameters); 3 missing/exhausted
+//! input (bad or unknown arguments, bad parameters); 3 missing/exhausted
 //! infrastructure; 4 run interrupted by a deadline or budget — partial
 //! results written.
 
@@ -60,7 +66,13 @@ fn main() {
     if is_cache {
         argv.remove(0);
     }
-    let parsed = match Args::parse(argv) {
+    let name = if is_cache { "cache" } else { argv[0].as_str() };
+    let Some(cmd) = commands::subcommand(name) else {
+        eprintln!("error: unknown subcommand '{name}'");
+        eprint!("{}", commands::USAGE);
+        std::process::exit(2);
+    };
+    let parsed = match Args::parse(argv, cmd.options) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -72,12 +84,7 @@ fn main() {
         print!("{}", commands::USAGE);
         return;
     }
-    let result = if is_cache {
-        commands::cache(&parsed)
-    } else {
-        dispatch(&parsed)
-    };
-    match result {
+    match (cmd.run)(&parsed) {
         Ok(output) => {
             print!("{}", output.text);
             if output.code != 0 {
@@ -87,23 +94,6 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(exit_code_for(e.as_ref()));
-        }
-    }
-}
-
-fn dispatch(parsed: &Args) -> Result<commands::CmdOutput, Box<dyn std::error::Error>> {
-    match parsed.command() {
-        "classify" => commands::classify(parsed),
-        "theory" => commands::theory(parsed),
-        "measure" => commands::measure(parsed),
-        "sweep" => commands::sweep(parsed),
-        "surface" => commands::surface(parsed),
-        "degrade" => commands::degrade(parsed),
-        "flows" => commands::flows(parsed),
-        other => {
-            eprintln!("error: unknown subcommand '{other}'");
-            eprint!("{}", commands::USAGE);
-            std::process::exit(2);
         }
     }
 }

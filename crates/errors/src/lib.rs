@@ -68,7 +68,7 @@ pub enum HycapError {
     },
     /// A run exhausted its execution budget (wall deadline, slot cap or
     /// event cap) before finishing. The partial progress completed so far
-    /// is valid — budgeted callers journal or report it — so this maps to
+    /// is valid — budgeted callers keep or report it — so this maps to
     /// its own exit code (4, "partial results written") instead of an
     /// input or environment failure.
     Interrupted {

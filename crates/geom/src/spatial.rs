@@ -147,6 +147,20 @@ fn cells_for_radius(max_radius: f64) -> usize {
     (1.0 / max_radius).floor().clamp(1.0, 2048.0) as usize
 }
 
+/// Flat index of the cell holding `p`, equal to
+/// `grid.cell_of(p).index()` but in `u32` arithmetic, which costs about
+/// half as much per point. Every index grid has at most 2048 cells per
+/// side ([`cells_for_radius`]), so the products stay exact, and the
+/// saturating float conversion truncates as the `usize` one does.
+#[inline]
+fn flat_cell(grid: &SquareGrid, p: Point) -> u32 {
+    let s = grid.cells_per_side() as u32;
+    let scale = f64::from(s);
+    let col = ((p.x * scale) as u32).min(s - 1);
+    let row = ((p.y * scale) as u32).min(s - 1);
+    row * s + col
+}
+
 /// Chebyshev cell reach covering a radius-`radius` disk: any point within
 /// torus distance `radius` of a point in cell `c` lies within
 /// `⌈radius / cell_len⌉` cells of `c` along each axis.
@@ -413,7 +427,7 @@ impl SpatialHash {
         let grid = self.grid_for(max_radius);
         self.cell_scratch.clear();
         self.cell_scratch
-            .extend(points.iter().map(|&p| grid.cell_of(p).index() as u32));
+            .extend(points.iter().map(|&p| flat_cell(&grid, p)));
         self.place(points, grid);
     }
 
@@ -574,7 +588,7 @@ impl SpatialHash {
         {
             let cell_scratch = &mut self.cell_scratch;
             stream(&mut |chunk: &[Point]| {
-                cell_scratch.extend(chunk.iter().map(|&p| grid.cell_of(p).index() as u32));
+                cell_scratch.extend(chunk.iter().map(|&p| flat_cell(&grid, p)));
             });
         }
         if self.cell_scratch.len() != len {
@@ -680,7 +694,7 @@ impl SpatialHash {
         let mut churn = 0usize;
         let mut first_dirty = cell_count;
         for (id, &p) in points.iter().enumerate() {
-            let c = grid.cell_of(p).index() as u32;
+            let c = flat_cell(&grid, p);
             self.next_cells.push(c);
             let old = self.cell_scratch[id];
             if c != old {
@@ -1217,21 +1231,15 @@ impl CellChains {
             panic!("{e}");
         }
         let grid = SquareGrid::with_cells_per_side(cells_for_radius(max_radius));
-        // `SquareGrid::cell_of` in `u32` arithmetic, which halves the cost
-        // of this pass: a side of at most 2048 cells keeps every product
-        // exact, and the saturating conversion truncates as the `usize`
-        // one does.
-        let s = grid.cells_per_side() as u32;
-        let (scale, last) = (f64::from(s), s - 1);
         let head = &mut self.head;
         head.clear();
         head.resize(grid.cell_count(), CHAIN_END);
         self.next.clear();
-        self.next.extend(points.iter().enumerate().map(|(id, p)| {
-            let col = ((p.x * scale) as u32).min(last);
-            let row = ((p.y * scale) as u32).min(last);
-            std::mem::replace(&mut head[(row * s + col) as usize], id as u32)
-        }));
+        self.next.extend(
+            points.iter().enumerate().map(|(id, &p)| {
+                std::mem::replace(&mut head[flat_cell(&grid, p) as usize], id as u32)
+            }),
+        );
         self.grid = Some(grid);
     }
 
@@ -2073,6 +2081,35 @@ mod tests {
         assert!(hash.try_rebuild(&pts, 0.1).is_ok());
         assert!(hash.try_update(&pts, -0.5).is_err());
         assert_eq!(hash.try_update(&pts, 0.1).unwrap(), RebuildKind::Unchanged);
+    }
+
+    #[test]
+    fn flat_cell_equals_cell_of_index() {
+        let mut pts = random_points(500, 97);
+        let edges = [
+            0.0,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+            -0.0,
+            1.0 / 3.0,
+            2047.0 / 2048.0,
+        ];
+        for &x in &edges {
+            for &y in &edges {
+                pts.push(Point::new(x, y));
+            }
+        }
+        for side in [1, 7, 1000, 2048] {
+            let grid = SquareGrid::with_cells_per_side(side);
+            for &p in &pts {
+                assert_eq!(
+                    flat_cell(&grid, p) as usize,
+                    grid.cell_of(p).index(),
+                    "{p:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -503,8 +503,9 @@ fn next_f64<'a>(tok: &mut impl Iterator<Item = &'a str>) -> Result<f64, StatePar
         .map_err(|_| StateParseError("bad f64 hex token".into()))
 }
 
-/// Exact bit pattern, 16 hex digits — the same convention the checkpoint
-/// journal uses, so a stored value parses back to identical bits.
+/// Exact bit pattern, 16 hex digits — the same convention the result
+/// cache's entry files use, so a stored value parses back to identical
+/// bits.
 fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }

@@ -13,8 +13,8 @@
 //! result — charging is observation only. A tripped budget yields a
 //! best-effort partial estimate whose exact cut point may depend on wall
 //! time and scheduling; only *completed* runs participate in the
-//! bit-identity guarantees (which is why the checkpoint journal records
-//! completed points exclusively, see [`crate::checkpoint`]).
+//! bit-identity guarantees (which is why sweeps store completed points
+//! exclusively in the result cache, see [`crate::cache`]).
 
 use hycap_errors::HycapError;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -198,11 +198,6 @@ impl BudgetMeter {
     /// Slots admitted so far (the `completed` count of a partial report).
     pub fn slots_completed(&self) -> u64 {
         self.inner.slots.load(Ordering::Relaxed)
-    }
-
-    /// Events admitted so far.
-    pub fn events_completed(&self) -> u64 {
-        self.inner.events.load(Ordering::Relaxed)
     }
 
     fn trip(&self, axis: u8) {

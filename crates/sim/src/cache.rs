@@ -2,18 +2,23 @@
 //!
 //! Every report in this workspace is a pure function of `(scenario
 //! parameters, seed, engine version)` — the determinism suites assert it,
-//! and [`crate::scenario_digest`] already names such a configuration with a
+//! and [`scenario_digest`] names such a configuration with a
 //! 16-hex-character digest. This module turns that purity into a cross-run
 //! cache: a [`ResultCache`] stores one [`CacheEntry`] per digest-derived
 //! key under a configurable directory, so re-running a sweep, ladder or
 //! bench serves every previously computed point from disk byte-identically
 //! instead of recomputing it.
 //!
+//! It is also what makes a long sweep survive a kill: each point is
+//! committed before the next one starts, so rerunning the same command
+//! against the same directory serves the finished points and computes
+//! only the rest, with output bit-identical to an uninterrupted run.
+//!
 //! # Layout and soundness
 //!
 //! Each key owns up to two files: `<key>.entry` (a JSONL record of typed
-//! fields, `f64`s as exact `f64::to_bits` hex words — the checkpoint
-//! journal convention) and, when the run was observed, `<key>.snap` (a
+//! fields, `f64`s as exact `f64::to_bits` hex words, so values round-trip
+//! bit for bit) and, when the run was observed, `<key>.snap` (a
 //! full-fidelity `hycap-metrics-state/1` snapshot export,
 //! [`hycap_obs::Snapshot::to_state_string`]). Writes go through a
 //! temporary file and an atomic rename, snapshot first and entry last, so
@@ -44,7 +49,35 @@ use std::sync::Mutex;
 
 use hycap_errors::HycapError;
 
-use crate::checkpoint::ENGINE_VERSION;
+/// Identifies the measurement semantics of this build. Stamped into every
+/// cache entry and folded into every [`scenario_digest`], so a result
+/// written by an engine whose numbers could differ is never served. Bump
+/// it whenever an engine change can alter any measured value.
+pub const ENGINE_VERSION: &str = "hycap-engine/7";
+
+/// FNV-1a 64-bit digest of the run configuration, rendered as 16 hex
+/// characters. Fold in every input that determines the measured values:
+/// scenario parameters, seed, slot count — [`ENGINE_VERSION`] is always
+/// included. Order matters; parts are separated so `["ab", "c"]` and
+/// `["a", "bc"]` digest differently.
+pub fn scenario_digest(parts: &[&str]) -> String {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = OFFSET;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(PRIME);
+        }
+        hash ^= 0xff;
+        hash = hash.wrapping_mul(PRIME);
+    };
+    eat(ENGINE_VERSION.as_bytes());
+    for part in parts {
+        eat(part.as_bytes());
+    }
+    format!("{hash:016x}")
+}
 
 /// Schema tag heading every cache entry file.
 pub const CACHE_SCHEMA: &str = "hycap-cache/1";
@@ -61,7 +94,8 @@ pub enum CacheValue {
     /// An unsigned integer.
     U64(u64),
     /// A short text tag (regime names and the like). Restricted to
-    /// journal-safe characters: no quotes, backslashes or control bytes.
+    /// characters an entry line carries verbatim: no quotes, backslashes
+    /// or control bytes.
     Text(String),
 }
 
@@ -596,6 +630,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hycap-cache-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         ResultCache::open(&dir).unwrap()
+    }
+
+    #[test]
+    fn digest_is_stable_and_order_sensitive() {
+        let a = scenario_digest(&["scheme=a", "n=100", "seed=7"]);
+        let b = scenario_digest(&["scheme=a", "n=100", "seed=7"]);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 16);
+        assert_ne!(a, scenario_digest(&["scheme=a", "n=100", "seed=8"]));
+        // Separators keep part boundaries significant.
+        assert_ne!(scenario_digest(&["ab", "c"]), scenario_digest(&["a", "bc"]));
     }
 
     fn sample_entry() -> CacheEntry {

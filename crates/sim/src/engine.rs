@@ -57,11 +57,6 @@ impl HybridNetwork {
         &self.population
     }
 
-    /// Mutable access to the population (used by engines to advance slots).
-    pub fn population_mut(&mut self) -> &mut Population {
-        &mut self.population
-    }
-
     /// The base stations, when present.
     pub fn base_stations(&self) -> Option<&BaseStations> {
         self.bs.as_ref()

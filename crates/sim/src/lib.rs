@@ -28,7 +28,8 @@
 //! * [`cache`] — a content-addressed on-disk result store keyed by the
 //!   scenario digest: warm lookups replay stored `f64` bits (and metrics
 //!   snapshots) byte-identically, and any corruption degrades to a miss,
-//!   never a wrong answer.
+//!   never a wrong answer. It is also the store a killed sweep resumes
+//!   from.
 //!
 //! # Example
 //!
@@ -60,7 +61,6 @@
 
 mod budget;
 pub mod cache;
-mod checkpoint;
 mod draws;
 mod engine;
 mod events;
@@ -73,8 +73,10 @@ mod pool;
 pub mod sweep;
 
 pub use budget::{BudgetExceeded, BudgetMeter, Budgeted, RunBudget};
-pub use cache::{CacheDiskStats, CacheEntry, CacheStats, CacheValue, GcReport, ResultCache};
-pub use checkpoint::{scenario_digest, Checkpoint, ENGINE_VERSION};
+pub use cache::{
+    scenario_digest, CacheDiskStats, CacheEntry, CacheStats, CacheValue, GcReport, ResultCache,
+    ENGINE_VERSION,
+};
 pub use draws::{DrawParty, SharedDraws, SlotRead};
 pub use engine::{HybridNetwork, SlotView};
 pub use events::{Event, EventQueue, FlowRng, Time};
@@ -90,8 +92,8 @@ pub use packet::{
 };
 pub use pool::{JobPanic, WorkerPool};
 pub use sweep::{
-    fit_linear, fit_loglog, geometric_ns, load_ladder, parallel_map, parallel_map_checkpointed,
-    parallel_map_observed, FitResult,
+    fit_linear, fit_loglog, geometric_ns, load_ladder, parallel_map, parallel_map_observed,
+    FitResult,
 };
 
 /// Re-export of the observability crate so downstream code can construct

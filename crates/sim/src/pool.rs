@@ -167,11 +167,6 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the machine: one worker per available core.
-    pub fn with_default_threads() -> Self {
-        WorkerPool::new(Self::default_threads())
-    }
-
     /// The machine's available parallelism (1 when it cannot be queried),
     /// the default for CLI `--threads` and the bench drivers.
     pub fn default_threads() -> usize {

@@ -8,11 +8,9 @@
 //! worker owns a disjoint `split_at_mut` slice of the output, so results
 //! land in input order with no per-item locking (no extra dependencies).
 
-use crate::checkpoint::Checkpoint;
 use crate::pool::chunk_ranges;
 use hycap_errors::HycapError;
 use hycap_obs::{MemorySink, Observer, Snapshot};
-use std::sync::Mutex;
 
 /// Result of an ordinary least-squares fit of `y = intercept + slope·x`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -270,68 +268,6 @@ where
     (outs, merged)
 }
 
-/// [`parallel_map`] with checkpoint/resume: points already journaled in
-/// `checkpoint` (by key) are loaded instead of recomputed, and every
-/// freshly computed point is journaled — flushed and fsynced — the moment
-/// its worker finishes, so a crash at any instant loses at most the points
-/// still in flight.
-///
-/// The output is in input order either way, and because journaled values
-/// round-trip as exact `f64` bit patterns, a resumed sweep's output is
-/// bit-identical to an uninterrupted run's. `key_of` must be injective
-/// over the inputs (each sweep point needs its own journal key).
-///
-/// # Errors
-///
-/// [`HycapError::Io`] when journaling a completed point fails (the
-/// computed values are lost with the error — better than reporting a
-/// point durable when it is not); [`HycapError::InvalidParameter`] when a
-/// generated key cannot be journaled verbatim.
-///
-/// # Panics
-///
-/// Propagates panics from `f`; panics if `threads == 0`.
-pub fn parallel_map_checkpointed<I, F, K>(
-    inputs: &[I],
-    threads: usize,
-    checkpoint: &Checkpoint,
-    key_of: K,
-    f: F,
-) -> Result<Vec<Vec<f64>>, HycapError>
-where
-    I: Sync,
-    F: Fn(&I) -> Vec<f64> + Sync,
-    K: Fn(&I) -> String,
-{
-    let keys: Vec<String> = inputs.iter().map(key_of).collect();
-    let mut out: Vec<Option<Vec<f64>>> = keys.iter().map(|k| checkpoint.lookup(k)).collect();
-    let missing: Vec<usize> = (0..inputs.len()).filter(|&i| out[i].is_none()).collect();
-    let journal_err: Mutex<Option<HycapError>> = Mutex::new(None);
-    let fresh = parallel_map(&missing, threads, |&i| {
-        let values = f(&inputs[i]);
-        if let Err(err) = checkpoint.record(&keys[i], &values) {
-            let mut slot = journal_err
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            slot.get_or_insert(err);
-        }
-        values
-    });
-    if let Some(err) = journal_err
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        return Err(err);
-    }
-    for (&i, values) in missing.iter().zip(fresh) {
-        out[i] = Some(values);
-    }
-    Ok(out
-        .into_iter()
-        .map(|v| v.expect("every sweep point resolved by lookup or compute"))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,54 +412,6 @@ mod tests {
     fn fit_loglog_starved_to_death_errors() {
         let err = fit_loglog(&[1.0, 2.0, 3.0], &[0.0, 0.0, 1.0]).unwrap_err();
         assert!(err.to_string().contains("two positive measurements"));
-    }
-
-    #[test]
-    fn checkpointed_map_resumes_without_recomputing() {
-        use crate::checkpoint::scenario_digest;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let dir = std::env::temp_dir().join(format!("hycap-sweep-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("resume.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let digest = scenario_digest(&["sweep-test", "seed=5"]);
-        let inputs: Vec<u64> = (0..10).collect();
-        let point = |&x: &u64| vec![(x as f64).sqrt(), x as f64 * 0.1];
-
-        // First pass: compute and journal only the first half.
-        {
-            let ckpt = Checkpoint::create(&path, &digest).unwrap();
-            let half =
-                parallel_map_checkpointed(&inputs[..5], 2, &ckpt, |x| format!("x={x}"), point)
-                    .unwrap();
-            assert_eq!(half.len(), 5);
-        }
-
-        // Resume: only the missing half recomputes, output matches a full
-        // from-scratch run bit for bit.
-        let calls = AtomicUsize::new(0);
-        let ckpt = Checkpoint::resume(&path, &digest).unwrap();
-        assert_eq!(ckpt.completed(), 5);
-        let resumed = parallel_map_checkpointed(
-            &inputs,
-            2,
-            &ckpt,
-            |x| format!("x={x}"),
-            |x| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                point(x)
-            },
-        )
-        .unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), 5);
-        let scratch: Vec<Vec<f64>> = inputs.iter().map(point).collect();
-        for (r, s) in resumed.iter().zip(&scratch) {
-            let rb: Vec<u64> = r.iter().map(|v| v.to_bits()).collect();
-            let sb: Vec<u64> = s.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(rb, sb);
-        }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

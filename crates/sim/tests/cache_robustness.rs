@@ -3,9 +3,10 @@
 //! The cache's contract is that a damaged store can cost time (a miss and
 //! a recompute) but never correctness: whatever bytes an adversarial
 //! filesystem serves, `get` must either return the original entry exactly
-//! or return `None`. These properties mirror the checkpoint journal's
-//! torn-tail tolerance and drive random truncation and byte corruption
-//! through both cache files.
+//! or return `None`. A sweep killed mid-write leaves a torn or partial
+//! file behind, and resuming it from the cache relies on exactly this:
+//! the properties drive random truncation and byte corruption through
+//! both cache files.
 
 use std::fs;
 use std::path::PathBuf;
