@@ -56,7 +56,7 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Option names that are boolean switches (take no value).
-const SWITCHES: &[&str] = &["static", "no-bs", "no-skip", "help", "occupy"];
+const SWITCHES: &[&str] = &["static", "no-bs", "no-skip", "help", "occupy", "full"];
 
 impl Args {
     /// Parses `tokens` (without the program name), accepting only the

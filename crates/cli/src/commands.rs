@@ -2,9 +2,11 @@
 //! is unit-testable without capturing stdout.
 
 use crate::args::{ArgError, Args};
+use crate::{checks, paper, scale};
 use hycap::obs::{MetricsSink, Observer, Snapshot};
 use hycap::{
-    theory as laws, MobilityRegime, ModelExponents, Realization, Scenario, ScenarioReport,
+    theory as laws, MobilityRegime, ModelExponents, Realization, RegimeError, Scenario,
+    ScenarioReport,
 };
 use hycap_errors::HycapError;
 use hycap_mobility::MobilityKind;
@@ -34,7 +36,7 @@ USAGE:
                  [--static] [--no-bs] [--metrics PATH] [--deadline SECS]
                  [--cache DIR]
   hycap cache    stats|gc|clear --cache DIR
-  hycap surface  --phi P [--res 21]
+  hycap surface  --phi P [--res 11]
   hycap degrade  --alpha A --m M --r R --k K --phi P --n N
                  [--fail-frac F] [--outage-p P] [--outage-seed Y]
                  [--cells C] [--slots S] [--seed X] [--threads T] [--occupy]
@@ -46,6 +48,18 @@ USAGE:
                  [--loads 0.001,0.002 | --min-load L --max-load L --load-count C]
                  [--delta D] [--ct C] [--seed X] [--static] [--no-bs]
                  [--no-skip] [--metrics PATH]
+
+PAPER (tables and figures; CSVs land in target/reports/):
+  hycap table1      [--full] [--seed X] [--cache DIR]   Table I
+  hycap fig1        [--seed X]                          Figure 1
+  hycap fig2        [--seed X]                          Figure 2
+  hycap fig3        [--full] [--seed X]                 Figure 3
+  hycap lemmas      [--seed X]     lemma checks; exits 1 on a FAIL verdict
+  hycap ablations   [--seed X]     design-choice ablations
+  hycap degradation [--seed X] [--slots S]   capacity vs BS-failure fraction
+  hycap scale       [--full] [--ladder-max N]   streamed ladder to n ~ 1e5
+                    (--full: to n ~ 1e6); writes BENCH_PR8.json
+  --full selects the EXPERIMENTS.md ladders (minutes) over the quick ones.
 
 EXPONENTS (the paper's model family):
   --alpha  network side f(n) = n^alpha, alpha in [0, 1/2]
@@ -95,13 +109,13 @@ FAULTS (degrade subcommand):
   --cells C       BS groups per side (default: auto, ~4 BSs per group)
   --occupy        dead BSs keep occupying spectrum instead of radio-off
 
-LADDER (sweep subcommand):
+LADDER (sweep and scale subcommands):
   --ladder-max N     cap the ladder at N nodes; accepts scientific
                      notation (--ladder-max 1e6). Caps an explicit --ns
                      list and replaces --max-n for the geometric default,
                      so one flag scales a sweep recipe up or down
 
-RESULT CACHE (measure and sweep subcommands):
+RESULT CACHE (measure, sweep and table1 subcommands):
   --cache DIR   content-addressed on-disk result cache: each measurement
                 (per ladder point for sweep) is keyed by a digest of every
                 bit-relevant parameter plus the engine version; a warm run
@@ -142,51 +156,49 @@ pub struct Subcommand {
 /// Every subcommand. `cache` carries its action (`stats`, `gc`, `clear`)
 /// in the nested command slot.
 pub const SUBCOMMANDS: &[Subcommand] = &[
-    Subcommand {
-        name: "classify",
-        options: "alpha m r k phi static",
-        run: classify,
-    },
-    Subcommand {
-        name: "theory",
-        options: "alpha m r k phi static no-bs",
-        run: theory,
-    },
-    Subcommand {
-        name: "measure",
-        options: "alpha m r k phi static no-bs n slots seed threads metrics cache",
-        run: measure,
-    },
-    Subcommand {
-        name: "sweep",
-        options: "alpha m r k phi static no-bs ns min-n max-n count ladder-max \
-                  slots seed threads metrics deadline cache",
-        run: sweep,
-    },
-    Subcommand {
-        name: "cache",
-        options: "cache",
-        run: cache,
-    },
-    Subcommand {
-        name: "surface",
-        options: "phi res",
-        run: surface,
-    },
-    Subcommand {
-        name: "degrade",
-        options: "alpha m r k phi static no-bs n fail-frac outage-p outage-seed \
-                  cells slots seed threads occupy metrics",
-        run: degrade,
-    },
-    Subcommand {
-        name: "flows",
-        options: "alpha m r k phi static no-bs n rate interval size mice elephants \
-                  elephant-frac window horizon flow-seed loads min-load max-load \
-                  load-count delta ct seed no-skip metrics",
-        run: flows,
-    },
+    Subcommand::new("classify", "alpha m r k phi static", classify),
+    Subcommand::new("theory", "alpha m r k phi static no-bs", theory),
+    Subcommand::new(
+        "measure",
+        "alpha m r k phi static no-bs n slots seed threads metrics cache",
+        measure,
+    ),
+    Subcommand::new(
+        "sweep",
+        "alpha m r k phi static no-bs ns min-n max-n count ladder-max \
+         slots seed threads metrics deadline cache",
+        sweep,
+    ),
+    Subcommand::new("cache", "cache", cache),
+    Subcommand::new("surface", "phi res", surface),
+    Subcommand::new(
+        "degrade",
+        "alpha m r k phi static no-bs n fail-frac outage-p outage-seed \
+         cells slots seed threads occupy metrics",
+        degrade,
+    ),
+    Subcommand::new(
+        "flows",
+        "alpha m r k phi static no-bs n rate interval size mice elephants \
+         elephant-frac window horizon flow-seed loads min-load max-load \
+         load-count delta ct seed no-skip metrics",
+        flows,
+    ),
+    Subcommand::new("table1", "full seed cache", paper::table1),
+    Subcommand::new("fig1", "seed", paper::fig1),
+    Subcommand::new("fig2", "seed", paper::fig2),
+    Subcommand::new("fig3", "full seed", paper::fig3),
+    Subcommand::new("lemmas", "seed", checks::lemmas),
+    Subcommand::new("ablations", "seed", checks::ablations),
+    Subcommand::new("degradation", "seed slots", paper::degradation),
+    Subcommand::new("scale", "full ladder-max", scale::scale),
 ];
+
+impl Subcommand {
+    const fn new(name: &'static str, options: &'static str, run: fn(&Args) -> CmdResult) -> Self {
+        Subcommand { name, options, run }
+    }
+}
 
 /// The subcommand called `name`.
 pub fn subcommand(name: &str) -> Option<&'static Subcommand> {
@@ -204,10 +216,12 @@ pub struct CmdOutput {
     pub code: i32,
 }
 
-type CmdResult = Result<CmdOutput, Box<dyn std::error::Error>>;
+/// A subcommand's outcome; any error carries its own exit code (see
+/// `main`).
+pub type CmdResult = Result<CmdOutput, Box<dyn std::error::Error>>;
 
 /// Wraps a complete run's output (exit code 0).
-fn done(text: String) -> CmdResult {
+pub fn done(text: String) -> CmdResult {
     Ok(CmdOutput { text, code: 0 })
 }
 
@@ -230,9 +244,9 @@ fn metrics_path(args: &Args) -> Result<Option<PathBuf>, Box<dyn std::error::Erro
     Ok(Some(path))
 }
 
-/// The `--cache DIR` option shared by measure/sweep: the on-disk result
-/// cache.
-fn result_cache(args: &Args) -> Result<Option<ResultCache>, Box<dyn std::error::Error>> {
+/// The `--cache DIR` option shared by measure/sweep/table1: the on-disk
+/// result cache.
+pub fn result_cache(args: &Args) -> Result<Option<ResultCache>, Box<dyn std::error::Error>> {
     match args.get::<String>("cache")? {
         None => Ok(None),
         Some(dir) => Ok(Some(ResultCache::open(Path::new(&dir))?)),
@@ -242,7 +256,7 @@ fn result_cache(args: &Args) -> Result<Option<ResultCache>, Box<dyn std::error::
 /// Prints the run's cache traffic to stderr — stdout must stay
 /// byte-identical between cold and warm runs, and between a resumed
 /// sweep and an uninterrupted one, so their reports diff clean.
-fn cache_status(cache: &ResultCache) {
+pub fn cache_status(cache: &ResultCache) {
     let s = cache.stats();
     eprintln!(
         "cache: {} hit(s), {} miss(es), {} store(s) in {}",
@@ -263,7 +277,7 @@ fn worker_pool(args: &Args) -> Result<WorkerPool, ArgError> {
 
 /// Writes a snapshot to `path`: flat CSV when the extension is `.csv`,
 /// `hycap-metrics/1` JSON otherwise.
-fn write_snapshot(path: &Path, snapshot: &Snapshot) -> Result<(), HycapError> {
+pub fn write_snapshot(path: &Path, snapshot: &Snapshot) -> Result<(), HycapError> {
     let body = if path.extension().is_some_and(|e| e == "csv") {
         snapshot.to_csv()
     } else {
@@ -299,7 +313,9 @@ fn exponents(args: &Args) -> Result<ModelExponents, Box<dyn std::error::Error>> 
     Ok(ModelExponents::new(alpha, m, r, k, phi)?)
 }
 
-fn regime_of(exps: &ModelExponents, is_static: bool) -> Result<MobilityRegime, hycap::RegimeError> {
+/// The regime of `exps`: static nodes have unbounded excursion, so their
+/// family classifies with `classify_with_excursion(∞)` (trivial mobility).
+pub fn regime_of(exps: &ModelExponents, is_static: bool) -> Result<MobilityRegime, RegimeError> {
     if is_static {
         exps.classify_with_excursion(f64::INFINITY)
     } else {
@@ -434,6 +450,20 @@ pub fn measure(args: &Args) -> CmdResult {
     done(out)
 }
 
+/// The `--ladder-max N` option shared by sweep/scale: a cap on the ladder's
+/// node count, parsed as f64 so million-node ladders can be spelled `1e6`.
+pub fn ladder_max(args: &Args) -> Result<Option<usize>, Box<dyn std::error::Error>> {
+    match args.get::<f64>("ladder-max")? {
+        None => Ok(None),
+        Some(v) if v.is_finite() && v >= 1.0 => Ok(Some(v as usize)),
+        Some(v) => Err(HycapError::invalid(
+            "ladder-max",
+            format!("ladder cap must be a positive node count, got {v}"),
+        )
+        .into()),
+    }
+}
+
 /// `hycap sweep` — capacity over an `n`-ladder with a log–log exponent
 /// fit, with optional crash safety: `--deadline SECS` stops cleanly at the
 /// next point boundary (exit code 4, partial table printed), and with
@@ -446,18 +476,7 @@ pub fn sweep(args: &Args) -> CmdResult {
     // measurement loop.
     let started = Instant::now();
     let exps = exponents(args)?;
-    // Parsed as f64 so million-node ladders can be spelled `1e6`.
-    let ladder_max: Option<usize> = match args.get::<f64>("ladder-max")? {
-        None => None,
-        Some(v) if v.is_finite() && v >= 1.0 => Some(v as usize),
-        Some(v) => {
-            return Err(HycapError::invalid(
-                "ladder-max",
-                format!("ladder cap must be a positive node count, got {v}"),
-            )
-            .into())
-        }
-    };
+    let ladder_max = ladder_max(args)?;
     let ns: Vec<usize> = match args.get_list("ns")? {
         Some(mut ns) => {
             if let Some(max) = ladder_max {
@@ -1375,6 +1394,9 @@ mod tests {
             ("flows --alpha 0.25 --n 100 --threads 2", "threads"),
             ("classify --alpha 0.25 --no-bs", "no-bs"),
             ("cache --cache d --n 3", "n"),
+            ("table1 --seeed 5", "seeed"),
+            ("scale --quick", "quick"),
+            ("lemmas --full", "full"),
         ] {
             assert_eq!(
                 parse(cmd),

@@ -11,7 +11,7 @@
 //!                [--static] [--no-bs] [--metrics PATH] [--deadline SECS]
 //!                [--cache DIR]
 //! hycap cache    stats|gc|clear --cache DIR
-//! hycap surface  --phi P [--res 21]
+//! hycap surface  --phi P [--res 11]
 //! hycap degrade  --alpha A --m M --r R --k K --phi P --n N
 //!                [--fail-frac F] [--outage-p P] [--slots S] [--seed X] [--occupy]
 //!                [--static] [--no-bs] [--metrics PATH]
@@ -20,7 +20,17 @@
 //!                [--horizon H] [--loads ... | --min-load L --max-load L
 //!                 --load-count C] [--delta D] [--ct C] [--seed X]
 //!                [--static] [--no-bs] [--metrics PATH]
+//! hycap table1 | fig1 | fig2 | fig3 | lemmas | ablations | degradation | scale
 //! ```
+//!
+//! The paper subcommands regenerate the paper's results: `table1` (Table
+//! I, `--cache DIR` like `sweep`), `fig1`–`fig3` (Figures 1–3), `lemmas`
+//! (Monte-Carlo lemma checks, exit 1 on a FAIL verdict), `ablations`,
+//! `degradation` (capacity against the BS-failure fraction) and `scale`
+//! (the streamed ladder, writing `BENCH_PR8.json`). Each takes `--seed X`
+//! except `scale`; `table1`, `fig3` and `scale` take `--full` for the
+//! EXPERIMENTS.md ladders. Their CSV and JSON artifacts land in
+//! `target/reports/`.
 //!
 //! `--metrics PATH` records deterministic metrics and invariant-probe
 //! results during the run and writes a `hycap-metrics/1` JSON snapshot
@@ -48,7 +58,12 @@
 //! results written.
 
 mod args;
+mod checks;
 mod commands;
+mod experiments;
+mod paper;
+mod report;
+mod scale;
 
 use args::Args;
 

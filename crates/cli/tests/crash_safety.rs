@@ -171,12 +171,31 @@ fn unknown_options_exit_2_naming_the_option() {
         );
         assert!(out.stdout.is_empty(), "no work may start: {extra:?}");
     }
-    // A misspelled `measure` option fails instead of running the defaults.
-    let out = run(&[
-        "measure", "--alpha", "0.25", "--n", "150", "--slot", "40", "--seed", "3",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --slot"));
+    // A misspelled option fails instead of running the defaults, and a
+    // ladder cap below every point fails before the first one runs.
+    for (args, named) in [
+        (
+            &[
+                "measure", "--alpha", "0.25", "--n", "150", "--slot", "40", "--seed", "3",
+            ][..],
+            "unknown option --slot",
+        ),
+        (&["table1", "--seeed", "5"][..], "unknown option --seeed"),
+        (&["scale", "--ladder-max", "0"][..], "`ladder-max`"),
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(named),
+            "stderr should name {named}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "no work may start: {args:?}");
+        assert!(
+            !stderr.contains("scale: n ="),
+            "no ladder point may run: {stderr}"
+        );
+    }
 }
 
 #[test]
