@@ -381,7 +381,8 @@ fn l_hop_sweep(out: &mut String, seed: u64) -> Result<(), Box<dyn Error>> {
         for (tag, what, sub) in subplans {
             let Some(sub) = sub else { continue };
             let mut net = HybridNetwork::with_infrastructure(pop.clone(), bs.clone());
-            let spec = FluidRun::in_order(400, &mut rng);
+            // Every row draws the same slots, so rows differ by L alone.
+            let spec = FluidRun::counter(400, seed, None);
             let r = engine
                 .run(&mut net, sub, spec, &mut Observer::noop())?
                 .into_complete(what)?
@@ -439,7 +440,8 @@ fn range_sweep(out: &mut String, seed: u64) -> Result<(), Box<dyn Error>> {
     for &c_t in &[0.1, 0.2, 0.4, 0.8, 1.6] {
         let mut net = HybridNetwork::ad_hoc(pop.clone());
         let engine = FluidEngine::new(0.5, c_t);
-        let spec = FluidRun::in_order(400, &mut rng);
+        // Every row draws the same slots, so rows differ by c_T alone.
+        let spec = FluidRun::counter(400, seed, None);
         let r = engine
             .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())?
             .into_complete("scheme A")?
@@ -480,7 +482,7 @@ fn weak_range_ablation(out: &mut String, seed: u64) -> Result<(), Box<dyn Error>
         mut net,
         traffic,
         params,
-        mut rng,
+        ..
     } = scenario.realize();
     let homes = net.population().home_points().points().to_vec();
     let centers = net.population().home_points().centers().to_vec();
@@ -492,7 +494,7 @@ fn weak_range_ablation(out: &mut String, seed: u64) -> Result<(), Box<dyn Error>
         .clone();
     let plan = hycap_routing::SchemeBPlan::by_clusters(&homes, &traffic, &bs, &centers);
     let engine = FluidEngine::new(0.5, 0.4); // default c_T/√n range
-    let spec = FluidRun::in_order(400, &mut rng);
+    let spec = FluidRun::counter(400, seed, None);
     let bad = engine
         .run(&mut net, FluidPlan::B(&plan), spec, &mut Observer::noop())?
         .into_complete("scheme B")?

@@ -375,27 +375,61 @@ fn scenario(args: &Args, exps: ModelExponents, n: usize) -> Result<Scenario, Arg
     Ok(builder.build())
 }
 
-/// One slot-sharded measurement of `sc` through the optional result
-/// cache, recording a snapshot when `observed` (`--metrics`) is set.
-fn measure_point(
+/// One fluid measurement of `sc` through the optional result cache: on
+/// `pool` when given, on the calling thread otherwise (for callers already
+/// inside a pool job, such as the Table-I row driver). The two return the
+/// same bits, so they share one cache entry per scenario and slot count.
+///
+/// With `observed` (`--metrics`) set, a pooled run also returns its
+/// snapshot, and the cache stores its full-fidelity
+/// `hycap-metrics-state/1` form alongside the report, so a warm run
+/// rebuilds a merged snapshot byte-identical to the cold one. An entry
+/// stored without a snapshot is a miss for an observed lookup, and the
+/// recompute upgrades it in place. Damaged or missing entries degrade to a
+/// recompute, never a wrong answer.
+///
+/// # Errors
+///
+/// As [`Scenario::measure_par`], plus cache-store I/O failures; lookups
+/// never error.
+pub fn measure_point(
     sc: &Scenario,
     slots: usize,
-    pool: &WorkerPool,
+    pool: Option<&WorkerPool>,
     cache: Option<&ResultCache>,
     observed: bool,
 ) -> Result<(ScenarioReport, Option<Snapshot>), HycapError> {
-    Ok(match (cache, observed) {
-        (Some(c), true) => {
-            let (report, snapshot) = sc.measure_par_observed_cached(slots, pool, c)?;
-            (report, Some(snapshot))
-        }
-        (Some(c), false) => (sc.measure_par_cached(slots, pool, c)?, None),
-        (None, true) => {
+    let observed = observed && pool.is_some();
+    let key = sc.cache_key(slots);
+    let hit = cache.and_then(|c| {
+        c.get(&key, |e| {
+            let report = ScenarioReport::from_cache_entry(e)?;
+            if !observed {
+                return Some((report, None));
+            }
+            let snapshot = Snapshot::from_state_str(e.snapshot_state()?).ok()?;
+            Some((report, Some(snapshot)))
+        })
+    });
+    if let Some(hit) = hit {
+        return Ok(hit);
+    }
+    let (report, snapshot) = match pool {
+        Some(pool) if observed => {
             let (report, snapshot) = sc.measure_par_observed(slots, pool)?;
             (report, Some(snapshot))
         }
-        (None, false) => (sc.measure_par(slots, pool)?, None),
-    })
+        Some(pool) => (sc.measure_par(slots, pool)?, None),
+        None => (sc.measure(slots)?, None),
+    };
+    if let Some(c) = cache {
+        let mut entry = report.to_cache_entry();
+        if let Some(snapshot) = &snapshot {
+            entry.set_snapshot_state(snapshot.to_state_string());
+        }
+        c.put(&key, &entry)?;
+    }
+    Ok((report, snapshot))
 }
 
 /// `hycap measure` — one finite-network capacity measurement.
@@ -407,7 +441,8 @@ pub fn measure(args: &Args) -> CmdResult {
     let cache = result_cache(args)?;
     let pool = worker_pool(args)?;
     let sc = scenario(args, exps, n)?;
-    let (report, snapshot) = measure_point(&sc, slots, &pool, cache.as_ref(), metrics.is_some())?;
+    let (report, snapshot) =
+        measure_point(&sc, slots, Some(&pool), cache.as_ref(), metrics.is_some())?;
     if let Some(c) = &cache {
         cache_status(c);
     }
@@ -524,7 +559,7 @@ pub fn sweep(args: &Args) -> CmdResult {
         }
         let sc = scenario(args, exps, n)?;
         let (report, snapshot) =
-            measure_point(&sc, slots, &pool, cache.as_ref(), metrics.is_some())?;
+            measure_point(&sc, slots, Some(&pool), cache.as_ref(), metrics.is_some())?;
         if let Some(snapshot) = &snapshot {
             merged.merge(snapshot);
         }
@@ -1172,6 +1207,85 @@ mod tests {
             std::env::temp_dir().join(format!("hycap-cli-cache-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn report_bits(r: &ScenarioReport) -> Vec<Option<u64>> {
+        vec![
+            r.lambda_mobility.map(f64::to_bits),
+            r.lambda_infra.map(f64::to_bits),
+            r.lambda_mobility_typical.map(f64::to_bits),
+            r.lambda_infra_typical.map(f64::to_bits),
+            Some(r.lambda.to_bits()),
+        ]
+    }
+
+    fn strong_scenario(seed: u64) -> Scenario {
+        let exps = ModelExponents::new(0.25, 1.0, 0.0, 0.75, 0.0).unwrap();
+        Scenario::builder(exps, 200).seed(seed).build()
+    }
+
+    #[test]
+    fn cached_measure_is_bit_identical_to_computed() {
+        let dir = temp_cache_dir("point");
+        let cache = ResultCache::open(&dir).unwrap();
+        let scenario = strong_scenario(21);
+        let computed = scenario.measure(80).unwrap();
+        // An inline cold run and a pooled warm run share the entry.
+        let (cold, _) = measure_point(&scenario, 80, None, Some(&cache), false).unwrap();
+        let pool = WorkerPool::new(2);
+        let (warm, _) = measure_point(&scenario, 80, Some(&pool), Some(&cache), false).unwrap();
+        assert_eq!(report_bits(&cold), report_bits(&computed));
+        assert_eq!(report_bits(&warm), report_bits(&computed));
+        assert_eq!(warm, computed);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.stores), (1, 1, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cached_measure_par_observed_round_trips_report_and_snapshot() {
+        let dir = temp_cache_dir("point-observed");
+        let cache = ResultCache::open(&dir).unwrap();
+        let scenario = strong_scenario(22);
+        let pool = WorkerPool::new(2);
+        let (computed, snap) = scenario.measure_par_observed(60, &pool).unwrap();
+        let observed = || measure_point(&scenario, 60, Some(&pool), Some(&cache), true).unwrap();
+        let (cold, cold_snap) = observed();
+        let (warm, warm_snap) = observed();
+        assert_eq!(cold, computed);
+        assert_eq!(warm, computed);
+        assert_eq!(report_bits(&warm), report_bits(&computed));
+        assert_eq!(cold_snap.unwrap().to_json(), snap.to_json());
+        assert_eq!(warm_snap.unwrap().to_json(), snap.to_json());
+        // The unobserved variant shares the key and hits the same entry.
+        let (bare, none) = measure_point(&scenario, 60, Some(&pool), Some(&cache), false).unwrap();
+        assert_eq!(bare, computed);
+        assert!(none.is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.stores), (2, 1, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unobserved_entry_is_a_miss_for_the_observed_variant() {
+        let dir = temp_cache_dir("point-upgrade");
+        let cache = ResultCache::open(&dir).unwrap();
+        let scenario = strong_scenario(23);
+        let pool = WorkerPool::new(2);
+        // Seed the key without a snapshot payload.
+        let (bare, _) = measure_point(&scenario, 50, Some(&pool), Some(&cache), false).unwrap();
+        // The observed variant must not fabricate a snapshot: it misses,
+        // recomputes and upgrades the entry in place.
+        let observed = || measure_point(&scenario, 50, Some(&pool), Some(&cache), true).unwrap();
+        let (report, snap) = observed();
+        assert_eq!(report, bare);
+        // Now the upgraded entry serves observed hits.
+        let (again, snap2) = observed();
+        assert_eq!(again, report);
+        assert_eq!(snap2.unwrap().to_json(), snap.unwrap().to_json());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.stores), (1, 2, 2));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! with exponent fits and the Figure 3 anchors, each at a configurable
 //! scale.
 
-use crate::commands::regime_of;
+use crate::commands::{measure_point, regime_of};
 use hycap::{capacity_exponent, MobilityRegime, ModelExponents, RegimeError, Scenario};
 use hycap_errors::HycapError;
 use hycap_mobility::{ClusteredModel, Kernel, MobilityKind, Population, PopulationConfig};
@@ -152,12 +152,12 @@ pub fn table1_exponents() -> Result<[Table1Spec; 5], RegimeError> {
 /// Runs one Table I row: sweeps the ladder, measures the regime-optimal
 /// scheme per `n`, fits the exponent. Ladder points fan out across `pool`.
 ///
-/// With a [`ResultCache`], every per-rep measurement is keyed by the
-/// scenario's content digest (mode `"measure"` — the sequential engine),
-/// so reruns of the same row, or of any sweep sharing a point, serve
-/// bit-identical results from disk. Cache store failures degrade to a
-/// recompute and surface as the row's error only after the measurements
-/// complete.
+/// With a [`ResultCache`], every per-rep measurement goes through
+/// [`measure_point`], keyed by the scenario's content digest, so reruns of
+/// the same row, or of any `hycap measure` or `sweep` sharing a point,
+/// serve bit-identical results from disk. A failed measurement or cache
+/// store drops that rep and surfaces as the row's error only after the
+/// measurements complete.
 ///
 /// # Errors
 ///
@@ -230,15 +230,10 @@ pub fn run_table1_row(
                         builder = builder.without_bs();
                     }
                     let sc = builder.build();
-                    let measured = match &cache {
-                        None => sc.measure(slots),
-                        Some(c) => sc.measure_cached(slots, c).or_else(|e| {
-                            stash(e);
-                            sc.measure(slots)
-                        }),
-                    };
-                    match measured {
-                        Ok(report) => (report.lambda_mobility_typical, report.lambda_infra_typical),
+                    match measure_point(&sc, slots, None, cache.as_deref(), false) {
+                        Ok((report, _)) => {
+                            (report.lambda_mobility_typical, report.lambda_infra_typical)
+                        }
                         Err(e) => {
                             stash(e);
                             (None, None)

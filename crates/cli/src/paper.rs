@@ -548,7 +548,8 @@ fn degraded_run(
     let plan = SchemeBPlan::build(&homes, &traffic, &bs, DEGRADE_CELLS);
     let mut net = HybridNetwork::with_infrastructure(pop, bs);
     let schedule = kill_schedule(&plan, dead);
-    let spec = FluidRun::in_order(slots, &mut rng).faults(&schedule, OutagePolicy::OccupySpectrum);
+    // Every failure fraction draws the same slots from `seed`.
+    let spec = FluidRun::counter(slots, seed, None).faults(&schedule, OutagePolicy::OccupySpectrum);
     let report = FluidEngine::default()
         .run(&mut net, FluidPlan::B(&plan), spec, &mut Observer::noop())?
         .into_complete("measurement")?;

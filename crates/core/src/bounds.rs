@@ -231,7 +231,7 @@ mod tests {
         let traffic = TrafficMatrix::permutation(400, &mut rng);
         let plan = SchemeAPlan::build(&homes, &traffic, 400f64.powf(0.25));
         let mut net = HybridNetwork::ad_hoc(pop);
-        let spec = FluidRun::in_order(300, &mut rng);
+        let spec = FluidRun::counter(300, 3, None);
         let fluid = FluidEngine::default()
             .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
             .unwrap()

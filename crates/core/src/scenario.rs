@@ -19,7 +19,7 @@ use hycap_routing::{SchemeAPlan, SchemeBPlan, SchemeCPlan, TrafficMatrix};
 use hycap_sim::{
     parallel_map, scenario_digest, CacheEntry, DrawParty, FlowRunStats, FlowWorkload, FluidEngine,
     FluidPlan, FluidRun, HybridNetwork, Pacing, PacingTrace, PacketEngine, PacketPlan,
-    PacketReport, PacketRun, ResultCache, SharedDraws, WorkerPool,
+    PacketReport, PacketRun, SharedDraws, WorkerPool,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -173,34 +173,21 @@ impl Scenario {
     /// * boundary parameters — measured with scheme A only, reported with
     ///   `regime = None`.
     ///
-    /// Slots are drawn in order from the realization RNG, so every
-    /// trajectory model works.
+    /// The mobility model picks the slot draw. A counter-samplable model
+    /// (i.i.d. or static) draws each measurement phase's slots from
+    /// per-slot counter streams seeded off the scenario seed, so the report
+    /// is bit-identical to [`Scenario::measure_par`] at every pool size. A
+    /// history-dependent model (tethered walk, OU, Brownian) draws its
+    /// slots in order from the realization RNG.
+    ///
+    /// This runs on the calling thread: it is the form for callers that
+    /// are already inside a pool job, such as the Table-I row driver.
     ///
     /// # Errors
     ///
     /// [`HycapError::InvalidParameter`] when `slots == 0`.
     pub fn measure(&self, slots: usize) -> Result<ScenarioReport, HycapError> {
-        self.measure_observed(slots, &mut Observer::noop())
-    }
-
-    /// [`Scenario::measure`] with an observer threaded through plan
-    /// compilation and the fluid engine.
-    ///
-    /// Metrics land under `routing.*` and `fluid.*`; armed probes check
-    /// schedule feasibility, backbone rate budgets and (for faulted runs
-    /// elsewhere) tally consistency. A no-op observer makes this
-    /// bit-identical to [`Scenario::measure`] — observation never touches
-    /// the scenario RNG.
-    ///
-    /// # Errors
-    ///
-    /// As [`Scenario::measure`].
-    pub fn measure_observed<S: MetricsSink>(
-        &self,
-        slots: usize,
-        obs: &mut Observer<S>,
-    ) -> Result<ScenarioReport, HycapError> {
-        self.measure_fluid(slots, None, obs)
+        self.measure_fluid(slots, None, &mut Observer::noop())
     }
 
     /// Runs a finite-flow packet workload through the regime-optimal
@@ -321,40 +308,29 @@ impl Scenario {
                     pacing_infra = Some(report.pacing);
                 }
             }
-            Some(MobilityRegime::Weak) => {
-                if let Some(bs) = net.base_stations() {
-                    let centers = net.population().home_points().centers().to_vec();
-                    let plan = SchemeBPlan::by_clusters(&homes, &traffic, bs, &centers);
-                    let engine = engine.with_range(self.weak_range(&params));
-                    let report = self.run_flows(
-                        engine,
+            Some(regime) => {
+                let report = match self.cluster_plan(regime, &net, &homes, &traffic, &params) {
+                    None => None,
+                    Some(ClusterPlan::Weak { plan, range }) => Some(self.run_flows(
+                        engine.with_range(range),
                         &mut net,
                         PacketPlan::B(&plan),
                         workload,
                         (&mut rng, None),
                         obs,
-                    )?;
-                    flows_infra = report.flows;
-                    pacing_infra = Some(report.pacing);
-                }
-            }
-            Some(MobilityRegime::Trivial) => {
-                if self.with_bs {
-                    let hp = net.population().home_points();
-                    let centers = hp.centers().to_vec();
-                    let cluster_of = hp.cluster_of().to_vec();
-                    let radius = hp.radius().max(1e-3);
-                    let layout =
-                        CellularLayout::build(&centers, radius, params.k.max(centers.len()));
-                    let plan = SchemeCPlan::build(&homes, &cluster_of, &layout, &traffic);
-                    let cells = PacketPlan::C {
-                        plan: &plan,
-                        layout: &layout,
-                        traffic: &traffic,
-                        c: params.c,
-                    };
-                    let report =
-                        self.run_flows(engine, &mut net, cells, workload, (&mut rng, None), obs)?;
+                    )?),
+                    Some(ClusterPlan::Trivial { plan, layout }) => {
+                        let cells = PacketPlan::C {
+                            plan: &plan,
+                            layout: &layout,
+                            traffic: &traffic,
+                            c: params.c,
+                        };
+                        let draws = (&mut rng, None);
+                        Some(self.run_flows(engine, &mut net, cells, workload, draws, obs)?)
+                    }
+                };
+                if let Some(report) = report {
                     flows_infra = report.flows;
                     pacing_infra = Some(report.pacing);
                 }
@@ -368,6 +344,35 @@ impl Scenario {
             pacing_infra,
             params,
         })
+    }
+
+    /// The infrastructure plan of a weak or trivial row, compiled the same
+    /// way for the fluid and the flow engines; `None` for the strong row
+    /// and for a network without base stations.
+    fn cluster_plan(
+        &self,
+        regime: MobilityRegime,
+        net: &HybridNetwork,
+        homes: &[Point],
+        traffic: &TrafficMatrix,
+        params: &RealizedParams,
+    ) -> Option<ClusterPlan> {
+        let bs = net.base_stations()?;
+        let hp = net.population().home_points();
+        match regime {
+            MobilityRegime::Strong => None,
+            MobilityRegime::Weak => Some(ClusterPlan::Weak {
+                plan: SchemeBPlan::by_clusters(homes, traffic, bs, hp.centers()),
+                range: self.weak_range(params),
+            }),
+            MobilityRegime::Trivial => {
+                let centers = hp.centers();
+                let radius = hp.radius().max(1e-3);
+                let layout = CellularLayout::build(centers, radius, params.k.max(centers.len()));
+                let plan = SchemeCPlan::build(homes, hp.cluster_of(), &layout, traffic);
+                Some(ClusterPlan::Trivial { plan, layout })
+            }
+        }
     }
 
     /// The transmission range every engine runs the weak regime at.
@@ -425,21 +430,16 @@ impl Scenario {
         engine.run(net, plan, spec, obs)?.into_complete("flow run")
     }
 
-    /// [`Scenario::measure`] on a [`WorkerPool`], using the counter-based
-    /// slot-sharded engines: each measurement phase replays its slots from
-    /// per-slot RNG streams seeded off the scenario seed, so the report is a
-    /// pure function of the scenario and `slots` — bit-identical for every
-    /// pool size.
-    ///
-    /// This is a *different* (equally valid) sampling mode than the
-    /// sequential [`Scenario::measure`], whose slots are drawn in order from
-    /// one RNG; the two agree in distribution, not bit-for-bit.
+    /// [`Scenario::measure`] on a [`WorkerPool`]: a counter-samplable
+    /// model's measurement phases fan their slots out over `pool` in
+    /// contiguous chunks, so the report is a pure function of the scenario
+    /// and `slots`, bit-identical to [`Scenario::measure`] at every pool
+    /// size. A history-dependent model draws its slots in order on the
+    /// calling thread, as [`Scenario::measure`] does.
     ///
     /// # Errors
     ///
-    /// [`HycapError::InvalidParameter`] when `slots == 0` or the mobility
-    /// model is not counter-samplable (slot positions must not depend on
-    /// history).
+    /// [`HycapError::InvalidParameter`] when `slots == 0`.
     pub fn measure_par(
         &self,
         slots: usize,
@@ -450,9 +450,12 @@ impl Scenario {
 
     /// [`Scenario::measure_par`] with recording observation: returns the
     /// report plus the merged `hycap-metrics/1` snapshot (plan compilation
-    /// metrics, per-chunk engine metrics merged in slot order, run-level
-    /// metrics last). The snapshot, like the report, is bit-identical for
-    /// every pool size.
+    /// metrics under `routing.*`, per-chunk engine metrics merged in slot
+    /// order, run-level metrics last), with probes armed for schedule
+    /// feasibility and backbone rate budgets. The snapshot, like the
+    /// report, is bit-identical for every pool size, and observation never
+    /// draws from an RNG, so the report is the one [`Scenario::measure`]
+    /// returns.
     ///
     /// # Errors
     ///
@@ -469,12 +472,17 @@ impl Scenario {
 
     /// Canonical digest parts naming this scenario for the result cache:
     /// every field that changes the measured bits (all builder knobs, `n`,
-    /// the seed), plus the sampling `mode` and slot count. The engine
-    /// version is folded in by [`scenario_digest`] itself, so an engine
-    /// bump invalidates every cached result at once.
-    pub fn digest_parts(&self, mode: &str, slots: usize) -> Vec<String> {
+    /// the seed) and the slot count. The engine version is folded in by
+    /// [`scenario_digest`] itself, so an engine bump invalidates every
+    /// cached result at once.
+    pub fn digest_parts(&self, slots: usize) -> Vec<String> {
         vec![
-            format!("mode={mode}"),
+            // A constant since the mobility model picks the slot draw. It
+            // once told the in-order and the counter-stream draws apart;
+            // keeping it keeps the keys of counter-samplable scenarios
+            // byte-identical, so cache directories filled by `hycap
+            // measure` and `hycap sweep` before then keep hitting.
+            "mode=measure_par".to_string(),
             format!("alpha={}", self.exponents.alpha),
             format!("m_exp={}", self.exponents.m_exp),
             format!("r_exp={}", self.exponents.r_exp),
@@ -494,104 +502,23 @@ impl Scenario {
         ]
     }
 
-    /// The content-addressed [`ResultCache`] key for this scenario under
-    /// sampling `mode` and `slots`. Mode is `"measure"` for the sequential
-    /// engine and `"measure_par"` for the slot-sharded one — the two agree
-    /// in distribution, not bit-for-bit, so they must never share a key.
-    pub fn cache_key(&self, mode: &str, slots: usize) -> String {
-        let parts = self.digest_parts(mode, slots);
+    /// The content-addressed [`hycap_sim::ResultCache`] key of this
+    /// scenario's fluid measurement over `slots` slots.
+    /// [`Scenario::measure`] and [`Scenario::measure_par`] return the same
+    /// bits, so they share it.
+    pub fn cache_key(&self, slots: usize) -> String {
+        let parts = self.digest_parts(slots);
         let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
         format!("scenario-{}", scenario_digest(&refs))
     }
 
-    /// [`Scenario::measure`] backed by an on-disk [`ResultCache`]: a hit
-    /// returns the stored report without realizing the network; a miss
-    /// runs the measurement and stores the result. Cached and computed
-    /// reports are bit-identical — damaged or missing entries degrade to
-    /// a recompute, never a wrong answer.
+    /// The fluid measurement behind every fluid `measure*` entry point:
+    /// realizes the scenario, dispatches on its regime once, and runs each
+    /// applicable scheme from per-phase counter streams (on `pool` when
+    /// given) when the mobility model is counter-samplable, in order from
+    /// the realization RNG otherwise.
     ///
-    /// # Errors
-    ///
-    /// As [`Scenario::measure`], plus cache-store I/O failures; lookups
-    /// never error.
-    pub fn measure_cached(
-        &self,
-        slots: usize,
-        cache: &ResultCache,
-    ) -> Result<ScenarioReport, HycapError> {
-        let key = self.cache_key("measure", slots);
-        if let Some(report) = cache.get(&key, ScenarioReport::from_cache_entry) {
-            return Ok(report);
-        }
-        let report = self.measure(slots)?;
-        cache.put(&key, &report.to_cache_entry())?;
-        Ok(report)
-    }
-
-    /// [`Scenario::measure_par`] backed by an on-disk [`ResultCache`].
-    /// Keys carry the `"measure_par"` mode tag: the slot-sharded sampling
-    /// mode is bitwise distinct from the sequential one, so the two
-    /// populate disjoint entries.
-    ///
-    /// # Errors
-    ///
-    /// As [`Scenario::measure_par`], plus cache-store I/O failures.
-    pub fn measure_par_cached(
-        &self,
-        slots: usize,
-        pool: &WorkerPool,
-        cache: &ResultCache,
-    ) -> Result<ScenarioReport, HycapError> {
-        let key = self.cache_key("measure_par", slots);
-        if let Some(report) = cache.get(&key, ScenarioReport::from_cache_entry) {
-            return Ok(report);
-        }
-        let report = self.measure_par(slots, pool)?;
-        cache.put(&key, &report.to_cache_entry())?;
-        Ok(report)
-    }
-
-    /// [`Scenario::measure_par_observed`] backed by an on-disk
-    /// [`ResultCache`]: the full-fidelity `hycap-metrics-state/1` snapshot
-    /// is stored alongside the report, so a warm run rebuilds a merged
-    /// `--metrics` snapshot byte-identical to the cold one. The key is
-    /// shared with [`Scenario::measure_par_cached`] (observation never
-    /// perturbs the measurement), but the decode additionally demands a
-    /// parseable snapshot — an entry stored by the unobserved variant is a
-    /// miss here, and the recompute upgrades it in place.
-    ///
-    /// # Errors
-    ///
-    /// As [`Scenario::measure_par_observed`], plus cache-store I/O
-    /// failures.
-    pub fn measure_par_observed_cached(
-        &self,
-        slots: usize,
-        pool: &WorkerPool,
-        cache: &ResultCache,
-    ) -> Result<(ScenarioReport, Snapshot), HycapError> {
-        let key = self.cache_key("measure_par", slots);
-        let hit = cache.get(&key, |e| {
-            let report = ScenarioReport::from_cache_entry(e)?;
-            let snap = Snapshot::from_state_str(e.snapshot_state()?).ok()?;
-            Some((report, snap))
-        });
-        if let Some(hit) = hit {
-            return Ok(hit);
-        }
-        let (report, snap) = self.measure_par_observed(slots, pool)?;
-        let mut entry = report.to_cache_entry();
-        entry.set_snapshot_state(snap.to_state_string());
-        cache.put(&key, &entry)?;
-        Ok((report, snap))
-    }
-
-    /// The fluid measurement behind every `measure*` entry point: realizes
-    /// the scenario, dispatches on its regime once, and runs each
-    /// applicable scheme in order from the realization RNG (`pool = None`)
-    /// or from per-phase counter streams on `pool`.
-    ///
-    /// In-order runs record into `obs` as they go; pooled runs fold each
+    /// In-order runs record into `obs` as they go; counter runs fold each
     /// scheme's merged snapshot into it ([`FluidEngine::run`]). Plan
     /// compilation records under `routing.*`, names no engine metric
     /// touches, so where it lands in that order changes no byte.
@@ -610,6 +537,7 @@ impl Scenario {
         let engine = FluidEngine::new(self.delta, self.c_t);
         let regime = self.regime().ok();
         let homes = net.population().home_points().points().to_vec();
+        let counter = net.counter_samplable();
         // Distinct per-phase slot streams, derived from the scenario seed
         // with the same multiplicative mix the bench reps use.
         let phase_seed = |phase: u64| {
@@ -622,9 +550,10 @@ impl Scenario {
                        plan: FluidPlan<'_>,
                        phase: u64,
                        obs: &mut Observer<S>| {
-            let spec = match pool {
-                Some(pool) => FluidRun::counter(slots, phase_seed(phase), Some(pool)),
-                None => FluidRun::in_order(slots, &mut rng),
+            let spec = if counter {
+                FluidRun::counter(slots, phase_seed(phase), pool)
+            } else {
+                FluidRun::in_order(slots, &mut rng)
             };
             let report = engine.run(net, plan, spec, obs)?.into_complete("fluid")?;
             Ok::<_, HycapError>(Some((report.base.lambda, report.base.lambda_typical)))
@@ -641,31 +570,26 @@ impl Scenario {
                     infra = run(engine, &mut net, FluidPlan::B(&plan), 2, obs)?;
                 }
             }
-            Some(MobilityRegime::Weak) => {
-                if let Some(bs) = net.base_stations() {
-                    let centers = net.population().home_points().centers().to_vec();
-                    let plan = SchemeBPlan::by_clusters(&homes, &traffic, bs, &centers);
-                    let engine = engine.with_range(self.weak_range(&params));
-                    infra = run(engine, &mut net, FluidPlan::B(&plan), 2, obs)?;
+            Some(regime) => match self.cluster_plan(regime, &net, &homes, &traffic, &params) {
+                None => {}
+                Some(ClusterPlan::Weak { plan, range }) => {
+                    infra = run(
+                        engine.with_range(range),
+                        &mut net,
+                        FluidPlan::B(&plan),
+                        2,
+                        obs,
+                    )?;
                 }
-            }
-            Some(MobilityRegime::Trivial) => {
-                if self.with_bs {
+                Some(ClusterPlan::Trivial { plan, layout }) => {
                     // Scheme C is analytic — no slot sampling.
-                    let hp = net.population().home_points();
-                    let centers = hp.centers().to_vec();
-                    let cluster_of = hp.cluster_of().to_vec();
-                    let radius = hp.radius().max(1e-3);
-                    let layout =
-                        CellularLayout::build(&centers, radius, params.k.max(centers.len()));
-                    let plan = SchemeCPlan::build(&homes, &cluster_of, &layout, &traffic);
                     let backbone = Backbone::new(layout.total_cells().max(1), params.c);
                     infra = Some((
                         plan.analytic_rate_with_traffic(&backbone, &traffic),
                         plan.typical_rate_with_traffic(&backbone, &traffic),
                     ));
                 }
-            }
+            },
         }
         let lambda = mobility.map_or(0.0, |m| m.0) + infra.map_or(0.0, |i| i.0);
         Ok(ScenarioReport {
@@ -884,6 +808,18 @@ impl ScenarioReport {
             slots: usize::try_from(entry.u64("slots")?).ok()?,
         })
     }
+}
+
+/// The infrastructure plan of a weak or trivial row
+/// ([`Scenario::cluster_plan`]).
+enum ClusterPlan {
+    /// Scheme B grouped by clusters, run at the weak-regime range.
+    Weak { plan: SchemeBPlan, range: f64 },
+    /// Scheme C over the cellular layout of the clusters.
+    Trivial {
+        plan: SchemeCPlan,
+        layout: CellularLayout,
+    },
 }
 
 /// One path of the strong-row flow dispatch.
@@ -1179,6 +1115,7 @@ mod tests {
     fn measure_par_is_pool_size_invariant() {
         let scenario = Scenario::builder(strong_exps(), 300).seed(9).build();
         let pool1 = WorkerPool::new(1);
+        let pool2 = WorkerPool::new(2);
         let pool4 = WorkerPool::new(4);
         let (r1, s1) = scenario.measure_par_observed(120, &pool1).unwrap();
         let (r4, s4) = scenario.measure_par_observed(120, &pool4).unwrap();
@@ -1186,6 +1123,59 @@ mod tests {
         assert_eq!(s1.to_json(), s4.to_json());
         let bare = scenario.measure_par(120, &pool4).unwrap();
         assert_eq!(bare, r1);
+        // `measure` draws the same slots as `measure_par` on every row and
+        // trajectory model: counter streams for i.i.d. and static nodes,
+        // the in-order walk (ignoring the pool) for a tethered walk.
+        let weak = ModelExponents::new(0.4, 0.2, 0.4, 0.6, 0.0).unwrap();
+        let rows = [
+            (Scenario::builder(strong_exps(), 300).seed(9).build(), 120),
+            (Scenario::builder(weak, 300).seed(3).build(), 120),
+            (
+                Scenario::builder(weak, 300)
+                    .mobility(MobilityKind::Static)
+                    .seed(4)
+                    .build(),
+                10,
+            ),
+            (
+                Scenario::builder(strong_exps(), 200)
+                    .mobility(MobilityKind::Static)
+                    .seed(5)
+                    .build(),
+                40,
+            ),
+            (
+                Scenario::builder(strong_exps(), 100)
+                    .mobility(MobilityKind::TetheredWalk { step_frac: 0.05 })
+                    .seed(10)
+                    .build(),
+                40,
+            ),
+        ];
+        let regimes = rows.iter().map(|(sc, _)| sc.regime().unwrap());
+        assert_eq!(
+            regimes.collect::<Vec<_>>(),
+            [
+                MobilityRegime::Strong,
+                MobilityRegime::Weak,
+                MobilityRegime::Trivial,
+                MobilityRegime::Trivial,
+                MobilityRegime::Strong,
+            ]
+        );
+        for (scenario, slots) in &rows {
+            let inline = scenario.measure(*slots).unwrap();
+            for pool in [&pool1, &pool2] {
+                let pooled = scenario.measure_par(*slots, pool).unwrap();
+                assert_eq!(report_bits(&pooled), report_bits(&inline));
+                assert_eq!(
+                    pooled,
+                    inline,
+                    "{scenario:?} on {} worker(s)",
+                    pool.threads()
+                );
+            }
+        }
     }
 
     #[test]
@@ -1371,26 +1361,6 @@ mod tests {
         assert_eq!(trace.fast_forwarded, 0);
     }
 
-    #[test]
-    fn measure_par_rejects_history_dependent_mobility() {
-        let scenario = Scenario::builder(strong_exps(), 100)
-            .mobility(MobilityKind::TetheredWalk { step_frac: 0.05 })
-            .seed(10)
-            .build();
-        let pool = WorkerPool::new(2);
-        let err = scenario.measure_par(40, &pool).unwrap_err();
-        assert!(matches!(err, HycapError::InvalidParameter { .. }), "{err}");
-    }
-
-    fn temp_cache(name: &str) -> ResultCache {
-        let dir = std::env::temp_dir().join(format!(
-            "hycap-scenario-cache-{}-{name}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        ResultCache::open(&dir).unwrap()
-    }
-
     fn report_bits(r: &ScenarioReport) -> Vec<Option<u64>> {
         vec![
             r.lambda_mobility.map(f64::to_bits),
@@ -1404,71 +1374,18 @@ mod tests {
     #[test]
     fn cache_keys_separate_modes_slots_and_seeds() {
         let s = Scenario::builder(strong_exps(), 200).seed(1).build();
-        let base = s.cache_key("measure", 100);
-        assert_ne!(base, s.cache_key("measure_par", 100));
-        assert_ne!(base, s.cache_key("measure", 101));
+        let base = s.cache_key(100);
+        // The key a counter-stream measurement of this scenario had when
+        // keys still named a sampling mode (`"measure_par"`): cache
+        // directories filled back then keep hitting.
+        assert_eq!(base, "scenario-81dec905ffe6d1d5");
+        assert_ne!(base, s.cache_key(101));
         let other = Scenario::builder(strong_exps(), 200).seed(2).build();
-        assert_ne!(base, other.cache_key("measure", 100));
-    }
-
-    #[test]
-    fn cached_measure_is_bit_identical_to_computed() {
-        let cache = temp_cache("measure");
-        let scenario = Scenario::builder(strong_exps(), 200).seed(21).build();
-        let computed = scenario.measure(80).unwrap();
-        let cold = scenario.measure_cached(80, &cache).unwrap();
-        let warm = scenario.measure_cached(80, &cache).unwrap();
-        assert_eq!(report_bits(&cold), report_bits(&computed));
-        assert_eq!(report_bits(&warm), report_bits(&computed));
-        assert_eq!(warm, computed);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stores), (1, 1, 1));
-    }
-
-    #[test]
-    fn cached_measure_par_observed_round_trips_report_and_snapshot() {
-        let cache = temp_cache("par-observed");
-        let scenario = Scenario::builder(strong_exps(), 200).seed(22).build();
-        let pool = WorkerPool::new(2);
-        let (computed, snap) = scenario.measure_par_observed(60, &pool).unwrap();
-        let (cold, cold_snap) = scenario
-            .measure_par_observed_cached(60, &pool, &cache)
-            .unwrap();
-        let (warm, warm_snap) = scenario
-            .measure_par_observed_cached(60, &pool, &cache)
-            .unwrap();
-        assert_eq!(cold, computed);
-        assert_eq!(warm, computed);
-        assert_eq!(report_bits(&warm), report_bits(&computed));
-        assert_eq!(cold_snap.to_json(), snap.to_json());
-        assert_eq!(warm_snap.to_json(), snap.to_json());
-        // The unobserved variant shares the key and hits the same entry.
-        let bare = scenario.measure_par_cached(60, &pool, &cache).unwrap();
-        assert_eq!(bare, computed);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stores), (2, 1, 1));
-    }
-
-    #[test]
-    fn unobserved_entry_is_a_miss_for_the_observed_variant() {
-        let cache = temp_cache("upgrade");
-        let scenario = Scenario::builder(strong_exps(), 200).seed(23).build();
-        let pool = WorkerPool::new(2);
-        // Seed the key without a snapshot payload.
-        let bare = scenario.measure_par_cached(50, &pool, &cache).unwrap();
-        // The observed variant must not fabricate a snapshot: it misses,
-        // recomputes and upgrades the entry in place.
-        let (report, snap) = scenario
-            .measure_par_observed_cached(50, &pool, &cache)
-            .unwrap();
-        assert_eq!(report, bare);
-        // Now the upgraded entry serves observed hits.
-        let (again, snap2) = scenario
-            .measure_par_observed_cached(50, &pool, &cache)
-            .unwrap();
-        assert_eq!(again, report);
-        assert_eq!(snap2.to_json(), snap.to_json());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stores), (1, 2, 2));
+        assert_ne!(base, other.cache_key(100));
+        let walk = Scenario::builder(strong_exps(), 200)
+            .mobility(MobilityKind::TetheredWalk { step_frac: 0.05 })
+            .seed(1)
+            .build();
+        assert_ne!(base, walk.cache_key(100));
     }
 }

@@ -4,10 +4,6 @@
 //!   (reference \[1\]): cells of side `Θ(√(log n / n))` (the connectivity
 //!   scale), straight horizontal-then-vertical routes over node *positions*,
 //!   constant-factor TDMA reuse. Per-node capacity `Θ(1/√(n log n))`.
-//! * [`TwoHopPlan`] — the Grossglauser–Tse two-hop relay scheme (reference
-//!   \[2\]): each flow hands its traffic to one random relay which delivers
-//!   on meeting the destination. With full-torus mobility (`f = Θ(1)`,
-//!   `m = Θ(n)`), throughput is `Θ(1)`.
 //!
 //! The non-uniformly-dense no-BS corollary (Corollary 3) is exposed as
 //! [`clustered_static_rate`]: `λ = Θ(√(m/(n² log m)))` with the enlarged
@@ -15,7 +11,6 @@
 
 use crate::TrafficMatrix;
 use hycap_geom::{GridPath, Point, SquareGrid};
-use rand::Rng;
 
 /// The Gupta–Kumar static multihop plan.
 #[derive(Debug, Clone)]
@@ -109,52 +104,6 @@ impl StaticMultihopPlan {
     }
 }
 
-/// The Grossglauser–Tse two-hop relay plan: flow `i` uses `relay_of[i]` as
-/// its single intermediate hop (always distinct from source and
-/// destination).
-#[derive(Debug, Clone)]
-pub struct TwoHopPlan {
-    relay_of: Vec<usize>,
-}
-
-impl TwoHopPlan {
-    /// Assigns a uniformly random relay (≠ source, ≠ destination) to every
-    /// flow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 3` (no valid relay exists).
-    pub fn build<R: Rng + ?Sized>(traffic: &TrafficMatrix, rng: &mut R) -> Self {
-        let n = traffic.len();
-        assert!(n >= 3, "two-hop relaying needs at least three nodes");
-        let relay_of = traffic
-            .pairs()
-            .map(|(s, d)| loop {
-                let r = rng.gen_range(0..n);
-                if r != s && r != d {
-                    break r;
-                }
-            })
-            .collect();
-        TwoHopPlan { relay_of }
-    }
-
-    /// The relay of flow `i`.
-    pub fn relay_of(&self, i: usize) -> usize {
-        self.relay_of[i]
-    }
-
-    /// All relays, indexed by flow.
-    pub fn relays(&self) -> &[usize] {
-        &self.relay_of
-    }
-
-    /// The two hops of flow `i` given its destination.
-    pub fn hops(&self, src: usize, dst: usize) -> [(usize, usize); 2] {
-        [(src, self.relay_of[src]), (self.relay_of[src], dst)]
-    }
-}
-
 /// Corollary 3's per-node capacity for the non-uniformly-dense network
 /// without infrastructure: `√(m / (n² · log m))`.
 ///
@@ -223,22 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn two_hop_relays_are_valid() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let traffic = TrafficMatrix::permutation(50, &mut rng);
-        let plan = TwoHopPlan::build(&traffic, &mut rng);
-        for (s, d) in traffic.pairs() {
-            let r = plan.relay_of(s);
-            assert_ne!(r, s);
-            assert_ne!(r, d);
-            let hops = plan.hops(s, d);
-            assert_eq!(hops[0], (s, r));
-            assert_eq!(hops[1], (r, d));
-        }
-        assert_eq!(plan.relays().len(), 50);
-    }
-
-    #[test]
     fn clustered_static_rate_shape() {
         // Follows √(m/(n² log m)): increasing m at fixed n raises the rate.
         let r_small_m = clustered_static_rate(10_000, 10);
@@ -251,14 +184,6 @@ mod tests {
     #[test]
     fn connectivity_range_shrinks_with_m() {
         assert!(clustered_connectivity_range(10) > clustered_connectivity_range(1000));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least three nodes")]
-    fn two_hop_needs_three_nodes() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let traffic = TrafficMatrix::from_permutation(vec![1, 0]);
-        let _ = TwoHopPlan::build(&traffic, &mut rng);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   regime (Definition 13, Theorem 9).
 //! * [`SchemeLPlan`] — the L-maximum-hop hybrid of the paper's reference
 //!   \[9\]: short flows stay ad hoc, long flows ride the infrastructure.
-//! * [`baselines`] — Gupta–Kumar static multihop, Grossglauser–Tse two-hop
-//!   relay, and the Corollary 3 clustered-static rate.
+//! * [`baselines`] — Gupta–Kumar static multihop and the Corollary 3
+//!   clustered-static rate.
 //!
 //! Plans are *compile-time* artifacts: they map every flow onto the
 //! resources it consumes (squarelet edges, BS access groups, backbone
@@ -33,9 +33,7 @@ mod scheme_c;
 mod scheme_l;
 mod traffic;
 
-pub use baselines::{
-    clustered_connectivity_range, clustered_static_rate, StaticMultihopPlan, TwoHopPlan,
-};
+pub use baselines::{clustered_connectivity_range, clustered_static_rate, StaticMultihopPlan};
 pub use scheme_a::{edge_key, EdgeKey, SchemeAPlan};
 pub use scheme_b::{DegradedSchemeB, FlowB, SchemeBPlan};
 pub use scheme_c::SchemeCPlan;

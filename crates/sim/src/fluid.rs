@@ -24,13 +24,11 @@
 //! positions, `S*` schedule, then credit each scheduled pair to the
 //! resource it serves.
 //!
-//! Sampling runs in one of three modes:
+//! The mobility model picks how slots are drawn:
 //!
-//! * [`Sampling::InOrder`] draws mobility in slot order from a caller RNG
-//!   and works for every trajectory model.
-//! * [`Sampling::Counter`] needs *counter-samplable* mobility (i.i.d. or
-//!   static — see [`HybridNetwork::counter_samplable`]): any slot's
-//!   snapshot is then a pure function of `(seed, slot)`, so with a
+//! * [`Sampling::Counter`] is the draw of every *counter-samplable* model
+//!   (i.i.d. or static — see [`HybridNetwork::counter_samplable`]): any
+//!   slot's snapshot is a pure function of `(seed, slot)`, so with a
 //!   [`WorkerPool`] the slot range splits into contiguous chunks, one per
 //!   pool thread, and without one it runs as a single inline chunk. The
 //!   chunks draw through one shared read-only [`SlotView`].
@@ -38,6 +36,11 @@
 //!   at most `chunk` points straight into the spatial index, so no step
 //!   materializes the `n + k` position snapshot — what makes `n = 10⁶`
 //!   ladder points routine.
+//! * [`Sampling::InOrder`] draws mobility in slot order from a caller RNG.
+//!   It is the draw of history-dependent models (tethered walk, OU,
+//!   Brownian), which must advance slot by slot, and only of them: a run
+//!   rejects it on a counter-samplable network, so each model has one
+//!   slot draw.
 //!
 //! Every per-chunk accumulator holds integer-valued counts (exactly
 //! representable in `f64`), chunks reduce in slot order, and snapshots
@@ -55,13 +58,12 @@ use hycap_errors::HycapError;
 use hycap_geom::{clamp_index_radius, Cell, Point, SquareGrid};
 use hycap_infra::{Backbone, LinkMask};
 use hycap_obs::{MemorySink, MetricsSink, Observer, Snapshot, SpanTimer};
-use hycap_routing::{edge_key, EdgeKey, SchemeAPlan, SchemeBPlan, TrafficMatrix, TwoHopPlan};
+use hycap_routing::{edge_key, EdgeKey, SchemeAPlan, SchemeBPlan};
 use hycap_wireless::{
     critical_range, schedule_memoized_observed, schedule_observed, schedule_prebuilt_observed,
-    SStarScheduler, ScheduleMemo, ScheduledPair, Scheduler, SlotWorkspace,
+    SStarScheduler, ScheduleMemo, ScheduledPair, SlotWorkspace,
 };
-use rand::{Rng, RngCore};
-use std::collections::HashMap;
+use rand::RngCore;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -139,21 +141,6 @@ impl DegradedFluidReport {
     }
 }
 
-/// Two-hop relay (Grossglauser–Tse) measurement: per-flow rates are spread
-/// out, so the report keeps distribution summaries rather than a single
-/// bottleneck.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TwoHopReport {
-    /// Mean per-flow rate `min(µ(s,r), µ(r,d))/2`.
-    pub mean_rate: f64,
-    /// 10th-percentile per-flow rate.
-    pub p10_rate: f64,
-    /// Number of flows measured.
-    pub flows: usize,
-    /// Slots sampled.
-    pub slots: usize,
-}
-
 /// The scheme a fluid run measures, with its compiled plan.
 #[derive(Debug, Clone, Copy)]
 pub enum FluidPlan<'a> {
@@ -170,8 +157,9 @@ pub enum FluidPlan<'a> {
 
 /// How a fluid run draws each slot's positions.
 pub enum Sampling<'a> {
-    /// In slot order from a caller RNG; the only mode for history-dependent
-    /// mobility (random walks must advance slot by slot).
+    /// In slot order from a caller RNG: the draw of history-dependent
+    /// mobility (random walks must advance slot by slot), and rejected on
+    /// counter-samplable networks, which draw through the counter streams.
     InOrder(&'a mut dyn RngCore),
     /// From the per-slot counter streams `SlotRng::new(seed, slot)`, sharded
     /// over `pool` in contiguous chunks when one is given and run inline
@@ -222,7 +210,9 @@ pub struct FluidRun<'a> {
 }
 
 impl<'a> FluidRun<'a> {
-    /// `slots` slots drawn in order from `rng`.
+    /// `slots` slots drawn in order from `rng`, for history-dependent
+    /// mobility only: [`FluidEngine::run`] rejects it on a
+    /// counter-samplable network (use [`FluidRun::counter`] there).
     pub fn in_order(slots: usize, rng: &'a mut dyn RngCore) -> Self {
         FluidRun::with_sampling(slots, Sampling::InOrder(rng))
     }
@@ -352,8 +342,9 @@ impl FluidEngine {
     /// # Errors
     ///
     /// * [`HycapError::InvalidParameter`] when `slots == 0`, a counter-based
-    ///   or streamed run meets history-dependent mobility, or a streamed
-    ///   run has `chunk == 0`;
+    ///   or streamed run meets history-dependent mobility, an in-order run
+    ///   meets counter-samplable mobility, or a streamed run has
+    ///   `chunk == 0`;
     /// * [`HycapError::MissingInfrastructure`] for scheme B on a network
     ///   without base stations;
     /// * [`HycapError::Mismatch`] when the plan was compiled for a
@@ -376,12 +367,20 @@ impl FluidEngine {
         if slots == 0 {
             return Err(HycapError::invalid("slots", "need at least one slot"));
         }
+        // Each mobility model has one slot draw: counter streams when it is
+        // counter-samplable, the in-order walk when it is not.
         let in_order = matches!(sampling, Sampling::InOrder(_));
         if !in_order {
             net.population()
                 .config()
                 .mobility
                 .require_counter_samplable()?;
+        } else if net.counter_samplable() {
+            return Err(HycapError::invalid(
+                "sampling",
+                "counter-samplable mobility draws its slots from counter streams; \
+                 in-order sampling is for history-dependent mobility",
+            ));
         }
         if let Sampling::Streamed { chunk: 0, .. } = sampling {
             return Err(HycapError::invalid("chunk", "need a positive chunk size"));
@@ -498,70 +497,6 @@ impl FluidEngine {
                 exceeded,
             },
         })
-    }
-
-    /// Measures the two-hop relay baseline: per-flow rate is the minimum of
-    /// the two hop link capacities, halved for the relay's receive/send
-    /// split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots == 0`.
-    pub fn measure_two_hop<R: Rng + ?Sized>(
-        &self,
-        net: &mut HybridNetwork,
-        plan: &TwoHopPlan,
-        traffic: &TrafficMatrix,
-        slots: usize,
-        rng: &mut R,
-    ) -> TwoHopReport {
-        assert!(slots > 0, "need at least one slot");
-        let n = net.n();
-        let range = self.range_for(n);
-        let scheduler = SStarScheduler::new(self.delta);
-        // hop -> flow ids listening on it.
-        let mut hop_index: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
-        for (s, d) in traffic.pairs() {
-            let r = plan.relay_of(s);
-            let h1 = if s < r { (s, r) } else { (r, s) };
-            let h2 = if r < d { (r, d) } else { (d, r) };
-            hop_index.entry(h1).or_default().push((s, 0));
-            hop_index.entry(h2).or_default().push((s, 1));
-        }
-        let mut hop_counts: HashMap<usize, [f64; 2]> = HashMap::new();
-        let mut buf = Vec::new();
-        let mut ws = SlotWorkspace::new();
-        let mut pairs: Vec<ScheduledPair> = Vec::new();
-        for _ in 0..slots {
-            net.advance_into(rng, &mut buf);
-            scheduler.schedule_into(&buf, range, &mut ws, &mut pairs);
-            for &pair in &pairs {
-                if pair.a >= n || pair.b >= n {
-                    continue;
-                }
-                if let Some(watchers) = hop_index.get(&(pair.a, pair.b)) {
-                    for &(flow, hop) in watchers {
-                        hop_counts.entry(flow).or_insert([0.0; 2])[hop] += 1.0;
-                    }
-                }
-            }
-        }
-        let mut rates: Vec<f64> = traffic
-            .pairs()
-            .map(|(s, _)| {
-                let counts = hop_counts.get(&s).copied().unwrap_or([0.0; 2]);
-                0.5 * counts[0].min(counts[1]) / slots as f64
-            })
-            .collect();
-        rates.sort_by(f64::total_cmp);
-        let mean = rates.iter().sum::<f64>() / rates.len() as f64;
-        let p10 = rates[rates.len() / 10];
-        TwoHopReport {
-            mean_rate: mean,
-            p10_rate: p10,
-            flows: rates.len(),
-            slots,
-        }
     }
 
     /// [`FluidEngine::chunk`] into a fresh recording observer when `record`
@@ -1145,6 +1080,7 @@ mod tests {
     use crate::budget::BudgetExceeded;
     use hycap_infra::BaseStations;
     use hycap_mobility::{ClusteredModel, Kernel, MobilityKind, Population, PopulationConfig};
+    use hycap_routing::TrafficMatrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1196,7 +1132,7 @@ mod tests {
         let report = measure(
             &mut net,
             FluidPlan::A(&plan),
-            FluidRun::in_order(400, &mut rng),
+            FluidRun::counter(400, 1, None),
         );
         assert!(
             report.lambda > 0.0,
@@ -1223,7 +1159,7 @@ mod tests {
         let report = measure(
             &mut net,
             FluidPlan::B(&plan),
-            FluidRun::in_order(400, &mut rng),
+            FluidRun::counter(400, 1, None),
         );
         assert!(
             report.lambda > 0.0,
@@ -1248,28 +1184,10 @@ mod tests {
         let report = measure(
             &mut net,
             FluidPlan::B(&plan),
-            FluidRun::in_order(200, &mut rng),
+            FluidRun::counter(200, 1, None),
         );
         assert_eq!(report.bottleneck, Bottleneck::Backbone);
         assert!(report.lambda > 0.0 && report.lambda < 1e-4);
-    }
-
-    #[test]
-    fn two_hop_beats_scheme_a_in_dense_full_mobility() {
-        // f = Θ(1): two-hop achieves Θ(1) while scheme A's grid degenerates.
-        let mut rng = StdRng::seed_from_u64(4);
-        let config = PopulationConfig::builder(200)
-            .alpha(0.0)
-            .kernel(Kernel::uniform_disk(1.0))
-            .build();
-        let pop = Population::generate(&config, &mut rng);
-        let mut net = HybridNetwork::ad_hoc(pop);
-        let traffic = TrafficMatrix::permutation(200, &mut rng);
-        let plan = TwoHopPlan::build(&traffic, &mut rng);
-        let report =
-            FluidEngine::default().measure_two_hop(&mut net, &plan, &traffic, 600, &mut rng);
-        assert!(report.mean_rate > 0.0, "two-hop starved");
-        assert_eq!(report.flows, 200);
     }
 
     #[test]
@@ -1528,7 +1446,7 @@ mod tests {
         let err = run_err(
             &mut net,
             FluidPlan::B(&plan),
-            FluidRun::in_order(10, &mut rng),
+            FluidRun::counter(10, 1, None),
         );
         assert!(
             matches!(err, HycapError::MissingInfrastructure("scheme B")),
@@ -1543,11 +1461,7 @@ mod tests {
         let traffic = TrafficMatrix::permutation(50, &mut rng);
         let homes = net.population().home_points().points().to_vec();
         let plan = SchemeAPlan::build(&homes, &traffic, 2.0);
-        let err = run_err(
-            &mut net,
-            FluidPlan::A(&plan),
-            FluidRun::in_order(0, &mut rng),
-        );
+        let err = run_err(&mut net, FluidPlan::A(&plan), FluidRun::counter(0, 1, None));
         assert!(
             matches!(err, HycapError::InvalidParameter { name: "slots", .. }),
             "{err}"
@@ -1561,11 +1475,7 @@ mod tests {
         let traffic = TrafficMatrix::permutation(60, &mut rng);
         let homes = other.population().home_points().points().to_vec();
         let plan = SchemeAPlan::build(&homes, &traffic, 2.0);
-        let err = run_err(
-            &mut net,
-            FluidPlan::A(&plan),
-            FluidRun::in_order(5, &mut rng),
-        );
+        let err = run_err(&mut net, FluidPlan::A(&plan), FluidRun::counter(5, 1, None));
         assert!(
             matches!(
                 err,
@@ -1581,18 +1491,14 @@ mod tests {
 
     #[test]
     fn scheme_b_plan_for_larger_population_rejected() {
-        let (mut net, _, mut rng) = hybrid_net(50, 9);
+        let (mut net, _, _) = hybrid_net(50, 9);
         let (_, plan, _) = hybrid_net(60, 10);
-        let err = run_err(
-            &mut net,
-            FluidPlan::B(&plan),
-            FluidRun::in_order(5, &mut rng),
-        );
+        let err = run_err(&mut net, FluidPlan::B(&plan), FluidRun::counter(5, 1, None));
         assert!(
             matches!(err, HycapError::Mismatch { right: 50, .. }),
             "{err}"
         );
-        let err = run_err(&mut net, FluidPlan::B(&plan), FluidRun::counter(5, 1, None));
+        let err = run_err(&mut net, FluidPlan::B(&plan), FluidRun::streamed(5, 1, 4));
         assert!(matches!(err, HycapError::Mismatch { .. }), "{err}");
     }
 }

@@ -47,7 +47,7 @@
 //! let traffic = TrafficMatrix::permutation(300, &mut rng);
 //! let plan = SchemeAPlan::build(&homes, &traffic, 300f64.powf(0.25));
 //! let mut net = HybridNetwork::ad_hoc(pop);
-//! let spec = FluidRun::in_order(100, &mut rng);
+//! let spec = FluidRun::counter(100, 7, None);
 //! let report = FluidEngine::default()
 //!     .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
 //!     .unwrap()
@@ -84,7 +84,6 @@ pub use faults::{FaultEvent, FaultInjector, FaultSchedule, FaultTally, OutagePol
 pub use flows::{ArrivalProcess, FlowRunStats, FlowSizes, FlowSpec, FlowWorkload};
 pub use fluid::{
     Bottleneck, DegradedFluidReport, FluidEngine, FluidPlan, FluidReport, FluidRun, Sampling,
-    TwoHopReport,
 };
 pub use packet::{
     FaultReport, Pacing, PacingTrace, PacketEngine, PacketPlan, PacketReport, PacketRun,

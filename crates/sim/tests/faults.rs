@@ -17,7 +17,7 @@ use hycap_sim::{
     OutagePolicy, Pacing, PacketEngine, PacketPlan, PacketReport, PacketRun,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 const SEED: u64 = 0xFA_17;
 
@@ -48,15 +48,16 @@ fn hybrid_setup(
     )
 }
 
-/// An in-order fluid run of `plan`, under `faults` when given.
-fn fluid_in_order(
+/// A fluid run of `plan` over slot streams seeded from `rng`, under
+/// `faults` when given.
+fn fluid_run(
     net: &mut HybridNetwork,
     plan: FluidPlan<'_>,
     slots: usize,
     faults: Option<(&FaultSchedule, OutagePolicy)>,
     rng: &mut StdRng,
 ) -> DegradedFluidReport {
-    let mut spec = FluidRun::in_order(slots, rng);
+    let mut spec = FluidRun::counter(slots, rng.next_u64(), None);
     spec.faults = faults;
     FluidEngine::default()
         .run(net, plan, spec, &mut Observer::noop())
@@ -87,12 +88,12 @@ fn packet_b(
 fn empty_schedule_bit_identical_fluid_scheme_b() {
     let slots = 250;
     let (mut net, plan, _, mut rng) = hybrid_setup(200, 64, 4, SEED);
-    let plain = fluid_in_order(&mut net, FluidPlan::B(&plan), slots, None, &mut rng).base;
+    let plain = fluid_run(&mut net, FluidPlan::B(&plan), slots, None, &mut rng).base;
 
     let (mut net2, plan2, _, mut rng2) = hybrid_setup(200, 64, 4, SEED);
     let empty = FaultSchedule::empty();
     let faults = Some((&empty, OutagePolicy::RadioOff));
-    let faulted = fluid_in_order(&mut net2, FluidPlan::B(&plan2), slots, faults, &mut rng2);
+    let faulted = fluid_run(&mut net2, FluidPlan::B(&plan2), slots, faults, &mut rng2);
     // Bit-identical: the empty schedule takes the exact fault-free path.
     assert_eq!(faulted.base, plain);
     assert_eq!(faulted.base.lambda.to_bits(), plain.lambda.to_bits());
@@ -111,12 +112,12 @@ fn empty_schedule_bit_identical_fluid_scheme_b() {
 fn empty_schedule_bit_identical_fluid_scheme_a() {
     let slots = 250;
     let (mut net, _, plan, mut rng) = hybrid_setup(200, 16, 4, SEED + 1);
-    let plain = fluid_in_order(&mut net, FluidPlan::A(&plan), slots, None, &mut rng).base;
+    let plain = fluid_run(&mut net, FluidPlan::A(&plan), slots, None, &mut rng).base;
 
     let (mut net2, _, plan2, mut rng2) = hybrid_setup(200, 16, 4, SEED + 1);
     let empty = FaultSchedule::empty();
     let faults = Some((&empty, OutagePolicy::RadioOff));
-    let faulted = fluid_in_order(&mut net2, FluidPlan::A(&plan2), slots, faults, &mut rng2);
+    let faulted = fluid_run(&mut net2, FluidPlan::A(&plan2), slots, faults, &mut rng2);
     assert_eq!(faulted.base, plain);
     assert_eq!(faulted.base.lambda.to_bits(), plain.lambda.to_bits());
     assert_eq!(faulted.outage_slots, 0);
@@ -174,7 +175,7 @@ fn monotone_dead_set_monotone_capacity_measured() {
         let (mut net, plan, _, mut rng) = hybrid_setup(200, 64, 4, SEED + 3);
         let schedule = kill_per_group(&plan, per_group);
         let faults = Some((&schedule, OutagePolicy::OccupySpectrum));
-        let report = fluid_in_order(&mut net, FluidPlan::B(&plan), slots, faults, &mut rng);
+        let report = fluid_run(&mut net, FluidPlan::B(&plan), slots, faults, &mut rng);
         assert_eq!(report.fallback_flows, 0, "no group may die completely");
         lambdas.push(report.base.lambda);
     }
@@ -229,7 +230,7 @@ fn dead_group_falls_back_without_panicking() {
         schedule = schedule.crash_bs(50, b);
     }
     let faults = Some((&schedule, OutagePolicy::RadioOff));
-    let report = fluid_in_order(&mut net, FluidPlan::B(&plan), slots, faults, &mut rng);
+    let report = fluid_run(&mut net, FluidPlan::B(&plan), slots, faults, &mut rng);
     assert_eq!(report.dead_groups, 1);
     assert!(report.fallback_flows > 0, "dead group must shed flows");
     assert_eq!(

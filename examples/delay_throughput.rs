@@ -35,7 +35,7 @@ fn main() {
     let mut net = HybridNetwork::ad_hoc(pop);
 
     // Fluid capacity as the yardstick.
-    let spec = FluidRun::in_order(400, &mut rng);
+    let spec = FluidRun::counter(400, 17, None);
     let fluid = FluidEngine::default()
         .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
         .and_then(|outcome| outcome.into_complete("scheme A"))

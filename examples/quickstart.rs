@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hycap::obs::Observer;
 use hycap::{theory, ModelExponents, Scenario};
+use hycap_sim::WorkerPool;
 
 fn main() {
     // A hybrid network family: extension f(n) = n^0.25 (between dense and
@@ -52,18 +52,17 @@ fn main() {
         println!("  paper's prediction:              {theory}");
     }
 
-    // 4. Re-run under the observability layer: deterministic metrics plus
-    //    runtime invariant probes (schedule feasibility, backbone rate
-    //    budgets). Observation never perturbs the measurement — the
-    //    capacities below are bit-identical to step 3.
-    let mut obs = Observer::recording().with_probes();
-    let observed = Scenario::builder(exps, n)
+    // 4. Re-run on two worker threads under the observability layer:
+    //    deterministic metrics plus runtime invariant probes (schedule
+    //    feasibility, backbone rate budgets). Neither the pool nor
+    //    observation perturbs the measurement — the capacities below are
+    //    bit-identical to step 3.
+    let (observed, snapshot) = Scenario::builder(exps, n)
         .seed(42)
         .build()
-        .measure_observed(300, &mut obs)
+        .measure_par_observed(300, &WorkerPool::new(2))
         .unwrap();
-    assert_eq!(observed.lambda, report.lambda, "observation must be free");
-    let snapshot = obs.snapshot();
+    assert_eq!(observed, report, "observation must be free");
     println!(
         "\nobservability ({} probe checks):",
         snapshot.total_probe_checks()

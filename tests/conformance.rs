@@ -23,9 +23,10 @@ use hycap_routing::{SchemeAPlan, SchemeBPlan};
 use hycap_sim::{
     DegradedFluidReport, FaultSchedule, FlowRunStats, FlowWorkload, FluidEngine, FluidPlan,
     FluidRun, HybridNetwork, OutagePolicy, Pacing, PacketEngine, PacketPlan, PacketReport,
-    PacketRun, PacketStats, PacketWorkload,
+    PacketRun, PacketStats, PacketWorkload, WorkerPool,
 };
 use rand::rngs::StdRng;
+use rand::RngCore;
 
 /// Bit-level equality for packet statistics: stricter than `PartialEq`
 /// (it also equates a NaN `mean_delay` on both sides, which `==` on f64
@@ -74,15 +75,15 @@ fn faults(k: usize) -> FaultSchedule {
     schedule.with_bernoulli_bs_outage(0.05, 99)
 }
 
-/// One in-order fluid run of `plan` on realization `r`, under `faults`
-/// when given, observed into `obs`.
+/// One fluid run of `plan` on realization `r`, over slot streams seeded
+/// from its RNG, under `faults` when given, observed into `obs`.
 fn fluid<S: MetricsSink>(
     r: &mut Realization,
     plan: FluidPlan<'_>,
     faults: Option<(&FaultSchedule, OutagePolicy)>,
     obs: &mut Observer<S>,
 ) -> DegradedFluidReport {
-    let mut spec = FluidRun::in_order(SLOTS, &mut r.rng);
+    let mut spec = FluidRun::counter(SLOTS, r.rng.next_u64(), None);
     spec.faults = faults;
     FluidEngine::default()
         .run(&mut r.net, plan, spec, obs)
@@ -402,16 +403,18 @@ fn scenario_measure_flows_is_bit_identical_under_observation() {
 
 #[test]
 fn scenario_measure_is_bit_identical_under_observation() {
+    // Unobserved on the calling thread against observed on two workers:
+    // observation is free, and the report does not depend on the pool.
+    let pool = WorkerPool::new(2);
     for seed in SEEDS {
         let sc = Scenario::builder(strong_exps(), N).seed(seed).build();
         let base = sc.measure(SLOTS).unwrap();
-        let mut obs = Observer::recording().with_probes();
-        let got = sc.measure_observed(SLOTS, &mut obs).unwrap();
+        let (got, snapshot) = sc.measure_par_observed(SLOTS, &pool).unwrap();
         assert_eq!(base, got, "seed {seed}: scenario measurement diverged");
         assert!(
-            obs.is_clean(),
-            "seed {seed}: violations: {:?}",
-            obs.violations()
+            snapshot.is_clean(),
+            "seed {seed}: {} violation(s)",
+            snapshot.violation_count()
         );
     }
 }
@@ -423,9 +426,8 @@ fn golden_snapshot() {
         "/tests/fixtures/metrics_snapshot.json"
     );
     let sc = Scenario::builder(strong_exps(), 100).seed(7).build();
-    let mut obs = Observer::recording().with_probes();
-    sc.measure_observed(40, &mut obs).unwrap();
-    let got = obs.snapshot().to_json();
+    let (_, snapshot) = sc.measure_par_observed(40, &WorkerPool::new(2)).unwrap();
+    let got = snapshot.to_json();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(FIXTURE, &got).expect("write golden fixture");
         return;

@@ -111,7 +111,7 @@ fn fluid_and_packet_engines_agree_on_feasibility() {
     let traffic = TrafficMatrix::permutation(n, &mut rng);
     let plan = SchemeAPlan::build(&homes, &traffic, (n as f64).powf(0.25));
     let mut net = HybridNetwork::ad_hoc(pop);
-    let spec = FluidRun::in_order(300, &mut rng);
+    let spec = FluidRun::counter(300, 5, None);
     let fluid = FluidEngine::default()
         .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
         .unwrap()
