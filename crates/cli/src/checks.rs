@@ -71,7 +71,7 @@ pub fn lemmas(args: &Args) -> CmdResult {
         lemma1(seed + 1),
         lemma3(seed + 2),
         corollary1(seed + 3)?,
-        lemma12(seed + 4),
+        lemma12(seed + 4)?,
         theorem8(seed + 5),
     ];
 
@@ -219,7 +219,7 @@ fn corollary1(seed: u64) -> Result<Check, HycapError> {
     })
 }
 
-fn lemma12(seed: u64) -> Check {
+fn lemma12(seed: u64) -> Result<Check, HycapError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = 600;
     let m = 4;
@@ -245,7 +245,7 @@ fn lemma12(seed: u64) -> Check {
         }
     };
     let cluster_of = pop.home_points().cluster_of().to_vec();
-    let mut net = HybridNetwork::ad_hoc(pop);
+    let net = HybridNetwork::ad_hoc(pop);
     let range = r * (m as f64 / n as f64).sqrt();
     let scheduler = SStarScheduler::new(0.5);
     let mut cross = 0usize;
@@ -253,8 +253,8 @@ fn lemma12(seed: u64) -> Check {
     let mut buf = Vec::new();
     let mut ws = SlotWorkspace::new();
     let mut pairs: Vec<ScheduledPair> = Vec::new();
-    for _ in 0..300 {
-        net.advance_into(&mut rng, &mut buf);
+    for slot in 0..300 {
+        net.advance_slot_into(seed, slot, &mut buf)?;
         scheduler.schedule_into(&buf, range, &mut ws, &mut pairs);
         for pair in &pairs {
             total += 1;
@@ -263,11 +263,11 @@ fn lemma12(seed: u64) -> Check {
             }
         }
     }
-    Check {
+    Ok(Check {
         name: "Lemma 12 (no inter-cluster interference at R_T = r√(m/n))",
         detail: format!("{total} scheduled pairs, {cross} cross-cluster"),
         pass: total > 0 && cross == 0,
-    }
+    })
 }
 
 fn theorem8(seed: u64) -> Check {
@@ -380,11 +380,11 @@ fn l_hop_sweep(out: &mut String, seed: u64) -> Result<(), Box<dyn Error>> {
         ];
         for (tag, what, sub) in subplans {
             let Some(sub) = sub else { continue };
-            let mut net = HybridNetwork::with_infrastructure(pop.clone(), bs.clone());
+            let net = HybridNetwork::with_infrastructure(pop.clone(), bs.clone());
             // Every row draws the same slots, so rows differ by L alone.
-            let spec = FluidRun::counter(400, seed, None);
+            let spec = FluidRun::new(400, seed, None);
             let r = engine
-                .run(&mut net, sub, spec, &mut Observer::noop())?
+                .run(&net, sub, spec, &mut Observer::noop())?
                 .into_complete(what)?
                 .base;
             lambda = lambda.min(r.lambda_typical);
@@ -438,12 +438,12 @@ fn range_sweep(out: &mut String, seed: u64) -> Result<(), Box<dyn Error>> {
     let mut csv = Vec::new();
     let mut best = (0.0f64, 0.0f64);
     for &c_t in &[0.1, 0.2, 0.4, 0.8, 1.6] {
-        let mut net = HybridNetwork::ad_hoc(pop.clone());
+        let net = HybridNetwork::ad_hoc(pop.clone());
         let engine = FluidEngine::new(0.5, c_t);
         // Every row draws the same slots, so rows differ by c_T alone.
-        let spec = FluidRun::counter(400, seed, None);
+        let spec = FluidRun::new(400, seed, None);
         let r = engine
-            .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())?
+            .run(&net, FluidPlan::A(&plan), spec, &mut Observer::noop())?
             .into_complete("scheme A")?
             .base;
         if r.lambda_typical > best.1 {
@@ -479,7 +479,7 @@ fn weak_range_ablation(out: &mut String, seed: u64) -> Result<(), Box<dyn Error>
     let good = scenario.measure(400)?;
     // Mis-ranged variant: measure scheme B by clusters at c_T/√n.
     let hycap::Realization {
-        mut net,
+        net,
         traffic,
         params,
         ..
@@ -494,9 +494,9 @@ fn weak_range_ablation(out: &mut String, seed: u64) -> Result<(), Box<dyn Error>
         .clone();
     let plan = hycap_routing::SchemeBPlan::by_clusters(&homes, &traffic, &bs, &centers);
     let engine = FluidEngine::new(0.5, 0.4); // default c_T/√n range
-    let spec = FluidRun::counter(400, seed, None);
+    let spec = FluidRun::new(400, seed, None);
     let bad = engine
-        .run(&mut net, FluidPlan::B(&plan), spec, &mut Observer::noop())?
+        .run(&net, FluidPlan::B(&plan), spec, &mut Observer::noop())?
         .into_complete("scheme B")?
         .base;
     report::ascii_table(

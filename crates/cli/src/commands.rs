@@ -685,7 +685,7 @@ pub fn degrade(args: &Args) -> CmdResult {
     };
     let sc = scenario(args, exps, n)?;
     let Realization {
-        mut net,
+        net,
         traffic,
         params,
         ..
@@ -714,14 +714,14 @@ pub fn degrade(args: &Args) -> CmdResult {
     let seed: u64 = args.get_or("seed", 0)?;
     // Fault-free baseline from the same counter streams as the faulted run.
     let specs = [
-        FluidRun::counter(slots, seed, Some(&pool)),
-        FluidRun::counter(slots, seed, Some(&pool)).faults(&schedule, policy),
+        FluidRun::new(slots, seed, Some(&pool)),
+        FluidRun::new(slots, seed, Some(&pool)).faults(&schedule, policy),
     ];
     let plan = FluidPlan::B(&plan);
     let mut obs = Observer::recording().with_probes();
     let (baseline, report) = match metrics {
-        Some(_) => degrade_runs(&mut net, plan, specs, &mut obs)?,
-        None => degrade_runs(&mut net, plan, specs, &mut Observer::noop())?,
+        Some(_) => degrade_runs(&net, plan, specs, &mut obs)?,
+        None => degrade_runs(&net, plan, specs, &mut Observer::noop())?,
     };
     let mut out = String::new();
     writeln!(
@@ -780,7 +780,7 @@ pub fn degrade(args: &Args) -> CmdResult {
 /// The two `degrade` runs of `plan` — fault-free baseline, then faulted —
 /// observed into `obs` in that order.
 fn degrade_runs<S: MetricsSink>(
-    net: &mut HybridNetwork,
+    net: &HybridNetwork,
     plan: FluidPlan<'_>,
     [baseline, faulted]: [FluidRun<'_>; 2],
     obs: &mut Observer<S>,
@@ -813,8 +813,8 @@ fn flow_summary(stats: &FlowRunStats) -> String {
 }
 
 /// One-line slot-pacing summary: how much of the horizon was idle and how
-/// much of that was fast-forwarded in bulk (0 under `--no-skip` or legacy
-/// pacing).
+/// much of that was fast-forwarded in bulk (0 under `--no-skip` or on a
+/// walk, which works every slot).
 fn pacing_summary(trace: &PacingTrace) -> String {
     format!(
         "skipped {:.1}% of {} slots as idle ({} fast-forwarded)",

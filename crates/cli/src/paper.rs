@@ -546,12 +546,12 @@ fn degraded_run(
     let homes = pop.home_points().points().to_vec();
     let traffic = TrafficMatrix::permutation(DEGRADE_N, &mut rng);
     let plan = SchemeBPlan::build(&homes, &traffic, &bs, DEGRADE_CELLS);
-    let mut net = HybridNetwork::with_infrastructure(pop, bs);
+    let net = HybridNetwork::with_infrastructure(pop, bs);
     let schedule = kill_schedule(&plan, dead);
     // Every failure fraction draws the same slots from `seed`.
-    let spec = FluidRun::counter(slots, seed, None).faults(&schedule, OutagePolicy::OccupySpectrum);
+    let spec = FluidRun::new(slots, seed, None).faults(&schedule, OutagePolicy::OccupySpectrum);
     let report = FluidEngine::default()
-        .run(&mut net, FluidPlan::B(&plan), spec, &mut Observer::noop())?
+        .run(&net, FluidPlan::B(&plan), spec, &mut Observer::noop())?
         .into_complete("measurement")?;
     Ok((
         DEGRADE_K - dead,

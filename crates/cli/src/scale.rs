@@ -98,7 +98,7 @@ fn run_point(m: usize, slots: usize, merged: &mut Snapshot) -> Result<Row, Hycap
     let plan_a = SchemeAPlan::build(pop.home_points().points(), &traffic, m as f64);
     let plan_b = SchemeBPlan::build(pop.home_points().points(), &traffic, &bs, 2);
     drop(traffic);
-    let mut net = HybridNetwork::with_infrastructure(pop, bs);
+    let net = HybridNetwork::with_infrastructure(pop, bs);
     let setup_seconds = setup_start.elapsed().as_secs_f64();
 
     let engine = FluidEngine::default();
@@ -107,7 +107,7 @@ fn run_point(m: usize, slots: usize, merged: &mut Snapshot) -> Result<Row, Hycap
         let mut obs = Observer::recording().with_probes();
         let spec = FluidRun::streamed(slots, seed, CHUNK);
         let report = engine
-            .run(&mut net, plan, spec, &mut obs)?
+            .run(&net, plan, spec, &mut obs)?
             .into_complete(what)?
             .base;
         let snapshot = obs.snapshot();

@@ -22,7 +22,6 @@ use hycap_geom::Cut;
 use hycap_routing::TrafficMatrix;
 use hycap_sim::HybridNetwork;
 use hycap_wireless::{critical_range, SStarScheduler, ScheduledPair, Scheduler, SlotWorkspace};
-use rand::Rng;
 
 /// The result of a Monte-Carlo cut-bound evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,19 +49,21 @@ pub struct CutBound {
 /// momentarily on the same side — that is precisely how mobility carries
 /// data across a cut without any transmission physically crossing it.
 ///
-/// Returns `lambda_bound = ∞` when no flow crosses the cut.
+/// Slots `0..slots` are drawn from `seed` as the engines draw a run
+/// ([`HybridNetwork::for_each_slot`]). Returns `lambda_bound = ∞` when no
+/// flow crosses the cut.
 ///
 /// # Errors
 ///
 /// [`HycapError::InvalidParameter`] when `slots == 0`.
-pub fn cut_upper_bound<C: Cut, R: Rng + ?Sized>(
-    net: &mut HybridNetwork,
+pub fn cut_upper_bound<C: Cut>(
+    net: &HybridNetwork,
     cut: &C,
     traffic: &TrafficMatrix,
     delta: f64,
     c_t: f64,
     slots: usize,
-    rng: &mut R,
+    seed: u64,
 ) -> Result<CutBound, HycapError> {
     if slots == 0 {
         return Err(HycapError::invalid("slots", "need at least one slot"));
@@ -93,18 +94,16 @@ pub fn cut_upper_bound<C: Cut, R: Rng + ?Sized>(
         }
     };
     let mut crossing_service = 0.0f64;
-    let mut buf = Vec::new();
     let mut ws = SlotWorkspace::new();
     let mut pairs: Vec<ScheduledPair> = Vec::new();
-    for _ in 0..slots {
-        net.advance_into(rng, &mut buf);
-        scheduler.schedule_into(&buf, range, &mut ws, &mut pairs);
+    net.for_each_slot(seed, slots, |buf| {
+        scheduler.schedule_into(buf, range, &mut ws, &mut pairs);
         for pair in &pairs {
-            if side_of(pair.a, &buf) != side_of(pair.b, &buf) {
+            if side_of(pair.a, buf) != side_of(pair.b, buf) {
                 crossing_service += 1.0;
             }
         }
-    }
+    });
     let wireless_term = crossing_service / slots as f64;
     let lambda_bound = if crossing_flows == 0 {
         f64::INFINITY
@@ -125,19 +124,21 @@ pub fn cut_upper_bound<C: Cut, R: Rng + ?Sized>(
 /// per-node share `rate / n` — an upper bound on the infrastructure
 /// contribution to per-node capacity.
 ///
-/// Returns `(per_node_bound, aggregate_rate)`.
+/// Slots `0..slots` are drawn from `seed` as the engines draw a run
+/// ([`HybridNetwork::for_each_slot`]). Returns
+/// `(per_node_bound, aggregate_rate)`.
 ///
 /// # Errors
 ///
 /// * [`HycapError::InvalidParameter`] when `slots == 0`;
 /// * [`HycapError::MissingInfrastructure`] when the network has no base
 ///   stations.
-pub fn access_upper_bound<R: Rng + ?Sized>(
-    net: &mut HybridNetwork,
+pub fn access_upper_bound(
+    net: &HybridNetwork,
     delta: f64,
     c_t: f64,
     slots: usize,
-    rng: &mut R,
+    seed: u64,
 ) -> Result<(f64, f64), HycapError> {
     if slots == 0 {
         return Err(HycapError::invalid("slots", "need at least one slot"));
@@ -149,19 +150,17 @@ pub fn access_upper_bound<R: Rng + ?Sized>(
     let range = critical_range(n, c_t);
     let scheduler = SStarScheduler::new(delta);
     let mut contacts = 0.0f64;
-    let mut buf = Vec::new();
     let mut ws = SlotWorkspace::new();
     let mut pairs: Vec<ScheduledPair> = Vec::new();
-    for _ in 0..slots {
-        net.advance_into(rng, &mut buf);
-        scheduler.schedule_into(&buf, range, &mut ws, &mut pairs);
+    net.for_each_slot(seed, slots, |buf| {
+        scheduler.schedule_into(buf, range, &mut ws, &mut pairs);
         for pair in &pairs {
             let ms_bs = (pair.a < n) != (pair.b < n);
             if ms_bs {
                 contacts += 1.0;
             }
         }
-    }
+    });
     let aggregate = contacts / slots as f64;
     Ok((aggregate / n as f64, aggregate))
 }
@@ -194,10 +193,10 @@ mod tests {
 
     #[test]
     fn cut_bound_is_finite_and_positive() {
-        let (mut net, mut rng) = dense_net(300, 0, 1);
+        let (net, mut rng) = dense_net(300, 0, 1);
         let traffic = TrafficMatrix::permutation(300, &mut rng);
         let cut = HalfStripCut::bisection();
-        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 200, &mut rng).unwrap();
+        let bound = cut_upper_bound(&net, &cut, &traffic, 0.5, 0.4, 200, 1).unwrap();
         assert!(bound.crossing_flows > 100, "{}", bound.crossing_flows);
         assert!(bound.lambda_bound.is_finite());
         assert!(bound.lambda_bound > 0.0);
@@ -206,10 +205,10 @@ mod tests {
 
     #[test]
     fn wire_term_counts_bs_split() {
-        let (mut net, mut rng) = dense_net(100, 16, 2);
+        let (net, mut rng) = dense_net(100, 16, 2);
         let traffic = TrafficMatrix::permutation(100, &mut rng);
         let cut = HalfStripCut::bisection();
-        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 50, &mut rng).unwrap();
+        let bound = cut_upper_bound(&net, &cut, &traffic, 0.5, 0.4, 50, 2).unwrap();
         // Regular 4x4 grid splits 8/8 across the bisection: 64·c.
         assert!((bound.wire_term - 64.0).abs() < 1e-9, "{}", bound.wire_term);
     }
@@ -230,16 +229,16 @@ mod tests {
         let homes = pop.home_points().points().to_vec();
         let traffic = TrafficMatrix::permutation(400, &mut rng);
         let plan = SchemeAPlan::build(&homes, &traffic, 400f64.powf(0.25));
-        let mut net = HybridNetwork::ad_hoc(pop);
-        let spec = FluidRun::counter(300, 3, None);
+        let net = HybridNetwork::ad_hoc(pop);
+        let spec = FluidRun::new(300, 3, None);
         let fluid = FluidEngine::default()
-            .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+            .run(&net, FluidPlan::A(&plan), spec, &mut Observer::noop())
             .unwrap()
             .into_complete("scheme A")
             .unwrap()
             .base;
         let cut = HalfStripCut::bisection();
-        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 300, &mut rng).unwrap();
+        let bound = cut_upper_bound(&net, &cut, &traffic, 0.5, 0.4, 300, 3).unwrap();
         assert!(
             bound.lambda_bound >= fluid.lambda,
             "cut bound {} below achieved {}",
@@ -250,10 +249,10 @@ mod tests {
 
     #[test]
     fn access_bound_scales_with_k() {
-        let (mut net4, mut rng) = dense_net(200, 4, 4);
-        let (per4, agg4) = access_upper_bound(&mut net4, 0.5, 0.4, 300, &mut rng).unwrap();
-        let (mut net16, mut rng2) = dense_net(200, 16, 5);
-        let (per16, agg16) = access_upper_bound(&mut net16, 0.5, 0.4, 300, &mut rng2).unwrap();
+        let (net4, _) = dense_net(200, 4, 4);
+        let (per4, agg4) = access_upper_bound(&net4, 0.5, 0.4, 300, 4).unwrap();
+        let (net16, _) = dense_net(200, 16, 5);
+        let (per16, agg16) = access_upper_bound(&net16, 0.5, 0.4, 300, 5).unwrap();
         assert!(agg4 > 0.0);
         assert!(
             agg16 > 2.0 * agg4,
@@ -264,12 +263,12 @@ mod tests {
 
     #[test]
     fn unseparated_traffic_gives_infinite_bound() {
-        let (mut net, mut rng) = dense_net(10, 0, 6);
+        let (net, mut rng) = dense_net(10, 0, 6);
         // All nodes in one half, ring traffic within it: use a tiny cut in
         // the other half so nothing crosses.
         let traffic = TrafficMatrix::permutation(10, &mut rng);
         let cut = hycap_geom::DiskCut::new(hycap_geom::Point::new(0.0, 0.0), 1e-6);
-        let bound = cut_upper_bound(&mut net, &cut, &traffic, 0.5, 0.4, 10, &mut rng).unwrap();
+        let bound = cut_upper_bound(&net, &cut, &traffic, 0.5, 0.4, 10, 6).unwrap();
         if bound.crossing_flows == 0 {
             assert!(bound.lambda_bound.is_infinite());
         }
@@ -277,9 +276,9 @@ mod tests {
 
     #[test]
     fn access_bound_needs_bs() {
-        let (mut net, mut rng) = dense_net(20, 0, 7);
+        let (net, _) = dense_net(20, 0, 7);
         assert_eq!(
-            access_upper_bound(&mut net, 0.5, 0.4, 10, &mut rng),
+            access_upper_bound(&net, 0.5, 0.4, 10, 7),
             Err(HycapError::MissingInfrastructure("access bound"))
         );
     }

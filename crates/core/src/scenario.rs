@@ -18,8 +18,8 @@ use hycap_obs::{MemorySink, MetricsSink, Observer, Snapshot};
 use hycap_routing::{SchemeAPlan, SchemeBPlan, SchemeCPlan, TrafficMatrix};
 use hycap_sim::{
     parallel_map, scenario_digest, CacheEntry, DrawParty, FlowRunStats, FlowWorkload, FluidEngine,
-    FluidPlan, FluidRun, HybridNetwork, Pacing, PacingTrace, PacketEngine, PacketPlan,
-    PacketReport, PacketRun, SharedDraws, WorkerPool,
+    FluidPlan, FluidRun, HybridNetwork, PacingTrace, PacketEngine, PacketPlan, PacketReport,
+    PacketRun, SharedDraws, WorkerPool,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,10 +50,9 @@ pub struct Scenario {
     flow_skip: bool,
 }
 
-/// Domain separator between the scenario seed and the counter-based
-/// mobility stream demand-paced flow runs draw from (splitmix64's golden
-/// ratio constant).
-const FLOW_PACING_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Domain separator between the scenario seed and the slot draw of flow
+/// runs (splitmix64's golden ratio constant).
+const FLOW_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Builder for [`Scenario`].
 #[derive(Debug, Clone)]
@@ -173,12 +172,12 @@ impl Scenario {
     /// * boundary parameters — measured with scheme A only, reported with
     ///   `regime = None`.
     ///
-    /// The mobility model picks the slot draw. A counter-samplable model
-    /// (i.i.d. or static) draws each measurement phase's slots from
-    /// per-slot counter streams seeded off the scenario seed, so the report
-    /// is bit-identical to [`Scenario::measure_par`] at every pool size. A
-    /// history-dependent model (tethered walk, OU, Brownian) draws its
-    /// slots in order from the realization RNG.
+    /// Each measurement phase runs from its own seed, derived from the
+    /// scenario seed, and the mobility model picks the slot draw from it:
+    /// per-slot counter streams for i.i.d. or static nodes, an in-order
+    /// walk for history-dependent ones (tethered walk, OU, Brownian). Either
+    /// way the report is bit-identical to [`Scenario::measure_par`] at
+    /// every pool size.
     ///
     /// This runs on the calling thread: it is the form for callers that
     /// are already inside a pool job, such as the Table-I row driver.
@@ -208,17 +207,16 @@ impl Scenario {
     /// Weak/trivial scenarios without infrastructure have no applicable
     /// scheme; both report fields come back `None`.
     ///
-    /// When both strong-row paths run and slots are demand-paced (every
-    /// counter-samplable mobility model), the two paths run side by side
-    /// on up to two threads (`min(2, available_parallelism)`): the mobility
-    /// path (plan A, relay chains, chains run) and the infrastructure path
-    /// (plan B, scheme-B run). Neither reads state the other writes, so
-    /// the report is bit-identical to running them in order. With one path
-    /// only, or under history-dependent mobility (whose paths share the
-    /// realization RNG and the network's in-order state), the paths run in
-    /// order on the calling thread. Process CPU time therefore includes a
-    /// second thread's work, and per-thread CPU meters that read only live
-    /// threads miss it once the call returns.
+    /// Both paths draw their slots from one flow seed, derived from the
+    /// scenario seed, so they see the same positions. When both strong-row
+    /// paths run, they run side by side on up to two threads
+    /// (`min(2, available_parallelism)`): the mobility path (plan A, relay
+    /// chains, chains run) and the infrastructure path (plan B, scheme-B
+    /// run). Neither reads state the other writes, so the report is
+    /// bit-identical to running them in order. With one path only, it runs
+    /// on the calling thread. Process CPU time therefore includes a second
+    /// thread's work, and per-thread CPU meters that read only live threads
+    /// miss it once the call returns.
     ///
     /// # Errors
     ///
@@ -252,9 +250,9 @@ impl Scenario {
         self.flows_on(workload, Some(threads), obs)
     }
 
-    /// [`Scenario::measure_flows_observed`] with the strong row's two
-    /// demand-paced paths overlapped on `threads` threads over shared slot
-    /// draws, or run in order with private draws when `threads` is `None`.
+    /// [`Scenario::measure_flows_observed`] with the strong row's two paths
+    /// overlapped on `threads` threads, or run in order with private draws
+    /// when `threads` is `None`.
     fn flows_on<S: MetricsSink>(
         &self,
         workload: &FlowWorkload,
@@ -263,7 +261,7 @@ impl Scenario {
     ) -> Result<FlowScenarioReport, HycapError> {
         workload.validate()?;
         let Realization {
-            mut net,
+            net,
             traffic,
             params,
             mut rng,
@@ -290,12 +288,12 @@ impl Scenario {
                     workload,
                 };
                 let mut reports = match threads {
-                    Some(threads) if paths.len() == 2 && self.demand_paced() => {
+                    Some(threads) if paths.len() == 2 => {
                         strong.overlapped(&net, &rng, threads, obs)?
                     }
                     _ => paths
                         .iter()
-                        .map(|&path| strong.path(path, &mut net, &mut rng, None, obs))
+                        .map(|&path| strong.path(path, &net, &mut rng, None, obs))
                         .collect::<Result<Vec<_>, _>>()?,
                 }
                 .into_iter();
@@ -313,10 +311,10 @@ impl Scenario {
                     None => None,
                     Some(ClusterPlan::Weak { plan, range }) => Some(self.run_flows(
                         engine.with_range(range),
-                        &mut net,
+                        &net,
                         PacketPlan::B(&plan),
                         workload,
-                        (&mut rng, None),
+                        None,
                         obs,
                     )?),
                     Some(ClusterPlan::Trivial { plan, layout }) => {
@@ -326,8 +324,7 @@ impl Scenario {
                             traffic: &traffic,
                             c: params.c,
                         };
-                        let draws = (&mut rng, None);
-                        Some(self.run_flows(engine, &mut net, cells, workload, draws, obs)?)
+                        Some(self.run_flows(engine, &net, cells, workload, None, obs)?)
                     }
                 };
                 if let Some(report) = report {
@@ -385,48 +382,29 @@ impl Scenario {
         range.max(1e-6)
     }
 
-    /// Whether [`Scenario::flow_pacing`] picks demand pacing.
-    fn demand_paced(&self) -> bool {
-        self.mobility.counter_samplable()
-    }
-
-    /// The slot pacing [`Scenario::measure_flows`] runs under: demand-paced
-    /// whenever the trajectory model supports counter-based slot sampling
-    /// (i.i.d. stationary or static — every scenario mobility except
-    /// history-dependent walks), with the fast paths gated on the builder's
-    /// [`ScenarioBuilder::flow_skip`] switch. History-dependent models fall
-    /// back to legacy pacing over `rng`, whose trace reports every slot as
-    /// worked.
-    fn flow_pacing<'a>(&self, rng: &'a mut StdRng) -> Pacing<'a> {
-        if self.demand_paced() {
-            Pacing::Demand {
-                seed: self.flow_seed(),
-                skip: self.flow_skip,
-                active_set: self.flow_skip,
-            }
-        } else {
-            Pacing::Legacy(rng)
-        }
-    }
-
-    /// The counter-stream seed of demand-paced flow runs.
+    /// The slot-draw seed of flow runs.
     fn flow_seed(&self) -> u64 {
-        self.seed ^ FLOW_PACING_SALT
+        self.seed ^ FLOW_SEED_SALT
     }
 
-    /// One flow run of `plan` under the scenario's pacing, drawing its
+    /// One flow run of `plan` from the flow seed, with the fast paths gated
+    /// on the builder's [`ScenarioBuilder::flow_skip`] switch, drawing its
     /// slots through `shared` when given.
     fn run_flows<S: MetricsSink>(
         &self,
         engine: PacketEngine,
-        net: &mut HybridNetwork,
+        net: &HybridNetwork,
         plan: PacketPlan<'_>,
         workload: &FlowWorkload,
-        (rng, shared): (&mut StdRng, Option<&DrawParty<'_>>),
+        shared: Option<&DrawParty<'_>>,
         obs: &mut Observer<S>,
     ) -> Result<PacketReport, HycapError> {
-        let mut spec = PacketRun::flows(workload, self.flow_pacing(rng));
-        spec.shared = shared;
+        let spec = PacketRun {
+            skip: self.flow_skip,
+            active_set: self.flow_skip,
+            shared,
+            ..PacketRun::flows(workload, self.flow_seed())
+        };
         engine.run(net, plan, spec, obs)?.into_complete("flow run")
     }
 
@@ -434,8 +412,8 @@ impl Scenario {
     /// model's measurement phases fan their slots out over `pool` in
     /// contiguous chunks, so the report is a pure function of the scenario
     /// and `slots`, bit-identical to [`Scenario::measure`] at every pool
-    /// size. A history-dependent model draws its slots in order on the
-    /// calling thread, as [`Scenario::measure`] does.
+    /// size. A history-dependent model walks its slots in order on the
+    /// calling thread.
     ///
     /// # Errors
     ///
@@ -476,7 +454,7 @@ impl Scenario {
     /// [`scenario_digest`] itself, so an engine bump invalidates every
     /// cached result at once.
     pub fn digest_parts(&self, slots: usize) -> Vec<String> {
-        vec![
+        let mut parts = vec![
             // A constant since the mobility model picks the slot draw. It
             // once told the in-order and the counter-stream draws apart;
             // keeping it keeps the keys of counter-samplable scenarios
@@ -499,7 +477,14 @@ impl Scenario {
             format!("seed={}", self.seed),
             format!("flow_skip={}", self.flow_skip),
             format!("slots={slots}"),
-        ]
+        ];
+        // Walks draw from a seed since the network picks the slot draw, so
+        // a walk entry from before then is stale; i.i.d. and static keys
+        // are unchanged.
+        if !self.mobility.counter_samplable() {
+            parts.push("walk=seeded".to_string());
+        }
+        parts
     }
 
     /// The content-addressed [`hycap_sim::ResultCache`] key of this
@@ -514,14 +499,13 @@ impl Scenario {
 
     /// The fluid measurement behind every fluid `measure*` entry point:
     /// realizes the scenario, dispatches on its regime once, and runs each
-    /// applicable scheme from per-phase counter streams (on `pool` when
-    /// given) when the mobility model is counter-samplable, in order from
-    /// the realization RNG otherwise.
+    /// applicable scheme from its phase seed (on `pool` when given and the
+    /// mobility model is counter-samplable).
     ///
-    /// In-order runs record into `obs` as they go; counter runs fold each
-    /// scheme's merged snapshot into it ([`FluidEngine::run`]). Plan
-    /// compilation records under `routing.*`, names no engine metric
-    /// touches, so where it lands in that order changes no byte.
+    /// Each run folds its merged snapshot into `obs`
+    /// ([`FluidEngine::run`]). Plan compilation records under `routing.*`,
+    /// names no engine metric touches, so where it lands in that order
+    /// changes no byte.
     fn measure_fluid<S: MetricsSink>(
         &self,
         slots: usize,
@@ -529,15 +513,14 @@ impl Scenario {
         obs: &mut Observer<S>,
     ) -> Result<ScenarioReport, HycapError> {
         let Realization {
-            mut net,
+            net,
             traffic,
             params,
-            mut rng,
+            ..
         } = self.realize();
         let engine = FluidEngine::new(self.delta, self.c_t);
         let regime = self.regime().ok();
         let homes = net.population().home_points().points().to_vec();
-        let counter = net.counter_samplable();
         // Distinct per-phase slot streams, derived from the scenario seed
         // with the same multiplicative mix the bench reps use.
         let phase_seed = |phase: u64| {
@@ -545,17 +528,9 @@ impl Scenario {
                 .wrapping_add(phase)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         };
-        let mut run = |engine: FluidEngine,
-                       net: &mut HybridNetwork,
-                       plan: FluidPlan<'_>,
-                       phase: u64,
-                       obs: &mut Observer<S>| {
-            let spec = if counter {
-                FluidRun::counter(slots, phase_seed(phase), pool)
-            } else {
-                FluidRun::in_order(slots, &mut rng)
-            };
-            let report = engine.run(net, plan, spec, obs)?.into_complete("fluid")?;
+        let run = |engine: FluidEngine, plan: FluidPlan<'_>, phase: u64, obs: &mut Observer<S>| {
+            let spec = FluidRun::new(slots, phase_seed(phase), pool);
+            let report = engine.run(&net, plan, spec, obs)?.into_complete("fluid")?;
             Ok::<_, HycapError>(Some((report.base.lambda, report.base.lambda_typical)))
         };
         let mut mobility = None;
@@ -563,23 +538,17 @@ impl Scenario {
         match regime {
             Some(MobilityRegime::Strong) | None => {
                 let plan = SchemeAPlan::build_observed(&homes, &traffic, params.f.max(1.0), obs);
-                mobility = run(engine, &mut net, FluidPlan::A(&plan), 1, obs)?;
+                mobility = run(engine, FluidPlan::A(&plan), 1, obs)?;
                 if let (Some(bs), Some(_)) = (net.base_stations(), regime) {
                     let plan =
                         SchemeBPlan::build_observed(&homes, &traffic, bs, self.scheme_b_cells, obs);
-                    infra = run(engine, &mut net, FluidPlan::B(&plan), 2, obs)?;
+                    infra = run(engine, FluidPlan::B(&plan), 2, obs)?;
                 }
             }
             Some(regime) => match self.cluster_plan(regime, &net, &homes, &traffic, &params) {
                 None => {}
                 Some(ClusterPlan::Weak { plan, range }) => {
-                    infra = run(
-                        engine.with_range(range),
-                        &mut net,
-                        FluidPlan::B(&plan),
-                        2,
-                        obs,
-                    )?;
+                    infra = run(engine.with_range(range), FluidPlan::B(&plan), 2, obs)?;
                 }
                 Some(ClusterPlan::Trivial { plan, layout }) => {
                     // Scheme C is analytic — no slot sampling.
@@ -673,8 +642,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Enables or disables the demand-paced fast path of
-    /// [`Scenario::measure_flows`] (on by default). `false` is the
+    /// Enables or disables the fast paths of [`Scenario::measure_flows`]
+    /// (idle-slot fast-forward and active-set scheduling, on by default). `false` is the
     /// `--no-skip` reference walk: every slot boundary is materialized and
     /// active slots schedule the full network, which is slower but useful
     /// for debugging and regression capture. Flow statistics are
@@ -844,12 +813,12 @@ struct StrongRun<'a> {
 
 impl StrongRun<'_> {
     /// Compiles and runs `path` on `net`, drawing its slots through
-    /// `shared` when given. Only the mobility path draws from `rng` (its
-    /// relays, and its slots under legacy pacing).
+    /// `shared` when given. Only the mobility path draws from `rng`: its
+    /// relays.
     fn path<S: MetricsSink>(
         &self,
         path: Path,
-        net: &mut HybridNetwork,
+        net: &HybridNetwork,
         rng: &mut StdRng,
         shared: Option<&DrawParty<'_>>,
         obs: &mut Observer<S>,
@@ -863,7 +832,7 @@ impl StrongRun<'_> {
                 // any-member scheme A instead.
                 let chains = plan.materialize_relays(self.traffic, rng);
                 let chains = PacketPlan::Chains(&chains);
-                sc.run_flows(engine, net, chains, workload, (rng, shared), obs)
+                sc.run_flows(engine, net, chains, workload, shared, obs)
             }
             Path::Infra => {
                 let bs = net
@@ -871,25 +840,19 @@ impl StrongRun<'_> {
                     .ok_or(HycapError::MissingInfrastructure("scheme B"))?;
                 let cells = sc.scheme_b_cells;
                 let plan = SchemeBPlan::build_observed(self.homes, self.traffic, bs, cells, obs);
-                sc.run_flows(
-                    engine,
-                    net,
-                    PacketPlan::B(&plan),
-                    workload,
-                    (rng, shared),
-                    obs,
-                )
+                sc.run_flows(engine, net, PacketPlan::B(&plan), workload, shared, obs)
             }
         }
     }
 
-    /// Both paths side by side on `threads` threads, each on its own copy
-    /// of `net` and `rng` and, when `obs` is active, its own recording
-    /// observer, timed and probed as `obs` is. Demand pacing draws every
-    /// slot from counter streams, so neither path's bits depend on the
+    /// Both paths side by side on `threads` threads, each with its own copy
+    /// of `rng` and, when `obs` is active, its own recording observer,
+    /// timed and probed as `obs` is. A run is a pure function of the
+    /// network, its plan and its spec, so neither path's bits depend on the
     /// other's progress or on who drew a slot. When every node takes a
-    /// fixed number of draws, the paths share one [`SharedDraws`] feed, so
-    /// a slot both work is drawn once. Each path takes its seat before it
+    /// fixed number of counter-stream draws, the paths share one
+    /// [`SharedDraws`] feed, so a slot both work is drawn once; walks and
+    /// rejection kernels draw privately. Each path takes its seat before it
     /// compiles its plan, so a path that fails early never holds the other
     /// back. The snapshots fold into `obs` mobility first, the order the
     /// paths run in sequentially.
@@ -900,11 +863,12 @@ impl StrongRun<'_> {
         threads: usize,
         obs: &mut Observer<S>,
     ) -> Result<Vec<PacketReport>, HycapError> {
-        let (view, seed) = (net.slot_view()?, self.scenario.flow_seed());
-        let feed = view
-            .fixed_draws()
-            .map(|_| SharedDraws::new(view, seed, threads))
-            .transpose()?;
+        let feed = match net.slot_view() {
+            Ok(view) if view.fixed_draws().is_some() => {
+                Some(SharedDraws::new(view, self.scenario.flow_seed(), threads)?)
+            }
+            _ => None,
+        };
         let (record, timed) = (obs.active(), obs.sink.timed());
         let probes = obs.probes().is_some();
         let outs = parallel_map(&[Path::Mobility, Path::Infra], threads, |&path| {
@@ -912,17 +876,17 @@ impl StrongRun<'_> {
                 Ok(party) => party,
                 Err(e) => return (Err(e), None),
             };
-            let (mut net, mut rng) = (net.clone(), rng.clone());
+            let mut rng = rng.clone();
             let shared = party.as_ref();
             if !record {
-                let report = self.path(path, &mut net, &mut rng, shared, &mut Observer::noop());
+                let report = self.path(path, net, &mut rng, shared, &mut Observer::noop());
                 return (report, None);
             }
             let mut own = Observer::new(MemorySink::with_timings_when(timed));
             if probes {
                 own = own.with_probes();
             }
-            let report = self.path(path, &mut net, &mut rng, shared, &mut own);
+            let report = self.path(path, net, &mut rng, shared, &mut own);
             (report, Some(own.snapshot()))
         });
         let mut reports = Vec::with_capacity(outs.len());
@@ -1125,7 +1089,7 @@ mod tests {
         assert_eq!(bare, r1);
         // `measure` draws the same slots as `measure_par` on every row and
         // trajectory model: counter streams for i.i.d. and static nodes,
-        // the in-order walk (ignoring the pool) for a tethered walk.
+        // the seeded in-order walk (ignoring the pool) for a tethered walk.
         let weak = ModelExponents::new(0.4, 0.2, 0.4, 0.6, 0.0).unwrap();
         let rows = [
             (Scenario::builder(strong_exps(), 300).seed(9).build(), 120),
@@ -1313,18 +1277,25 @@ mod tests {
     }
 
     /// The strong row's overlapped paths on one thread and on two, over a
-    /// shared slot-draw feed (uniform disk: three chunks per slot) or over
-    /// private draws (a rejection kernel), report and record exactly what
-    /// the in-order private-draw run does.
+    /// shared slot-draw feed (uniform disk: three chunks per slot), over
+    /// private counter draws (a rejection kernel) or over private walks (a
+    /// tethered walk), report and record exactly what the in-order
+    /// private-draw run does.
     #[test]
     fn overlapped_flow_paths_match_private_draws_on_one_and_two_threads() {
         let workload = FlowWorkload::poisson(5e-4, 2, 120).with_seed(3);
-        for kernel in [
-            Kernel::uniform_disk(1.0),
-            Kernel::truncated_gaussian(0.5, 1.0),
+        let walk = MobilityKind::TetheredWalk { step_frac: 0.05 };
+        for (kernel, mobility) in [
+            (Kernel::uniform_disk(1.0), MobilityKind::IidStationary),
+            (
+                Kernel::truncated_gaussian(0.5, 1.0),
+                MobilityKind::IidStationary,
+            ),
+            (Kernel::uniform_disk(1.0), walk),
         ] {
             let scenario = Scenario::builder(strong_exps(), 1100)
                 .kernel(kernel)
+                .mobility(mobility)
                 .seed(11)
                 .build();
             let run = |threads| {
@@ -1341,14 +1312,14 @@ mod tests {
                 assert_eq!(
                     run(Some(threads)),
                     private,
-                    "{kernel:?}, {threads} thread(s)"
+                    "{kernel:?}, {mobility:?}, {threads} thread(s)"
                 );
             }
         }
     }
 
     #[test]
-    fn history_dependent_mobility_runs_flows_under_legacy_pacing() {
+    fn history_dependent_mobility_works_every_flow_slot() {
         let scenario = Scenario::builder(strong_exps(), 120)
             .mobility(MobilityKind::TetheredWalk { step_frac: 0.05 })
             .seed(16)
@@ -1357,7 +1328,7 @@ mod tests {
         let report = scenario.measure_flows(&workload).unwrap();
         let trace = report.pacing_mobility.expect("scheme A traced");
         assert_eq!(trace.slots, 120);
-        assert_eq!(trace.idle_slots, 0, "legacy pacing works every slot");
+        assert_eq!(trace.idle_slots, 0, "a walk works every slot");
         assert_eq!(trace.fast_forwarded, 0);
     }
 
@@ -1387,5 +1358,19 @@ mod tests {
             .seed(1)
             .build();
         assert_ne!(base, walk.cache_key(100));
+        // A walk key carries the `walk=seeded` part, so an entry stored
+        // under the walk's former in-order draw misses; no i.i.d. key
+        // carries it.
+        let parts = walk.digest_parts(100);
+        assert_eq!(parts.last().map(String::as_str), Some("walk=seeded"));
+        let before: Vec<&str> = parts[..parts.len() - 1]
+            .iter()
+            .map(String::as_str)
+            .collect();
+        assert_ne!(
+            walk.cache_key(100),
+            format!("scenario-{}", scenario_digest(&before))
+        );
+        assert!(!s.digest_parts(100).iter().any(|p| p.starts_with("walk=")));
     }
 }

@@ -1,7 +1,7 @@
 //! Shared slot draws: one counter-based slot snapshot, drawn once for the
 //! concurrent runs that need it.
 //!
-//! Two demand-paced runs on clones of one network under one seed draw the
+//! Two demand-paced runs of one network under one seed draw the
 //! same `n + k` positions on every slot they both work. A [`SharedDraws`]
 //! feed draws each such slot once. It holds a fixed ring of
 //! `W =` [`SharedDraws::WINDOW`] slot buffers, allocated when the feed is
@@ -102,7 +102,7 @@ impl Ring {
 }
 
 /// A feed of counter-based slot snapshots shared by up to two concurrent
-/// demand-paced runs of one network under one pacing seed (see the module
+/// demand-paced runs of one network under one run seed (see the module
 /// docs for the protocol).
 ///
 /// Its memory is `W · (n + k) · 16` bytes, allocated once by
@@ -365,7 +365,7 @@ impl DrawParty<'_> {
         feed.read(e)
     }
 
-    /// Checks that a run on `view` under pacing seed `seed` draws what the
+    /// Checks that a run on `view` under run seed `seed` draws what the
     /// feed draws.
     ///
     /// # Errors
@@ -383,7 +383,7 @@ impl DrawParty<'_> {
         }
         if feed.seed != seed {
             return Err(HycapError::Mismatch {
-                what: "shared slot-draw feed and run pacing seed",
+                what: "shared slot-draw feed and run seed",
                 left: feed.seed as usize,
                 right: seed as usize,
             });

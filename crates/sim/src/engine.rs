@@ -4,7 +4,8 @@ use hycap_errors::HycapError;
 use hycap_geom::Point;
 use hycap_infra::BaseStations;
 use hycap_mobility::{Population, SlotSampler};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -70,12 +71,26 @@ impl HybridNetwork {
 
     /// Advances the mobility processes one slot and writes the combined
     /// `MS ++ BS` position snapshot into `buf`.
-    pub fn advance_into<R: Rng + ?Sized>(&mut self, rng: &mut R, buf: &mut Vec<Point>) {
+    fn advance_into(&mut self, rng: &mut StdRng, buf: &mut Vec<Point>) {
         self.population.advance(rng);
         buf.clear();
         buf.extend_from_slice(self.population.positions());
         if let Some(bs) = &self.bs {
             buf.extend_from_slice(bs.positions());
+        }
+    }
+
+    /// Hands the combined `MS ++ BS` snapshots of slots `0..slots` under
+    /// `seed` to `visit`, in slot order, drawn exactly as both engines draw
+    /// a run of this network from `seed`: counter streams for i.i.d. and
+    /// static mobility, an in-order walk of a private copy otherwise. The
+    /// network is not mutated.
+    pub fn for_each_slot(&self, seed: u64, slots: usize, mut visit: impl FnMut(&[Point])) {
+        let mut source = SlotSource::new(self, seed);
+        let mut buf = Vec::new();
+        for slot in 0..slots as u64 {
+            source.draw_into(slot, &mut buf);
+            visit(&buf);
         }
     }
 
@@ -133,6 +148,50 @@ impl HybridNetwork {
     /// memoization, which is only sound over frozen positions.
     pub fn positions_static(&self) -> bool {
         self.population.config().mobility.is_static()
+    }
+}
+
+/// Where a run's slot positions come from. The network picks the draw from
+/// the run's seed, so each mobility model has exactly one.
+pub(crate) enum SlotSource {
+    /// Counter-samplable mobility: slot `slot`'s snapshot is a pure
+    /// function of `(seed, slot)`.
+    Counter(SlotView, u64),
+    /// History-dependent mobility (tethered walk, OU, Brownian): a private
+    /// copy of the network, walked one slot per draw from
+    /// `StdRng::seed_from_u64(seed)`.
+    Walk(Box<HybridNetwork>, StdRng),
+}
+
+impl SlotSource {
+    /// The draw `net` picks for a run seeded with `seed`.
+    pub(crate) fn new(net: &HybridNetwork, seed: u64) -> Self {
+        match net.slot_view() {
+            Ok(view) => SlotSource::Counter(view, seed),
+            Err(_) => SlotSource::Walk(Box::new(net.clone()), StdRng::seed_from_u64(seed)),
+        }
+    }
+
+    /// Writes the `MS ++ BS` snapshot of slot `slot` into `buf`. A walk
+    /// ignores `slot` and takes its next step, so callers draw every slot
+    /// of a walk once, in order.
+    pub(crate) fn draw_into(&mut self, slot: u64, buf: &mut Vec<Point>) {
+        match self {
+            SlotSource::Counter(view, seed) => view.draw_into(*seed, slot, buf),
+            SlotSource::Walk(net, rng) => net.advance_into(rng, buf),
+        }
+    }
+}
+
+/// [`HycapError::InvalidParameter`] on `range` unless an engine's range
+/// override is absent or positive and finite.
+pub(crate) fn check_range(range: Option<f64>) -> Result<(), HycapError> {
+    match range {
+        Some(r) if !(r.is_finite() && r > 0.0) => Err(HycapError::invalid(
+            "range",
+            format!("range override must be positive and finite, got {r}"),
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -360,5 +419,35 @@ mod tests {
         net.advance_into(&mut rng, &mut buf);
         assert_eq!(buf.len(), 13);
         assert!(buf[10].torus_dist(before) < 1e-12);
+    }
+
+    /// `for_each_slot` draws counter streams on an i.i.d. network and a
+    /// seeded walk of a private copy on a history-dependent one: a pure
+    /// function of the seed either way, and the network is left as it was.
+    #[test]
+    fn for_each_slot_is_a_pure_function_of_the_seed() {
+        let (pop, _) = population(30, 8);
+        let iid = HybridNetwork::ad_hoc(pop);
+        let mut want = Vec::new();
+        iid.advance_slot_into(5, 2, &mut want).unwrap();
+        let mut seen = Vec::new();
+        iid.for_each_slot(5, 3, |buf| seen.push(buf.to_vec()));
+        assert_eq!(seen.len(), 3);
+        assert_eq!(seen[2], want);
+
+        let mut rng = StdRng::seed_from_u64(9);
+        let config = PopulationConfig::builder(30)
+            .mobility(MobilityKind::TetheredWalk { step_frac: 0.1 })
+            .build();
+        let walk = HybridNetwork::ad_hoc(Population::generate(&config, &mut rng));
+        let start = walk.population().positions().to_vec();
+        let draws = |seed| {
+            let mut out = Vec::new();
+            walk.for_each_slot(seed, 4, |buf| out.push(buf.to_vec()));
+            out
+        };
+        assert_eq!(draws(1), draws(1));
+        assert_ne!(draws(1), draws(2));
+        assert_eq!(walk.population().positions(), &start[..]);
     }
 }

@@ -18,38 +18,41 @@
 //!
 //! Every measurement is one call, [`FluidEngine::run`]. A [`FluidPlan`]
 //! names the scheme and its plan; a [`FluidRun`] spec carries the slot
-//! count, the [`Sampling`] mode, an optional fault schedule and an optional
-//! [`RunBudget`]; an [`Observer`] receives metrics and probe verdicts. One
-//! slot loop serves every combination: budget charge, fault mask, slot
-//! positions, `S*` schedule, then credit each scheduled pair to the
-//! resource it serves.
+//! count, the seed and [`Sampling`] mode, an optional fault schedule and an
+//! optional [`RunBudget`]; an [`Observer`] receives metrics and probe
+//! verdicts. One slot loop serves every combination: budget charge, fault
+//! mask, slot positions, `S*` schedule, then credit each scheduled pair to
+//! the resource it serves.
 //!
-//! The mobility model picks how slots are drawn:
+//! A run gives one seed, and the network picks how slots are drawn from it:
 //!
-//! * [`Sampling::Counter`] is the draw of every *counter-samplable* model
-//!   (i.i.d. or static — see [`HybridNetwork::counter_samplable`]): any
-//!   slot's snapshot is a pure function of `(seed, slot)`, so with a
-//!   [`WorkerPool`] the slot range splits into contiguous chunks, one per
-//!   pool thread, and without one it runs as a single inline chunk. The
-//!   chunks draw through one shared read-only [`SlotView`].
-//! * [`Sampling::Streamed`] replays the same counter streams in chunks of
-//!   at most `chunk` points straight into the spatial index, so no step
+//! * a *counter-samplable* model (i.i.d. or static — see
+//!   [`HybridNetwork::counter_samplable`]) draws any slot's snapshot as a
+//!   pure function of `(seed, slot)`, so with a [`WorkerPool`] the slot
+//!   range splits into contiguous chunks, one per pool thread, and without
+//!   one it runs as a single inline chunk. The chunks draw through one
+//!   shared read-only [`SlotView`];
+//! * a history-dependent model (tethered walk, OU, Brownian) must advance
+//!   slot by slot, so it walks a private copy of the population in slot
+//!   order from `StdRng::seed_from_u64(seed)`, as one chunk on the calling
+//!   thread, whatever the pool;
+//! * [`Sampling::Streamed`] replays the counter streams in chunks of at
+//!   most `chunk` points straight into the spatial index, so no step
 //!   materializes the `n + k` position snapshot — what makes `n = 10⁶`
-//!   ladder points routine.
-//! * [`Sampling::InOrder`] draws mobility in slot order from a caller RNG.
-//!   It is the draw of history-dependent models (tethered walk, OU,
-//!   Brownian), which must advance slot by slot, and only of them: a run
-//!   rejects it on a counter-samplable network, so each model has one
-//!   slot draw.
+//!   ladder points routine. It needs counter-samplable mobility.
+//!
+//! Either way a run is a pure function of the network, the plan and the
+//! spec, and it leaves the network untouched.
 //!
 //! Every per-chunk accumulator holds integer-valued counts (exactly
 //! representable in `f64`), chunks reduce in slot order, and snapshots
-//! merge partition-independently — so counter-based and streamed reports
+//! merge partition-independently — so materialized and streamed reports
 //! and snapshots are bit-identical to each other at any pool size and any
 //! stream chunk size. A fault-free run and an empty fault schedule take the
 //! same path and give the same bits.
 
 use crate::budget::{BudgetMeter, Budgeted, RunBudget};
+use crate::engine::{check_range, SlotSource};
 use crate::faults::{FaultInjector, FaultSchedule, FaultTally, OutagePolicy};
 use crate::groups::GroupMap;
 use crate::pool::{chunk_ranges, WorkerPool};
@@ -63,7 +66,6 @@ use hycap_wireless::{
     critical_range, schedule_memoized_observed, schedule_observed, schedule_prebuilt_observed,
     SStarScheduler, ScheduleMemo, ScheduledPair, SlotWorkspace,
 };
-use rand::RngCore;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -155,32 +157,32 @@ pub enum FluidPlan<'a> {
     B(&'a SchemeBPlan),
 }
 
-/// How a fluid run draws each slot's positions.
+/// How a fluid run draws each slot's positions. The mobility model picks
+/// the draw itself (see the module docs); the mode only says whether
+/// snapshots are materialized or streamed.
 pub enum Sampling<'a> {
-    /// In slot order from a caller RNG: the draw of history-dependent
-    /// mobility (random walks must advance slot by slot), and rejected on
-    /// counter-samplable networks, which draw through the counter streams.
-    InOrder(&'a mut dyn RngCore),
-    /// From the per-slot counter streams `SlotRng::new(seed, slot)`, sharded
-    /// over `pool` in contiguous chunks when one is given and run inline
-    /// otherwise. Reports and snapshots do not depend on the pool size.
+    /// Whole `n + k` snapshots from `seed`. A counter-samplable network
+    /// shards the slots over `pool` in contiguous chunks when one is given
+    /// and runs them inline otherwise; reports and snapshots do not depend
+    /// on the pool size. A history-dependent network walks them in order on
+    /// the calling thread and ignores `pool`.
     ///
-    /// The run builds one [`SlotView`] of the network
+    /// A counter-samplable run builds one [`SlotView`] of the network
     /// ([`HybridNetwork::slot_view`]) and every chunk reads positions
     /// through a clone of it: the home-points, kernel and norm (or the
     /// per-node processes of a kernel mixture) and the BS tail are shared
     /// behind `Arc`s, so a chunk adds only its own position buffer and
-    /// workspace, and the network is left untouched.
-    Counter {
-        /// Seed of the per-slot streams.
+    /// workspace.
+    Materialized {
+        /// Seed of the run's slot draw.
         seed: u64,
         /// Pool the slot chunks fan out over; `None` runs one inline chunk.
         pool: Option<&'a WorkerPool>,
     },
-    /// The counter streams of [`Sampling::Counter`], replayed `chunk`
-    /// points at a time straight into the spatial index: peak live memory
-    /// is the index plus `O(chunk)` scratch, never a position array.
-    /// Bit-identical to [`Sampling::Counter`] for every `chunk`.
+    /// The counter streams of `seed`, replayed `chunk` points at a time
+    /// straight into the spatial index: peak live memory is the index plus
+    /// `O(chunk)` scratch, never a position array. Bit-identical to
+    /// [`Sampling::Materialized`] for every `chunk`.
     Streamed {
         /// Seed of the per-slot streams.
         seed: u64,
@@ -189,8 +191,8 @@ pub enum Sampling<'a> {
     },
 }
 
-/// What one [`FluidEngine::run`] measures: slots, sampling mode, faults and
-/// budget. Build it with [`FluidRun::in_order`], [`FluidRun::counter`] or
+/// What one [`FluidEngine::run`] measures: slots, seed and sampling mode,
+/// faults and budget. Build it with [`FluidRun::new`] or
 /// [`FluidRun::streamed`], then add [`FluidRun::faults`] and
 /// [`FluidRun::budget`] as needed.
 pub struct FluidRun<'a> {
@@ -210,17 +212,10 @@ pub struct FluidRun<'a> {
 }
 
 impl<'a> FluidRun<'a> {
-    /// `slots` slots drawn in order from `rng`, for history-dependent
-    /// mobility only: [`FluidEngine::run`] rejects it on a
-    /// counter-samplable network (use [`FluidRun::counter`] there).
-    pub fn in_order(slots: usize, rng: &'a mut dyn RngCore) -> Self {
-        FluidRun::with_sampling(slots, Sampling::InOrder(rng))
-    }
-
-    /// `slots` slots from the counter streams of `seed`, sharded over
-    /// `pool` when given.
-    pub fn counter(slots: usize, seed: u64, pool: Option<&'a WorkerPool>) -> Self {
-        FluidRun::with_sampling(slots, Sampling::Counter { seed, pool })
+    /// `slots` slots drawn from `seed`, sharded over `pool` when given and
+    /// the network is counter-samplable.
+    pub fn new(slots: usize, seed: u64, pool: Option<&'a WorkerPool>) -> Self {
+        FluidRun::with_sampling(slots, Sampling::Materialized { seed, pool })
     }
 
     /// `slots` slots from the counter streams of `seed`, streamed `chunk`
@@ -287,22 +282,15 @@ impl FluidEngine {
     }
 
     /// Overrides the transmission range with an explicit value instead of
-    /// the default `c_T/√n`.
+    /// the default `c_T/√n`. A range that is not positive and finite makes
+    /// [`FluidEngine::run`] return [`HycapError::InvalidParameter`].
     ///
     /// The override implements Table I's *optimal transmission range*
     /// column: `c_T/√n` is only optimal in uniformly dense networks
     /// (Theorem 2); the weak regime needs `Θ(r√(m/n))` — the inverse of the
     /// in-cluster node density — or the `S*` guard zones are never clear
     /// and every link starves (the `R_T` ablation bench quantifies this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is not positive.
     pub fn with_range(mut self, range: f64) -> Self {
-        assert!(
-            range.is_finite() && range > 0.0,
-            "range override must be positive, got {range}"
-        );
         self.range_override = Some(range);
         self
     }
@@ -328,12 +316,11 @@ impl FluidEngine {
     /// `obs` receives per-slot schedule metrics and the feasibility probe,
     /// then the run-level metrics and probes: the Theorem 5 backbone budget
     /// for scheme B (masked over surviving wires under faults) and the
-    /// fault-tally consistency probe for faulted runs. In-order runs record
-    /// straight into `obs`. Counter-based and streamed runs record each
-    /// chunk into its own recording observer when `obs` is active, merge
-    /// the chunk snapshots in slot order, and fold the merged snapshot into
-    /// `obs` with [`Observer::absorb`]. Observation never draws from an RNG,
-    /// so the report is bit-identical for any observer.
+    /// fault-tally consistency probe for faulted runs. Every chunk records
+    /// into its own recording observer when `obs` is active; the chunk
+    /// snapshots merge in slot order and fold into `obs` with
+    /// [`Observer::absorb`]. Observation never draws from an RNG, so the
+    /// report is bit-identical for any observer.
     ///
     /// The result is [`Budgeted::Complete`] unless `spec.budget` tripped. A
     /// budgeted faulted run classifies flows against the fault state its
@@ -341,10 +328,9 @@ impl FluidEngine {
     ///
     /// # Errors
     ///
-    /// * [`HycapError::InvalidParameter`] when `slots == 0`, a counter-based
-    ///   or streamed run meets history-dependent mobility, an in-order run
-    ///   meets counter-samplable mobility, or a streamed run has
-    ///   `chunk == 0`;
+    /// * [`HycapError::InvalidParameter`] when `slots == 0`, the range
+    ///   override is not positive and finite, or a streamed run has
+    ///   `chunk == 0` or meets history-dependent mobility;
     /// * [`HycapError::MissingInfrastructure`] for scheme B on a network
     ///   without base stations;
     /// * [`HycapError::Mismatch`] when the plan was compiled for a
@@ -353,7 +339,7 @@ impl FluidEngine {
     ///   re-classification errors from [`SchemeBPlan::degrade`].
     pub fn run<S: MetricsSink>(
         &self,
-        net: &mut HybridNetwork,
+        net: &HybridNetwork,
         plan: FluidPlan<'_>,
         spec: FluidRun<'_>,
         obs: &mut Observer<S>,
@@ -367,21 +353,7 @@ impl FluidEngine {
         if slots == 0 {
             return Err(HycapError::invalid("slots", "need at least one slot"));
         }
-        // Each mobility model has one slot draw: counter streams when it is
-        // counter-samplable, the in-order walk when it is not.
-        let in_order = matches!(sampling, Sampling::InOrder(_));
-        if !in_order {
-            net.population()
-                .config()
-                .mobility
-                .require_counter_samplable()?;
-        } else if net.counter_samplable() {
-            return Err(HycapError::invalid(
-                "sampling",
-                "counter-samplable mobility draws its slots from counter streams; \
-                 in-order sampling is for history-dependent mobility",
-            ));
-        }
+        check_range(self.range_override)?;
         if let Sampling::Streamed { chunk: 0, .. } = sampling {
             return Err(HycapError::invalid("chunk", "need a positive chunk size"));
         }
@@ -408,16 +380,13 @@ impl FluidEngine {
             frozen: net.positions_static(),
         };
         let timer = SpanTimer::start();
-        // In-order runs record straight into `obs`; the others record per
-        // chunk and fold the merged snapshot into `obs` at the end, on
-        // sinks that keep span durations when `obs`'s sink does.
-        let record = (!in_order && obs.active()).then(|| obs.sink.timed());
-        let chunks: Vec<ChunkOut> = match sampling {
-            Sampling::InOrder(rng) => {
-                vec![self.chunk(&spec, 0..slots, Draw::InOrder(net, rng), obs)?]
-            }
-            Sampling::Streamed { seed, chunk } => {
-                let view = net.slot_view()?;
+        // Every chunk records on its own sink, which keeps span durations
+        // when `obs`'s sink does; the merged snapshot folds into `obs`.
+        let record = obs.active().then(|| obs.sink.timed());
+        let chunks: Vec<ChunkOut> = match (sampling, net.slot_view()) {
+            (Sampling::Streamed { seed, chunk }, view) => {
+                // Streaming replays counter streams: a walk has none.
+                let view = view?;
                 let draw = Draw::Streamed {
                     view: &view,
                     seed,
@@ -425,21 +394,17 @@ impl FluidEngine {
                 };
                 vec![self.recorded_chunk(record, &spec, 0..slots, draw)?]
             }
-            Sampling::Counter { seed, pool } => {
+            (Sampling::Materialized { seed, pool }, Ok(view)) => {
                 // Every chunk draws through a clone of one read-only view:
                 // it shares the home-points, processes and BS tail, so no
                 // chunk copies the network.
-                let view = net.slot_view()?;
                 let engine = *self;
                 let jobs: Vec<_> = chunk_ranges(slots, pool.map_or(1, WorkerPool::threads))
                     .into_iter()
                     .map(|range| {
-                        let view = view.clone();
+                        let draw = Draw::Source(SlotSource::Counter(view.clone(), seed));
                         let spec = spec.clone();
-                        move || {
-                            let draw = Draw::Counter { view: &view, seed };
-                            engine.recorded_chunk(record, &spec, range, draw)
-                        }
+                        move || engine.recorded_chunk(record, &spec, range, draw)
                     })
                     .collect();
                 let results = match pool {
@@ -447,6 +412,11 @@ impl FluidEngine {
                     None => jobs.into_iter().map(|job| job()).collect(),
                 };
                 results.into_iter().collect::<Result<_, _>>()?
+            }
+            (Sampling::Materialized { seed, .. }, Err(_)) => {
+                // A walk advances slot by slot: one chunk, here.
+                let draw = Draw::Source(SlotSource::new(net, seed));
+                vec![self.recorded_chunk(record, &spec, 0..slots, draw)?]
             }
         };
         let mut acc = Acc::new(spec.resources.len());
@@ -519,7 +489,7 @@ impl FluidEngine {
     }
 
     /// The slot loop, over one contiguous chunk of slots: budget charge,
-    /// fault mask, positions, `S*` schedule, credit. Every sampling mode and
+    /// fault mask, positions, `S*` schedule, credit. Every slot draw and
     /// both schemes run through it; a pooled run calls it once per chunk.
     fn chunk<S: MetricsSink>(
         &self,
@@ -568,8 +538,7 @@ impl FluidEngine {
             let mask = injector.is_some().then_some(alive.as_slice());
             let tag = slot as u64;
             match &mut draw {
-                Draw::InOrder(net, rng) => net.advance_into(&mut **rng, &mut buf),
-                Draw::Counter { view, seed } => view.draw_into(*seed, tag, &mut buf),
+                Draw::Source(source) => source.draw_into(tag, &mut buf),
                 Draw::Streamed { view, seed, chunk } => {
                     let mut drawn = Ok(());
                     ws.hash_mut()
@@ -609,14 +578,10 @@ impl Default for FluidEngine {
     }
 }
 
-/// Where one chunk's slot positions come from: the network advanced in
-/// order, or the run's read-only [`SlotView`] drawn whole or streamed.
+/// Where one chunk's slot positions come from: the network's slot source
+/// drawn whole, or the run's read-only [`SlotView`] streamed.
 enum Draw<'r> {
-    InOrder(&'r mut HybridNetwork, &'r mut dyn RngCore),
-    Counter {
-        view: &'r SlotView,
-        seed: u64,
-    },
+    Source(SlotSource),
     Streamed {
         view: &'r SlotView,
         seed: u64,
@@ -1113,7 +1078,7 @@ mod tests {
     }
 
     /// Runs `spec` unobserved and unwraps the complete report.
-    fn measure(net: &mut HybridNetwork, plan: FluidPlan<'_>, spec: FluidRun<'_>) -> FluidReport {
+    fn measure(net: &HybridNetwork, plan: FluidPlan<'_>, spec: FluidRun<'_>) -> FluidReport {
         FluidEngine::default()
             .run(net, plan, spec, &mut Observer::noop())
             .unwrap()
@@ -1124,16 +1089,12 @@ mod tests {
 
     #[test]
     fn scheme_a_yields_positive_capacity() {
-        let (mut net, mut rng) = uniform_net(600, 1);
+        let (net, mut rng) = uniform_net(600, 1);
         let f = (600f64).powf(0.25);
         let traffic = TrafficMatrix::permutation(600, &mut rng);
         let homes = net.population().home_points().points().to_vec();
         let plan = SchemeAPlan::build(&homes, &traffic, f);
-        let report = measure(
-            &mut net,
-            FluidPlan::A(&plan),
-            FluidRun::counter(400, 1, None),
-        );
+        let report = measure(&net, FluidPlan::A(&plan), FluidRun::new(400, 1, None));
         assert!(
             report.lambda > 0.0,
             "lambda 0, bottleneck {:?}, pairs/slot {}",
@@ -1155,12 +1116,8 @@ mod tests {
         let homes = pop.home_points().points().to_vec();
         let traffic = TrafficMatrix::permutation(400, &mut rng);
         let plan = SchemeBPlan::build(&homes, &traffic, &bs, 4);
-        let mut net = HybridNetwork::with_infrastructure(pop, bs);
-        let report = measure(
-            &mut net,
-            FluidPlan::B(&plan),
-            FluidRun::counter(400, 1, None),
-        );
+        let net = HybridNetwork::with_infrastructure(pop, bs);
+        let report = measure(&net, FluidPlan::B(&plan), FluidRun::new(400, 1, None));
         assert!(
             report.lambda > 0.0,
             "lambda 0, bottleneck {:?}",
@@ -1180,33 +1137,25 @@ mod tests {
         let homes = pop.home_points().points().to_vec();
         let traffic = TrafficMatrix::permutation(300, &mut rng);
         let plan = SchemeBPlan::build(&homes, &traffic, &bs, 4);
-        let mut net = HybridNetwork::with_infrastructure(pop, bs);
-        let report = measure(
-            &mut net,
-            FluidPlan::B(&plan),
-            FluidRun::counter(200, 1, None),
-        );
+        let net = HybridNetwork::with_infrastructure(pop, bs);
+        let report = measure(&net, FluidPlan::B(&plan), FluidRun::new(200, 1, None));
         assert_eq!(report.bottleneck, Bottleneck::Backbone);
         assert!(report.lambda > 0.0 && report.lambda < 1e-4);
     }
 
     #[test]
     fn budgeted_within_budget_is_bit_identical() {
-        let (mut net, mut rng) = uniform_net(200, 21);
+        let (net, mut rng) = uniform_net(200, 21);
         let f = (200f64).powf(0.25);
         let traffic = TrafficMatrix::permutation(200, &mut rng);
         let homes = net.population().home_points().points().to_vec();
         let plan = SchemeAPlan::build(&homes, &traffic, f);
-        let plain = measure(
-            &mut net,
-            FluidPlan::A(&plan),
-            FluidRun::counter(60, 9, None),
-        );
+        let plain = measure(&net, FluidPlan::A(&plan), FluidRun::new(60, 9, None));
         let budgeted = FluidEngine::default()
             .run(
-                &mut net,
+                &net,
                 FluidPlan::A(&plan),
-                FluidRun::counter(60, 9, None).budget(RunBudget::unlimited()),
+                FluidRun::new(60, 9, None).budget(RunBudget::unlimited()),
                 &mut Observer::noop(),
             )
             .unwrap();
@@ -1224,15 +1173,15 @@ mod tests {
     /// duration, an untimed one still reads 0.
     #[test]
     fn timed_sinks_keep_span_durations_of_every_sampling_mode() {
-        let (mut net, mut rng) = uniform_net(300, 23);
+        let (net, mut rng) = uniform_net(300, 23);
         let traffic = TrafficMatrix::permutation(300, &mut rng);
         let homes = net.population().home_points().points().to_vec();
         let plan = SchemeAPlan::build(&homes, &traffic, (300f64).powf(0.25));
         let pool = WorkerPool::new(2);
         let specs = || {
             [
-                FluidRun::counter(40, 4, None),
-                FluidRun::counter(40, 4, Some(&pool)),
+                FluidRun::new(40, 4, None),
+                FluidRun::new(40, 4, Some(&pool)),
                 FluidRun::streamed(40, 4, 64),
             ]
         };
@@ -1240,7 +1189,7 @@ mod tests {
             for spec in specs() {
                 let mut obs = Observer::new(MemorySink::with_timings_when(timed));
                 FluidEngine::default()
-                    .run(&mut net, FluidPlan::A(&plan), spec, &mut obs)
+                    .run(&net, FluidPlan::A(&plan), spec, &mut obs)
                     .unwrap();
                 let (_, span) = obs
                     .sink
@@ -1270,7 +1219,7 @@ mod tests {
         let traffic = TrafficMatrix::permutation(220, &mut rng);
         let plan_a = SchemeAPlan::build(&homes, &traffic, (220f64).powf(0.25));
         let plan_b = SchemeBPlan::build(&homes, &traffic, &bs, 4);
-        let mut net = HybridNetwork::with_infrastructure(pop, bs);
+        let net = HybridNetwork::with_infrastructure(pop, bs);
         assert!(net.positions_static());
         let on = FluidEngine::default();
         let off = FluidEngine {
@@ -1283,9 +1232,9 @@ mod tests {
             .crash_bs(10, 0)
             .repair_bs(40, 0)
             .with_bernoulli_bs_outage(0.2, 9);
-        let mut observed = |engine: FluidEngine, plan, spec| {
+        let observed = |engine: FluidEngine, plan, spec| {
             let mut obs = Observer::recording().with_probes();
-            let report = engine.run(&mut net, plan, spec, &mut obs).unwrap();
+            let report = engine.run(&net, plan, spec, &mut obs).unwrap();
             (report.report().clone(), obs.snapshot().to_json())
         };
         for (plan, slots, faults) in [
@@ -1293,7 +1242,7 @@ mod tests {
             (FluidPlan::B(&plan_b), 60, Some(&schedule)),
         ] {
             let spec = || {
-                let spec = FluidRun::counter(slots, 5, None);
+                let spec = FluidRun::new(slots, 5, None);
                 match faults {
                     Some(schedule) => spec.faults(schedule, OutagePolicy::RadioOff),
                     None => spec,
@@ -1313,7 +1262,7 @@ mod tests {
 
     #[test]
     fn budgeted_slot_cap_interrupts_with_partial_report() {
-        let (mut net, mut rng) = uniform_net(200, 22);
+        let (net, mut rng) = uniform_net(200, 22);
         let f = (200f64).powf(0.25);
         let traffic = TrafficMatrix::permutation(200, &mut rng);
         let homes = net.population().home_points().points().to_vec();
@@ -1322,9 +1271,9 @@ mod tests {
         let mut obs = Observer::recording().with_probes();
         let outcome = FluidEngine::default()
             .run(
-                &mut net,
+                &net,
                 FluidPlan::A(&plan),
-                FluidRun::counter(100, 9, None).budget(budget),
+                FluidRun::new(100, 9, None).budget(budget),
                 &mut obs,
             )
             .unwrap();
@@ -1359,16 +1308,16 @@ mod tests {
 
     #[test]
     fn budgeted_faulted_run_normalizes_by_completed_slots() {
-        let (mut net, plan, _) = hybrid_net(200, 24);
+        let (net, plan, _) = hybrid_net(200, 24);
         let schedule = FaultSchedule::empty()
             .crash_bs(0, 0)
             .crash_bs(0, 1)
             .with_bernoulli_bs_outage(0.1, 3);
-        let spec = FluidRun::counter(50, 4, None)
+        let spec = FluidRun::new(50, 4, None)
             .faults(&schedule, OutagePolicy::RadioOff)
             .budget(RunBudget::unlimited().with_max_slots(20));
         let outcome = FluidEngine::default()
-            .run(&mut net, FluidPlan::B(&plan), spec, &mut Observer::noop())
+            .run(&net, FluidPlan::B(&plan), spec, &mut Observer::noop())
             .unwrap();
         let Budgeted::Interrupted {
             partial,
@@ -1387,9 +1336,9 @@ mod tests {
         // The same 20 slots run unbudgeted give the same per-slot figures.
         let full = FluidEngine::default()
             .run(
-                &mut net,
+                &net,
                 FluidPlan::B(&plan),
-                FluidRun::counter(20, 4, None).faults(&schedule, OutagePolicy::RadioOff),
+                FluidRun::new(20, 4, None).faults(&schedule, OutagePolicy::RadioOff),
                 &mut Observer::noop(),
             )
             .unwrap()
@@ -1400,17 +1349,13 @@ mod tests {
 
     #[test]
     fn scheme_b_budgeted_event_free_axes_complete() {
-        let (mut net, plan, _) = hybrid_net(200, 23);
-        let plain = measure(
-            &mut net,
-            FluidPlan::B(&plan),
-            FluidRun::counter(40, 3, None),
-        );
+        let (net, plan, _) = hybrid_net(200, 23);
+        let plain = measure(&net, FluidPlan::B(&plan), FluidRun::new(40, 3, None));
         let budgeted = FluidEngine::default()
             .run(
-                &mut net,
+                &net,
                 FluidPlan::B(&plan),
-                FluidRun::counter(40, 3, None).budget(RunBudget::unlimited().with_max_slots(40)),
+                FluidRun::new(40, 3, None).budget(RunBudget::unlimited().with_max_slots(40)),
                 &mut Observer::noop(),
             )
             .unwrap();
@@ -1430,7 +1375,7 @@ mod tests {
     }
 
     /// Runs `spec` and returns its error.
-    fn run_err(net: &mut HybridNetwork, plan: FluidPlan<'_>, spec: FluidRun<'_>) -> HycapError {
+    fn run_err(net: &HybridNetwork, plan: FluidPlan<'_>, spec: FluidRun<'_>) -> HycapError {
         FluidEngine::default()
             .run(net, plan, spec, &mut Observer::noop())
             .unwrap_err()
@@ -1438,16 +1383,12 @@ mod tests {
 
     #[test]
     fn scheme_b_requires_bs() {
-        let (mut net, mut rng) = uniform_net(50, 5);
+        let (net, mut rng) = uniform_net(50, 5);
         let traffic = TrafficMatrix::permutation(50, &mut rng);
         let bs = BaseStations::generate_regular(4, 1.0);
         let homes = net.population().home_points().points().to_vec();
         let plan = SchemeBPlan::build(&homes, &traffic, &bs, 2);
-        let err = run_err(
-            &mut net,
-            FluidPlan::B(&plan),
-            FluidRun::counter(10, 1, None),
-        );
+        let err = run_err(&net, FluidPlan::B(&plan), FluidRun::new(10, 1, None));
         assert!(
             matches!(err, HycapError::MissingInfrastructure("scheme B")),
             "{err}"
@@ -1456,12 +1397,35 @@ mod tests {
     }
 
     #[test]
-    fn zero_slots_rejected() {
-        let (mut net, mut rng) = uniform_net(50, 6);
+    fn bad_range_override_is_a_typed_error() {
+        let (net, mut rng) = uniform_net(50, 11);
         let traffic = TrafficMatrix::permutation(50, &mut rng);
         let homes = net.population().home_points().points().to_vec();
         let plan = SchemeAPlan::build(&homes, &traffic, 2.0);
-        let err = run_err(&mut net, FluidPlan::A(&plan), FluidRun::counter(0, 1, None));
+        for range in [0.0, f64::NAN] {
+            let err = FluidEngine::default()
+                .with_range(range)
+                .run(
+                    &net,
+                    FluidPlan::A(&plan),
+                    FluidRun::new(5, 1, None),
+                    &mut Observer::noop(),
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, HycapError::InvalidParameter { name: "range", .. }),
+                "{range}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_slots_rejected() {
+        let (net, mut rng) = uniform_net(50, 6);
+        let traffic = TrafficMatrix::permutation(50, &mut rng);
+        let homes = net.population().home_points().points().to_vec();
+        let plan = SchemeAPlan::build(&homes, &traffic, 2.0);
+        let err = run_err(&net, FluidPlan::A(&plan), FluidRun::new(0, 1, None));
         assert!(
             matches!(err, HycapError::InvalidParameter { name: "slots", .. }),
             "{err}"
@@ -1470,12 +1434,12 @@ mod tests {
 
     #[test]
     fn scheme_a_plan_for_other_population_rejected() {
-        let (mut net, mut rng) = uniform_net(50, 7);
+        let (net, mut rng) = uniform_net(50, 7);
         let (other, _) = uniform_net(60, 8);
         let traffic = TrafficMatrix::permutation(60, &mut rng);
         let homes = other.population().home_points().points().to_vec();
         let plan = SchemeAPlan::build(&homes, &traffic, 2.0);
-        let err = run_err(&mut net, FluidPlan::A(&plan), FluidRun::counter(5, 1, None));
+        let err = run_err(&net, FluidPlan::A(&plan), FluidRun::new(5, 1, None));
         assert!(
             matches!(
                 err,
@@ -1491,14 +1455,14 @@ mod tests {
 
     #[test]
     fn scheme_b_plan_for_larger_population_rejected() {
-        let (mut net, _, _) = hybrid_net(50, 9);
+        let (net, _, _) = hybrid_net(50, 9);
         let (_, plan, _) = hybrid_net(60, 10);
-        let err = run_err(&mut net, FluidPlan::B(&plan), FluidRun::counter(5, 1, None));
+        let err = run_err(&net, FluidPlan::B(&plan), FluidRun::new(5, 1, None));
         assert!(
             matches!(err, HycapError::Mismatch { right: 50, .. }),
             "{err}"
         );
-        let err = run_err(&mut net, FluidPlan::B(&plan), FluidRun::streamed(5, 1, 4));
+        let err = run_err(&net, FluidPlan::B(&plan), FluidRun::streamed(5, 1, 4));
         assert!(matches!(err, HycapError::Mismatch { .. }), "{err}");
     }
 }

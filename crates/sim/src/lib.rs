@@ -17,7 +17,7 @@
 //!   order-preserving parallel driver, used by every Table-I / Figure-3
 //!   experiment.
 //! * [`WorkerPool`] — a persistent worker pool backing slot-sharded fluid
-//!   runs ([`Sampling::Counter`]), packet replications and the bench
+//!   runs ([`Sampling::Materialized`]), packet replications and the bench
 //!   drivers; combined with counter-based mobility streams
 //!   (`hycap_mobility::SlotRng`), measurements are bit-identical at any
 //!   thread count.
@@ -46,10 +46,10 @@
 //! let homes = pop.home_points().points().to_vec();
 //! let traffic = TrafficMatrix::permutation(300, &mut rng);
 //! let plan = SchemeAPlan::build(&homes, &traffic, 300f64.powf(0.25));
-//! let mut net = HybridNetwork::ad_hoc(pop);
-//! let spec = FluidRun::counter(100, 7, None);
+//! let net = HybridNetwork::ad_hoc(pop);
+//! let spec = FluidRun::new(100, 7, None);
 //! let report = FluidEngine::default()
-//!     .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+//!     .run(&net, FluidPlan::A(&plan), spec, &mut Observer::noop())
 //!     .unwrap()
 //!     .into_complete("scheme A")
 //!     .unwrap();
@@ -86,8 +86,8 @@ pub use fluid::{
     Bottleneck, DegradedFluidReport, FluidEngine, FluidPlan, FluidReport, FluidRun, Sampling,
 };
 pub use packet::{
-    FaultReport, Pacing, PacingTrace, PacketEngine, PacketPlan, PacketReport, PacketRun,
-    PacketStats, PacketWorkload,
+    FaultReport, PacingTrace, PacketEngine, PacketPlan, PacketReport, PacketRun, PacketStats,
+    PacketWorkload,
 };
 pub use pool::{JobPanic, WorkerPool};
 pub use sweep::{

@@ -1,7 +1,7 @@
 //! Thread-count determinism of the slot-sharded fluid engines.
 //!
 //! The contract under test: for every scheme (A, B), fault-free and
-//! faulted, pooled counter-based runs (`Sampling::Counter` with a pool)
+//! faulted, pooled counter-based runs (`Sampling::Materialized` with a pool)
 //! produce **bit-identical** reports and merged metrics snapshots at 1, 2,
 //! 4 and 7 worker threads, and all of them equal the unpooled inline run;
 //! streamed runs equal it too at every chunk size. This is what makes
@@ -47,7 +47,7 @@ fn hybrid_setup(
 /// Runs `spec` with a recording observer: the complete report plus the
 /// snapshot JSON.
 fn observed(
-    net: &mut HybridNetwork,
+    net: &HybridNetwork,
     plan: FluidPlan<'_>,
     spec: FluidRun<'_>,
 ) -> (DegradedFluidReport, String) {
@@ -89,13 +89,13 @@ fn faulty_schedule() -> FaultSchedule {
 #[test]
 fn scheme_a_par_bit_identical_across_thread_counts() {
     let slots = 200;
-    let (mut net, _, plan) = hybrid_setup(200, 16, 2);
+    let (net, _, plan) = hybrid_setup(200, 16, 2);
     let plan = FluidPlan::A(&plan);
-    let (reference, ref_json) = observed(&mut net, plan, FluidRun::counter(slots, SLOT_SEED, None));
+    let (reference, ref_json) = observed(&net, plan, FluidRun::new(slots, SLOT_SEED, None));
     for threads in THREADS {
         let pool = WorkerPool::new(threads);
-        let spec = FluidRun::counter(slots, SLOT_SEED, Some(&pool));
-        let (report, json) = observed(&mut net, plan, spec);
+        let spec = FluidRun::new(slots, SLOT_SEED, Some(&pool));
+        let (report, json) = observed(&net, plan, spec);
         assert_same_degraded(&report, &reference, &format!("{threads} threads"));
         assert_eq!(json, ref_json, "snapshot drifted at {threads} threads");
     }
@@ -104,13 +104,13 @@ fn scheme_a_par_bit_identical_across_thread_counts() {
 #[test]
 fn scheme_b_par_bit_identical_across_thread_counts() {
     let slots = 200;
-    let (mut net, plan, _) = hybrid_setup(200, 16, 2);
+    let (net, plan, _) = hybrid_setup(200, 16, 2);
     let plan = FluidPlan::B(&plan);
-    let (reference, ref_json) = observed(&mut net, plan, FluidRun::counter(slots, SLOT_SEED, None));
+    let (reference, ref_json) = observed(&net, plan, FluidRun::new(slots, SLOT_SEED, None));
     for threads in THREADS {
         let pool = WorkerPool::new(threads);
-        let spec = FluidRun::counter(slots, SLOT_SEED, Some(&pool));
-        let (report, json) = observed(&mut net, plan, spec);
+        let spec = FluidRun::new(slots, SLOT_SEED, Some(&pool));
+        let (report, json) = observed(&net, plan, spec);
         assert_same_degraded(&report, &reference, &format!("{threads} threads"));
         assert_eq!(json, ref_json, "snapshot drifted at {threads} threads");
     }
@@ -119,16 +119,16 @@ fn scheme_b_par_bit_identical_across_thread_counts() {
 #[test]
 fn faulted_scheme_a_par_bit_identical_across_thread_counts() {
     let slots = 200;
-    let (mut net, _, plan) = hybrid_setup(200, 16, 2);
+    let (net, _, plan) = hybrid_setup(200, 16, 2);
     let plan = FluidPlan::A(&plan);
     let schedule = faulty_schedule();
     for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-        let spec = FluidRun::counter(slots, SLOT_SEED, None).faults(&schedule, policy);
-        let (reference, ref_json) = observed(&mut net, plan, spec);
+        let spec = FluidRun::new(slots, SLOT_SEED, None).faults(&schedule, policy);
+        let (reference, ref_json) = observed(&net, plan, spec);
         for threads in THREADS {
             let pool = WorkerPool::new(threads);
-            let spec = FluidRun::counter(slots, SLOT_SEED, Some(&pool)).faults(&schedule, policy);
-            let (report, json) = observed(&mut net, plan, spec);
+            let spec = FluidRun::new(slots, SLOT_SEED, Some(&pool)).faults(&schedule, policy);
+            let (report, json) = observed(&net, plan, spec);
             assert_same_degraded(
                 &report,
                 &reference,
@@ -145,16 +145,16 @@ fn faulted_scheme_a_par_bit_identical_across_thread_counts() {
 #[test]
 fn faulted_scheme_b_par_bit_identical_across_thread_counts() {
     let slots = 200;
-    let (mut net, plan, _) = hybrid_setup(200, 16, 2);
+    let (net, plan, _) = hybrid_setup(200, 16, 2);
     let plan = FluidPlan::B(&plan);
     let schedule = faulty_schedule();
     for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
-        let spec = FluidRun::counter(slots, SLOT_SEED, None).faults(&schedule, policy);
-        let (reference, ref_json) = observed(&mut net, plan, spec);
+        let spec = FluidRun::new(slots, SLOT_SEED, None).faults(&schedule, policy);
+        let (reference, ref_json) = observed(&net, plan, spec);
         for threads in THREADS {
             let pool = WorkerPool::new(threads);
-            let spec = FluidRun::counter(slots, SLOT_SEED, Some(&pool)).faults(&schedule, policy);
-            let (report, json) = observed(&mut net, plan, spec);
+            let spec = FluidRun::new(slots, SLOT_SEED, Some(&pool)).faults(&schedule, policy);
+            let (report, json) = observed(&net, plan, spec);
             assert_same_degraded(
                 &report,
                 &reference,
@@ -171,18 +171,13 @@ fn faulted_scheme_b_par_bit_identical_across_thread_counts() {
 #[test]
 fn empty_schedule_faulted_par_matches_fault_free_par() {
     let slots = 150;
-    let (mut net, plan, _) = hybrid_setup(200, 16, 2);
+    let (net, plan, _) = hybrid_setup(200, 16, 2);
     let plan = FluidPlan::B(&plan);
     let pool = WorkerPool::new(3);
-    let (plain, plain_json) = observed(
-        &mut net,
-        plan,
-        FluidRun::counter(slots, SLOT_SEED, Some(&pool)),
-    );
+    let (plain, plain_json) = observed(&net, plan, FluidRun::new(slots, SLOT_SEED, Some(&pool)));
     let empty = FaultSchedule::empty();
-    let spec =
-        FluidRun::counter(slots, SLOT_SEED, Some(&pool)).faults(&empty, OutagePolicy::RadioOff);
-    let (faulted, faulted_json) = observed(&mut net, plan, spec);
+    let spec = FluidRun::new(slots, SLOT_SEED, Some(&pool)).faults(&empty, OutagePolicy::RadioOff);
+    let (faulted, faulted_json) = observed(&net, plan, spec);
     assert_eq!(faulted, plain);
     assert_eq!(faulted_json, plain_json);
     assert_eq!(faulted.k_alive_mean, 16.0);
@@ -199,13 +194,12 @@ fn empty_schedule_faulted_par_matches_fault_free_par() {
 fn streamed_bit_identical_to_ctr_fault_free() {
     let slots = 150;
     let chunks = [1usize, 37, 216, 4096];
-    let (mut net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
+    let (net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
     for plan in [FluidPlan::A(&plan_a), FluidPlan::B(&plan_b)] {
-        let (reference, ref_json) =
-            observed(&mut net, plan, FluidRun::counter(slots, SLOT_SEED, None));
+        let (reference, ref_json) = observed(&net, plan, FluidRun::new(slots, SLOT_SEED, None));
         for chunk in chunks {
             let spec = FluidRun::streamed(slots, SLOT_SEED, chunk);
-            let (report, json) = observed(&mut net, plan, spec);
+            let (report, json) = observed(&net, plan, spec);
             assert_same_degraded(&report, &reference, &format!("{plan:?} at chunk {chunk}"));
             assert_eq!(json, ref_json, "{plan:?} snapshot drifted at chunk {chunk}");
         }
@@ -218,14 +212,14 @@ fn streamed_bit_identical_to_ctr_fault_free() {
 fn streamed_bit_identical_to_ctr_faulted() {
     let slots = 150;
     let chunk = 64;
-    let (mut net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
+    let (net, plan_b, plan_a) = hybrid_setup(200, 16, 2);
     let schedule = faulty_schedule();
     for policy in [OutagePolicy::RadioOff, OutagePolicy::OccupySpectrum] {
         for plan in [FluidPlan::A(&plan_a), FluidPlan::B(&plan_b)] {
-            let spec = FluidRun::counter(slots, SLOT_SEED, None).faults(&schedule, policy);
-            let (reference, ref_json) = observed(&mut net, plan, spec);
+            let spec = FluidRun::new(slots, SLOT_SEED, None).faults(&schedule, policy);
+            let (reference, ref_json) = observed(&net, plan, spec);
             let spec = FluidRun::streamed(slots, SLOT_SEED, chunk).faults(&schedule, policy);
-            let (report, json) = observed(&mut net, plan, spec);
+            let (report, json) = observed(&net, plan, spec);
             assert_same_degraded(&report, &reference, &format!("{plan:?}, {policy:?}"));
             assert_eq!(json, ref_json, "{plan:?} snapshot drifted ({policy:?})");
         }
@@ -237,12 +231,12 @@ fn streamed_bit_identical_to_ctr_faulted() {
 #[test]
 fn empty_schedule_faulted_streamed_matches_fault_free_streamed() {
     let slots = 100;
-    let (mut net, plan, _) = hybrid_setup(200, 16, 2);
+    let (net, plan, _) = hybrid_setup(200, 16, 2);
     let plan = FluidPlan::B(&plan);
-    let (plain, _) = observed(&mut net, plan, FluidRun::streamed(slots, SLOT_SEED, 50));
+    let (plain, _) = observed(&net, plan, FluidRun::streamed(slots, SLOT_SEED, 50));
     let empty = FaultSchedule::empty();
     let spec = FluidRun::streamed(slots, SLOT_SEED, 50).faults(&empty, OutagePolicy::RadioOff);
-    let (faulted, _) = observed(&mut net, plan, spec);
+    let (faulted, _) = observed(&net, plan, spec);
     assert_eq!(faulted, plain);
     assert_eq!(faulted.k_alive_mean, 16.0);
     assert_eq!(faulted.outage_slots, 0);
@@ -251,10 +245,10 @@ fn empty_schedule_faulted_streamed_matches_fault_free_streamed() {
 /// Chunk size zero is a parameter error, not a hang.
 #[test]
 fn streamed_rejects_zero_chunk() {
-    let (mut net, _, plan) = hybrid_setup(50, 4, 2);
+    let (net, _, plan) = hybrid_setup(50, 4, 2);
     let err = FluidEngine::default()
         .run(
-            &mut net,
+            &net,
             FluidPlan::A(&plan),
             FluidRun::streamed(10, SLOT_SEED, 0),
             &mut Observer::noop(),
@@ -263,8 +257,9 @@ fn streamed_rejects_zero_chunk() {
     assert!(err.to_string().contains("chunk"), "{err}");
 }
 
+/// Streaming replays counter streams, which a walk does not have.
 #[test]
-fn counter_run_rejects_history_dependent_mobility() {
+fn streamed_run_rejects_history_dependent_mobility() {
     let mut rng = StdRng::seed_from_u64(SEED);
     let config = PopulationConfig::builder(120)
         .alpha(0.25)
@@ -275,14 +270,10 @@ fn counter_run_rejects_history_dependent_mobility() {
     let homes = pop.home_points().points().to_vec();
     let traffic = TrafficMatrix::permutation(120, &mut rng);
     let plan = SchemeAPlan::build(&homes, &traffic, (120f64).powf(0.25));
-    let mut net = HybridNetwork::ad_hoc(pop);
-    for spec in [
-        FluidRun::counter(50, SLOT_SEED, None),
-        FluidRun::streamed(50, SLOT_SEED, 64),
-    ] {
-        let err = FluidEngine::default()
-            .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
-            .unwrap_err();
-        assert!(err.to_string().contains("counter"), "{err}");
-    }
+    let net = HybridNetwork::ad_hoc(pop);
+    let spec = FluidRun::streamed(50, SLOT_SEED, 64);
+    let err = FluidEngine::default()
+        .run(&net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+        .unwrap_err();
+    assert!(err.to_string().contains("counter"), "{err}");
 }

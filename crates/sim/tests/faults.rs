@@ -14,7 +14,7 @@ use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
 use hycap_sim::{
     DegradedFluidReport, FaultSchedule, FluidEngine, FluidPlan, FluidRun, HybridNetwork,
-    OutagePolicy, Pacing, PacketEngine, PacketPlan, PacketReport, PacketRun,
+    OutagePolicy, PacketEngine, PacketPlan, PacketReport, PacketRun,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -51,13 +51,13 @@ fn hybrid_setup(
 /// A fluid run of `plan` over slot streams seeded from `rng`, under
 /// `faults` when given.
 fn fluid_run(
-    net: &mut HybridNetwork,
+    net: &HybridNetwork,
     plan: FluidPlan<'_>,
     slots: usize,
     faults: Option<(&FaultSchedule, OutagePolicy)>,
     rng: &mut StdRng,
 ) -> DegradedFluidReport {
-    let mut spec = FluidRun::counter(slots, rng.next_u64(), None);
+    let mut spec = FluidRun::new(slots, rng.next_u64(), None);
     spec.faults = faults;
     FluidEngine::default()
         .run(net, plan, spec, &mut Observer::noop())
@@ -66,16 +66,17 @@ fn fluid_run(
         .unwrap()
 }
 
-/// A legacy-paced open-loop scheme-B packet run, under `faults` when given.
+/// An open-loop scheme-B packet run over slots drawn from a seed taken from
+/// `rng`, under `faults` when given.
 fn packet_b(
-    net: &mut HybridNetwork,
+    net: &HybridNetwork,
     plan: &SchemeBPlan,
     lambda: f64,
     slots: usize,
     faults: Option<(&FaultSchedule, OutagePolicy)>,
     rng: &mut StdRng,
 ) -> PacketReport {
-    let mut spec = PacketRun::open_loop(lambda, slots, Pacing::Legacy(rng));
+    let mut spec = PacketRun::open_loop(lambda, slots, rng.next_u64());
     spec.faults = faults;
     PacketEngine::default()
         .run(net, PacketPlan::B(plan), spec, &mut Observer::noop())
@@ -87,13 +88,13 @@ fn packet_b(
 #[test]
 fn empty_schedule_bit_identical_fluid_scheme_b() {
     let slots = 250;
-    let (mut net, plan, _, mut rng) = hybrid_setup(200, 64, 4, SEED);
-    let plain = fluid_run(&mut net, FluidPlan::B(&plan), slots, None, &mut rng).base;
+    let (net, plan, _, mut rng) = hybrid_setup(200, 64, 4, SEED);
+    let plain = fluid_run(&net, FluidPlan::B(&plan), slots, None, &mut rng).base;
 
-    let (mut net2, plan2, _, mut rng2) = hybrid_setup(200, 64, 4, SEED);
+    let (net2, plan2, _, mut rng2) = hybrid_setup(200, 64, 4, SEED);
     let empty = FaultSchedule::empty();
     let faults = Some((&empty, OutagePolicy::RadioOff));
-    let faulted = fluid_run(&mut net2, FluidPlan::B(&plan2), slots, faults, &mut rng2);
+    let faulted = fluid_run(&net2, FluidPlan::B(&plan2), slots, faults, &mut rng2);
     // Bit-identical: the empty schedule takes the exact fault-free path.
     assert_eq!(faulted.base, plain);
     assert_eq!(faulted.base.lambda.to_bits(), plain.lambda.to_bits());
@@ -111,13 +112,13 @@ fn empty_schedule_bit_identical_fluid_scheme_b() {
 #[test]
 fn empty_schedule_bit_identical_fluid_scheme_a() {
     let slots = 250;
-    let (mut net, _, plan, mut rng) = hybrid_setup(200, 16, 4, SEED + 1);
-    let plain = fluid_run(&mut net, FluidPlan::A(&plan), slots, None, &mut rng).base;
+    let (net, _, plan, mut rng) = hybrid_setup(200, 16, 4, SEED + 1);
+    let plain = fluid_run(&net, FluidPlan::A(&plan), slots, None, &mut rng).base;
 
-    let (mut net2, _, plan2, mut rng2) = hybrid_setup(200, 16, 4, SEED + 1);
+    let (net2, _, plan2, mut rng2) = hybrid_setup(200, 16, 4, SEED + 1);
     let empty = FaultSchedule::empty();
     let faults = Some((&empty, OutagePolicy::RadioOff));
-    let faulted = fluid_run(&mut net2, FluidPlan::A(&plan2), slots, faults, &mut rng2);
+    let faulted = fluid_run(&net2, FluidPlan::A(&plan2), slots, faults, &mut rng2);
     assert_eq!(faulted.base, plain);
     assert_eq!(faulted.base.lambda.to_bits(), plain.lambda.to_bits());
     assert_eq!(faulted.outage_slots, 0);
@@ -127,14 +128,14 @@ fn empty_schedule_bit_identical_fluid_scheme_a() {
 fn empty_schedule_bit_identical_packet_scheme_b() {
     let slots = 1200;
     let lambda = 0.002;
-    let (mut net, plan, _, mut rng) = hybrid_setup(150, 16, 4, SEED + 2);
-    let plain = packet_b(&mut net, &plan, lambda, slots, None, &mut rng);
+    let (net, plan, _, mut rng) = hybrid_setup(150, 16, 4, SEED + 2);
+    let plain = packet_b(&net, &plan, lambda, slots, None, &mut rng);
     assert!(plain.faults.is_none());
 
-    let (mut net2, plan2, _, mut rng2) = hybrid_setup(150, 16, 4, SEED + 2);
+    let (net2, plan2, _, mut rng2) = hybrid_setup(150, 16, 4, SEED + 2);
     let empty = FaultSchedule::empty();
     let faults = Some((&empty, OutagePolicy::RadioOff));
-    let faulted = packet_b(&mut net2, &plan2, lambda, slots, faults, &mut rng2);
+    let faulted = packet_b(&net2, &plan2, lambda, slots, faults, &mut rng2);
     assert!(plain.stats.delivered > 0, "baseline run must move packets");
     // Bit-identical: the empty schedule takes the exact fault-free path.
     assert_eq!(faulted.stats, plain.stats);
@@ -172,10 +173,10 @@ fn monotone_dead_set_monotone_capacity_measured() {
     let slots = 250;
     let mut lambdas = Vec::new();
     for per_group in 0..4 {
-        let (mut net, plan, _, mut rng) = hybrid_setup(200, 64, 4, SEED + 3);
+        let (net, plan, _, mut rng) = hybrid_setup(200, 64, 4, SEED + 3);
         let schedule = kill_per_group(&plan, per_group);
         let faults = Some((&schedule, OutagePolicy::OccupySpectrum));
-        let report = fluid_run(&mut net, FluidPlan::B(&plan), slots, faults, &mut rng);
+        let report = fluid_run(&net, FluidPlan::B(&plan), slots, faults, &mut rng);
         assert_eq!(report.fallback_flows, 0, "no group may die completely");
         lambdas.push(report.base.lambda);
     }
@@ -220,7 +221,7 @@ fn monotone_dead_set_monotone_capacity_analytic() {
 #[test]
 fn dead_group_falls_back_without_panicking() {
     let slots = 250;
-    let (mut net, plan, _, mut rng) = hybrid_setup(200, 64, 4, SEED + 5);
+    let (net, plan, _, mut rng) = hybrid_setup(200, 64, 4, SEED + 5);
     // Kill every BS of group 0 mid-run, cut a wire, and keep a Bernoulli
     // outage churning — the engine must degrade, not panic.
     let mut schedule = FaultSchedule::empty()
@@ -230,7 +231,7 @@ fn dead_group_falls_back_without_panicking() {
         schedule = schedule.crash_bs(50, b);
     }
     let faults = Some((&schedule, OutagePolicy::RadioOff));
-    let report = fluid_run(&mut net, FluidPlan::B(&plan), slots, faults, &mut rng);
+    let report = fluid_run(&net, FluidPlan::B(&plan), slots, faults, &mut rng);
     assert_eq!(report.dead_groups, 1);
     assert!(report.fallback_flows > 0, "dead group must shed flows");
     assert_eq!(
@@ -249,13 +250,13 @@ fn dead_group_falls_back_without_panicking() {
 #[test]
 fn packet_engine_delivers_via_fallback_when_all_bs_dead() {
     let slots = 1500;
-    let (mut net, plan, _, mut rng) = hybrid_setup(120, 16, 4, SEED + 6);
+    let (net, plan, _, mut rng) = hybrid_setup(120, 16, 4, SEED + 6);
     let mut schedule = FaultSchedule::empty();
     for b in 0..16 {
         schedule = schedule.crash_bs(0, b);
     }
     let faults = Some((&schedule, OutagePolicy::RadioOff));
-    let run = packet_b(&mut net, &plan, 0.001, slots, faults, &mut rng);
+    let run = packet_b(&net, &plan, 0.001, slots, faults, &mut rng);
     let stats = run.faults.unwrap();
     assert!(run.stats.injected > 0);
     assert_eq!(stats.infra_delivered, 0, "no BS alive, no infra delivery");
@@ -273,13 +274,13 @@ fn packet_engine_delivers_via_fallback_when_all_bs_dead() {
 #[test]
 fn occupy_spectrum_wastes_contacts_on_dead_bs() {
     let slots = 800;
-    let (mut net, plan, _, mut rng) = hybrid_setup(150, 16, 4, SEED + 7);
+    let (net, plan, _, mut rng) = hybrid_setup(150, 16, 4, SEED + 7);
     let mut schedule = FaultSchedule::empty();
     for b in 0..8 {
         schedule = schedule.crash_bs(0, b);
     }
     let faults = Some((&schedule, OutagePolicy::OccupySpectrum));
-    let stats = packet_b(&mut net, &plan, 0.002, slots, faults, &mut rng)
+    let stats = packet_b(&net, &plan, 0.002, slots, faults, &mut rng)
         .faults
         .unwrap();
     assert!(

@@ -7,9 +7,11 @@
 //! span-stripped metrics-snapshot JSON of observed cases. The cases span
 //! relay chains, scheme B, scheme B under an empty schedule, a BS crash and
 //! a Bernoulli outage, scheme C, and scheme B over a thin backbone whose
-//! wire budget binds, fault-free and under BS and wire faults — each under
-//! legacy pacing and all four demand flag combinations, run to the horizon
-//! and under a tripped slot cap.
+//! wire budget binds, fault-free and under BS and wire faults — each on the
+//! i.i.d. network under all four `(skip, active_set)` flag combinations
+//! (`dXY` lines) and on a tethered-walk copy of it, whose run walks its
+//! slots in order (`walk` lines), run to the horizon and under a tripped
+//! slot cap.
 //!
 //! Span metrics are stripped because they record wall-clock microseconds.
 //! Every other snapshot byte — counters, histograms, probe checks,
@@ -26,8 +28,8 @@ use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_obs::{MemorySink, Observer};
 use hycap_routing::{SchemeAPlan, SchemeBPlan, SchemeCPlan, TrafficMatrix};
 use hycap_sim::{
-    Budgeted, FaultSchedule, FlowRunStats, FlowWorkload, HybridNetwork, OutagePolicy, Pacing,
-    PacingTrace, PacketEngine, PacketPlan, PacketReport, PacketRun, RunBudget,
+    Budgeted, FaultSchedule, FlowRunStats, FlowWorkload, HybridNetwork, OutagePolicy, PacingTrace,
+    PacketEngine, PacketPlan, PacketReport, PacketRun, RunBudget,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,7 +80,7 @@ const PLANS: [&str; 8] = [
     "thin-b",
     "thin-b-faults",
 ];
-const PACINGS: [&str; 5] = ["legacy", "d00", "d01", "d10", "d11"];
+const PACINGS: [&str; 5] = ["walk", "d00", "d01", "d10", "d11"];
 
 impl Case {
     fn label(&self) -> String {
@@ -110,18 +112,14 @@ impl Case {
     }
 }
 
-fn pacing<'a>(name: &str, rng: &'a mut StdRng) -> Pacing<'a> {
-    let flags = |skip, active_set| Pacing::Demand {
-        seed: PACING_SEED,
-        skip,
-        active_set,
-    };
+/// The `(skip, active_set)` flags of a pacing label; a walk runs the
+/// defaults.
+fn flags(name: &str) -> (bool, bool) {
     match name {
-        "legacy" => Pacing::Legacy(rng),
-        "d00" => flags(false, false),
-        "d01" => flags(false, true),
-        "d10" => flags(true, false),
-        _ => flags(true, true),
+        "d00" => (false, false),
+        "d01" => (false, true),
+        "d10" => (true, false),
+        _ => (true, true),
     }
 }
 
@@ -131,10 +129,12 @@ fn workload() -> FlowWorkload {
         .with_seed(0xF10)
 }
 
-/// An i.i.d. network of `N` MSs over a regular grid of `K` BSs, its
-/// traffic, both plans and the RNG that built them.
+/// An i.i.d. network of `N` MSs over a regular grid of `K` BSs (or its
+/// tethered-walk copy over the same home-points when `walk`), its traffic,
+/// both plans and the RNG that built them.
 fn hybrid(
     bandwidth: f64,
+    walk: bool,
 ) -> (
     HybridNetwork,
     TrafficMatrix,
@@ -154,6 +154,17 @@ fn hybrid(
     let traffic = TrafficMatrix::permutation(N, &mut rng);
     let plan_a = SchemeAPlan::build(&homes, &traffic, 2.0);
     let plan_b = SchemeBPlan::build(&homes, &traffic, &bs, 2);
+    let pop = if walk {
+        let config = PopulationConfig::builder(N)
+            .alpha(0.25)
+            .kernel(Kernel::uniform_disk(1.0))
+            .mobility(MobilityKind::TetheredWalk { step_frac: 0.2 })
+            .build();
+        let start = &mut StdRng::seed_from_u64(NET_SEED ^ 0x3A1C);
+        Population::with_home_points(&config, pop.home_points().clone(), start)
+    } else {
+        pop
+    };
     let net = HybridNetwork::with_infrastructure(pop, bs);
     (net, traffic, plan_a, plan_b, rng)
 }
@@ -273,7 +284,7 @@ fn measure(case: Case) -> String {
     } else {
         1.0
     };
-    let (mut net, traffic, plan_a, plan_b, mut rng) = hybrid(bandwidth);
+    let (net, traffic, plan_a, plan_b, mut rng) = hybrid(bandwidth, case.pacing == "walk");
     // Relays draw from the run RNG, so only chain cases materialize them.
     let chains = match case.plan {
         "chains" => plan_a.materialize_relays(&traffic, &mut rng),
@@ -291,7 +302,12 @@ fn measure(case: Case) -> String {
         },
         _ => PacketPlan::B(&plan_b),
     };
-    let mut spec = PacketRun::flows(&w, pacing(case.pacing, &mut rng));
+    let (skip, active_set) = flags(case.pacing);
+    let mut spec = PacketRun {
+        skip,
+        active_set,
+        ..PacketRun::flows(&w, PACING_SEED)
+    };
     if case.plan.starts_with("b-") || case.plan == "thin-b-faults" {
         spec = spec.faults(&sched, policy(case.plan));
     }
@@ -301,9 +317,9 @@ fn measure(case: Case) -> String {
     let engine = PacketEngine::default();
     let mut rec = Observer::recording().with_probes();
     let outcome = if case.observed {
-        engine.run(&mut net, plan, spec, &mut rec)
+        engine.run(&net, plan, spec, &mut rec)
     } else {
-        engine.run(&mut net, plan, spec, &mut Observer::noop())
+        engine.run(&net, plan, spec, &mut Observer::noop())
     }
     .unwrap_or_else(|err| panic!("{}: {err}", case.label()));
     let fields = outcome_fields(&outcome);

@@ -8,8 +8,8 @@
 //! schemes, every sampling mode a network admits, no faults, an empty
 //! schedule and a crash/repair/Bernoulli schedule under both outage
 //! policies, and a slot-capped budget: counter-based, pooled at 1 and 2
-//! threads and streamed on an i.i.d. and a static network, in order on a
-//! random-walk network.
+//! threads and streamed on an i.i.d. and a static network, and the seeded
+//! in-order walk on a random-walk network (its `inorder` lines).
 //!
 //! The other fluid pins compare sampling modes against each other, so a
 //! change that moved all of them together would still pass them; this
@@ -20,7 +20,6 @@
 //! CAPTURE_SEED_REF=1 cargo test -p hycap-sim --test fluid_seed_reference -- --nocapture
 //! ```
 
-use hycap_errors::HycapError;
 use hycap_infra::BaseStations;
 use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_obs::{Observer, Snapshot};
@@ -197,18 +196,17 @@ fn with_snap(fields: String, snap: Option<&Snapshot>) -> String {
 /// Measures `case` through [`FluidEngine::run`] and renders its fixture
 /// line.
 fn measure(case: Case) -> String {
-    let (mut net, plan_a, plan_b) = setup(case.net);
+    let (net, plan_a, plan_b) = setup(case.net);
     let plan = match case.scheme {
         "a" => FluidPlan::A(&plan_a),
         _ => FluidPlan::B(&plan_b),
     };
-    let mut rng = StdRng::seed_from_u64(SLOT_SEED);
     let pool = WorkerPool::new(if case.mode == "par2" { 2 } else { 1 });
+    // A walk network picks its in-order walk from the same spec as `ctr`.
     let mut spec = match case.mode {
-        "inorder" => FluidRun::in_order(SLOTS, &mut rng),
-        "ctr" => FluidRun::counter(SLOTS, SLOT_SEED, None),
+        "inorder" | "ctr" => FluidRun::new(SLOTS, SLOT_SEED, None),
         "streamed" => FluidRun::streamed(SLOTS, SLOT_SEED, STREAM_CHUNK),
-        _ => FluidRun::counter(SLOTS, SLOT_SEED, Some(&pool)),
+        _ => FluidRun::new(SLOTS, SLOT_SEED, Some(&pool)),
     };
     let sched = schedule(case.faults);
     if case.faults != "none" {
@@ -220,9 +218,9 @@ fn measure(case: Case) -> String {
     let engine = FluidEngine::default();
     let mut rec = Observer::recording().with_probes();
     let outcome = if case.observed {
-        engine.run(&mut net, plan, spec, &mut rec)
+        engine.run(&net, plan, spec, &mut rec)
     } else {
-        engine.run(&mut net, plan, spec, &mut Observer::noop())
+        engine.run(&net, plan, spec, &mut Observer::noop())
     }
     .unwrap();
     let fields = match (case.budget, case.faults) {
@@ -289,28 +287,30 @@ fn fluid_entry_points_match_seed_reference() {
     }
 }
 
+/// A walk network's run is a pure function of its seed: the same report
+/// and snapshot on 1 and 2 pool workers (the walk ignores the pool) and on
+/// a repeat, a different one from another seed, and the network is left
+/// where it was.
 #[test]
-fn in_order_sampling_is_rejected_on_counter_samplable_networks() {
-    for net in ["iid", "static"] {
-        let (mut network, plan_a, _) = setup(net);
-        let mut rng = StdRng::seed_from_u64(SLOT_SEED);
-        let err = FluidEngine::default()
-            .run(
-                &mut network,
-                FluidPlan::A(&plan_a),
-                FluidRun::in_order(SLOTS, &mut rng),
-                &mut Observer::noop(),
-            )
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                HycapError::InvalidParameter {
-                    name: "sampling",
-                    ..
-                }
-            ),
-            "{net}: {err}"
-        );
+fn walk_runs_are_a_pure_function_of_the_seed() {
+    let (net, plan_a, plan_b) = setup("walk");
+    let start = net.population().positions().to_vec();
+    let run = |plan, seed, pool: &WorkerPool| {
+        let mut obs = Observer::recording().with_probes();
+        let report = FluidEngine::default()
+            .run(&net, plan, FluidRun::new(SLOTS, seed, Some(pool)), &mut obs)
+            .unwrap()
+            .into_complete("walk")
+            .unwrap();
+        (report, obs.snapshot().to_json())
+    };
+    let (one, two) = (WorkerPool::new(1), WorkerPool::new(2));
+    for plan in [FluidPlan::A(&plan_a), FluidPlan::B(&plan_b)] {
+        let want = run(plan, SLOT_SEED, &one);
+        assert_eq!(run(plan, SLOT_SEED, &two), want);
+        assert_eq!(run(plan, SLOT_SEED, &one), want);
+        let other = run(plan, SLOT_SEED + 1, &two).0;
+        assert_ne!(other.base, want.0.base);
     }
+    assert_eq!(net.population().positions(), &start[..]);
 }

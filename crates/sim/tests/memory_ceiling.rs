@@ -150,7 +150,7 @@ fn streamed_measurement_stays_under_live_byte_budget() {
     let bs = BaseStations::generate_regular(K, 1.0);
     let traffic = TrafficMatrix::permutation(N, &mut rng);
     let plan = SchemeAPlan::build(pop.home_points().points(), &traffic, (N as f64).powf(0.25));
-    let mut net = HybridNetwork::with_infrastructure(pop, bs);
+    let net = HybridNetwork::with_infrastructure(pop, bs);
     drop(traffic);
 
     // Everything above is the unavoidable realized-network baseline; the
@@ -160,7 +160,7 @@ fn streamed_measurement_stays_under_live_byte_budget() {
 
     let spec = FluidRun::streamed(SLOTS, 0x5107, CHUNK);
     let report = FluidEngine::default()
-        .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+        .run(&net, FluidPlan::A(&plan), spec, &mut Observer::noop())
         .expect("streamed measurement succeeds");
     assert!(report.report().base.slots == SLOTS);
 
@@ -208,7 +208,7 @@ fn pooled_counter_chunks_stay_under_per_chunk_budget() {
     let bs = BaseStations::generate_regular(K, 1.0);
     let traffic = TrafficMatrix::permutation(N, &mut rng);
     let plan = SchemeAPlan::build(pop.home_points().points(), &traffic, (N as f64).powf(0.25));
-    let mut net = HybridNetwork::with_infrastructure(pop, bs);
+    let net = HybridNetwork::with_infrastructure(pop, bs);
     drop(traffic);
 
     for threads in [2, 4] {
@@ -216,9 +216,9 @@ fn pooled_counter_chunks_stay_under_per_chunk_budget() {
         let baseline = LIVE.load(Ordering::Relaxed);
         PEAK.store(baseline, Ordering::Relaxed);
 
-        let spec = FluidRun::counter(2 * threads, 0xC7A, Some(&pool));
+        let spec = FluidRun::new(2 * threads, 0xC7A, Some(&pool));
         let report = FluidEngine::default()
-            .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+            .run(&net, FluidPlan::A(&plan), spec, &mut Observer::noop())
             .expect("pooled counter measurement succeeds");
         assert_eq!(report.report().base.slots, 2 * threads);
 

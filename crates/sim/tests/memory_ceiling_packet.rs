@@ -50,8 +50,7 @@ use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
 use hycap_sim::obs::Observer;
 use hycap_sim::{
-    DrawParty, FlowWorkload, HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketRun,
-    SharedDraws,
+    DrawParty, FlowWorkload, HybridNetwork, PacketEngine, PacketPlan, PacketRun, SharedDraws,
 };
 use hycap_wireless::{critical_range, SStarScheduler, SlotWorkspace};
 use rand::rngs::StdRng;
@@ -139,13 +138,13 @@ fn network() -> (HybridNetwork, TrafficMatrix, StdRng) {
 
 /// One demand-paced run of `chains`, drawing through `shared` when given.
 fn chains_run(
-    net: &mut HybridNetwork,
+    net: &HybridNetwork,
     chains: &[Vec<usize>],
     horizon: usize,
     shared: Option<&DrawParty<'_>>,
 ) {
     let workload = FlowWorkload::poisson(RATE, 2, horizon).with_seed(7);
-    let mut spec = PacketRun::flows(&workload, Pacing::demand(PACING_SEED));
+    let mut spec = PacketRun::flows(&workload, PACING_SEED);
     spec.shared = shared;
     let report = PacketEngine::default()
         .run(net, PacketPlan::Chains(chains), spec, &mut Observer::noop())
@@ -158,7 +157,7 @@ fn chains_run(
 
 /// One demand-paced run of `chains`; returns the loop's peak live bytes
 /// over the post-setup baseline.
-fn loop_peak_bytes(net: &mut HybridNetwork, chains: &[Vec<usize>], horizon: usize) -> usize {
+fn loop_peak_bytes(net: &HybridNetwork, chains: &[Vec<usize>], horizon: usize) -> usize {
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
     chains_run(net, chains, horizon, None);
@@ -173,15 +172,14 @@ fn overlapped_peak_bytes(horizon: usize) -> (usize, usize) {
     let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
     drop(traffic);
     let view = net.slot_view().expect("i.i.d. network");
-    let mut nets = [net.clone(), net];
 
     let before = LIVE.load(Ordering::Relaxed);
     let feed = SharedDraws::new(view, PACING_SEED, 2).expect("uniform-disk feed");
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
     std::thread::scope(|scope| {
-        for net in &mut nets {
-            let (feed, chains) = (&feed, &chains);
+        for _ in 0..2 {
+            let (net, feed, chains) = (&net, &feed, &chains);
             scope.spawn(move || {
                 let party = feed.party().expect("a free seat");
                 chains_run(net, chains, horizon, Some(&party));
@@ -225,10 +223,10 @@ fn set_query_workspace_bytes() -> (usize, usize) {
 
 /// Direct permutation chains, one hop each.
 fn direct_peak_bytes(horizon: usize) -> usize {
-    let (mut net, traffic, _) = network();
+    let (net, traffic, _) = network();
     let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
     drop(traffic);
-    loop_peak_bytes(&mut net, &chains, horizon)
+    loop_peak_bytes(&net, &chains, horizon)
 }
 
 #[test]
@@ -251,13 +249,13 @@ fn packet_flow_run_reuses_slot_arenas() {
     );
 
     // Multi-hop relay chains: the per-hop queue state dominates.
-    let (mut net, traffic, mut rng) = network();
+    let (net, traffic, mut rng) = network();
     let homes = net.population().home_points().points().to_vec();
     let chains =
         SchemeAPlan::build(&homes, &traffic, RELAY_SIDE).materialize_relays(&traffic, &mut rng);
     drop((homes, traffic));
     let hops: usize = chains.iter().map(|c| c.len() - 1).sum();
-    let relayed = loop_peak_bytes(&mut net, &chains, LONG_HORIZON);
+    let relayed = loop_peak_bytes(&net, &chains, LONG_HORIZON);
     let budget = HOP_BUDGET_BYTES * hops + 4 * 1024 * 1024;
     assert!(
         relayed <= budget,

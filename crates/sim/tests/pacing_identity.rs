@@ -1,11 +1,12 @@
-//! Pacing-identity property suite (the `--no-skip` contract): demand
-//! pacing's fast paths — idle-slot fast-forward (`skip`) and active-set
+//! Pacing-identity property suite (the `--no-skip` contract): the packet
+//! engine's fast paths — idle-slot fast-forward (`skip`) and active-set
 //! scheduling (`active_set`) — must be pure accelerations. For every plan
 //! (A relay chains, any-member A, B infrastructure, B under fault
 //! injection, C cellular TDMA), across i.i.d.-stationary and static
 //! mobility and for any clock origin (including base slots past 2³², the old `u32`
 //! truncation regression surface), all four flag combinations produce
-//! bit-identical flow statistics and idleness accounting. Only the
+//! bit-identical flow statistics and idleness accounting. A tethered walk,
+//! which works every slot, must agree across the flags too. Only the
 //! `fast_forwarded` count — how the engine *walked* the idle slots, not
 //! what it computed — may differ, and it must be zero whenever `skip` is
 //! off.
@@ -27,7 +28,7 @@ use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, SchemeBPlan, SchemeCPlan, TrafficMatrix};
 use hycap_sim::obs::{MemorySink, Observer};
 use hycap_sim::{
-    FaultSchedule, FlowWorkload, HybridNetwork, OutagePolicy, Pacing, PacingTrace, PacketEngine,
+    FaultSchedule, FlowWorkload, HybridNetwork, OutagePolicy, PacingTrace, PacketEngine,
     PacketPlan, PacketRun, PacketWorkload,
 };
 use proptest::prelude::*;
@@ -43,10 +44,10 @@ const PACING_SEED: u64 = 0x9E37_79B9;
 /// pacing trace and the span-stripped snapshot JSON.
 type RunOutput = (String, PacingTrace, String);
 
-/// Runs `plan` on `net` under demand pacing with the given flags from
-/// clock origin `base_slot`, observed with probes armed.
+/// Runs `plan` on `net` with the given pacing flags from clock origin
+/// `base_slot`, observed with probes armed.
 fn run_demand(
-    net: &mut HybridNetwork,
+    net: &HybridNetwork,
     plan: PacketPlan<'_>,
     workload: PacketWorkload<'_>,
     faults: Option<(&FaultSchedule, OutagePolicy)>,
@@ -55,11 +56,9 @@ fn run_demand(
 ) -> RunOutput {
     let spec = PacketRun {
         workload,
-        pacing: Pacing::Demand {
-            seed: PACING_SEED,
-            skip,
-            active_set,
-        },
+        seed: PACING_SEED,
+        skip,
+        active_set,
         faults,
         budget: None,
         shared: None,
@@ -157,12 +156,12 @@ proptest! {
             let homes = pop.home_points().points().to_vec();
             let traffic = TrafficMatrix::permutation(N, &mut rng);
             let plan = SchemeAPlan::build(&homes, &traffic, (N as f64).powf(0.25));
-            let mut net = HybridNetwork::ad_hoc(pop);
+            let net = HybridNetwork::ad_hoc(pop);
             let w = FlowWorkload::poisson(rate, 3, HORIZON).with_seed(seed ^ 0xF10);
             let chains = plan.materialize_relays(&traffic, &mut rng);
             let flows = PacketWorkload::Flows(&w);
             let plan = PacketPlan::Chains(&chains);
-            run_demand(&mut net, plan, flows, None, base_slot, (skip, active_set))
+            run_demand(&net, plan, flows, None, base_slot, (skip, active_set))
         };
         prop_assert_eq!(run(false, false).1.slots, HORIZON as u64);
         check_all_variants(run)?;
@@ -189,7 +188,7 @@ proptest! {
             let homes = pop.home_points().points().to_vec();
             let traffic = TrafficMatrix::permutation(N, &mut rng);
             let plan = SchemeAPlan::build(&homes, &traffic, (N as f64).powf(0.25));
-            let mut net = HybridNetwork::ad_hoc(pop);
+            let net = HybridNetwork::ad_hoc(pop);
             let w = FlowWorkload::poisson(rate, 3, HORIZON).with_seed(seed ^ 0xF10);
             let workload = if open_loop {
                 PacketWorkload::OpenLoop { lambda: rate, slots: HORIZON }
@@ -197,7 +196,7 @@ proptest! {
                 PacketWorkload::Flows(&w)
             };
             let plan = PacketPlan::A { plan: &plan, traffic: &traffic };
-            run_demand(&mut net, plan, workload, None, base_slot, (skip, active_set))
+            run_demand(&net, plan, workload, None, base_slot, (skip, active_set))
         };
         check_all_variants(run)?;
     }
@@ -230,7 +229,7 @@ proptest! {
             let homes = pop.home_points().points().to_vec();
             let traffic = TrafficMatrix::permutation(N, &mut rng);
             let plan = SchemeBPlan::build(&homes, &traffic, &bs, 2);
-            let mut net = HybridNetwork::with_infrastructure(pop, bs);
+            let net = HybridNetwork::with_infrastructure(pop, bs);
             let w = FlowWorkload::poisson(rate, 3, HORIZON).with_seed(seed ^ 0xF10);
             let schedule = FaultSchedule::empty()
                 .crash_bs(0, 0)
@@ -238,7 +237,7 @@ proptest! {
                 .with_bernoulli_bs_outage(0.02, seed ^ 0xBAD);
             let faults = faulted.then_some((&schedule, OutagePolicy::RadioOff));
             let flows = PacketWorkload::Flows(&w);
-            run_demand(&mut net, PacketPlan::B(&plan), flows, faults, base_slot, (skip, active_set))
+            run_demand(&net, PacketPlan::B(&plan), flows, faults, base_slot, (skip, active_set))
         };
         check_all_variants(run)?;
     }
@@ -265,13 +264,13 @@ proptest! {
             let pop = Population::generate(&config, &mut rng);
             let traffic = TrafficMatrix::permutation(N, &mut rng);
             let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
-            let mut net = HybridNetwork::ad_hoc(pop);
+            let net = HybridNetwork::ad_hoc(pop);
             let open = PacketWorkload::OpenLoop {
                 lambda,
                 slots: HORIZON,
             };
             let plan = PacketPlan::Chains(&chains);
-            run_demand(&mut net, plan, open, None, base_slot, (skip, active_set))
+            run_demand(&net, plan, open, None, base_slot, (skip, active_set))
         };
         check_all_variants(run)?;
     }
@@ -308,13 +307,55 @@ proptest! {
                 c: 1.0,
             };
             // Scheme C reads nothing from the network.
-            let mut net = HybridNetwork::ad_hoc(Population::generate(
+            let net = HybridNetwork::ad_hoc(Population::generate(
                 &PopulationConfig::builder(2).build(),
                 &mut StdRng::seed_from_u64(0),
             ));
             let flows = PacketWorkload::Flows(&w);
-            run_demand(&mut net, cells, flows, None, base_slot, (skip, active_set))
+            run_demand(&net, cells, flows, None, base_slot, (skip, active_set))
         };
+        check_all_variants(run)?;
+    }
+
+    /// A tethered walk (relay chains or scheme B, fault-free or faulted):
+    /// the walk works every slot, so nothing is idle or fast-forwarded,
+    /// and `active_set` restricts which pairs are scheduled without moving
+    /// a single statistic.
+    #[test]
+    fn walk_stats_are_pacing_invariant(
+        seed in 0u64..1 << 16,
+        rate in 1e-3f64..8e-3,
+        scheme_b in any::<bool>(),
+        faulted in any::<bool>(),
+    ) {
+        let run = |skip: bool, active_set: bool| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let config = PopulationConfig::builder(N)
+                .alpha(0.25)
+                .kernel(Kernel::uniform_disk(1.0))
+                .mobility(MobilityKind::TetheredWalk { step_frac: 0.2 })
+                .build();
+            let pop = Population::generate(&config, &mut rng);
+            let bs = BaseStations::generate_regular(16, 1.0);
+            let homes = pop.home_points().points().to_vec();
+            let traffic = TrafficMatrix::permutation(N, &mut rng);
+            let plan_b = SchemeBPlan::build(&homes, &traffic, &bs, 2);
+            let chains = SchemeAPlan::build(&homes, &traffic, (N as f64).powf(0.25))
+                .materialize_relays(&traffic, &mut rng);
+            let net = HybridNetwork::with_infrastructure(pop, bs);
+            let w = FlowWorkload::poisson(rate, 3, HORIZON).with_seed(seed ^ 0xF10);
+            let schedule = FaultSchedule::empty()
+                .crash_bs(0, 0)
+                .with_bernoulli_bs_outage(0.02, seed ^ 0xBAD);
+            let (plan, faults) = match (scheme_b, faulted) {
+                (true, true) => (PacketPlan::B(&plan_b), Some((&schedule, OutagePolicy::RadioOff))),
+                (true, false) => (PacketPlan::B(&plan_b), None),
+                _ => (PacketPlan::Chains(&chains), None),
+            };
+            run_demand(&net, plan, PacketWorkload::Flows(&w), faults, 0, (skip, active_set))
+        };
+        let trace = run(true, true).1;
+        prop_assert_eq!((trace.idle_slots, trace.fast_forwarded), (0, 0));
         check_all_variants(run)?;
     }
 }

@@ -11,7 +11,7 @@ use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_routing::TrafficMatrix;
 use hycap_sim::obs::Observer;
 use hycap_sim::{
-    Event, EventQueue, FlowRunStats, FlowWorkload, HybridNetwork, Pacing, PacketEngine, PacketPlan,
+    Event, EventQueue, FlowRunStats, FlowWorkload, HybridNetwork, PacketEngine, PacketPlan,
     PacketReport, PacketRun, PacketStats, WorkerPool,
 };
 use proptest::prelude::*;
@@ -91,20 +91,24 @@ proptest! {
 }
 
 fn dense_net(n: usize, seed: u64) -> (HybridNetwork, StdRng) {
+    net_of(n, seed, MobilityKind::IidStationary)
+}
+
+fn net_of(n: usize, seed: u64, mobility: MobilityKind) -> (HybridNetwork, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let config = PopulationConfig::builder(n)
         .alpha(0.0)
         .kernel(Kernel::uniform_disk(1.0))
-        .mobility(MobilityKind::IidStationary)
+        .mobility(mobility)
         .build();
     let pop = Population::generate(&config, &mut rng);
     (HybridNetwork::ad_hoc(pop), rng)
 }
 
-/// A legacy-paced run of `plan` on `net`, drawing mobility from `rng`.
+/// A run of `plan` on `net` as `spec` says, complete.
 fn run(
     engine: PacketEngine,
-    net: &mut HybridNetwork,
+    net: &HybridNetwork,
     plan: PacketPlan<'_>,
     spec: PacketRun<'_>,
 ) -> PacketReport {
@@ -116,14 +120,14 @@ fn run(
 }
 
 fn flow_run(seed: u64) -> FlowRunStats {
-    let (mut net, mut rng) = dense_net(60, seed);
+    let (net, mut rng) = dense_net(60, seed);
     let traffic = TrafficMatrix::permutation(60, &mut rng);
     let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
     let workload = FlowWorkload::poisson(0.004, 3, 300).with_seed(seed);
-    let spec = PacketRun::flows(&workload, Pacing::Legacy(&mut rng));
+    let spec = PacketRun::flows(&workload, seed);
     run(
         PacketEngine::default(),
-        &mut net,
+        &net,
         PacketPlan::Chains(&chains),
         spec,
     )
@@ -154,16 +158,18 @@ fn flow_replications_are_thread_count_invariant() {
 
 /// The pre-refactor engine stored slot timestamps as `u32`; starting the
 /// clock past 2³² makes any surviving truncation wrap timestamps and blow
-/// up delays. Dynamics must not depend on the clock origin at all.
+/// up delays. Dynamics must not depend on the clock origin at all: a walk
+/// draws the same slots from any origin, so the stats must match.
 #[test]
 fn high_base_slot_matches_origin_run_bit_for_bit() {
     let offset = (u32::MAX as u64) + 7;
     let chains_run = |engine: PacketEngine| -> PacketStats {
-        let (mut net, mut rng) = dense_net(50, 21);
+        let walk = MobilityKind::TetheredWalk { step_frac: 0.5 };
+        let (net, mut rng) = net_of(50, 21, walk);
         let traffic = TrafficMatrix::permutation(50, &mut rng);
         let chains: Vec<Vec<usize>> = traffic.pairs().map(|(s, d)| vec![s, d]).collect();
-        let spec = PacketRun::open_loop(0.05, 200, Pacing::Legacy(&mut rng));
-        run(engine, &mut net, PacketPlan::Chains(&chains), spec).stats
+        let spec = PacketRun::open_loop(0.05, 200, 21);
+        run(engine, &net, PacketPlan::Chains(&chains), spec).stats
     };
     let base = chains_run(PacketEngine::default());
     let offset_stats = chains_run(PacketEngine::default().with_base_slot(offset));
@@ -200,10 +206,10 @@ fn high_base_slot_scheme_b_delays_stay_finite() {
     let homes = pop.home_points().points().to_vec();
     let traffic = TrafficMatrix::permutation(150, &mut rng);
     let plan = SchemeBPlan::build(&homes, &traffic, &bs, 4);
-    let mut net = HybridNetwork::with_infrastructure(pop, bs);
+    let net = HybridNetwork::with_infrastructure(pop, bs);
     let engine = PacketEngine::default().with_base_slot(offset);
-    let spec = PacketRun::open_loop(0.002, 2000, Pacing::Legacy(&mut rng));
-    let stats = run(engine, &mut net, PacketPlan::B(&plan), spec).stats;
+    let spec = PacketRun::open_loop(0.002, 2000, 14);
+    let stats = run(engine, &net, PacketPlan::B(&plan), spec).stats;
     assert!(stats.delivered > 0, "inconclusive: nothing delivered");
     assert!(
         stats.mean_delay.is_finite() && stats.mean_delay < 2000.0,
@@ -234,13 +240,13 @@ fn new_panics_on_bad_range_constant() {
 /// Empty runs must produce poisoned-free statistics: zeros, not NaN/inf.
 #[test]
 fn empty_flow_run_reports_zeros() {
-    let (mut net, mut rng) = dense_net(20, 5);
+    let (net, _) = dense_net(20, 5);
     let chains: Vec<Vec<usize>> = vec![vec![0, 1]];
     let workload = FlowWorkload::poisson(0.0, 2, 400);
-    let spec = PacketRun::flows(&workload, Pacing::Legacy(&mut rng));
+    let spec = PacketRun::flows(&workload, 5);
     let stats = run(
         PacketEngine::default(),
-        &mut net,
+        &net,
         PacketPlan::Chains(&chains),
         spec,
     )

@@ -34,8 +34,8 @@ use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, SchemeBPlan, TrafficMatrix};
 use hycap_sim::{
-    FlowWorkload, HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketReport, PacketRun,
-    SharedDraws, SlotView,
+    FlowWorkload, HybridNetwork, PacketEngine, PacketPlan, PacketReport, PacketRun, SharedDraws,
+    SlotView,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,11 +46,15 @@ const K: usize = 16;
 const SEED: u64 = 0xD3_3D;
 
 fn network(kernel: Kernel) -> (HybridNetwork, TrafficMatrix, StdRng) {
+    network_of(kernel, MobilityKind::IidStationary)
+}
+
+fn network_of(kernel: Kernel, mobility: MobilityKind) -> (HybridNetwork, TrafficMatrix, StdRng) {
     let mut rng = StdRng::seed_from_u64(0x5D);
     let config = PopulationConfig::builder(N)
         .alpha(0.25)
         .kernel(kernel)
-        .mobility(MobilityKind::IidStationary)
+        .mobility(mobility)
         .build();
     let pop = Population::generate(&config, &mut rng);
     let traffic = TrafficMatrix::permutation(N, &mut rng);
@@ -156,12 +160,12 @@ fn seats_are_released_by_dropped_parties() {
 
 /// One flow run of `plan`, drawing privately or through `party`.
 fn flow_run(
-    net: &mut HybridNetwork,
+    net: &HybridNetwork,
     plan: PacketPlan<'_>,
     party: Option<&hycap_sim::DrawParty<'_>>,
 ) -> (PacketReport, String) {
     let workload = FlowWorkload::poisson(0.004, 1, 300).with_seed(0xF10);
-    let mut spec = PacketRun::flows(&workload, Pacing::demand(SEED));
+    let mut spec = PacketRun::flows(&workload, SEED);
     spec.shared = party;
     let mut obs = Observer::recording().with_probes();
     let report = PacketEngine::default()
@@ -188,7 +192,7 @@ fn shared_runs_match_private_runs_on_one_and_two_threads() {
     let plans = [PacketPlan::Chains(&chains), PacketPlan::B(&plan_b)];
     let private: Vec<_> = plans
         .iter()
-        .map(|&plan| flow_run(&mut net.clone(), plan, None))
+        .map(|&plan| flow_run(&net, plan, None))
         .collect();
     for (report, _) in &private {
         assert!(report.flows.unwrap().packets_delivered > 0, "{report:?}");
@@ -198,7 +202,7 @@ fn shared_runs_match_private_runs_on_one_and_two_threads() {
         let feed = SharedDraws::new(net.slot_view().unwrap(), SEED, threads).unwrap();
         let shared = hycap_sim::parallel_map(&plans, threads, |&plan| {
             let party = feed.party().unwrap();
-            flow_run(&mut net.clone(), plan, Some(&party))
+            flow_run(&net, plan, Some(&party))
         });
         assert_eq!(shared, private, "{threads} thread(s)");
     }
@@ -206,10 +210,10 @@ fn shared_runs_match_private_runs_on_one_and_two_threads() {
 
 #[test]
 fn mismatched_runs_and_unservable_feeds_are_typed_errors() {
-    let (mut net, _, _) = network(Kernel::uniform_disk(1.0));
+    let (net, _, _) = network(Kernel::uniform_disk(1.0));
     let chains: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 3]];
     let workload = FlowWorkload::poisson(0.01, 2, 20).with_seed(1);
-    let run = |net: &mut HybridNetwork, spec: PacketRun<'_>| {
+    let run = |net: &HybridNetwork, spec: PacketRun<'_>| {
         PacketEngine::default()
             .run(
                 net,
@@ -224,9 +228,9 @@ fn mismatched_runs_and_unservable_feeds_are_typed_errors() {
     let (other, _, _) = network(Kernel::uniform_disk(1.0));
     let feed = SharedDraws::new(other.slot_view().unwrap(), SEED, 1).unwrap();
     let party = feed.party().unwrap();
-    let spec = PacketRun::flows(&workload, Pacing::demand(SEED)).shared(&party);
+    let spec = PacketRun::flows(&workload, SEED).shared(&party);
     assert!(matches!(
-        run(&mut net, spec),
+        run(&net, spec),
         Err(HycapError::Mismatch {
             left: 1216,
             right: 1216,
@@ -238,19 +242,18 @@ fn mismatched_runs_and_unservable_feeds_are_typed_errors() {
     // The right network under another seed.
     let feed = SharedDraws::new(net.slot_view().unwrap(), SEED, 1).unwrap();
     let party = feed.party().unwrap();
-    let spec = PacketRun::flows(&workload, Pacing::demand(SEED + 1)).shared(&party);
-    assert!(matches!(
-        run(&mut net, spec),
-        Err(HycapError::Mismatch { .. })
-    ));
+    let spec = PacketRun::flows(&workload, SEED + 1).shared(&party);
+    assert!(matches!(run(&net, spec), Err(HycapError::Mismatch { .. })));
     // The right network and seed.
-    let spec = PacketRun::flows(&workload, Pacing::demand(SEED)).shared(&party);
-    assert!(run(&mut net, spec).is_ok());
-    // Legacy pacing draws in order from its RNG; a feed cannot serve it.
-    let mut rng = StdRng::seed_from_u64(3);
-    let spec = PacketRun::flows(&workload, Pacing::Legacy(&mut rng)).shared(&party);
+    let spec = PacketRun::flows(&workload, SEED).shared(&party);
+    assert!(run(&net, spec).is_ok());
+    // A walk draws its slots in order from its seed; a feed cannot serve
+    // it.
+    let walk = MobilityKind::TetheredWalk { step_frac: 0.1 };
+    let (walker, _, _) = network_of(Kernel::uniform_disk(1.0), walk);
+    let spec = PacketRun::flows(&workload, SEED).shared(&party);
     assert!(matches!(
-        run(&mut net, spec),
+        run(&walker, spec),
         Err(HycapError::InvalidParameter { name: "shared", .. })
     ));
 

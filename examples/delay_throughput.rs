@@ -15,7 +15,7 @@ use hycap_mobility::{Kernel, Population, PopulationConfig};
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
 use hycap_sim::obs::Observer;
 use hycap_sim::{
-    FluidEngine, FluidPlan, FluidRun, HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketRun,
+    FluidEngine, FluidPlan, FluidRun, HybridNetwork, PacketEngine, PacketPlan, PacketRun,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,12 +32,12 @@ fn main() {
     let homes = pop.home_points().points().to_vec();
     let traffic = TrafficMatrix::permutation(n, &mut rng);
     let plan = SchemeAPlan::build(&homes, &traffic, (n as f64).powf(alpha));
-    let mut net = HybridNetwork::ad_hoc(pop);
+    let net = HybridNetwork::ad_hoc(pop);
 
     // Fluid capacity as the yardstick.
-    let spec = FluidRun::counter(400, 17, None);
+    let spec = FluidRun::new(400, 17, None);
     let fluid = FluidEngine::default()
-        .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+        .run(&net, FluidPlan::A(&plan), spec, &mut Observer::noop())
         .and_then(|outcome| outcome.into_complete("scheme A"))
         .expect("fluid measurement")
         .base;
@@ -60,9 +60,10 @@ fn main() {
             plan: &plan,
             traffic: &traffic,
         };
-        let spec = PacketRun::open_loop(lambda, 4000, Pacing::Legacy(&mut rng));
+        // Every load sees the same slot draws.
+        let spec = PacketRun::open_loop(lambda, 4000, 17);
         let stats = engine
-            .run(&mut net, scheme_a, spec, &mut Observer::noop())
+            .run(&net, scheme_a, spec, &mut Observer::noop())
             .and_then(|outcome| outcome.into_complete("scheme A packets"))
             .expect("packet run")
             .stats;

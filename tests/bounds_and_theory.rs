@@ -16,31 +16,17 @@ fn cut_bound_dominates_achieved_rate() {
     let exps = ModelExponents::new(0.25, 1.0, 0.0, 0.5, 0.0).unwrap();
     let scenario = Scenario::builder(exps, 300).seed(8).build();
     let achieved = scenario.measure(250).unwrap();
-    let hycap::Realization {
-        mut net,
-        traffic,
-        mut rng,
-        ..
-    } = scenario.realize();
+    let hycap::Realization { net, traffic, .. } = scenario.realize();
     for bound in [
+        cut_upper_bound(&net, &HalfStripCut::bisection(), &traffic, 0.5, 0.4, 250, 8).unwrap(),
         cut_upper_bound(
-            &mut net,
-            &HalfStripCut::bisection(),
-            &traffic,
-            0.5,
-            0.4,
-            250,
-            &mut rng,
-        )
-        .unwrap(),
-        cut_upper_bound(
-            &mut net,
+            &net,
             &DiskCut::new(Point::new(0.5, 0.5), 0.3),
             &traffic,
             0.5,
             0.4,
             250,
-            &mut rng,
+            9,
         )
         .unwrap(),
     ] {
@@ -57,26 +43,14 @@ fn cut_bound_dominates_achieved_rate() {
 #[test]
 fn bounds_reject_zero_slots() {
     let exps = ModelExponents::new(0.25, 1.0, 0.0, 0.5, 0.0).unwrap();
-    let hycap::Realization {
-        mut net,
-        traffic,
-        mut rng,
-        ..
-    } = Scenario::builder(exps, 100).seed(8).build().realize();
-    let cut = cut_upper_bound(
-        &mut net,
-        &HalfStripCut::bisection(),
-        &traffic,
-        0.5,
-        0.4,
-        0,
-        &mut rng,
-    );
+    let hycap::Realization { net, traffic, .. } =
+        Scenario::builder(exps, 100).seed(8).build().realize();
+    let cut = cut_upper_bound(&net, &HalfStripCut::bisection(), &traffic, 0.5, 0.4, 0, 8);
     assert!(
         matches!(cut, Err(HycapError::InvalidParameter { name: "slots", .. })),
         "{cut:?}"
     );
-    let access = access_upper_bound(&mut net, 0.5, 0.4, 0, &mut rng);
+    let access = access_upper_bound(&net, 0.5, 0.4, 0, 8);
     assert!(
         matches!(
             access,
@@ -89,16 +63,14 @@ fn bounds_reject_zero_slots() {
 #[test]
 fn access_bound_requires_base_stations() {
     let exps = ModelExponents::new(0.25, 1.0, 0.0, 0.5, 0.0).unwrap();
-    let hycap::Realization {
-        mut net, mut rng, ..
-    } = Scenario::builder(exps, 100)
+    let hycap::Realization { net, .. } = Scenario::builder(exps, 100)
         .seed(8)
         .without_bs()
         .build()
         .realize();
     assert_eq!(net.k(), 0);
     assert_eq!(
-        access_upper_bound(&mut net, 0.5, 0.4, 10, &mut rng),
+        access_upper_bound(&net, 0.5, 0.4, 10, 8),
         Err(HycapError::MissingInfrastructure("access bound"))
     );
 }
@@ -106,7 +78,6 @@ fn access_bound_requires_base_stations() {
 #[test]
 fn wire_term_grows_with_k_squared() {
     // Lemma 7: the wire term of a bisection cut is Θ(k²c).
-    let mut rng = StdRng::seed_from_u64(9);
     let mut terms = Vec::new();
     for k in [16usize, 64] {
         let exps = ModelExponents::new(0.0, 1.0, 0.0, 0.5, 0.0).unwrap();
@@ -119,16 +90,8 @@ fn wire_term_grows_with_k_squared() {
         let pop = net.population().clone();
         let bs = hycap_infra::BaseStations::generate_regular(k, 1.0);
         net = hycap_sim::HybridNetwork::with_infrastructure(pop, bs);
-        let bound = cut_upper_bound(
-            &mut net,
-            &HalfStripCut::bisection(),
-            &traffic,
-            0.5,
-            0.4,
-            10,
-            &mut rng,
-        )
-        .unwrap();
+        let bound =
+            cut_upper_bound(&net, &HalfStripCut::bisection(), &traffic, 0.5, 0.4, 10, 9).unwrap();
         terms.push(bound.wire_term);
     }
     // 4x the BSs → 16x the wires across the cut (k/2 each side).

@@ -22,8 +22,8 @@ use hycap::{ModelExponents, Realization, Scenario};
 use hycap_routing::{SchemeAPlan, SchemeBPlan};
 use hycap_sim::{
     DegradedFluidReport, FaultSchedule, FlowRunStats, FlowWorkload, FluidEngine, FluidPlan,
-    FluidRun, HybridNetwork, OutagePolicy, Pacing, PacketEngine, PacketPlan, PacketReport,
-    PacketRun, PacketStats, PacketWorkload, WorkerPool,
+    FluidRun, HybridNetwork, OutagePolicy, PacketEngine, PacketPlan, PacketReport, PacketRun,
+    PacketStats, PacketWorkload, WorkerPool,
 };
 use rand::rngs::StdRng;
 use rand::RngCore;
@@ -83,19 +83,19 @@ fn fluid<S: MetricsSink>(
     faults: Option<(&FaultSchedule, OutagePolicy)>,
     obs: &mut Observer<S>,
 ) -> DegradedFluidReport {
-    let mut spec = FluidRun::counter(SLOTS, r.rng.next_u64(), None);
+    let mut spec = FluidRun::new(SLOTS, r.rng.next_u64(), None);
     spec.faults = faults;
     FluidEngine::default()
-        .run(&mut r.net, plan, spec, obs)
+        .run(&r.net, plan, spec, obs)
         .unwrap()
         .into_complete("conformance")
         .unwrap()
 }
 
-/// One legacy-paced packet run of `plan` on `net`, drawing mobility from
-/// `rng`, under `faults` when given, observed into `obs`.
+/// One packet run of `plan` on `net`, over slots drawn from a seed taken
+/// from `rng`, under `faults` when given, observed into `obs`.
 fn packet<S: MetricsSink>(
-    net: &mut HybridNetwork,
+    net: &HybridNetwork,
     rng: &mut StdRng,
     plan: PacketPlan<'_>,
     workload: PacketWorkload<'_>,
@@ -104,7 +104,9 @@ fn packet<S: MetricsSink>(
 ) -> PacketReport {
     let spec = PacketRun {
         workload,
-        pacing: Pacing::Legacy(rng),
+        seed: rng.next_u64(),
+        skip: true,
+        active_set: true,
         faults,
         budget: None,
         shared: None,
@@ -227,9 +229,9 @@ fn packet_matrix_clean_and_bit_identical() {
             plan: plan_a,
             traffic: &r.traffic,
         };
-        let got_a = packet(&mut r.net, &mut r.rng, a, open, None, obs);
+        let got_a = packet(&r.net, &mut r.rng, a, open, None, obs);
         let b = PacketPlan::B(plan_b);
-        let got_b = packet(&mut r.net, &mut r.rng, b, open, None, obs);
+        let got_b = packet(&r.net, &mut r.rng, b, open, None, obs);
         (got_a.stats, got_b.stats)
     }
     for seed in SEEDS {
@@ -271,12 +273,12 @@ fn packet_faulted_matrix_clean_and_bit_identical() {
             let faulted = Some((&schedule, policy));
             let b = PacketPlan::B(&plan_b);
             let noop = &mut Observer::noop();
-            let base = packet(&mut plain.net, &mut plain.rng, b, open, faulted, noop);
+            let base = packet(&plain.net, &mut plain.rng, b, open, faulted, noop);
 
             let (mut obsd, _, plan_b2) = realize(seed);
             let mut obs = Observer::recording().with_probes();
             let b = PacketPlan::B(&plan_b2);
-            let got = packet(&mut obsd.net, &mut obsd.rng, b, open, faulted, &mut obs);
+            let got = packet(&obsd.net, &mut obsd.rng, b, open, faulted, &mut obs);
             assert!(
                 degraded_identical(&base, &got),
                 "seed {seed} {policy:?}: faulted packet B diverged: {base:?} vs {got:?}"
@@ -312,7 +314,7 @@ fn flow_matrix_clean_and_bit_identical() {
             },
             PacketPlan::B(plan_b),
         ];
-        plans.map(|plan| packet(&mut r.net, &mut r.rng, plan, flows, None, obs).flows)
+        plans.map(|plan| packet(&r.net, &mut r.rng, plan, flows, None, obs).flows)
     }
     for seed in SEEDS {
         let workload = FlowWorkload::poisson(0.002, 3, SLOTS).with_seed(seed);
@@ -356,7 +358,7 @@ fn empty_run_row_reports_zeros_and_finite_json() {
         slots: SLOTS,
     };
     let plan = PacketPlan::Chains(&chains);
-    let stats = packet(&mut r.net, &mut r.rng, plan, idle, None, &mut obs).stats;
+    let stats = packet(&r.net, &mut r.rng, plan, idle, None, &mut obs).stats;
     assert_eq!(stats.injected, 0);
     assert_eq!(stats.delivered, 0);
     assert_eq!(stats.mean_delay.to_bits(), 0.0f64.to_bits());
@@ -364,7 +366,7 @@ fn empty_run_row_reports_zeros_and_finite_json() {
 
     let workload = FlowWorkload::poisson(0.0, 2, SLOTS);
     let flows = PacketWorkload::Flows(&workload);
-    let flow_stats = packet(&mut r.net, &mut r.rng, plan, flows, None, &mut obs)
+    let flow_stats = packet(&r.net, &mut r.rng, plan, flows, None, &mut obs)
         .flows
         .unwrap();
     assert_eq!(flow_stats.flows_started, 0);

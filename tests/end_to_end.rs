@@ -7,7 +7,7 @@ use hycap_mobility::{Kernel, MobilityKind, Population, PopulationConfig};
 use hycap_obs::Observer;
 use hycap_routing::{SchemeAPlan, TrafficMatrix};
 use hycap_sim::{
-    FluidEngine, FluidPlan, FluidRun, HybridNetwork, Pacing, PacketEngine, PacketPlan, PacketRun,
+    FluidEngine, FluidPlan, FluidRun, HybridNetwork, PacketEngine, PacketPlan, PacketRun,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,10 +110,10 @@ fn fluid_and_packet_engines_agree_on_feasibility() {
     let homes = pop.home_points().points().to_vec();
     let traffic = TrafficMatrix::permutation(n, &mut rng);
     let plan = SchemeAPlan::build(&homes, &traffic, (n as f64).powf(0.25));
-    let mut net = HybridNetwork::ad_hoc(pop);
-    let spec = FluidRun::counter(300, 5, None);
+    let net = HybridNetwork::ad_hoc(pop);
+    let spec = FluidRun::new(300, 5, None);
     let fluid = FluidEngine::default()
-        .run(&mut net, FluidPlan::A(&plan), spec, &mut Observer::noop())
+        .run(&net, FluidPlan::A(&plan), spec, &mut Observer::noop())
         .unwrap()
         .into_complete("scheme A")
         .unwrap()
@@ -125,12 +125,12 @@ fn fluid_and_packet_engines_agree_on_feasibility() {
         plan: &plan,
         traffic: &traffic,
     };
-    let mut packets = |lambda: f64, slots: usize, rng: &mut StdRng| {
+    let packets = |lambda: f64, slots: usize, seed: u64| {
         PacketEngine::default()
             .run(
-                &mut net,
+                &net,
                 scheme_a,
-                PacketRun::open_loop(lambda, slots, Pacing::Legacy(rng)),
+                PacketRun::open_loop(lambda, slots, seed),
                 &mut Observer::noop(),
             )
             .unwrap()
@@ -139,8 +139,8 @@ fn fluid_and_packet_engines_agree_on_feasibility() {
             .stats
     };
     // Packets have size W/2, so one fluid-unit of λ is two packets/slot.
-    let low = packets(0.2 * fluid.lambda, 2500, &mut rng);
-    let high = packets(20.0 * fluid.lambda, 800, &mut rng);
+    let low = packets(0.2 * fluid.lambda, 2500, 6);
+    let high = packets(20.0 * fluid.lambda, 800, 7);
     assert!(
         low.delivery_ratio() > 2.0 * high.delivery_ratio(),
         "packet engine does not separate feasible ({:.2}) from infeasible ({:.2})",

@@ -12,8 +12,9 @@
 //! * `strong-nobs` — the strong row without BSs (chains only);
 //! * `weak` — the weak row (scheme B grouped by clusters);
 //! * `trivial` — static mobility (scheme C);
-//! * `walk` — a history-dependent walk on the strong row (legacy pacing,
-//!   both phases in order over one RNG);
+//! * `walk` — a history-dependent walk on the strong row: both paths walk
+//!   private copies of the population in slot order from the flow seed,
+//!   side by side;
 //! * `noskip` — the strong row with `flow_skip(false)`.
 //!
 //! Span metrics are stripped because they record wall-clock microseconds.

@@ -78,15 +78,15 @@ fn scheme_plans_share_one_network_realization() {
     let plan_a = SchemeAPlan::build(&homes, &traffic, (n as f64).powf(0.25));
     let plan_b = SchemeBPlan::build(&homes, &traffic, &bs, 2);
 
-    let mut net = HybridNetwork::with_infrastructure(pop, bs);
+    let net = HybridNetwork::with_infrastructure(pop, bs);
     let engine = FluidEngine::default();
-    let fluid = |net: &mut HybridNetwork, plan: FluidPlan<'_>, rng: &mut StdRng| {
-        let spec = FluidRun::counter(200, rng.next_u64(), None);
+    let fluid = |net: &HybridNetwork, plan: FluidPlan<'_>, rng: &mut StdRng| {
+        let spec = FluidRun::new(200, rng.next_u64(), None);
         let outcome = engine.run(net, plan, spec, &mut Observer::noop());
         outcome.unwrap().into_complete("fluid").unwrap().base
     };
-    let ra = fluid(&mut net, FluidPlan::A(&plan_a), &mut rng);
-    let rb = fluid(&mut net, FluidPlan::B(&plan_b), &mut rng);
+    let ra = fluid(&net, FluidPlan::A(&plan_a), &mut rng);
+    let rb = fluid(&net, FluidPlan::B(&plan_b), &mut rng);
     assert!(ra.lambda_typical > 0.0, "scheme A starved");
     assert!(rb.lambda_typical > 0.0, "scheme B starved");
 }
